@@ -5,7 +5,8 @@ Library layout:
 - ``surfaces``     charts, metric factor, transitions, geodesic distance
 - ``connections``  coordinate-change brackets, connection transforms, covariant
                    derivatives, curvature
-- ``green``        one-point Green function, Robin data, two-point potential
+- ``green``        the pair kernel behind every Green value and gradient,
+                   Robin data, two-point potential
 - ``periods``      harmonic differentials, period matrix, circulation state
 - ``dynamics``     velocity law, Hamiltonian, time integration
 - ``oracles``      independent validators (spectral Poisson solve, quadrature,

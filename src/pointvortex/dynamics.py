@@ -15,31 +15,40 @@ Torus trajectories are integrated in universal-cover coordinates so the
 multivalued circulation potentials stay on one continuous branch; doubly
 periodic quantities only ever see lattice-reduced differences, so cover
 coordinates cost nothing.  Emitted records hold canonical positions.
+
+Array layout: a configuration is a chart-id array and a complex coordinate
+array, one entry per vortex.  The read-only indices (i, j) of the unordered
+pairs i < j are cached per n; the pair kernel `green.pair_terms` evaluates
+G_ij and both gradients once per pair, and the n x n gradient matrix is
+filled from them, at (j, i) by the odd symmetry dG(-u) = -dG(u) on the torus.
+Separations come from the same pair indices; collisions name the first
+closest pair in (i, j) order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import CollisionError, StepRejectionError
-from .green import green, renormalized_robin, robin_data
+from .green import pair_terms, renormalized_robin_at, robin_h0_h1
 from .periods import (
-    CirculationField,
-    CirculationState,
     PeriodBasis,
     build_basis,
     circulation_energy,
     circulation_form,
     circulation_state,
-    cycle_potential,
 )
 from .surfaces import (
     SPHERE,
     Surface,
     SurfacePoint,
     conformal_factor,
-    dlog_lambda_dzbar,
-    geodesic_distance,
+    dlog_lambda_dzbar_at,
+    lambda_at,
+    pair_distances,
     wrap_counts,
 )
 
@@ -104,102 +113,93 @@ class TrajectoryRecord:
     min_separation: float
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices (i, j) of the unordered pairs i < j, in (i, j) order."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _point_arrays(positions) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([p.chart_id for p in positions], dtype=int),
+            np.array([p.coord for p in positions], dtype=complex))
+
+
 def min_separation(surface: Surface, positions) -> float:
-    best = math.inf
-    pts = list(positions)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            best = min(best, geodesic_distance(surface, pts[i], pts[j]))
-    return best
+    if len(positions) < 2:
+        return math.inf
+    return _check_separation(surface, *_point_arrays(positions), -math.inf, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# raw evaluation layer: chart lists + complex coordinates, no reduction
+# raw evaluation layer: chart and coordinate arrays, no reduction
 
 
-def _pair_green_grad(surface: Surface, chart_z: int, z: complex,
-                     chart_a: int, a: complex) -> complex:
-    """dG(z, a)/dz in z's chart, valid for non-canonical representatives."""
-    if surface.kind == SPHERE:
-        if chart_z == chart_a:
-            pole = 1.0 / (z - a)
-        else:
-            pole = a / (a * z - 1.0)
-        return -(pole - z.conjugate() / (1.0 + abs(z) ** 2)) / _FOUR_PI
-    ev = green(surface, SurfacePoint(0, z), SurfacePoint(0, a))
-    return ev.grad_z
+def _pair_terms(surface: Surface, charts: np.ndarray, coords: np.ndarray):
+    """(i, j, G_ij, dG_ij/dz_i, dG_ij/dz_j) over the unordered pairs."""
+    i, j = _pairs(len(coords))
+    return (i, j) + pair_terms(surface, charts[i], coords[i], charts[j], coords[j])
 
 
-def _circulation(basis: PeriodBasis, coords, strengths,
-                 base_a, base_b) -> CirculationState:
-    return circulation_state(basis, coords, strengths, base_a, base_b)
+def _row_sums(i, j, upper, lower, weights: np.ndarray) -> np.ndarray:
+    """M @ weights for the n x n matrix with `upper` at (i, j), `lower` at
+    (j, i) and zeros on the diagonal."""
+    n = len(weights)
+    m = np.zeros((n, n), dtype=upper.dtype)
+    m[i, j] = upper
+    m[j, i] = lower
+    return (m * weights).sum(axis=1)
 
 
 def _c1_raw(surface: Surface, basis: PeriodBasis, charts, coords, strengths,
-            field_: CirculationField, k: int) -> complex:
-    zk = coords[k]
-    gk = strengths[k]
-    total = robin_data(surface, SurfacePoint(charts[k], zk)).h1
-    for j in range(len(coords)):
-        if j == k:
-            continue
-        grad = _pair_green_grad(surface, charts[k], zk, charts[j], coords[j])
-        total += (_FOUR_PI * strengths[j] / gk) * grad
+            base_a, base_b) -> np.ndarray:
+    """c1 at every vortex: h1 + 4 pi ((M Gamma) + u*') / Gamma, with M_kj the
+    gradient dG(z_k, z_j)/dz_k in the chart of z_k."""
+    i, j, _, grad_i, grad_j = _pair_terms(surface, charts, coords)
+    mixed = _row_sums(i, j, grad_i, grad_j, strengths)
     if basis.genus:
-        total += (_FOUR_PI / gk) * field_.u_star_grad
-    return total
+        circ = circulation_state(basis, coords, strengths, base_a, base_b)
+        mixed = mixed + circulation_form(basis, circ).u_star_grad
+    return robin_h0_h1(surface, coords)[1] + _FOUR_PI * mixed / strengths
 
 
 def _velocity_raw(surface: Surface, basis: PeriodBasis, charts, coords,
-                  strengths, base_a, base_b) -> list[complex]:
-    circ = _circulation(basis, coords, strengths, base_a, base_b)
-    field_ = circulation_form(basis, circ)
-    out = []
-    for k in range(len(coords)):
-        p = SurfacePoint(charts[k], coords[k])
-        lam2 = conformal_factor(surface, p) ** 2
-        c1 = _c1_raw(surface, basis, charts, coords, strengths, field_, k)
-        out.append(
-            strengths[k] / (2j * math.pi * lam2)
-            * (c1.conjugate() + dlog_lambda_dzbar(surface, p))
-        )
-    return out
+                  strengths, base_a, base_b) -> np.ndarray:
+    charts = np.asarray(charts)
+    coords = np.asarray(coords, dtype=complex)
+    strengths = np.asarray(strengths, dtype=float)
+    c1 = _c1_raw(surface, basis, charts, coords, strengths, base_a, base_b)
+    return (
+        strengths / (2j * math.pi * lambda_at(surface, coords) ** 2)
+        * (c1.conjugate() + dlog_lambda_dzbar_at(surface, coords))
+    )
 
 
 def _hamiltonian_raw(surface: Surface, basis: PeriodBasis, charts, coords,
                      strengths, base_a, base_b) -> float:
-    twice_h = 0.0
-    n = len(coords)
-    for k in range(n):
-        twice_h += strengths[k] ** 2 * renormalized_robin(
-            surface, SurfacePoint(charts[k], coords[k])
-        )
-    for k in range(n):
-        for j in range(k + 1, n):
-            gv = green(
-                surface, SurfacePoint(charts[k], coords[k]),
-                SurfacePoint(charts[j], coords[j]),
-            ).value
-            twice_h += 2.0 * strengths[k] * strengths[j] * gv
+    charts = np.asarray(charts)
+    coords = np.asarray(coords, dtype=complex)
+    strengths = np.asarray(strengths, dtype=float)
+    i, j, value, _, _ = _pair_terms(surface, charts, coords)
+    twice_h = (strengths**2 * renormalized_robin_at(surface, coords)).sum()
+    twice_h += 2.0 * (strengths[i] * strengths[j] * value).sum()
     if basis.genus:
-        circ = _circulation(basis, coords, strengths, base_a, base_b)
+        circ = circulation_state(basis, coords, strengths, base_a, base_b)
         twice_h += circulation_energy(basis, circ)
-    return 0.5 * twice_h
+    return float(0.5 * twice_h)
 
 
 def _check_separation(surface: Surface, charts, coords, threshold: float,
                       time: float) -> float:
-    pts = [SurfacePoint(c, z) for c, z in zip(charts, coords)]
-    best = math.inf
-    pair = (0, 1)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = geodesic_distance(surface, pts[i], pts[j])
-            if d < best:
-                best = d
-                pair = (i, j)
+    """Minimum pair separation; raises CollisionError below `threshold`,
+    naming the first closest pair in (i, j) order."""
+    i, j = _pairs(len(coords))
+    d = pair_distances(surface, np.asarray(charts), np.asarray(coords, dtype=complex), i, j)
+    k = int(np.argmin(d))
+    best = float(d[k])
     if best < threshold:
-        raise CollisionError(time, pair, best)
+        raise CollisionError(time, (int(i[k]), int(j[k])), best)
     return best
 
 
@@ -208,59 +208,41 @@ def _check_separation(surface: Surface, charts, coords, threshold: float,
 
 
 def _unpack(state: VortexState):
-    charts = [p.chart_id for p in state.positions]
-    coords = [p.coord for p in state.positions]
-    basis = build_basis(state.surface)
-    return charts, coords, basis
+    charts, coords = _point_arrays(state.positions)
+    _check_separation(state.surface, charts, coords, state.collision_threshold, 0.0)
+    return charts, coords, np.array(state.strengths), build_basis(state.surface)
 
 
 def c1_coefficient(state: VortexState, k: int) -> complex:
     """First stream-expansion coefficient at vortex k, in its canonical chart."""
-    charts, coords, basis = _unpack(state)
-    _check_separation(state.surface, charts, coords, state.collision_threshold, 0.0)
-    circ = _circulation(basis, coords, state.strengths, state.base_a, state.base_b)
-    field_ = circulation_form(basis, circ)
-    return _c1_raw(state.surface, basis, charts, coords, state.strengths, field_, k)
+    charts, coords, g, basis = _unpack(state)
+    return complex(_c1_raw(state.surface, basis, charts, coords, g,
+                           state.base_a, state.base_b)[k])
 
 
 def c0_coefficient(state: VortexState, k: int) -> float:
     """Constant stream-expansion coefficient at vortex k (diagnostic only)."""
-    charts, coords, basis = _unpack(state)
-    _check_separation(state.surface, charts, coords, state.collision_threshold, 0.0)
-    zk = state.positions[k]
-    gk = state.strengths[k]
-    total = robin_data(state.surface, zk).h0
-    for j in range(state.n):
-        if j == k:
-            continue
-        total += (_TWO_PI * state.strengths[j] / gk) * green(
-            state.surface, zk, state.positions[j]
-        ).value
+    charts, coords, g, basis = _unpack(state)
+    i, j, value, _, _ = _pair_terms(state.surface, charts, coords)
+    mutual = _row_sums(i, j, value, value, g)[k]
     if basis.genus:
-        circ = _circulation(basis, coords, state.strengths, state.base_a, state.base_b)
-        field_ = circulation_form(basis, circ)
-        total += (_TWO_PI / gk) * field_.u_star(zk)
-    return total
+        circ = circulation_state(basis, coords, g, state.base_a, state.base_b)
+        mutual += circulation_form(basis, circ).u_star(coords[k])
+    return float(robin_h0_h1(state.surface, coords[k])[0] + _TWO_PI * mutual / g[k])
 
 
 def vortex_velocity(state: VortexState, k: int) -> complex:
     """Velocity dz_k/dt from the connection-based law, in the canonical chart."""
-    charts, coords, basis = _unpack(state)
-    _check_separation(state.surface, charts, coords, state.collision_threshold, 0.0)
-    return _velocity_raw(
-        state.surface, basis, charts, coords, state.strengths,
-        state.base_a, state.base_b,
-    )[k]
+    charts, coords, g, basis = _unpack(state)
+    return complex(_velocity_raw(state.surface, basis, charts, coords, g,
+                                 state.base_a, state.base_b)[k])
 
 
 def hamiltonian(state: VortexState) -> float:
     """Renormalized energy of the configuration."""
-    charts, coords, basis = _unpack(state)
-    _check_separation(state.surface, charts, coords, state.collision_threshold, 0.0)
-    return _hamiltonian_raw(
-        state.surface, basis, charts, coords, state.strengths,
-        state.base_a, state.base_b,
-    )
+    charts, coords, g, basis = _unpack(state)
+    return _hamiltonian_raw(state.surface, basis, charts, coords, g,
+                            state.base_a, state.base_b)
 
 
 def hamiltonian_velocity(state: VortexState, k: int, step: float = 1e-5) -> complex:
@@ -270,16 +252,13 @@ def hamiltonian_velocity(state: VortexState, k: int, step: float = 1e-5) -> comp
     coefficients are recomputed inside every perturbed energy evaluation, so
     this route shares no assembled terms with the direct law.
     """
-    charts, coords, basis = _unpack(state)
-    _check_separation(state.surface, charts, coords, state.collision_threshold, 0.0)
+    charts, coords, g, basis = _unpack(state)
 
     def energy(dz: complex) -> float:
-        pert = list(coords)
-        pert[k] = pert[k] + dz
-        return _hamiltonian_raw(
-            state.surface, basis, charts, pert, state.strengths,
-            state.base_a, state.base_b,
-        )
+        pert = coords.copy()
+        pert[k] += dz
+        return _hamiltonian_raw(state.surface, basis, charts, pert, g,
+                                state.base_a, state.base_b)
 
     def dzbar(h: float) -> complex:
         hx = (energy(h) - energy(-h)) / (2.0 * h)
@@ -338,16 +317,16 @@ _RKF_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.
 class _Trajectory:
     surface: Surface
     basis: PeriodBasis
-    strengths: tuple[float, ...]
+    strengths: np.ndarray
     base_a: tuple[float, ...]
     base_b: tuple[float, ...]
-    charts: list[int]
-    coords: list[complex]
+    charts: np.ndarray
+    coords: np.ndarray
     threshold: float
     handover: float
     rejections: int = 0
 
-    def velocity(self, coords) -> list[complex]:
+    def velocity(self, coords: np.ndarray) -> np.ndarray:
         return _velocity_raw(
             self.surface, self.basis, self.charts, coords, self.strengths,
             self.base_a, self.base_b,
@@ -356,57 +335,39 @@ class _Trajectory:
     def handover_step(self) -> None:
         if self.surface.kind != SPHERE:
             return
-        for i, z in enumerate(self.coords):
-            if abs(z) > self.handover:
-                self.charts[i] = 1 - self.charts[i]
-                self.coords[i] = 1.0 / z
+        flip = np.abs(self.coords) > self.handover
+        self.charts[flip] = 1 - self.charts[flip]
+        self.coords[flip] = 1.0 / self.coords[flip]
 
     def record(self, t: float) -> TrajectoryRecord:
-        pts = [
+        pts = tuple(
             self.surface.canonical_point(SurfacePoint(c, z))
-            for c, z in zip(self.charts, self.coords)
-        ]
+            for c, z in zip(self.charts.tolist(), self.coords.tolist())
+        )
         h = _hamiltonian_raw(
             self.surface, self.basis, self.charts, self.coords, self.strengths,
             self.base_a, self.base_b,
         )
+        rec_a = rec_b = ()
         if self.basis.genus:
-            circ = _circulation(
+            circ = circulation_state(
                 self.basis, self.coords, self.strengths, self.base_a, self.base_b
             )
-            rec_a = tuple(
-                circ.A[k]
-                - sum(
-                    g * cycle_potential(self.basis, k, "alpha", z).value
-                    for z, g in zip(self.coords, self.strengths)
-                )
-                for k in range(self.basis.genus)
-            )
-            rec_b = tuple(
-                circ.B[k]
-                - sum(
-                    g * cycle_potential(self.basis, k, "beta", z).value
-                    for z, g in zip(self.coords, self.strengths)
-                )
-                for k in range(self.basis.genus)
-            )
-        else:
-            rec_a = ()
-            rec_b = ()
+            zero = (0.0,) * self.basis.genus
+            flow = circulation_state(self.basis, self.coords, self.strengths, zero, zero)
+            rec_a = tuple(x - y for x, y in zip(circ.A, flow.A))
+            rec_b = tuple(x - y for x, y in zip(circ.B, flow.B))
         sep = min_separation(self.surface, pts)
-        return TrajectoryRecord(t, tuple(pts), h, rec_a, rec_b, sep)
+        return TrajectoryRecord(t, pts, h, rec_a, rec_b, sep)
 
 
 def _rk4_step(traj: _Trajectory, dt: float) -> None:
-    y0 = list(traj.coords)
+    y0 = traj.coords
     k1 = traj.velocity(y0)
-    k2 = traj.velocity([y + 0.5 * dt * v for y, v in zip(y0, k1)])
-    k3 = traj.velocity([y + 0.5 * dt * v for y, v in zip(y0, k2)])
-    k4 = traj.velocity([y + dt * v for y, v in zip(y0, k3)])
-    traj.coords = [
-        y + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
-        for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
-    ]
+    k2 = traj.velocity(y0 + 0.5 * dt * k1)
+    k3 = traj.velocity(y0 + 0.5 * dt * k2)
+    k4 = traj.velocity(y0 + dt * k3)
+    traj.coords = y0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 def _rkf45_advance(traj: _Trajectory, t: float, t_end: float, dt0: float,
@@ -416,22 +377,18 @@ def _rkf45_advance(traj: _Trajectory, t: float, t_end: float, dt0: float,
     consecutive = 0
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
         dt = min(dt, t_end - t)
-        y0 = list(traj.coords)
+        y0 = traj.coords
         ks = []
         for i in range(6):
-            yi = list(y0)
+            yi = y0.copy()
             for j, a in enumerate(_RKF_A[i]):
-                for m in range(len(yi)):
-                    yi[m] += dt * a * ks[j][m]
+                yi += dt * a * ks[j]
             ks.append(traj.velocity(yi))
-        y1 = list(y0)
-        err = 0.0
-        for m in range(len(y0)):
-            for i, b in enumerate(_RKF_B5):
-                y1[m] += dt * b * ks[i][m]
-            e = sum(dt * c * ks[i][m] for i, c in enumerate(_RKF_ERR))
-            err = max(err, abs(e))
-        tol = atol + rtol * max(1.0, max(abs(y) for y in y0))
+        y1 = y0.copy()
+        for i, b in enumerate(_RKF_B5):
+            y1 += dt * b * ks[i]
+        err = float(np.abs(sum(dt * c * k for c, k in zip(_RKF_ERR, ks))).max())
+        tol = atol + rtol * max(1.0, float(np.abs(y0).max()))
         if err <= tol:
             traj.coords = y1
             t += dt
@@ -472,9 +429,9 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
         raise ValueError("steps must be >= 1")
     if method not in ("rk4", "rk45-adaptive"):
         raise ValueError(f"unknown integration method {method!r}")
-    charts, coords, basis = _unpack(state)
+    charts, coords, strengths, basis = _unpack(state)
     traj = _Trajectory(
-        surface=state.surface, basis=basis, strengths=state.strengths,
+        surface=state.surface, basis=basis, strengths=strengths,
         base_a=state.base_a, base_b=state.base_b, charts=charts,
         coords=coords, threshold=state.collision_threshold,
         handover=handover_threshold,

@@ -9,6 +9,10 @@ periodicity and an additive constant enforcing zero mean:
 Correctness of the torus branch is pinned by the spectral Poisson oracle, not
 by the formula itself.
 
+Every Green value and gradient comes from one pair kernel, `pair_terms`,
+which works elementwise over arrays of point pairs; `green()` and the
+`*_green_values` helpers are one-pair and array views of it.
+
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
 defines the chart-dependent Robin data (h0, h1, h2, h11); RobinData records
@@ -28,8 +32,8 @@ from .surfaces import (
     SPHERE,
     Surface,
     SurfacePoint,
-    conformal_factor,
     geodesic_distance,
+    lambda_at,
     reduce_centered,
 )
 
@@ -57,88 +61,91 @@ class RobinData:
     chart_id: int
 
 
-def _require_separated(surface: Surface, z: SurfacePoint, a: SurfacePoint) -> None:
-    if geodesic_distance(surface, z, a) <= _COINCIDENCE_TOL:
+def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
+    """G and dG/dz over an array of differences u = z - a (any lattice branch),
+    from one lattice centering and one theta series pass per difference.
+    Raises SingularityError if any difference sits on a lattice point."""
+    tau = complex(tau)
+    ur = reduce_centered(tau, np.asarray(u, dtype=complex))
+    if (np.abs(ur) <= _COINCIDENCE_TOL).any():
         raise SingularityError("Green function evaluated at coincident points")
+    th, dth = theta.theta1_series(theta.theta_context(tau), ur)
+    value = -(np.log(np.abs(th)) - math.pi * ur.imag**2 / tau.imag) / (2.0 * math.pi)
+    grad = -(0.5 * dth / th + 1j * math.pi * ur.imag / tau.imag) / (2.0 * math.pi)
+    return value + theta.green_normalization_constant(tau), grad
 
 
-def _sphere_pair_terms(z: SurfacePoint, a: SurfacePoint) -> tuple[float, complex]:
-    """log of the invariant chordal ratio and the pole term of dG/dz at z.
+def sphere_pair_terms(ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G(z_i, z_j), dG/dz_i in the chart of z_i and dG/dz_j in the chart of z_j,
+    elementwise over arrays of chart ids and coordinates.
 
-    Same-chart pairs use |z-a|^2/((1+|z|^2)(1+|a|^2)) directly; cross-chart
-    pairs use the equivalent |wz-1|^2/((1+|z|^2)(1+|w|^2)) with w the
-    coordinate of `a` in the opposite chart, which stays stable for poles at
-    or near the chart's point at infinity.
-    """
-    zc = z.coord
-    ac = a.coord
-    if z.chart_id == a.chart_id:
-        num = abs(zc - ac) ** 2
-        pole = 1.0 / (zc - ac)
-    else:
-        num = abs(ac * zc - 1.0) ** 2
-        pole = ac / (ac * zc - 1.0)
-    log_ratio = math.log(num) - math.log1p(abs(zc) ** 2) - math.log1p(abs(ac) ** 2)
-    return log_ratio, pole
+    Cross-chart pairs use |zi zj - 1|^2 in place of |zi - zj|^2, which stays
+    stable near either chart's point at infinity; the pole terms depend on the
+    charts, so both orientations are formed.  Raises SingularityError if any
+    two points coincide."""
+    zi, zj = np.asarray(zi, dtype=complex), np.asarray(zj, dtype=complex)
+    same = np.asarray(ci) == np.asarray(cj)
+    diff = np.where(same, zi - zj, zi * zj - 1.0)
+    num = np.abs(diff) ** 2
+    mi, mj = np.abs(zi) ** 2, np.abs(zj) ** 2
+    wi, wj = 1.0 + mi, 1.0 + mj
+    # squared R^3 chord 4 num / ((1+|zi|^2)(1+|zj|^2)) against the tolerance
+    if (4.0 * num <= _COINCIDENCE_TOL**2 * wi * wj).any():
+        raise SingularityError("Green function evaluated at coincident points")
+    value = -(np.log(num) - np.log1p(mi) - np.log1p(mj) + 1.0) / (4.0 * math.pi)
+    grad_i = -(np.where(same, 1.0, zj) / diff - zi.conjugate() / wi) / (4.0 * math.pi)
+    grad_j = -(np.where(same, -1.0, zi) / diff - zj.conjugate() / wj) / (4.0 * math.pi)
+    return value, grad_i, grad_j
+
+
+def pair_terms(surface: Surface, ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair kernel: G(z_i, z_j) and both holomorphic gradients, each in its
+    own point's chart, elementwise over arrays of pairs.  On the torus the
+    second is the first negated: G depends on z_i - z_j only and is even."""
+    if surface.kind == SPHERE:
+        return sphere_pair_terms(ci, zi, cj, zj)
+    value, grad = torus_pair_terms(surface.tau, np.asarray(zi) - zj)
+    return value, grad, -grad
 
 
 def green(surface: Surface, z: SurfacePoint, a: SurfacePoint) -> GreenEvaluation:
     """Green function G(z, a) with zero mean, and dG/dz in the chart of z."""
     surface.check_chart(z.chart_id)
     surface.check_chart(a.chart_id)
-    _require_separated(surface, z, a)
-    if surface.kind == SPHERE:
-        log_ratio, pole = _sphere_pair_terms(z, a)
-        value = -(log_ratio + 1.0) / (4.0 * math.pi)
-        grad = -(pole - z.coord.conjugate() / (1.0 + abs(z.coord) ** 2)) / (4.0 * math.pi)
-        return GreenEvaluation(value, grad, (z, a))
-    tau = surface.tau
-    ctx = theta.theta_context(tau)
-    const = theta.green_normalization_constant(tau)
-    u = reduce_centered(tau, z.coord - a.coord)
-    th = theta.theta1(ctx, u)
-    value = -(math.log(abs(th)) - math.pi * u.imag**2 / tau.imag) / (2.0 * math.pi) + const
-    grad = -(0.5 * theta.theta1_dz(ctx, u) / th + 1j * math.pi * u.imag / tau.imag) / (2.0 * math.pi)
-    return GreenEvaluation(value, grad, (z, a))
+    value, grad, _ = pair_terms(surface, z.chart_id, z.coord, a.chart_id, a.coord)
+    return GreenEvaluation(float(value), complex(grad), (z, a))
 
 
 def torus_green_values(tau: complex, u) -> np.ndarray:
     """Vectorized torus G over an array of differences u = z - a (any branch)."""
-    tau = complex(tau)
-    ctx = theta.theta_context(tau)
-    const = theta.green_normalization_constant(tau)
-    u = np.asarray(u, dtype=complex)
-    t = u.imag / tau.imag
-    s = u.real - t * tau.real
-    s -= np.floor(s + 0.5)
-    t -= np.floor(t + 0.5)
-    ur = s + t * tau
-    th = theta.theta1(ctx, ur)
-    return -(np.log(np.abs(th)) - math.pi * ur.imag**2 / tau.imag) / (2.0 * math.pi) + const
+    return torus_pair_terms(tau, u)[0]
 
 
 def sphere_green_values(pole: SurfacePoint, chart_id: int, zs) -> np.ndarray:
     """Vectorized sphere G(.; pole) over chart coordinates zs of one chart."""
-    zs = np.asarray(zs, dtype=complex)
-    ac = pole.coord
-    if chart_id == pole.chart_id:
-        num = np.abs(zs - ac) ** 2
-    else:
-        num = np.abs(ac * zs - 1.0) ** 2
-    ratio = np.log(num) - np.log1p(np.abs(zs) ** 2) - math.log1p(abs(ac) ** 2)
-    return -(ratio + 1.0) / (4.0 * math.pi)
+    return sphere_pair_terms(chart_id, zs, pole.chart_id, pole.coord)[0]
+
+
+def robin_h0_h1(surface: Surface, a):
+    """Robin h0 and h1 at chart coordinates `a` (complex or complex array)."""
+    if surface.kind == SPHERE:
+        m2 = abs(a) ** 2
+        return np.log1p(m2) - 0.5, a.conjugate() / (1.0 + m2)
+    ctx = theta.theta_context(surface.tau)
+    const = theta.green_normalization_constant(surface.tau)
+    return -math.log(abs(ctx.d1_zero)) + 2.0 * math.pi * const, 0.0j
 
 
 def robin_data(surface: Surface, a: SurfacePoint) -> RobinData:
     """Robin coefficients of G(., a) in the chart of `a` as given."""
     surface.check_chart(a.chart_id)
+    h0, h1 = robin_h0_h1(surface, a.coord)
     if surface.kind == SPHERE:
         ac = a.coord
-        m2 = abs(ac) ** 2
-        denom = 1.0 + m2
+        denom = 1.0 + abs(ac) ** 2
         return RobinData(
-            h0=math.log1p(m2) - 0.5,
-            h1=ac.conjugate() / denom,
+            h0=float(h0),
+            h1=h1,
             h2=-(ac.conjugate() ** 2) / (2.0 * denom * denom),
             h11=1.0 / (2.0 * denom * denom),
             at=a,
@@ -146,12 +153,10 @@ def robin_data(surface: Surface, a: SurfacePoint) -> RobinData:
         )
     tau = surface.tau
     ctx = theta.theta_context(tau)
-    const = theta.green_normalization_constant(tau)
-    h0 = -math.log(abs(ctx.d1_zero)) + 2.0 * math.pi * const
     h2 = -ctx.d3_zero / (6.0 * ctx.d1_zero) - math.pi / (2.0 * tau.imag)
     return RobinData(
         h0=h0,
-        h1=0.0j,
+        h1=h1,
         h2=h2,
         h11=math.pi / (2.0 * surface.area),
         at=a,
@@ -166,8 +171,13 @@ def robin_metric(surface: Surface, a: SurfacePoint) -> float:
 
 def renormalized_robin(surface: Surface, a: SurfacePoint) -> float:
     """R(a) = (h0(a) + log lambda(a)) / (2 pi); chart-invariant."""
-    data = robin_data(surface, a)
-    return (data.h0 + math.log(conformal_factor(surface, a))) / (2.0 * math.pi)
+    surface.check_chart(a.chart_id)
+    return float(renormalized_robin_at(surface, a.coord))
+
+
+def renormalized_robin_at(surface: Surface, z):
+    """R at chart coordinates z (complex or complex array)."""
+    return (robin_h0_h1(surface, z)[0] + np.log(lambda_at(surface, z))) / (2.0 * math.pi)
 
 
 def fundamental_potential(surface: Surface, z: SurfacePoint, w: SurfacePoint,

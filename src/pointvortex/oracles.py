@@ -247,17 +247,6 @@ def wirtinger_fd(f: Callable[[complex], complex], z: complex, h: float = 1e-6,
     )
 
 
-def second_z_derivative(f: Callable[[complex], complex], z: complex,
-                        h: float = 1e-4) -> complex:
-    """d^2 f / dz^2 = (f_xx - f_yy - 2i f_xy)/4 by central stencils."""
-    fxx = (f(z + h) - 2.0 * f(z) + f(z - h)) / h**2
-    fyy = (f(z + 1j * h) - 2.0 * f(z) + f(z - 1j * h)) / h**2
-    fxy = (
-        f(z + h + 1j * h) - f(z + h - 1j * h) - f(z - h + 1j * h) + f(z - h - 1j * h)
-    ) / (4.0 * h**2)
-    return 0.25 * (fxx - fyy - 2j * fxy)
-
-
 def meridian_arc_length(n: int = 20000) -> float:
     """Chart-0 integral of the sphere metric factor along [0, 1] plus its
     chart-1 mirror: the pole-to-pole distance, by midpoint rule."""

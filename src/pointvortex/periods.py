@@ -127,31 +127,27 @@ def circulation_state(basis: PeriodBasis, positions, strengths,
                       base_a, base_b) -> CirculationState:
     """A_k = a_k + sum_j Gamma_j U_alpha_k(z_j), and likewise B_k.
 
-    All branch values are evaluated at the coordinates as given, which must
-    share one consistent branch convention (canonical states use the
-    fundamental domain).  Requires sum(strengths) = 0 so common branch shifts
-    cancel.
+    All branch values are evaluated at the complex coordinates as given,
+    which must share one consistent branch convention (canonical states use
+    the fundamental domain).  Requires sum(strengths) = 0 so common branch
+    shifts cancel.
     """
     g = basis.genus
     if g == 0:
         return CirculationState((), (), (), ())
-    if abs(sum(strengths)) > 1e-12:
+    strengths = np.asarray(strengths, dtype=float)
+    if abs(strengths.sum()) > 1e-12:
         raise ValueError("vortex strengths must sum to zero")
     a = tuple(float(v) for v in base_a)
     b = tuple(float(v) for v in base_b)
     if len(a) != g or len(b) != g:
         raise ValueError(f"base circulations must have length {g}")
-    A = []
-    B = []
-    for k in range(g):
-        acc_a = a[k]
-        acc_b = b[k]
-        for z, gamma in zip(positions, strengths):
-            acc_a += gamma * cycle_potential(basis, k, "alpha", z).value
-            acc_b += gamma * cycle_potential(basis, k, "beta", z).value
-        A.append(acc_a)
-        B.append(acc_b)
-    return CirculationState(a, b, tuple(A), tuple(B))
+    # the cycle potentials are linear in z with U(0) = 0, so the strength-
+    # weighted sum over vortices is U at w = sum_j Gamma_j z_j
+    w = complex((strengths * np.asarray(positions, dtype=complex)).sum())
+    A = tuple(a[k] + cycle_potential(basis, k, "alpha", w).value for k in range(g))
+    B = tuple(b[k] + cycle_potential(basis, k, "beta", w).value for k in range(g))
+    return CirculationState(a, b, A, B)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,12 +95,12 @@ def reduce_to_fundamental(tau: complex, z: complex) -> complex:
     return complex(s + t * tau.real, t * tau.imag)
 
 
-def reduce_centered(tau: complex, z: complex) -> complex:
-    """Lattice-reduce with coordinates in [-1/2, 1/2); keeps |Im| <= Im(tau)/2."""
+def reduce_centered(tau: complex, z: np.ndarray) -> np.ndarray:
+    """Lattice-reduce (elementwise) to coordinates in [-1/2, 1/2); |Im| <= Im(tau)/2."""
     s, t = lattice_split(tau, z)
-    s -= math.floor(s + 0.5)
-    t -= math.floor(t + 0.5)
-    return complex(s + t * tau.real, t * tau.imag)
+    s = s - np.floor(s + 0.5)
+    t = t - np.floor(t + 0.5)
+    return s + t * tau
 
 
 def wrap_counts(tau: complex, z: complex) -> tuple[int, int]:
@@ -111,8 +112,13 @@ def wrap_counts(tau: complex, z: complex) -> tuple[int, int]:
 def conformal_factor(surface: Surface, p: SurfacePoint) -> float:
     """Metric coefficient lambda at p, in the chart of p."""
     surface.check_chart(p.chart_id)
+    return lambda_at(surface, p.coord)
+
+
+def lambda_at(surface: Surface, z):
+    """lambda at chart coordinates z (complex or complex array, either chart)."""
     if surface.kind == SPHERE:
-        return 2.0 / (1.0 + abs(p.coord) ** 2)
+        return 2.0 / (1.0 + abs(z) ** 2)
     return 1.0
 
 
@@ -128,8 +134,12 @@ def metric_connection(surface: Surface, p: SurfacePoint) -> complex:
 def dlog_lambda_dzbar(surface: Surface, p: SurfacePoint) -> complex:
     """Anti-holomorphic Wirtinger derivative of log(lambda) at p."""
     surface.check_chart(p.chart_id)
+    return dlog_lambda_dzbar_at(surface, p.coord)
+
+
+def dlog_lambda_dzbar_at(surface: Surface, z):
+    """d(log lambda)/dzbar at chart coordinates z (complex or complex array)."""
     if surface.kind == SPHERE:
-        z = p.coord
         return -z / (1.0 + abs(z) ** 2)
     return 0.0
 
@@ -156,32 +166,41 @@ def transition(surface: Surface, p: SurfacePoint,
     return SurfacePoint(target_chart, 1.0 / z), jet
 
 
-def sphere_embedding(chart_id: int, z):
-    """Unit-sphere R^3 coordinates of chart points; `z` may be a complex array."""
+def sphere_embedding(chart_id, z):
+    """Unit-sphere R^3 coordinates of chart points; `chart_id` and `z` may be arrays."""
     z = np.asarray(z)
+    sign = 1.0 - 2.0 * np.asarray(chart_id)   # chart 1 mirrors y and the polar axis
     denom = 1.0 + np.abs(z) ** 2
     x = 2.0 * z.real / denom
     y = 2.0 * z.imag / denom
-    if chart_id == 0:
-        return x, y, (np.abs(z) ** 2 - 1.0) / denom
-    return x, -y, (1.0 - np.abs(z) ** 2) / denom
+    return x, sign * y, sign * (np.abs(z) ** 2 - 1.0) / denom
+
+
+@lru_cache(maxsize=None)
+def _lattice_offsets(tau: complex) -> np.ndarray:
+    offsets = np.array([m + n * tau for m in (-1, 0, 1) for n in (-1, 0, 1)])
+    offsets.flags.writeable = False
+    return offsets
+
+
+def pair_distances(surface: Surface, charts, coords, i, j) -> np.ndarray:
+    """Geodesic separations of the point pairs (i[k], j[k]), diagnostic grade:
+    R^3 chords on the sphere; on the torus (any cover coordinates) the centered
+    difference against the 9 nearest lattice translates."""
+    if surface.kind == SPHERE:
+        e = np.stack(sphere_embedding(charts, coords))
+        d = e[:, i] - e[:, j]
+        chord = np.sqrt((d * d).sum(axis=0))
+        return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
+    coords = np.asarray(coords)
+    u = reduce_centered(surface.tau, coords[i] - coords[j])
+    return np.abs(u[..., None] + _lattice_offsets(surface.tau)).min(axis=-1)
 
 
 def geodesic_distance(surface: Surface, p: SurfacePoint, q: SurfacePoint) -> float:
     """Geodesic separation; diagnostic grade (collision checks, monitors)."""
     surface.check_chart(p.chart_id)
     surface.check_chart(q.chart_id)
-    if surface.kind == SPHERE:
-        px, py, pz = sphere_embedding(p.chart_id, p.coord)
-        qx, qy, qz = sphere_embedding(q.chart_id, q.coord)
-        chord = math.sqrt(
-            float((px - qx) ** 2 + (py - qy) ** 2 + (pz - qz) ** 2)
-        )
-        return 2.0 * math.asin(min(1.0, 0.5 * chord))
-    tau = surface.tau
-    u = reduce_centered(tau, p.coord - q.coord)
-    best = abs(u)
-    for m in (-1, 0, 1):
-        for n in (-1, 0, 1):
-            best = min(best, abs(u + m + n * tau))
-    return best
+    return float(pair_distances(
+        surface, np.array([p.chart_id, q.chart_id]), np.array([p.coord, q.coord]), 0, 1
+    ))

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 _MIN_TERMS = 8
 _MAX_TERMS = 400
+_BLOCK = 4096    # points per series pass in theta1_series
 
 
 def _term_count(tau_im: float) -> int:
@@ -43,6 +44,8 @@ class ThetaContext:
     freqs: tuple[float, ...]         # (2n+1) pi
     d1_zero: complex                 # theta1'(0)
     d3_zero: complex                 # theta1'''(0)
+    # read-only (n_terms, 2, 1) array of (coeffs, coeffs * freqs)
+    weights: np.ndarray = field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -59,35 +62,54 @@ def theta_context(tau: complex) -> ThetaContext:
         freqs.append((2 * j + 1) * math.pi)
     d1 = 2.0 * sum(c * f for c, f in zip(coeffs, freqs))
     d3 = -2.0 * sum(c * f**3 for c, f in zip(coeffs, freqs))
-    return ThetaContext(tau, n, tuple(coeffs), tuple(freqs), d1, d3)
+    weights = np.array([((c,), (c * f,)) for c, f in zip(coeffs, freqs)])
+    weights.flags.writeable = False
+    return ThetaContext(tau, n, tuple(coeffs), tuple(freqs), d1, d3, weights)
+
+
+def theta1_series(ctx: ThetaContext, z, n_terms: int | None = None):
+    """(theta1(z), theta1'(z)) from one pass of the truncated series.
+
+    With x = pi z, sin((2k+1)x) and cos((2k+1)x) both obey the recurrence
+    f_{k+1} = 2 cos(2x) f_k - f_{k-1}, so one Clenshaw pass over a (2, m)
+    array sums both series.  It ends in sin x (b0 + b1) and cos x (b0 - b1),
+    keeping theta1 at full relative precision near its zero at z = 0.  Points
+    go through in blocks of _BLOCK, which bounds the temporaries' memory.
+    """
+    n = ctx.n_terms if n_terms is None else min(n_terms, ctx.n_terms)
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((2,) + z.shape, dtype=complex)
+    flat_z, flat_out = z.reshape(-1), out.reshape(2, -1)
+    for start in range(0, flat_z.size, _BLOCK):
+        x = math.pi * flat_z[start:start + _BLOCK]
+        # complex sin x and cos x from real parts: numpy's complex sin is slower
+        sin_a, cos_a = np.sin(x.real), np.cos(x.real)
+        sinh_b, cosh_b = np.sinh(x.imag), np.cosh(x.imag)
+        sin_x = sin_a * cosh_b + 1j * (cos_a * sinh_b)
+        cos_x = cos_a * cosh_b - 1j * (sin_a * sinh_b)
+        two_cos2x = 2.0 - 4.0 * sin_x * sin_x
+        b1 = np.zeros((2, x.size), dtype=complex)
+        b0 = b1 + ctx.weights[n - 1]
+        for k in range(n - 2, -1, -1):
+            b = two_cos2x * b0
+            b -= b1
+            b += ctx.weights[k]
+            b0, b1 = b, b0
+        flat_out[0, start:start + _BLOCK] = 2.0 * sin_x * (b0[0] + b1[0])
+        flat_out[1, start:start + _BLOCK] = 2.0 * cos_x * (b0[1] - b1[1])
+    return out[0], out[1]
 
 
 def theta1(ctx: ThetaContext, z, n_terms: int | None = None):
     """theta1(z | tau); scalar complex in, scalar out; ndarray in, ndarray out."""
-    n = ctx.n_terms if n_terms is None else min(n_terms, len(ctx.coeffs))
-    if isinstance(z, np.ndarray):
-        acc = np.zeros(z.shape, dtype=complex)
-        for c, f in zip(ctx.coeffs[:n], ctx.freqs[:n]):
-            acc += c * np.sin(f * z)
-        return 2.0 * acc
-    s = 0j
-    for c, f in zip(ctx.coeffs[:n], ctx.freqs[:n]):
-        s += c * cmath.sin(f * z)
-    return 2.0 * s
+    th = theta1_series(ctx, z, n_terms)[0]
+    return th if isinstance(z, np.ndarray) else complex(th)
 
 
 def theta1_dz(ctx: ThetaContext, z, n_terms: int | None = None):
     """d theta1/dz."""
-    n = ctx.n_terms if n_terms is None else min(n_terms, len(ctx.coeffs))
-    if isinstance(z, np.ndarray):
-        acc = np.zeros(z.shape, dtype=complex)
-        for c, f in zip(ctx.coeffs[:n], ctx.freqs[:n]):
-            acc += c * f * np.cos(f * z)
-        return 2.0 * acc
-    s = 0j
-    for c, f in zip(ctx.coeffs[:n], ctx.freqs[:n]):
-        s += c * f * cmath.cos(f * z)
-    return 2.0 * s
+    dth = theta1_series(ctx, z, n_terms)[1]
+    return dth if isinstance(z, np.ndarray) else complex(dth)
 
 
 # Green normalization constants, one per tau (single writer under the GIL,
@@ -124,6 +146,6 @@ def green_normalization_constant(tau: complex) -> float:
         z = s + t * tau
         slice_mean = float(np.mean(np.log(np.abs(theta1(ctx, z)))))
         total += w * (slice_mean - math.pi * t2 * t * t)
-    const = total / (2.0 * math.pi)
+    const = float(total) / (2.0 * math.pi)
     _GREEN_CONST[tau] = const
     return const

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import theta
 from .config import ScenarioConfig
 from .connections import TransitionJet, bracket
 from .dynamics import (
@@ -24,7 +23,13 @@ from .dynamics import (
     min_separation,
     vortex_velocity,
 )
-from .green import green, robin_data, sphere_green_values, torus_green_values
+from .green import (
+    green,
+    robin_data,
+    sphere_green_values,
+    torus_green_values,
+    torus_pair_terms,
+)
 from .oracles import (
     contour_integral,
     delta_probe_points,
@@ -57,18 +62,27 @@ class CheckResult:
     elapsed: float
 
 
+_MAX_DRAWS = 1000
+
+
 def random_state(surface: Surface, n: int, rng: np.random.Generator,
                  circulations: bool = False, min_sep: float = 0.15) -> VortexState:
-    """Random admissible vortex state: uniform positions, balanced strengths."""
-    while True:
+    """Random admissible vortex state: uniform positions, balanced strengths.
+    Each is redrawn at most _MAX_DRAWS times, then ValueError is raised."""
+    for _ in range(_MAX_DRAWS):
         pts = delta_probe_points(surface, rng, n)
         if min_separation(surface, pts) > min_sep:
             break
-    while True:
+    else:
+        raise ValueError(f"no {n} positions pairwise farther apart than "
+                         f"min_sep={min_sep} in {_MAX_DRAWS} draws")
+    for _ in range(_MAX_DRAWS):
         g = rng.uniform(0.4, 1.6, n) * rng.choice([-1.0, 1.0], n)
         g -= g.mean()
         if np.abs(g).min() > 0.25:
             break
+    else:
+        raise ValueError(f"no balanced strengths for n={n} in {_MAX_DRAWS} draws")
     genus = surface.genus
     if circulations and genus:
         a = tuple(rng.uniform(-1.0, 1.0, genus))
@@ -193,24 +207,11 @@ def conjugate_period_residual(surface: Surface, rng: np.random.Generator,
     """Conjugate periods of the two-point potential vs potential differences."""
     tau = surface.tau
     t2 = tau.imag
-    ctx = theta.theta_context(tau)
 
     def star_dv(a, b):
         def grad(z):
-            out = np.zeros(np.shape(z), dtype=complex)
-            for pole, sign in ((a, 1.0), (b, -1.0)):
-                u = np.asarray(z) - pole
-                t = u.imag / t2
-                s = u.real - t * tau.real
-                s -= np.round(s)
-                t -= np.round(t)
-                ur = s + t * tau
-                th = theta.theta1(ctx, ur)
-                out += sign * (
-                    -(0.5 * theta.theta1_dz(ctx, ur) / th + 1j * math.pi * ur.imag / t2)
-                    / (2.0 * math.pi)
-                )
-            return out
+            z = np.asarray(z)
+            return torus_pair_terms(tau, z - a)[1] - torus_pair_terms(tau, z - b)[1]
 
         return star_gradient_form(grad)
 

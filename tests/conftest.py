@@ -3,6 +3,20 @@ import pytest
 
 from pointvortex.surfaces import Surface
 
+try:
+    from hypothesis import settings
+except ImportError:  # only tests/test_pair_kernel.py needs hypothesis
+    settings = None
+
+if settings is not None:
+    # Property tests draw the same examples on every run (no example database,
+    # no time-dependent seed) and a bounded number of them, so the suite stays
+    # reproducible and its run time bounded.
+    settings.register_profile(
+        "pointvortex", derandomize=True, database=None, max_examples=60, deadline=None,
+    )
+    settings.load_profile("pointvortex")
+
 
 @pytest.fixture
 def sphere():

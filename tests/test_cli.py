@@ -135,6 +135,20 @@ class TestRunCommand:
         dirs = [s / abs(s) for s in steps]
         assert max(abs(d - dirs[0]) for d in dirs) < 1e-8
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_csv_cells_are_plain_numbers(self, tmp_path, name):
+        # every cell is a plain Python number repr: no numpy scalar leaks
+        # (such as "np.float64(...)") into any column
+        assert main(["run", name, "--out-dir", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+        columns = header.split(",")
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(columns)
+            for column, cell in zip(columns, cells):
+                assert "np." not in cell
+                (int if column.startswith("chart") else float)(cell)
+
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "torus_four_vortex", "--out-dir", str(a)]) == 0

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -340,3 +341,13 @@ def test_raw_evaluation_checks_collisions(torus_i):
 
     with pytest.raises(CollisionError):
         _check_separation(torus_i, [0, 0], [0.2 + 0.2j, 0.2 + 0.21j], 0.05, 1.0)
+
+
+def test_random_state_impossible_request_raises(torus_i):
+    # four points pairwise farther apart than 1.0 do not fit on the unit
+    # square torus (its diameter is sqrt(2)/2): the sampler must give up
+    rng = np.random.default_rng(0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"4 positions.*min_sep=1\.0"):
+        random_state(torus_i, 4, rng, min_sep=1.0)
+    assert time.perf_counter() - start < 1.0

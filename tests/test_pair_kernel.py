@@ -1,0 +1,297 @@
+"""Properties of the vectorized pair kernel, checked with hypothesis.
+
+The loop reference below is the per-pair evaluation the kernel replaced: the
+cmath theta series, the scalar lattice reduction, the sphere closed form in
+the chart of each point, and per-vortex sums.  The kernel must agree with it
+to 1e-12 relative on random configurations of both surfaces, including mixed
+sphere charts and torus cover coordinates outside the fundamental domain.
+"""
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pointvortex import theta
+from pointvortex.dynamics import (
+    _check_separation,
+    _hamiltonian_raw,
+    _velocity_raw,
+    min_separation,
+)
+from pointvortex.errors import CollisionError
+from pointvortex.green import pair_terms, renormalized_robin, robin_data
+from pointvortex.periods import (
+    CirculationState,
+    build_basis,
+    circulation_energy,
+    circulation_form,
+    cycle_potential,
+)
+from pointvortex.surfaces import (
+    Surface,
+    SurfacePoint,
+    conformal_factor,
+    dlog_lambda_dzbar,
+    geodesic_distance,
+    sphere_embedding,
+)
+
+TAUS = (1j, 0.5 + 1j, 0.4 + 0.02j, 8j)
+SIZES = (2, 3, 4, 16)
+SPHERE = Surface.sphere()
+REL_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# loop reference
+
+
+def ref_centered(tau, u):
+    t = u.imag / tau.imag
+    s = u.real - t * tau.real
+    s -= math.floor(s + 0.5)
+    t -= math.floor(t + 0.5)
+    return complex(s + t * tau.real, t * tau.imag)
+
+
+def ref_theta(ctx, u):
+    th = 2.0 * sum(c * cmath.sin(f * u) for c, f in zip(ctx.coeffs, ctx.freqs))
+    dth = 2.0 * sum(c * f * cmath.cos(f * u) for c, f in zip(ctx.coeffs, ctx.freqs))
+    return th, dth
+
+
+def ref_green(surface, cz, z, ca, a):
+    """(G(z, a), dG/dz in the chart of z) for one pair."""
+    if surface.kind == "sphere":
+        if cz == ca:
+            num, pole = abs(z - a) ** 2, 1.0 / (z - a)
+        else:
+            num, pole = abs(a * z - 1.0) ** 2, a / (a * z - 1.0)
+        ratio = math.log(num) - math.log1p(abs(z) ** 2) - math.log1p(abs(a) ** 2)
+        grad = -(pole - z.conjugate() / (1.0 + abs(z) ** 2)) / (4.0 * math.pi)
+        return -(ratio + 1.0) / (4.0 * math.pi), grad
+    tau = surface.tau
+    u = ref_centered(tau, z - a)
+    th, dth = ref_theta(theta.theta_context(tau), u)
+    value = (-(math.log(abs(th)) - math.pi * u.imag**2 / tau.imag) / (2.0 * math.pi)
+             + theta.green_normalization_constant(tau))
+    grad = -(0.5 * dth / th + 1j * math.pi * u.imag / tau.imag) / (2.0 * math.pi)
+    return value, grad
+
+
+def ref_geodesic(surface, p, q):
+    if surface.kind == "sphere":
+        a = sphere_embedding(p.chart_id, p.coord)
+        b = sphere_embedding(q.chart_id, q.coord)
+        chord = math.sqrt(sum(float(x - y) ** 2 for x, y in zip(a, b)))
+        return 2.0 * math.asin(min(1.0, 0.5 * chord))
+    u = ref_centered(surface.tau, p.coord - q.coord)
+    return min(abs(u + m + n * surface.tau) for m in (-1, 0, 1) for n in (-1, 0, 1))
+
+
+def ref_circulation(basis, coords, strengths, base_a, base_b):
+    a = base_a[0] + sum(g * cycle_potential(basis, 0, "alpha", z).value
+                        for z, g in zip(coords, strengths))
+    b = base_b[0] + sum(g * cycle_potential(basis, 0, "beta", z).value
+                        for z, g in zip(coords, strengths))
+    return CirculationState(tuple(base_a), tuple(base_b), (a,), (b,))
+
+
+def ref_velocity(surface, charts, coords, strengths, base_a, base_b):
+    basis = build_basis(surface)
+    u_star_grad = 0.0
+    if basis.genus:
+        circ = ref_circulation(basis, coords, strengths, base_a, base_b)
+        u_star_grad = circulation_form(basis, circ).u_star_grad
+    out = []
+    for k, (ck, zk, gk) in enumerate(zip(charts, coords, strengths)):
+        p = SurfacePoint(ck, zk)
+        c1 = robin_data(surface, p).h1 + 4.0 * math.pi * u_star_grad / gk
+        for j, (cj, zj, gj) in enumerate(zip(charts, coords, strengths)):
+            if j != k:
+                c1 += 4.0 * math.pi * gj / gk * ref_green(surface, ck, zk, cj, zj)[1]
+        lam2 = conformal_factor(surface, p) ** 2
+        out.append(gk / (2j * math.pi * lam2)
+                   * (c1.conjugate() + dlog_lambda_dzbar(surface, p)))
+    return np.array(out)
+
+
+def ref_hamiltonian_terms(surface, charts, coords, strengths, base_a, base_b):
+    """The terms of 2H, summed by the caller."""
+    terms = [g * g * renormalized_robin(surface, SurfacePoint(c, z))
+             for c, z, g in zip(charts, coords, strengths)]
+    n = len(coords)
+    for k in range(n):
+        for j in range(k + 1, n):
+            gv = ref_green(surface, charts[k], coords[k], charts[j], coords[j])[0]
+            terms.append(2.0 * strengths[k] * strengths[j] * gv)
+    basis = build_basis(surface)
+    if basis.genus:
+        circ = ref_circulation(basis, coords, strengths, base_a, base_b)
+        terms.append(circulation_energy(basis, circ))
+    return terms
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+wrap = st.integers(-3, 3)
+
+
+def min_ref_separation(surface, charts, coords):
+    pts = [SurfacePoint(c, z) for c, z in zip(charts, coords)]
+    return min(ref_geodesic(surface, pts[i], pts[j])
+               for i in range(len(pts)) for j in range(i + 1, len(pts)))
+
+
+@st.composite
+def strengths_for(draw, n):
+    mags = draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+    g = np.array(mags) * np.array(signs)
+    g -= g.mean()
+    assume(np.abs(g).min() > 0.1)
+    return g
+
+
+@st.composite
+def torus_configs(draw, taus=TAUS, sizes=SIZES):
+    tau = draw(st.sampled_from(taus))
+    surface = Surface.flat_torus(tau)
+    n = draw(st.sampled_from(sizes))
+    cells = draw(st.lists(st.tuples(unit, unit, wrap, wrap), min_size=n, max_size=n))
+    coords = np.array([s + m + (t + k) * tau for s, t, m, k in cells])
+    charts = np.zeros(n, dtype=int)
+    assume(min_ref_separation(surface, charts, coords) > 0.02 * min(1.0, tau.imag))
+    g = draw(strengths_for(n))
+    base = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    return surface, charts, coords, g, (base[0],), (base[1],)
+
+
+@st.composite
+def sphere_configs(draw, sizes=SIZES):
+    n = draw(st.sampled_from(sizes))
+    pts = draw(st.lists(
+        st.tuples(st.sampled_from((0, 1)), st.floats(0.0, 3.0), st.floats(0.0, 2.0 * math.pi)),
+        min_size=n, max_size=n,
+    ))
+    charts = np.array([c for c, _, _ in pts])
+    coords = np.array([r * cmath.exp(1j * phi) for _, r, phi in pts])
+    assume(min_ref_separation(SPHERE, charts, coords) > 0.02)
+    return SPHERE, charts, coords, draw(strengths_for(n)), (), ()
+
+
+configs = st.one_of(torus_configs(), sphere_configs())
+# every surface is covered in every run: one parametrization per modulus
+SURFACE_CONFIGS = [pytest.param(torus_configs(taus=(tau,)), id=f"tau={tau}") for tau in TAUS]
+SURFACE_CONFIGS.append(pytest.param(sphere_configs(), id="sphere"))
+
+
+# ---------------------------------------------------------------------------
+# (a) kernel against the loop reference
+
+
+@pytest.mark.parametrize("surface_configs", SURFACE_CONFIGS)
+@given(data=st.data())
+@settings(max_examples=30)
+def test_velocity_matches_loop_reference(surface_configs, data):
+    surface, charts, coords, g, a, b = data.draw(surface_configs)
+    got = _velocity_raw(surface, build_basis(surface), charts, coords, g, a, b)
+    want = ref_velocity(surface, charts, coords, g, a, b)
+    assert np.abs(got - want).max() <= REL_TOL * np.abs(want).max()
+
+
+@pytest.mark.parametrize("surface_configs", SURFACE_CONFIGS)
+@given(data=st.data())
+@settings(max_examples=30)
+def test_hamiltonian_matches_loop_reference(surface_configs, data):
+    surface, charts, coords, g, a, b = data.draw(surface_configs)
+    got = _hamiltonian_raw(surface, build_basis(surface), charts, coords, g, a, b)
+    terms = ref_hamiltonian_terms(surface, charts, coords, g, a, b)
+    assert type(got) is float
+    assert abs(got - 0.5 * math.fsum(terms)) <= REL_TOL * 0.5 * sum(abs(t) for t in terms)
+
+
+# ---------------------------------------------------------------------------
+# (b)-(d) invariances of G and its gradient
+
+
+@given(st.sampled_from(TAUS), unit, unit, unit, unit, wrap, wrap)
+def test_torus_lattice_periodicity(tau, s1, t1, s2, t2, m, k):
+    surface = Surface.flat_torus(tau)
+    z, a = s1 + t1 * tau, s2 + t2 * tau
+    assume(min_ref_separation(surface, [0, 0], [z, a]) > 0.1 * min(1.0, tau.imag))
+    g0, d0, _ = pair_terms(surface, 0, z, 0, a)
+    g1, d1, _ = pair_terms(surface, 0, z + m + k * tau, 0, a)
+    assert abs(g1 - g0) <= REL_TOL * max(1.0, abs(g0))
+    assert abs(d1 - d0) <= REL_TOL * max(1.0, abs(d0))
+
+
+@given(st.sampled_from(TAUS), unit, unit, unit, unit)
+def test_torus_gradient_antisymmetry(tau, s1, t1, s2, t2):
+    surface = Surface.flat_torus(tau)
+    z, a = s1 + t1 * tau, s2 + t2 * tau
+    assume(min_ref_separation(surface, [0, 0], [z, a]) > 0.02 * min(1.0, tau.imag))
+    g_za, d_za, _ = pair_terms(surface, 0, z, 0, a)
+    g_az, d_az, _ = pair_terms(surface, 0, a, 0, z)
+    assert abs(g_za - g_az) <= REL_TOL * max(1.0, abs(g_za))
+    assert abs(d_za + d_az) <= REL_TOL * max(1.0, abs(d_za))
+
+
+@given(sphere_configs(sizes=(2,)))
+def test_sphere_orientations_agree(config):
+    _, charts, coords, _, _, _ = config
+    g_ij, di, dj = pair_terms(SPHERE, charts[0], coords[0], charts[1], coords[1])
+    g_ji, dj_swapped, di_swapped = pair_terms(SPHERE, charts[1], coords[1], charts[0], coords[0])
+    assert abs(g_ij - g_ji) <= REL_TOL * max(1.0, abs(g_ij))
+    assert abs(di - di_swapped) <= REL_TOL * max(1.0, abs(di))
+    assert abs(dj - dj_swapped) <= REL_TOL * max(1.0, abs(dj))
+
+
+@given(sphere_configs(sizes=(2,)))
+def test_sphere_chart_invariance(config):
+    _, charts, coords, _, _, _ = config
+    (cz, ca), (z, a) = charts, coords
+    assume(0.05 < abs(z) < 20.0)
+    value, grad, _ = pair_terms(SPHERE, cz, z, ca, a)
+    w = 1.0 / z
+    value_w, grad_w, _ = pair_terms(SPHERE, 1 - cz, w, ca, a)
+    assert abs(value_w - value) <= REL_TOL * max(1.0, abs(value))
+    # dG/dw = dG/dz dz/dw with z = 1/w
+    expected = -grad / (w * w)
+    assert abs(grad_w - expected) <= REL_TOL * max(1.0, abs(expected))
+
+
+# ---------------------------------------------------------------------------
+# (e) separation
+
+
+@given(configs)
+def test_min_separation_matches_scalar_minimum(config):
+    surface, charts, coords, _, _, _ = config
+    pts = [SurfacePoint(int(c), complex(z)) for c, z in zip(charts, coords)]
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    scalar = [geodesic_distance(surface, pts[i], pts[j]) for i, j in pairs]
+    best = min(scalar)
+    assert min_separation(surface, pts) == best
+    reference = min(ref_geodesic(surface, pts[i], pts[j]) for i, j in pairs)
+    assert abs(best - reference) <= REL_TOL * reference
+    with pytest.raises(CollisionError) as err:
+        _check_separation(surface, charts, coords, 2.0 * best, 0.5)
+    assert err.value.pair == pairs[scalar.index(best)]
+    assert err.value.separation == best
+    assert err.value.time == 0.5
+
+
+def test_check_separation_reports_first_closest_pair():
+    # (0, 1) and (1, 2) are exactly 0.25 apart; (i, j) order picks (0, 1)
+    torus = Surface.flat_torus(1j)
+    coords = np.array([0.25 + 0.5j, 0.5 + 0.5j, 0.75 + 0.5j])
+    with pytest.raises(CollisionError) as err:
+        _check_separation(torus, np.zeros(3, dtype=int), coords, 0.3, 2.0)
+    assert err.value.pair == (0, 1)
+    assert err.value.separation == 0.25
