@@ -7,7 +7,8 @@ Library layout:
                    derivatives, curvature
 - ``green``        the pair kernel behind every Green value and gradient,
                    Robin data, two-point potential
-- ``periods``      harmonic differentials, period matrix, circulation state
+- ``periods``      circulation state W of a torus, period matrix, circulation
+                   energy and conjugate potential
 - ``dynamics``     velocity law, Hamiltonian, time integration
 - ``oracles``      independent validators (spectral Poisson solve, quadrature,
                    contour integration, finite differences)
@@ -52,14 +53,12 @@ from .green import (
     robin_metric,
 )
 from .periods import (
-    CirculationState,
-    HarmonicForm,
     PeriodBasis,
     build_basis,
     circulation_energy,
     circulation_form,
     circulation_state,
-    cycle_potential,
+    conjugate_potential,
 )
 from .surfaces import (
     Surface,
@@ -74,13 +73,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChartError", "CollisionError", "ConfigError", "ConnectionValue",
-    "CirculationState", "GreenEvaluation", "HarmonicForm", "PeriodBasis",
-    "PointVortexError", "QuadratureError", "RobinData", "SingularityError",
-    "StepRejectionError", "Surface", "SurfacePoint", "TrajectoryRecord",
-    "TransitionJet", "VortexState", "bracket", "build_basis",
+    "GreenEvaluation", "PeriodBasis", "PointVortexError", "QuadratureError",
+    "RobinData", "SingularityError", "StepRejectionError", "Surface",
+    "SurfacePoint", "TrajectoryRecord", "TransitionJet", "VortexState",
+    "bracket", "build_basis",
     "c0_coefficient", "c1_coefficient", "chain_check", "circulation_energy",
     "circulation_form", "circulation_state", "conformal_factor",
-    "covariant_derivative", "curvature", "cycle_potential",
+    "conjugate_potential", "covariant_derivative", "curvature",
     "fundamental_potential", "geodesic_distance", "green", "hamiltonian",
     "hamiltonian_velocity", "integrate", "lambda2_operator",
     "metric_connection", "robin_data", "robin_metric", "transform_connection",

@@ -5,7 +5,8 @@
 
 `run` writes one trajectory CSV (fixed column order: t, per-vortex re/im/chart,
 H, base circulations, min separation) plus a JSON-lines diagnostics file per
-scenario.  Exit codes: 0 clean, 1 configuration error, 2 collision abort.
+scenario.  Exit codes: 0 clean, 1 configuration error, 2 collision abort,
+3 adaptive step rejection, 4 failed verify check.
 Set VORTEX_LOG=debug|info|warning to control logging.
 """
 from __future__ import annotations
@@ -28,6 +29,8 @@ log = logging.getLogger("pointvortex")
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_COLLISION = 2
+EXIT_STEP_REJECTED = 3
+EXIT_VERIFY_FAILED = 4
 
 
 def _configure_logging() -> None:
@@ -117,23 +120,19 @@ def run_one(cfg: ScenarioConfig, out_dir: Path) -> int:
             state, spec.dt, spec.steps, method=spec.method,
             record_every=spec.record_every, stats_out=stats,
         )
-    except CollisionError as exc:
-        stats.update({"collision_time": exc.time, "collision_pair": list(exc.pair),
-                      "collision_separation": exc.separation})
-        partial = stats.pop("partial_records", [])
-        if partial:
-            write_trajectory(traj_path, partial, state.surface.genus)
-            write_diagnostics(diag_path, partial, stats, status="collision")
+    except (CollisionError, StepRejectionError) as exc:
+        # integrate() hands back the records made before the abort
+        if isinstance(exc, CollisionError):
+            status, code = "collision", EXIT_COLLISION
+            stats.update({"collision_time": exc.time, "collision_pair": list(exc.pair),
+                          "collision_separation": exc.separation})
         else:
-            diag_path.write_text(json.dumps({
-                "event": "summary", "status": "collision",
-                "collision_time": exc.time, "collision_pair": list(exc.pair),
-            }) + "\n")
+            status, code = "step_rejected", EXIT_STEP_REJECTED
+        partial = stats.pop("partial_records")
+        write_trajectory(traj_path, partial, state.surface.genus)
+        write_diagnostics(diag_path, partial, stats, status=status)
         print(f"{cfg.name}: {exc}", file=sys.stderr)
-        return EXIT_COLLISION
-    except StepRejectionError as exc:
-        print(f"{cfg.name}: {exc}", file=sys.stderr)
-        return EXIT_COLLISION
+        return code
     write_trajectory(traj_path, records, state.surface.genus)
     write_diagnostics(diag_path, records, stats, status="ok")
     print(f"{cfg.name}: wrote {traj_path} ({len(records)} records)")
@@ -185,7 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         results = run_suite(suite=args.suite, seed=args.seed, overrides=overrides)
     print(format_report(results))
-    return EXIT_OK if all(r.passed for r in results) else EXIT_CONFIG
+    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out-dir", default=".", help="output directory")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="fan independent scenarios across N worker processes")
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="accepted for interface symmetry; run is deterministic")
     p_run.add_argument("--dump-config", action="store_true",
                        help="print the normalized config JSON and exit")
 
@@ -211,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optional scenario to verify instead of the suite")
     p_ver.add_argument("--suite", choices=("quick", "full"), default="quick")
     p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--out-dir", default=".", help="unused; kept for symmetry")
     p_ver.add_argument("--override", action="append", metavar="NAME=TOL",
                        help="override a check tolerance (repeatable)")
     return parser

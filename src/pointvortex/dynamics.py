@@ -40,6 +40,7 @@ from .periods import (
     circulation_energy,
     circulation_form,
     circulation_state,
+    conjugate_potential,
 )
 from .surfaces import (
     SPHERE,
@@ -159,8 +160,8 @@ def _c1_raw(surface: Surface, basis: PeriodBasis, charts, coords, strengths,
     i, j, _, grad_i, grad_j = _pair_terms(surface, charts, coords)
     mixed = _row_sums(i, j, grad_i, grad_j, strengths)
     if basis.genus:
-        circ = circulation_state(basis, coords, strengths, base_a, base_b)
-        mixed = mixed + circulation_form(basis, circ).u_star_grad
+        w = circulation_state(basis, coords, strengths, base_a, base_b)
+        mixed = mixed + circulation_form(basis, w)
     return robin_h0_h1(surface, coords)[1] + _FOUR_PI * mixed / strengths
 
 
@@ -185,8 +186,8 @@ def _hamiltonian_raw(surface: Surface, basis: PeriodBasis, charts, coords,
     twice_h = (strengths**2 * renormalized_robin_at(surface, coords)).sum()
     twice_h += 2.0 * (strengths[i] * strengths[j] * value).sum()
     if basis.genus:
-        circ = circulation_state(basis, coords, strengths, base_a, base_b)
-        twice_h += circulation_energy(basis, circ)
+        w = circulation_state(basis, coords, strengths, base_a, base_b)
+        twice_h += circulation_energy(basis, w)
     return float(0.5 * twice_h)
 
 
@@ -226,8 +227,8 @@ def c0_coefficient(state: VortexState, k: int) -> float:
     i, j, value, _, _ = _pair_terms(state.surface, charts, coords)
     mutual = _row_sums(i, j, value, value, g)[k]
     if basis.genus:
-        circ = circulation_state(basis, coords, g, state.base_a, state.base_b)
-        mutual += circulation_form(basis, circ).u_star(coords[k])
+        w = circulation_state(basis, coords, g, state.base_a, state.base_b)
+        mutual += conjugate_potential(basis, w, coords[k])
     return float(robin_h0_h1(state.surface, coords[k])[0] + _TWO_PI * mutual / g[k])
 
 
@@ -273,9 +274,9 @@ def hamiltonian_velocity(state: VortexState, k: int, step: float = 1e-5) -> comp
 def canonical_state(state: VortexState, charts, coords) -> VortexState:
     """Canonicalize raw coordinates, compensating base circulations for wraps.
 
-    Reducing a torus position by m + n*tau shifts the branch values of the
-    cycle potentials, so the fixed circulations absorb a += Gamma*n and
-    b -= Gamma*m to leave the assembled flow unchanged.
+    Reducing a torus position by m + n*tau shifts sum_j Gamma_j z_j by
+    -Gamma*(m + n*tau), so the fixed circulations absorb a += Gamma*n and
+    b -= Gamma*m to leave W = a*tau - b + sum_j Gamma_j z_j unchanged.
     """
     surface = state.surface
     if surface.genus == 0:
@@ -348,17 +349,8 @@ class _Trajectory:
             self.surface, self.basis, self.charts, self.coords, self.strengths,
             self.base_a, self.base_b,
         )
-        rec_a = rec_b = ()
-        if self.basis.genus:
-            circ = circulation_state(
-                self.basis, self.coords, self.strengths, self.base_a, self.base_b
-            )
-            zero = (0.0,) * self.basis.genus
-            flow = circulation_state(self.basis, self.coords, self.strengths, zero, zero)
-            rec_a = tuple(x - y for x, y in zip(circ.A, flow.A))
-            rec_b = tuple(x - y for x, y in zip(circ.B, flow.B))
         sep = min_separation(self.surface, pts)
-        return TrajectoryRecord(t, pts, h, rec_a, rec_b, sep)
+        return TrajectoryRecord(t, pts, h, self.base_a, self.base_b, sep)
 
 
 def _rk4_step(traj: _Trajectory, dt: float) -> None:
@@ -417,10 +409,10 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     `method` is "rk4" (fixed step) or "rk45-adaptive" (embedded 4(5) pair with
     step control between record times).  Records are emitted at t=0, every
     `record_every`-th step, and at the end; each carries the energy, the
-    Kelvin-reconstructed base circulations and the minimum separation.
+    configured base circulations and the minimum separation.
     Raises CollisionError when two vortices approach below the state's
     collision threshold, and StepRejectionError if adaptive control stalls.
-    `stats_out`, when given, receives the rejection count and, on a collision
+    `stats_out`, when given, receives the rejection count and, on either
     abort, the records produced so far under "partial_records".
     """
     if dt <= 0:
@@ -458,7 +450,7 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
             if steps % record_every:
                 _rkf45_advance(traj, t, steps * dt, trial_dt, rtol, atol)
                 records.append(traj.record(steps * dt))
-    except CollisionError:
+    except (CollisionError, StepRejectionError):
         if stats_out is not None:
             stats_out["step_rejections"] = traj.rejections
             stats_out["partial_records"] = records

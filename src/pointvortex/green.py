@@ -69,10 +69,11 @@ def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
     ur = reduce_centered(tau, np.asarray(u, dtype=complex))
     if (np.abs(ur) <= _COINCIDENCE_TOL).any():
         raise SingularityError("Green function evaluated at coincident points")
-    th, dth = theta.theta1_series(theta.theta_context(tau), ur)
+    ctx = theta.theta_context(tau)
+    th, dth = theta.theta1_series(ctx, ur)
     value = -(np.log(np.abs(th)) - math.pi * ur.imag**2 / tau.imag) / (2.0 * math.pi)
     grad = -(0.5 * dth / th + 1j * math.pi * ur.imag / tau.imag) / (2.0 * math.pi)
-    return value + theta.green_normalization_constant(tau), grad
+    return value + ctx.green_const, grad
 
 
 def sphere_pair_terms(ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,8 +133,7 @@ def robin_h0_h1(surface: Surface, a):
         m2 = abs(a) ** 2
         return np.log1p(m2) - 0.5, a.conjugate() / (1.0 + m2)
     ctx = theta.theta_context(surface.tau)
-    const = theta.green_normalization_constant(surface.tau)
-    return -math.log(abs(ctx.d1_zero)) + 2.0 * math.pi * const, 0.0j
+    return -math.log(abs(ctx.d1_zero)) + 2.0 * math.pi * ctx.green_const, 0.0j
 
 
 def robin_data(surface: Surface, a: SurfacePoint) -> RobinData:

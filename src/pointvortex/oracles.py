@@ -52,6 +52,26 @@ def torus_poisson_oracle(tau: complex, grid_n: int, source: np.ndarray) -> np.nd
     return np.real(np.fft.ifft2(u_hat))
 
 
+def torus_domain_mean(f: Callable[[np.ndarray], np.ndarray], tau: complex,
+                      t_nodes: int = 48) -> float:
+    """Mean of f over the fundamental domain {s + t*tau : s, t in [0, 1)}, for f
+    doubly periodic and smooth away from logarithmic poles on the lattice.
+
+    Each fixed-t slice is a smooth periodic function of s, handled by the
+    trapezoid rule with a t-dependent point count (the slice's Fourier decay
+    degrades as t approaches the lattice points); the t integral uses
+    Gauss-Legendre, whose interior nodes avoid the singular slices entirely.
+    """
+    tau = complex(tau)
+    nodes, weights = np.polynomial.legendre.leggauss(t_nodes)
+    total = 0.0
+    for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        n_s = min(max(128, math.ceil(40.0 / (min(t, 1.0 - t) * tau.imag))), 1 << 17)
+        s = (np.arange(n_s) + 0.5) / n_s
+        total += w * float(np.mean(f(s + t * tau)))
+    return total
+
+
 def mollified_delta(tau: complex, grid_n: int, a: complex,
                     sigma_cells: float = 2.0) -> np.ndarray:
     """Gaussian approximation of a unit point mass at `a`, minus its uniform

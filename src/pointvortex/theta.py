@@ -18,6 +18,7 @@ import numpy as np
 _MIN_TERMS = 8
 _MAX_TERMS = 400
 _BLOCK = 4096    # points per series pass in theta1_series
+_MAX_ETA_TERMS = 1 << 16
 
 
 def _term_count(tau_im: float) -> int:
@@ -44,6 +45,7 @@ class ThetaContext:
     freqs: tuple[float, ...]         # (2n+1) pi
     d1_zero: complex                 # theta1'(0)
     d3_zero: complex                 # theta1'''(0)
+    green_const: float               # log|eta(tau)| / 2 pi
     # read-only (n_terms, 2, 1) array of (coeffs, coeffs * freqs)
     weights: np.ndarray = field(compare=False, repr=False)
 
@@ -64,7 +66,22 @@ def theta_context(tau: complex) -> ThetaContext:
     d3 = -2.0 * sum(c * f**3 for c, f in zip(coeffs, freqs))
     weights = np.array([((c,), (c * f,)) for c, f in zip(coeffs, freqs)])
     weights.flags.writeable = False
-    return ThetaContext(tau, n, tuple(coeffs), tuple(freqs), d1, d3, weights)
+    return ThetaContext(tau, n, tuple(coeffs), tuple(freqs), d1, d3,
+                        _log_abs_eta(tau) / (2.0 * math.pi), weights)
+
+
+def _log_abs_eta(tau: complex) -> float:
+    """log|eta(tau)| = -pi Im(tau) / 12 + sum_{n>=1} log|1 - q^n|, q = exp(2 pi i tau).
+
+    This is the mean of log|theta1(s + t tau)| - pi Im(tau) t^2 over the
+    fundamental domain (Jensen's formula on each slice of the theta product).
+    The sum stops once its tail, below |q|^N / (1 - |q|), is under 1e-17.
+    """
+    q = cmath.exp(2j * math.pi * tau)
+    r = abs(q)
+    n_terms = 1 if r < 1e-17 else math.ceil(math.log(1e-17 * (1.0 - r)) / math.log(r))
+    n = np.arange(1, min(n_terms, _MAX_ETA_TERMS) + 1)
+    return -math.pi * tau.imag / 12.0 + float(np.log(np.abs(1.0 - q**n)).sum())
 
 
 def theta1_series(ctx: ThetaContext, z, n_terms: int | None = None):
@@ -112,40 +129,7 @@ def theta1_dz(ctx: ThetaContext, z, n_terms: int | None = None):
     return dth if isinstance(z, np.ndarray) else complex(dth)
 
 
-# Green normalization constants, one per tau (single writer under the GIL,
-# many readers). Computed by quadrature of the mean of the unnormalized
-# potential over the fundamental domain.
-_GREEN_CONST: dict[complex, float] = {}
-
-
 def green_normalization_constant(tau: complex) -> float:
-    """Additive constant making the torus Green function integrate to zero.
-
-    Mean over the fundamental parallelogram (lattice coordinates s, t) of
-    log|theta1(s + t*tau)| - pi * Im(tau) * t^2, divided by 2 pi.  The s
-    integral of a fixed-t slice is a smooth periodic function, handled by the
-    trapezoid rule with a t-dependent point count (the slice's Fourier decay
-    degrades as t approaches the lattice points); the t integral uses
-    Gauss-Legendre, whose interior nodes avoid the singular slices entirely.
-    """
-    tau = complex(tau)
-    cached = _GREEN_CONST.get(tau)
-    if cached is not None:
-        return cached
-    ctx = theta_context(tau)
-    t2 = tau.imag
-    nodes, weights = np.polynomial.legendre.leggauss(48)
-    t_nodes = 0.5 * (nodes + 1.0)
-    t_weights = 0.5 * weights
-    total = 0.0
-    for t, w in zip(t_nodes, t_weights):
-        margin = min(t, 1.0 - t) * t2
-        n_s = int(max(128, math.ceil(40.0 / (2.0 * math.pi * margin) * 2.0 * math.pi)))
-        n_s = min(n_s, 1 << 17)
-        s = (np.arange(n_s) + 0.5) / n_s
-        z = s + t * tau
-        slice_mean = float(np.mean(np.log(np.abs(theta1(ctx, z)))))
-        total += w * (slice_mean - math.pi * t2 * t * t)
-    const = float(total) / (2.0 * math.pi)
-    _GREEN_CONST[tau] = const
-    return const
+    """Additive constant C(tau) = log|eta(tau)| / 2 pi making the torus Green
+    function integrate to zero over the fundamental domain."""
+    return theta_context(tau).green_const

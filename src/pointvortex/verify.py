@@ -38,10 +38,11 @@ from .oracles import (
     mollified_delta,
     sphere_quadrature,
     star_gradient_form,
+    torus_domain_mean,
     torus_grid,
     torus_poisson_oracle,
 )
-from .periods import build_basis
+from .periods import build_basis, circulation_form, circulation_state
 from .surfaces import (
     Surface,
     SurfacePoint,
@@ -154,6 +155,11 @@ def sphere_green_normalization(poles=None) -> float:
     return worst
 
 
+def torus_green_normalization(tau: complex = 0.5 + 1j) -> float:
+    """|Mean of G(., 0)| over the torus, by quadrature that does not use C(tau)."""
+    return abs(torus_domain_mean(lambda z: torus_green_values(tau, z), tau))
+
+
 def torus_green_vs_poisson(tau: complex, grid_n: int = 256,
                            pole: complex | None = None) -> float:
     """Relative disagreement (mean-matched) between the spectral solve and the
@@ -173,25 +179,25 @@ def torus_green_vs_poisson(tau: complex, grid_n: int = 256,
 
 
 def period_relation_residual(tau: complex, n_points: int = 512) -> float:
-    """The four canonical period identities, by numerical contour integration."""
-    surface = Surface.flat_torus(tau)
-    basis = build_basis(surface)
-    da, db = basis.dU_alpha[0], basis.dU_beta[0]
-    loops = {
-        "alpha": loop_path(0.11 + 0.13 * tau, 1.0),
-        "beta": loop_path(0.17 + 0.0j, tau),
-    }
+    """Periods of *du* of the circulating flow around alpha and beta vs -(A, B).
 
-    def const_form(f):
-        return lambda z: (np.full(np.shape(z), f.cx), np.full(np.shape(z), f.cy))
-
-    res = [
-        contour_integral(const_form(db), loops["alpha"], n_points) + 1.0,  # loop(-dU_b)=1
-        contour_integral(const_form(db), loops["beta"], n_points) - 0.0,
-        contour_integral(const_form(da), loops["alpha"], n_points) - 0.0,
-        contour_integral(const_form(da), loops["beta"], n_points) - 1.0,
-    ]
-    return max(abs(complex(r)) for r in res)
+    du*/dz comes from the W closed form (`circulation_form`); A and B are
+    summed here from the cycle potentials U_alpha = Im z / Im tau and
+    U_beta = -Re z + Re tau Im z / Im tau, with one vortex off the
+    fundamental domain.
+    """
+    t1, t2 = tau.real, tau.imag
+    zs = (0.21 + 0.33 * tau, 1.68 + 0.41 * tau, 0.45 - 0.72 * tau)
+    gs = (1.0, -1.6, 0.6)
+    a, b = 0.3, -0.2
+    big_a = a + sum(g * z.imag / t2 for z, g in zip(zs, gs))
+    big_b = b + sum(g * (-z.real + t1 * z.imag / t2) for z, g in zip(zs, gs))
+    basis = build_basis(Surface.flat_torus(tau))
+    grad = circulation_form(basis, circulation_state(basis, zs, gs, (a,), (b,)))
+    form = star_gradient_form(lambda z: np.full(np.shape(z), grad))
+    got_a = contour_integral(form, loop_path(0.11 + 0.13 * tau, 1.0), n_points)
+    got_b = contour_integral(form, loop_path(0.17 + 0.0j, tau), n_points)
+    return max(abs(got_a + big_a), abs(got_b + big_b))
 
 
 def period_matrix_residual(tau: complex) -> float:
@@ -336,7 +342,8 @@ def velocity_equivalence(surface: Surface, rng: np.random.Generator,
 
 
 def conservation_residuals(tau: complex, dt: float, steps: int) -> tuple[float, float]:
-    """(relative energy drift, Kelvin reconstruction drift) on a 4-vortex run."""
+    """(relative energy drift, drift of the recorded circulations) on a
+    4-vortex run; the records carry the configured base circulations."""
     surface = Surface.flat_torus(tau)
     st = VortexState(
         surface,
@@ -383,6 +390,7 @@ def run_suite(suite: str = "quick", seed: int = 7,
         ("sphere_green_symmetry", 1e-12, lambda: green_symmetry(_SPHERE, rng, 200)),
         ("torus_green_symmetry", 1e-12, lambda: green_symmetry(torus_skew, rng, 100)),
         ("sphere_green_normalization", 1e-6, sphere_green_normalization),
+        ("torus_green_normalization", 1e-12, torus_green_normalization),
         ("torus_green_vs_poisson", 1e-6,
          lambda: max(
              torus_green_vs_poisson(t, 256 if full else 128)

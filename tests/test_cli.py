@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import pointvortex
-from pointvortex.cli import main
+import pointvortex.cli
+from pointvortex.cli import build_parser, main
 from pointvortex.config import load_scenario, parse_scenario, resolve_scenario
-from pointvortex.errors import ConfigError
+from pointvortex.errors import ConfigError, StepRejectionError
 
 BUNDLED = ("sphere_antipodal_pair", "torus_pair_translate", "torus_four_vortex")
 
@@ -194,6 +195,34 @@ class TestRunCommand:
         # the partial trajectory is still written
         assert (tmp_path / "collide.csv").exists()
 
+    def test_step_rejection_exits_three(self, tmp_path, monkeypatch, capsys):
+        # the adaptive controller's stall cannot be reached from a config, so
+        # integrate() is replaced by one that stalls after its first records
+        real_integrate = pointvortex.cli.integrate
+
+        def stalling(state, dt, steps, stats_out=None, **kwargs):
+            stats_out["partial_records"] = real_integrate(state, dt, 2, **kwargs)
+            stats_out["step_rejections"] = 61
+            raise StepRejectionError("adaptive step rejected 61 times in a row")
+
+        monkeypatch.setattr(pointvortex.cli, "integrate", stalling)
+        code = main(["run", "torus_pair_translate", "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "rejected" in capsys.readouterr().err
+        summary = json.loads(
+            (tmp_path / "torus_pair_translate.jsonl").read_text().splitlines()[-1])
+        assert summary["status"] == "step_rejected"
+        assert summary["step_rejections"] == 61
+        csv = (tmp_path / "torus_pair_translate.csv").read_text().splitlines()
+        assert len(csv) == 1 + summary["records"] >= 2
+
+    def test_removed_flags_are_rejected(self):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "torus_pair_translate", "--seed", "1"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "--out-dir", "."])
+
     def test_dump_config_round_trips_through_cli(self, tmp_path):
         proc = run_cli(["run", "sphere_antipodal_pair", "--dump-config"])
         assert proc.returncode == 0
@@ -231,7 +260,7 @@ class TestVerifyCommand:
             "--override", "sphere_green_normalization=1e-15",
         ])
         out = capsys.readouterr().out
-        assert code != 0
+        assert code == 4
         assert "FAIL" in out
         assert "sphere_green_normalization" in out
         # the rest of the table is still printed

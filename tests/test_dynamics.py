@@ -17,7 +17,7 @@ from pointvortex.dynamics import (
 )
 from pointvortex.errors import CollisionError
 from pointvortex.green import green, renormalized_robin, robin_data
-from pointvortex.periods import build_basis, circulation_form, circulation_state
+from pointvortex.periods import build_basis, circulation_state, conjugate_potential
 from pointvortex.surfaces import SurfacePoint, dlog_lambda_dzbar, transition
 from pointvortex.verify import random_state
 
@@ -145,12 +145,11 @@ class TestC0:
         # around the vortex recovers (Gamma_k / 2 pi) c0
         st = random_state(torus_skew, 3, rng, circulations=True, min_sep=0.25)
         basis = build_basis(torus_skew)
-        circ = circulation_state(basis, [p.coord for p in st.positions],
-                                 st.strengths, st.base_a, st.base_b)
-        field = circulation_form(basis, circ)
+        w = circulation_state(basis, [p.coord for p in st.positions],
+                              st.strengths, st.base_a, st.base_b)
 
         def stream(z):
-            total = field.u_star(z)
+            total = conjugate_potential(basis, w, z)
             for p, g in zip(st.positions, st.strengths):
                 total += g * green(torus_skew, SurfacePoint(0, z), p).value
             return total

@@ -15,13 +15,14 @@ from pointvortex.oracles import (
     wirtinger_fd,
 )
 from pointvortex.surfaces import Surface, SurfacePoint
+from pointvortex.verify import torus_green_normalization
 
 TAUS = (1j, 0.5 + 1j, 2j)
 
 
 def dedekind_eta_log_abs(tau: complex, terms: int = 200) -> float:
-    """log|eta(tau)| from the q-product; an oracle independent of the
-    quadrature used to normalize the Green function."""
+    """log|eta(tau)| from the q-product with a fixed term count, written out
+    apart from the library's adaptive one."""
     q = cmath.exp(2j * math.pi * tau)
     total = -math.pi * tau.imag / 12.0
     for n in range(1, terms):
@@ -34,6 +35,12 @@ def test_normalization_constant_matches_eta_oracle(tau):
     got = theta.green_normalization_constant(tau)
     expected = dedekind_eta_log_abs(tau) / (2.0 * math.pi)
     assert abs(got - expected) < 1e-12
+
+
+@pytest.mark.parametrize("tau", TAUS + (0.3 + 0.1j,))
+def test_green_has_zero_mean_by_quadrature(tau):
+    # independent of the eta closed form: slice trapezoid x Gauss-Legendre
+    assert torus_green_normalization(tau) < 1e-12
 
 
 @pytest.mark.parametrize("tau", TAUS)

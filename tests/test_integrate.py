@@ -5,7 +5,7 @@ import pytest
 
 from pointvortex.dynamics import VortexState, integrate, vortex_velocity
 from pointvortex.errors import CollisionError, StepRejectionError
-from pointvortex.oracles import contour_integral, loop_path
+from pointvortex.oracles import contour_integral, loop_path, star_gradient_form
 from pointvortex.periods import build_basis, circulation_form, circulation_state
 from pointvortex.surfaces import SurfacePoint, Surface
 from pointvortex.verify import random_state
@@ -179,9 +179,9 @@ class TestConservation:
         lb = loop_path(complex(s0, 0.0), tau)
 
         def periods(coords):
-            circ = circulation_state(basis, coords, st.strengths,
-                                     st.base_a, st.base_b)
-            field = circulation_form(basis, circ)
+            w = circulation_state(basis, coords, st.strengths, st.base_a, st.base_b)
+            # the circulating flow's 1-form eta = -*du*, from du*/dz
+            ex, ey = star_gradient_form(lambda z: -circulation_form(basis, w))(0j)
 
             def nu(z):
                 # velocity 1-form: -*dG_total + eta
@@ -197,7 +197,7 @@ class TestConservation:
                     gx = gx + g * 2.0 * grads.real
                     gy = gy - g * 2.0 * grads.imag
                 # -*(gx dx + gy dy) = gy dx - gx dy
-                return gy + field.form.cx, -gx + field.form.cy
+                return gy + ex, -gx + ey
 
             return (
                 complex(contour_integral(nu, la, 1024)).real,

@@ -2,7 +2,8 @@
 
 The loop reference below is the per-pair evaluation the kernel replaced: the
 cmath theta series, the scalar lattice reduction, the sphere closed form in
-the chart of each point, and per-vortex sums.  The kernel must agree with it
+the chart of each point, per-vortex sums, and the circulation terms from the
+per-cycle potentials and the period matrix.  The kernel must agree with it
 to 1e-12 relative on random configurations of both surfaces, including mixed
 sphere charts and torus cover coordinates outside the fundamental domain.
 """
@@ -16,19 +17,20 @@ from hypothesis import strategies as st
 
 from pointvortex import theta
 from pointvortex.dynamics import (
+    VortexState,
     _check_separation,
     _hamiltonian_raw,
     _velocity_raw,
+    canonical_state,
     min_separation,
 )
 from pointvortex.errors import CollisionError
 from pointvortex.green import pair_terms, renormalized_robin, robin_data
 from pointvortex.periods import (
-    CirculationState,
     build_basis,
     circulation_energy,
     circulation_form,
-    cycle_potential,
+    circulation_state,
 )
 from pointvortex.surfaces import (
     Surface,
@@ -92,20 +94,32 @@ def ref_geodesic(surface, p, q):
     return min(abs(u + m + n * surface.tau) for m in (-1, 0, 1) for n in (-1, 0, 1))
 
 
-def ref_circulation(basis, coords, strengths, base_a, base_b):
-    a = base_a[0] + sum(g * cycle_potential(basis, 0, "alpha", z).value
+def ref_circulation(tau, coords, strengths, base_a, base_b):
+    """Kelvin coefficients A = a + sum Gamma U_alpha(z), B = b + sum Gamma U_beta(z)."""
+    t1, t2 = tau.real, tau.imag
+    a = base_a[0] + sum(g * z.imag / t2 for z, g in zip(coords, strengths))
+    b = base_b[0] + sum(g * (-z.real + t1 * z.imag / t2)
                         for z, g in zip(coords, strengths))
-    b = base_b[0] + sum(g * cycle_potential(basis, 0, "beta", z).value
-                        for z, g in zip(coords, strengths))
-    return CirculationState(tuple(base_a), tuple(base_b), (a,), (b,))
+    return a, b
+
+
+def ref_u_star_grad(tau, a, b):
+    """du*/dz of u* = -A U*_beta + B U*_alpha, with U*_alpha = -x / t2 and
+    U*_beta = -(t1 / t2) x - y the conjugate cycle potentials."""
+    t1, t2 = tau.real, tau.imag
+    return -a * 0.5 * (-t1 / t2 + 1j) + b * (-0.5 / t2)
+
+
+def ref_circulation_energy(tau, a, b):
+    """(A, B) P (A, B)^T with P = [[|tau|^2, -Re tau], [-Re tau, 1]] / Im tau."""
+    return (a * a * abs(tau) ** 2 - 2.0 * a * b * tau.real + b * b) / tau.imag
 
 
 def ref_velocity(surface, charts, coords, strengths, base_a, base_b):
-    basis = build_basis(surface)
     u_star_grad = 0.0
-    if basis.genus:
-        circ = ref_circulation(basis, coords, strengths, base_a, base_b)
-        u_star_grad = circulation_form(basis, circ).u_star_grad
+    if surface.genus:
+        a, b = ref_circulation(surface.tau, coords, strengths, base_a, base_b)
+        u_star_grad = ref_u_star_grad(surface.tau, a, b)
     out = []
     for k, (ck, zk, gk) in enumerate(zip(charts, coords, strengths)):
         p = SurfacePoint(ck, zk)
@@ -128,10 +142,9 @@ def ref_hamiltonian_terms(surface, charts, coords, strengths, base_a, base_b):
         for j in range(k + 1, n):
             gv = ref_green(surface, charts[k], coords[k], charts[j], coords[j])[0]
             terms.append(2.0 * strengths[k] * strengths[j] * gv)
-    basis = build_basis(surface)
-    if basis.genus:
-        circ = ref_circulation(basis, coords, strengths, base_a, base_b)
-        terms.append(circulation_energy(basis, circ))
+    if surface.genus:
+        a, b = ref_circulation(surface.tau, coords, strengths, base_a, base_b)
+        terms.append(ref_circulation_energy(surface.tau, a, b))
     return terms
 
 
@@ -216,6 +229,24 @@ def test_hamiltonian_matches_loop_reference(surface_configs, data):
     assert abs(got - 0.5 * math.fsum(terms)) <= REL_TOL * 0.5 * sum(abs(t) for t in terms)
 
 
+@pytest.mark.parametrize("tau", TAUS)
+@given(data=st.data())
+def test_circulation_closed_forms_match_cycle_potentials(tau, data):
+    # W = a tau - b + sum Gamma z against the per-cycle reference: W = A tau - B,
+    # |W|^2 / Im tau = (A, B) P (A, B)^T and du*/dz = conj(W) / (2 Im tau);
+    # tolerances are relative to the size of the summands
+    surface, _, coords, g, base_a, base_b = data.draw(torus_configs(taus=(tau,)))
+    basis = build_basis(surface)
+    w = circulation_state(basis, coords, g, base_a, base_b)
+    a, b = ref_circulation(tau, coords, g, base_a, base_b)
+    scale = abs(a * tau) + abs(b) + float(np.abs(g * coords).sum())
+    assert abs(w - (a * tau - b)) <= REL_TOL * scale
+    energy = ref_circulation_energy(tau, a, b)
+    assert abs(circulation_energy(basis, w) - energy) <= REL_TOL * scale**2 / tau.imag
+    assert abs(circulation_form(basis, w) - ref_u_star_grad(tau, a, b)) <= (
+        REL_TOL * scale / tau.imag)
+
+
 # ---------------------------------------------------------------------------
 # (b)-(d) invariances of G and its gradient
 
@@ -295,3 +326,28 @@ def test_check_separation_reports_first_closest_pair():
         _check_separation(torus, np.zeros(3, dtype=int), coords, 0.3, 2.0)
     assert err.value.pair == (0, 1)
     assert err.value.separation == 0.25
+
+
+# ---------------------------------------------------------------------------
+# (f) wrap bookkeeping
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@given(data=st.data())
+def test_canonical_state_round_trip(tau, data):
+    # cover coordinates z_j = p_j + m_j + n_j tau (|m|, |n| <= 3) and their
+    # canonical reduction with compensated base circulations carry the same
+    # W and the same velocities
+    surface, charts, coords, g, a, b = data.draw(torus_configs(taus=(tau,)))
+    state = VortexState(surface, tuple(SurfacePoint(0, complex(z)) for z in coords),
+                        tuple(g), a, b, collision_threshold=1e-4)
+    back = canonical_state(state, charts, coords)
+    basis = build_basis(surface)
+    back_coords = np.array([p.coord for p in back.positions])
+    w_raw = circulation_state(basis, coords, g, a, b)
+    w_back = circulation_state(basis, back_coords, g, back.base_a, back.base_b)
+    scale = abs(a[0] * tau) + abs(b[0]) + float(np.abs(g * coords).sum())
+    assert abs(w_back - w_raw) <= REL_TOL * scale
+    v_raw = _velocity_raw(surface, basis, charts, coords, g, a, b)
+    v_back = _velocity_raw(surface, basis, charts, back_coords, g, back.base_a, back.base_b)
+    assert np.abs(v_back - v_raw).max() <= REL_TOL * np.abs(v_raw).max()

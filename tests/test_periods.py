@@ -3,23 +3,47 @@ import pytest
 
 from pointvortex.oracles import contour_integral, loop_path
 from pointvortex.periods import (
-    HarmonicForm,
     build_basis,
     circulation_energy,
     circulation_form,
     circulation_state,
-    cycle_potential,
+    conjugate_potential,
 )
 from pointvortex.surfaces import Surface
 from pointvortex.verify import conjugate_period_residual
 
 
-def const_form(f: HarmonicForm):
-    return lambda z: (np.full(np.shape(z), f.cx), np.full(np.shape(z), f.cy))
+def const_form(cx, cy):
+    return lambda z: (np.full(np.shape(z), cx), np.full(np.shape(z), cy))
 
 
 def loops(tau):
     return loop_path(0.11 + 0.13 * tau, 1.0), loop_path(0.17 + 0j, tau)
+
+
+def u_alpha(tau, z):
+    return z.imag / tau.imag
+
+
+def u_beta(tau, z):
+    return -z.real + tau.real * z.imag / tau.imag
+
+
+def coefficients(tau, w):
+    """Kelvin coefficients (A, B) with W = A tau - B."""
+    return w.imag / tau.imag, (w * tau.conjugate()).imag / tau.imag
+
+
+def flow_form(basis, w):
+    """(cx, cy) of the circulating flow's 1-form -*du*, from du*/dz."""
+    g = circulation_form(basis, w)
+    return -2.0 * g.imag, -2.0 * g.real
+
+
+def loop_periods(tau, cx, cy):
+    la, lb = loops(tau)
+    return (complex(contour_integral(const_form(cx, cy), la)),
+            complex(contour_integral(const_form(cx, cy), lb)))
 
 
 class TestBasis:
@@ -30,38 +54,33 @@ class TestBasis:
 
     def test_square_torus_forms(self, torus_i):
         basis = build_basis(torus_i)
-        da, db = basis.dU_alpha[0], basis.dU_beta[0]
-        assert (da.cx, da.cy) == (0.0, 1.0)
-        assert (db.cx, db.cy) == (-1.0, 0.0)
+        assert basis.genus == 1 and basis.tau == 1j
+        # A = 1, B = 0 is W = tau; A = 0, B = 1 is W = -1
+        assert flow_form(basis, 1j) == (1.0, 0.0)
+        assert flow_form(basis, -1.0 + 0j) == (0.0, 1.0)
         np.testing.assert_allclose(basis.period_matrix, np.eye(2), atol=1e-14)
 
     def test_skew_torus_beta_form(self, torus_skew):
-        db = build_basis(torus_skew).dU_beta[0]
-        # -dU_beta = dx - (tau1/tau2) dy
-        assert (-db.cx, -db.cy) == (1.0, -0.5)
+        # A = 1 carries -dU_beta = dx - (tau1/tau2) dy
+        assert flow_form(build_basis(torus_skew), torus_skew.tau) == (1.0, -0.5)
 
     @pytest.mark.parametrize("tau", (1j, 0.5 + 1j, 2j))
     def test_period_normalization_by_contour_integration(self, tau):
         basis = build_basis(Surface.flat_torus(tau))
-        da, db = basis.dU_alpha[0], basis.dU_beta[0]
-        la, lb = loops(tau)
-        assert abs(contour_integral(const_form(db), la) + 1.0) < 1e-10
-        assert abs(contour_integral(const_form(db), lb)) < 1e-10
-        assert abs(contour_integral(const_form(da), la)) < 1e-10
-        assert abs(contour_integral(const_form(da), lb) - 1.0) < 1e-10
+        pa, pb = loop_periods(tau, *flow_form(basis, tau))  # A = 1, B = 0
+        assert abs(pa - 1.0) < 1e-10
+        assert abs(pb) < 1e-10
+        pa, pb = loop_periods(tau, *flow_form(basis, -1.0 + 0j))  # A = 0, B = 1
+        assert abs(pa) < 1e-10
+        assert abs(pb - 1.0) < 1e-10
 
     @pytest.mark.parametrize("tau", (1j, 0.5 + 1j, 2j))
     def test_period_matrix_from_independent_solve(self, tau):
         # oracle: recover the basis forms by solving the 2x2 period system
         # numerically, then assemble the matrix from contour integrals
-        la, lb = loops(tau)
-
         def periods_of(cx, cy):
-            f = const_form(HarmonicForm(cx, cy))
-            return (
-                complex(contour_integral(f, la)).real,
-                complex(contour_integral(f, lb)).real,
-            )
+            pa, pb = loop_periods(tau, cx, cy)
+            return pa.real, pb.real
 
         sys = np.array([periods_of(1.0, 0.0), periods_of(0.0, 1.0)]).T
         # dU_alpha: loop_a = 0, loop_b = 1; -dU_beta: loop_a = 1, loop_b = 0
@@ -69,12 +88,12 @@ class TestBasis:
         mdb = np.linalg.solve(sys, [1.0, 0.0])
 
         def star(c):
-            return HarmonicForm(-c[1], c[0])
+            return -c[1], c[0]
 
-        sa, sb = star(da), star((-mdb[0], -mdb[1]))
+        sa, sb = star(da), star(-mdb)
         expected = np.array([
-            [-periods_of(sb.cx, sb.cy)[1], periods_of(sa.cx, sa.cy)[1]],
-            [periods_of(sb.cx, sb.cy)[0], -periods_of(sa.cx, sa.cy)[0]],
+            [-periods_of(*sb)[1], periods_of(*sa)[1]],
+            [periods_of(*sb)[0], -periods_of(*sa)[0]],
         ])
         basis = build_basis(Surface.flat_torus(tau))
         np.testing.assert_allclose(basis.period_matrix, expected, atol=1e-10)
@@ -89,59 +108,68 @@ class TestBasis:
 class TestCyclePotential:
     def test_alpha_value_is_scaled_height(self, torus_i):
         basis = build_basis(torus_i)
-        got = cycle_potential(basis, 0, "alpha", 0.3 + 0.7j)
-        assert got.value == pytest.approx(0.7)
+        w = circulation_state(basis, [0.3 + 0.7j, 0j], [1.0, -1.0], (0.0,), (0.0,))
+        assert coefficients(torus_i.tau, w)[0] == pytest.approx(0.7)
 
     def test_unit_jumps(self, torus_skew):
+        # moving a vortex across a period steps A or B by its strength
         basis = build_basis(torus_skew)
         tau = torus_skew.tau
-        z = 0.21 + 0.37j
-        pa = cycle_potential(basis, 0, "alpha", z)
-        assert cycle_potential(basis, 0, "alpha", z + tau).value - pa.value == pytest.approx(1.0)
-        assert cycle_potential(basis, 0, "alpha", z + 1).value - pa.value == pytest.approx(0.0)
-        pb = cycle_potential(basis, 0, "beta", z)
-        assert cycle_potential(basis, 0, "beta", z + 1).value - pb.value == pytest.approx(-1.0)
-        assert cycle_potential(basis, 0, "beta", z + tau).value - pb.value == pytest.approx(0.0)
+        zs, gs = [0.21 + 0.37j, 0.6 + 0.1j], [1.5, -1.5]
+
+        def coeffs(z0):
+            w = circulation_state(basis, [z0, zs[1]], gs, (0.0,), (0.0,))
+            return np.array(coefficients(tau, w))
+
+        base = coeffs(zs[0])
+        np.testing.assert_allclose(coeffs(zs[0] + tau) - base, [1.5, 0.0], atol=1e-12)
+        np.testing.assert_allclose(coeffs(zs[0] + 1) - base, [0.0, -1.5], atol=1e-12)
 
     def test_gradients_match_finite_differences(self, torus_skew, rng):
         basis = build_basis(torus_skew)
         h = 1e-6
-        for kind in ("alpha", "beta"):
+        for _ in range(2):
+            w = complex(*rng.normal(size=2))
             z = complex(*rng.uniform(0.1, 0.9, 2))
 
-            def val(c, kind=kind):
-                return cycle_potential(basis, 0, kind, c).value
+            def val(c, w=w):
+                return conjugate_potential(basis, w, c)
 
             fx = (val(z + h) - val(z - h)) / (2 * h)
             fy = (val(z + 1j * h) - val(z - 1j * h)) / (2 * h)
             fd = 0.5 * (fx - 1j * fy)
-            assert abs(cycle_potential(basis, 0, kind, z).grad - fd) < 1e-10
+            assert abs(circulation_form(basis, w) - fd) < 1e-10
 
-    def test_conjugate_gradient_is_rotated_gradient(self, torus_skew):
+    def test_conjugate_gradient_is_rotated_gradient(self, torus_skew, rng):
+        # u* is the harmonic conjugate of u = B U_alpha - A U_beta: du*/dz = -i du/dz
         basis = build_basis(torus_skew)
-        for kind in ("alpha", "beta"):
-            p = cycle_potential(basis, 0, kind, 0.4 + 0.2j)
-            assert p.star_grad == pytest.approx(-1j * p.grad)
+        tau = torus_skew.tau
+        h = 1e-6
+        w = complex(*rng.normal(size=2))
+        big_a, big_b = coefficients(tau, w)
+
+        def u(c):
+            return big_b * u_alpha(tau, c) - big_a * u_beta(tau, c)
+
+        z = 0.4 + 0.2j
+        fx = (u(z + h) - u(z - h)) / (2 * h)
+        fy = (u(z + 1j * h) - u(z - 1j * h)) / (2 * h)
+        assert circulation_form(basis, w) == pytest.approx(-0.5j * (fx - 1j * fy))
 
 
 class TestCirculationState:
     def test_genus_zero_is_empty(self, sphere):
         basis = build_basis(sphere)
-        circ = circulation_state(basis, [], [], (), ())
-        assert circ.A == () and circ.B == ()
+        assert circulation_state(basis, [], [], (), ()) == 0j
 
     def test_invariant_reconstruction(self, torus_skew, rng):
         basis = build_basis(torus_skew)
         tau = torus_skew.tau
         zs = [complex(rng.uniform() + rng.uniform() * tau) for _ in range(4)]
         gs = [1.0, -0.5, 0.25, -0.75]
-        circ = circulation_state(basis, zs, gs, (0.3,), (-0.2,))
-        back_a = circ.A[0] - sum(
-            g * cycle_potential(basis, 0, "alpha", z).value for z, g in zip(zs, gs)
-        )
-        back_b = circ.B[0] - sum(
-            g * cycle_potential(basis, 0, "beta", z).value for z, g in zip(zs, gs)
-        )
+        big_a, big_b = coefficients(tau, circulation_state(basis, zs, gs, (0.3,), (-0.2,)))
+        back_a = big_a - sum(g * u_alpha(tau, z) for z, g in zip(zs, gs))
+        back_b = big_b - sum(g * u_beta(tau, z) for z, g in zip(zs, gs))
         assert abs(back_a - 0.3) < 1e-10
         assert abs(back_b + 0.2) < 1e-10
 
@@ -151,121 +179,91 @@ class TestCirculationState:
         zs = [0.2 + 0.3j, 0.6 + 0.1j]
         gs = [1.5, -1.5]
         base = circulation_state(basis, zs, gs, (0.0,), (0.0,))
-        shifted = circulation_state(
-            basis, [z + 2 - tau for z in zs], gs, (0.0,), (0.0,)
-        )
-        assert base.A == pytest.approx(shifted.A)
-        assert base.B == pytest.approx(shifted.B)
+        shifted = circulation_state(basis, [z + 2 - tau for z in zs], gs, (0.0,), (0.0,))
+        assert base == pytest.approx(shifted)
 
     def test_strength_sum_enforced(self, torus_i):
         basis = build_basis(torus_i)
         with pytest.raises(ValueError):
             circulation_state(basis, [0.1 + 0.1j, 0.5 + 0.5j], [1.0, 1.0], (0.0,), (0.0,))
 
+    def test_base_length_enforced(self, torus_i):
+        basis = build_basis(torus_i)
+        with pytest.raises(ValueError, match="length 1"):
+            circulation_state(basis, [0.1 + 0.1j, 0.5 + 0.5j], [1.0, -1.0], (), ())
+
     def test_position_derivative(self, torus_skew):
         # dA/dz1 = Gamma_1 dU_alpha/dz1, by finite differences of the state
         basis = build_basis(torus_skew)
+        tau = torus_skew.tau
         zs = [0.2 + 0.3j, 0.6 + 0.1j]
         gs = [1.25, -1.25]
         h = 1e-6
 
         def A_at(z1):
-            return circulation_state(basis, [z1, zs[1]], gs, (0.0,), (0.0,)).A[0]
+            w = circulation_state(basis, [z1, zs[1]], gs, (0.0,), (0.0,))
+            return coefficients(tau, w)[0]
 
         fx = (A_at(zs[0] + h) - A_at(zs[0] - h)) / (2 * h)
         fy = (A_at(zs[0] + 1j * h) - A_at(zs[0] - 1j * h)) / (2 * h)
         fd = 0.5 * (fx - 1j * fy)
-        expected = gs[0] * cycle_potential(basis, 0, "alpha", zs[0]).grad
+        expected = gs[0] * -0.5j / tau.imag
         assert abs(fd - expected) < 1e-8
 
 
 class TestCirculationForm:
     def test_zero_coefficients_zero_form(self, torus_i):
-        basis = build_basis(torus_i)
-        circ = circulation_state(basis, [0.2 + 0.2j, 0.7 + 0.7j], [1.0, -1.0],
-                                 (-1.0,), (0.0,))
-        # force A = B = 0 through explicit zero-coefficient state
-        from pointvortex.periods import CirculationState
-
-        field = circulation_form(basis, CirculationState((0.0,), (0.0,), (0.0,), (0.0,)))
-        assert field.form.cx == 0.0 and field.form.cy == 0.0
-        assert field.u_star_grad == 0.0
+        assert circulation_form(build_basis(torus_i), 0j) == 0j
 
     def test_unit_alpha_coefficient_on_square_torus(self, torus_i):
-        from pointvortex.periods import CirculationState
-
         basis = build_basis(torus_i)
-        field = circulation_form(basis, CirculationState((0.0,), (0.0,), (1.0,), (0.0,)))
-        la, lb = loops(torus_i.tau)
-        got_a = contour_integral(const_form(field.form), la)
-        got_b = contour_integral(const_form(field.form), lb)
-        assert abs(complex(got_a) - 1.0) < 1e-10
-        assert abs(complex(got_b)) < 1e-10
+        got_a, got_b = loop_periods(torus_i.tau, *flow_form(basis, torus_i.tau))
+        assert abs(got_a - 1.0) < 1e-10
+        assert abs(got_b) < 1e-10
 
     def test_periods_reproduce_coefficients(self, torus_skew, rng):
-        from pointvortex.periods import CirculationState
-
         basis = build_basis(torus_skew)
-        la, lb = loops(torus_skew.tau)
+        tau = torus_skew.tau
         for _ in range(20):
             A, B = rng.normal(size=2)
-            field = circulation_form(
-                basis, CirculationState((0.0,), (0.0,), (A,), (B,))
-            )
-            got_a = complex(contour_integral(const_form(field.form), la))
-            got_b = complex(contour_integral(const_form(field.form), lb))
+            got_a, got_b = loop_periods(tau, *flow_form(basis, A * tau - B))
             assert abs(got_a - A) < 1e-10
             assert abs(got_b - B) < 1e-10
 
 
 class TestCirculationEnergy:
     def test_zero(self, torus_i):
-        from pointvortex.periods import CirculationState
-
-        basis = build_basis(torus_i)
-        assert circulation_energy(
-            basis, CirculationState((0.0,), (0.0,), (0.0,), (0.0,))
-        ) == 0.0
+        assert circulation_energy(build_basis(torus_i), 0j) == 0.0
 
     @pytest.mark.parametrize("tau", (1j, 0.5 + 1j))
     def test_matches_grid_quadrature(self, tau, rng):
-        from pointvortex.periods import CirculationState
-
         basis = build_basis(Surface.flat_torus(tau))
         for _ in range(10):
             A, B = rng.normal(size=2)
-            circ = CirculationState((0.0,), (0.0,), (A,), (B,))
-            field = circulation_form(basis, circ)
+            w = A * tau - B
+            cx, cy = flow_form(basis, w)
             # direct quadrature of the squared pointwise norm over the domain
-            density = field.form.cx**2 + field.form.cy**2
-            quad = density * tau.imag
-            assert abs(circulation_energy(basis, circ) - quad) < 1e-10 * max(1.0, quad)
+            quad = (cx**2 + cy**2) * tau.imag
+            assert abs(circulation_energy(basis, w) - quad) < 1e-10 * max(1.0, quad)
 
     def test_positive_for_nonzero_coefficients(self, torus_skew, rng):
-        from pointvortex.periods import CirculationState
-
         basis = build_basis(torus_skew)
         for _ in range(500):
             A, B = rng.normal(size=2)
             if abs(A) + abs(B) < 1e-6:
                 continue
-            circ = CirculationState((0.0,), (0.0,), (A,), (B,))
-            assert circulation_energy(basis, circ) > 0
+            assert circulation_energy(basis, A * torus_skew.tau - B) > 0
 
 
 @pytest.mark.parametrize("tau", (1j, 0.5 + 1j))
 def test_bilinear_period_identity(tau, rng):
     # wedge integral of two constant closed forms against the period pairing
-    surface = Surface.flat_torus(tau)
-    la, lb = loops(tau)
     for _ in range(20):
-        p = HarmonicForm(*rng.normal(size=2))
-        q = HarmonicForm(*rng.normal(size=2))
-        wedge = (p.cx * q.cy - p.cy * q.cx) * tau.imag
-        pa = complex(contour_integral(const_form(p), la))
-        pb = complex(contour_integral(const_form(p), lb))
-        qa = complex(contour_integral(const_form(q), la))
-        qb = complex(contour_integral(const_form(q), lb))
+        p = rng.normal(size=2)
+        q = rng.normal(size=2)
+        wedge = (p[0] * q[1] - p[1] * q[0]) * tau.imag
+        pa, pb = loop_periods(tau, *p)
+        qa, qb = loop_periods(tau, *q)
         assert abs(wedge - (pa * qb - qa * pb)) < 1e-10
 
 
