@@ -5,8 +5,8 @@
 
 `run` writes one trajectory CSV (fixed column order: t, per-vortex re/im/chart,
 H, base circulations, min separation) plus a JSON-lines diagnostics file per
-scenario.  Exit codes: 0 clean, 1 configuration error, 2 collision abort,
-3 adaptive step rejection, 4 failed verify check.
+scenario.  Exit codes: 0 clean, 1 configuration or usage error, 2 collision
+abort, 3 adaptive step rejection, 4 failed verify check.
 Set VORTEX_LOG=debug|info|warning to control logging.
 """
 from __future__ import annotations
@@ -31,6 +31,13 @@ EXIT_CONFIG = 1
 EXIT_COLLISION = 2
 EXIT_STEP_REJECTED = 3
 EXIT_VERIFY_FAILED = 4
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits with 2 on a usage error, which is the collision code here
+    def error(self, message: str) -> None:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _configure_logging() -> None:
@@ -73,15 +80,11 @@ def write_diagnostics(path: Path, records: list[TrajectoryRecord],
                       stats: dict, status: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     h0 = records[0].hamiltonian
-    base_a, base_b = records[0].circ_a, records[0].circ_b
+    base = records[0].circ_a + records[0].circ_b
     lines = []
     for rec in records:
-        kelvin = 0.0
-        if base_a:
-            kelvin = max(
-                max(abs(x - y) for x, y in zip(rec.circ_a, base_a)),
-                max(abs(x - y) for x, y in zip(rec.circ_b, base_b)),
-            )
+        kelvin = max((abs(x - y) for x, y in zip(rec.circ_a + rec.circ_b, base)),
+                     default=0.0)
         lines.append(json.dumps({
             "t": rec.time,
             "energy_drift": abs(rec.hamiltonian - h0) / max(abs(h0), 1e-300),
@@ -188,7 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pointvortex",
         description="Point-vortex dynamics on the round sphere and flat tori.",
     )
@@ -215,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (EXIT_CONFIG) or --help (0)
+        return exc.code
     if args.command == "run":
         return cmd_run(args)
     return cmd_verify(args)

@@ -52,8 +52,7 @@ def torus_poisson_oracle(tau: complex, grid_n: int, source: np.ndarray) -> np.nd
     return np.real(np.fft.ifft2(u_hat))
 
 
-def torus_domain_mean(f: Callable[[np.ndarray], np.ndarray], tau: complex,
-                      t_nodes: int = 48) -> float:
+def torus_domain_mean(f: Callable[[np.ndarray], np.ndarray], tau: complex) -> float:
     """Mean of f over the fundamental domain {s + t*tau : s, t in [0, 1)}, for f
     doubly periodic and smooth away from logarithmic poles on the lattice.
 
@@ -63,7 +62,7 @@ def torus_domain_mean(f: Callable[[np.ndarray], np.ndarray], tau: complex,
     Gauss-Legendre, whose interior nodes avoid the singular slices entirely.
     """
     tau = complex(tau)
-    nodes, weights = np.polynomial.legendre.leggauss(t_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(48)
     total = 0.0
     for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
         n_s = min(max(128, math.ceil(40.0 / (min(t, 1.0 - t) * tau.imag))), 1 << 17)

@@ -8,7 +8,7 @@ import pytest
 
 import pointvortex
 import pointvortex.cli
-from pointvortex.cli import build_parser, main
+from pointvortex.cli import main
 from pointvortex.config import load_scenario, parse_scenario, resolve_scenario
 from pointvortex.errors import ConfigError, StepRejectionError
 
@@ -217,11 +217,11 @@ class TestRunCommand:
         assert len(csv) == 1 + summary["records"] >= 2
 
     def test_removed_flags_are_rejected(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "torus_pair_translate", "--seed", "1"])
-        with pytest.raises(SystemExit):
-            parser.parse_args(["verify", "--out-dir", "."])
+        # a usage error is a configuration error, never the collision code 2
+        assert main(["verify", "--out-dir", "."]) == 1
+        proc = run_cli(["run", "torus_pair_translate", "--seed", "1"])
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --seed 1" in proc.stderr
 
     def test_dump_config_round_trips_through_cli(self, tmp_path):
         proc = run_cli(["run", "sphere_antipodal_pair", "--dump-config"])
