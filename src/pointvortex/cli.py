@@ -80,10 +80,9 @@ def write_diagnostics(path: Path, records: list[TrajectoryRecord],
                       stats: dict, status: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     h0 = records[0].hamiltonian
-    base = records[0].circ_a + records[0].circ_b
     lines = []
     for rec in records:
-        kelvin = max((abs(x - y) for x, y in zip(rec.circ_a + rec.circ_b, base)),
+        kelvin = max((abs(x - y) for x, y in zip(rec.kelvin, records[0].kelvin)),
                      default=0.0)
         lines.append(json.dumps({
             "t": rec.time,

@@ -7,11 +7,12 @@ field; JSON syntax errors are reported with line/column.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dynamics import DEFAULT_COLLISION_THRESHOLD, VortexState
-from .errors import ConfigError
+from .errors import ChartError, ConfigError
 from .surfaces import FLAT_TORUS, SPHERE, Surface, SurfacePoint
 
 _METHODS = ("rk4", "rk45-adaptive")
@@ -47,9 +48,7 @@ class ScenarioConfig:
     tolerances: dict = field(default_factory=dict)
 
     def surface(self) -> Surface:
-        if self.surface_kind == SPHERE:
-            return Surface.sphere()
-        return Surface.flat_torus(self.tau)
+        return Surface(self.surface_kind, self.tau)
 
     def state(self) -> VortexState:
         surface = self.surface()
@@ -109,16 +108,19 @@ def _expect(mapping, key, kind, where, default=None, required=False):
             f"{where}.{key}: expected {getattr(kind, '__name__', kind)}, "
             f"got {type(value).__name__}"
         )
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {value}")
     return value
 
 
+def _finite_numbers(values) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and math.isfinite(v) for v in values)
+
+
 def _complex_pair(value, where) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ConfigError(f"{where}: expected a [re, im] pair of numbers")
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not _finite_numbers(value):
+        raise ConfigError(f"{where}: expected a [re, im] pair of finite numbers")
     return complex(float(value[0]), float(value[1]))
 
 
@@ -138,6 +140,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         tau = _complex_pair(surf["tau"], "surface.tau")
         if not tau.imag > 0:
             raise ConfigError(f"surface.tau: must have positive imaginary part, got {tau}")
+    surface = Surface(kind, tau)
 
     raw_vortices = _expect(data, "vortices", list, "top level", required=True)
     if len(raw_vortices) < 2:
@@ -148,6 +151,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: expected an object")
         chart = _expect(entry, "chart", int, where, default=0)
+        try:
+            surface.check_chart(chart)
+        except ChartError as exc:
+            raise ConfigError(f"{where}.chart: {exc}") from exc
         if "coord" not in entry:
             raise ConfigError(f"{where}: missing required field 'coord'")
         coord = _complex_pair(entry["coord"], f"{where}.coord")
@@ -161,15 +168,15 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
             f"vortices: vortex strengths must sum to zero (got {total:.3e})"
         )
 
-    genus = 1 if kind == FLAT_TORUS else 0
+    genus = surface.genus
     circ = _expect(data, "base_circulations", dict, "top level", default={})
     base_a = circ.get("a", [0.0] * genus)
     base_b = circ.get("b", [0.0] * genus)
     for label, vals in (("a", base_a), ("b", base_b)):
-        if not isinstance(vals, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals
-        ):
-            raise ConfigError(f"base_circulations.{label}: expected a list of numbers")
+        if not isinstance(vals, list) or not _finite_numbers(vals):
+            raise ConfigError(
+                f"base_circulations.{label}: expected a list of finite numbers"
+            )
         if len(vals) != genus:
             raise ConfigError(
                 f"base_circulations.{label}: expected length {genus} for this surface"

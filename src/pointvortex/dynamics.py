@@ -14,7 +14,9 @@ independent velocity route used for cross-validation.
 Torus trajectories are integrated in universal-cover coordinates so the
 multivalued circulation potentials stay on one continuous branch; doubly
 periodic quantities only ever see lattice-reduced differences, so cover
-coordinates cost nothing.  Emitted records hold canonical positions.
+coordinates cost nothing.  A state built from cover coordinates describes the
+same flow as those coordinates (see VortexState), and each emitted record is
+that canonical state of the run at its time, so any record restarts the run.
 
 Array layout: a configuration is a chart-id array and a complex coordinate
 array, one entry per vortex.  The read-only indices (i, j) of the unordered
@@ -27,7 +29,7 @@ closest pair in (i, j) order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,16 +43,17 @@ from .periods import (
     circulation_form,
     circulation_state,
     conjugate_potential,
+    kelvin_coefficients,
 )
 from .surfaces import (
     SPHERE,
     Surface,
     SurfacePoint,
+    canonical_coords,
     conformal_factor,
     dlog_lambda_dzbar_at,
     lambda_at,
     pair_distances,
-    wrap_counts,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -61,7 +64,11 @@ DEFAULT_COLLISION_THRESHOLD = 1e-3
 
 @dataclass(frozen=True)
 class VortexState:
-    """Vortex positions, signed strengths, and the fixed base circulations."""
+    """Vortex positions, signed strengths, and the base circulations (a, b).
+
+    Positions are stored canonical.  Reducing a torus position z_j by
+    m_j + n_j tau absorbs the wrap into a += Gamma_j n_j, b -= Gamma_j m_j,
+    which leaves W = a tau - b + sum Gamma z, and so the flow, unchanged."""
 
     surface: Surface
     positions: tuple[SurfacePoint, ...]
@@ -76,6 +83,8 @@ class VortexState:
             raise ValueError("a vortex state needs at least two vortices")
         if len(self.strengths) != n:
             raise ValueError("positions and strengths must have equal length")
+        if not all(map(math.isfinite, (*self.strengths, *self.base_a, *self.base_b))):
+            raise ValueError("vortex strengths and base circulations must be finite")
         if any(g == 0.0 for g in self.strengths):
             raise ValueError("vortex strengths must all be nonzero")
         if abs(sum(self.strengths)) > 1e-12:
@@ -85,14 +94,15 @@ class VortexState:
         g = self.surface.genus
         if len(self.base_a) != g or len(self.base_b) != g:
             raise ValueError(f"base circulations must have length {g}")
-        object.__setattr__(
-            self, "positions",
-            tuple(self.surface.canonical_point(p) for p in self.positions),
-        )
-        object.__setattr__(self, "strengths", tuple(float(g) for g in self.strengths))
-        object.__setattr__(self, "base_a", tuple(float(v) for v in self.base_a))
-        object.__setattr__(self, "base_b", tuple(float(v) for v in self.base_b))
-        sep = min_separation(self.surface, self.positions)
+        strengths = tuple(float(g) for g in self.strengths)
+        charts, coords, base_a, base_b = _canonical(
+            self.surface, *_point_arrays(self.positions), np.array(strengths),
+            tuple(self.base_a), tuple(self.base_b))
+        object.__setattr__(self, "positions", _points(charts, coords))
+        object.__setattr__(self, "strengths", strengths)
+        object.__setattr__(self, "base_a", base_a)
+        object.__setattr__(self, "base_b", base_b)
+        sep = _check_separation(self.surface, charts, coords, -math.inf, 0.0)
         if sep <= self.collision_threshold:
             raise ValueError(
                 f"initial pairwise separation {sep:.3e} is below the collision "
@@ -106,12 +116,17 @@ class VortexState:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
+    """The canonical state of a run at `time` (positions, circ_a, circ_b), with
+    its energy, separation and Kelvin coefficients (A, B) = `kelvin`, which the
+    dynamics conserves since sum_k Gamma_k v_k = 0 (() on the sphere)."""
+
     time: float
     positions: tuple[SurfacePoint, ...]
     hamiltonian: float
     circ_a: tuple[float, ...]
     circ_b: tuple[float, ...]
     min_separation: float
+    kelvin: tuple[float, ...]
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +140,20 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _point_arrays(positions) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([p.chart_id for p in positions], dtype=int),
             np.array([p.coord for p in positions], dtype=complex))
+
+
+def _points(charts: np.ndarray, coords: np.ndarray) -> tuple[SurfacePoint, ...]:
+    return tuple(SurfacePoint(c, z) for c, z in zip(charts.tolist(), coords.tolist()))
+
+
+def _canonical(surface: Surface, charts, coords, strengths: np.ndarray,
+               base_a: tuple[float, ...], base_b: tuple[float, ...]):
+    """Canonical charts, coordinates and base circulations (see VortexState)."""
+    charts, coords, m, n = canonical_coords(surface, charts, coords)
+    if base_a:
+        base_a = (base_a[0] + float(strengths @ n),)
+        base_b = (base_b[0] - float(strengths @ m),)
+    return charts, coords, base_a, base_b
 
 
 def min_separation(surface: Surface, positions) -> float:
@@ -210,7 +239,6 @@ def _check_separation(surface: Surface, charts, coords, threshold: float,
 
 def _unpack(state: VortexState):
     charts, coords = _point_arrays(state.positions)
-    _check_separation(state.surface, charts, coords, state.collision_threshold, 0.0)
     return charts, coords, np.array(state.strengths), build_basis(state.surface)
 
 
@@ -271,33 +299,6 @@ def hamiltonian_velocity(state: VortexState, k: int, step: float = 1e-5) -> comp
     return -2j * d / (state.strengths[k] * lam2)
 
 
-def canonical_state(state: VortexState, charts, coords) -> VortexState:
-    """Canonicalize raw coordinates, compensating base circulations for wraps.
-
-    Reducing a torus position by m + n*tau shifts sum_j Gamma_j z_j by
-    -Gamma*(m + n*tau), so the fixed circulations absorb a += Gamma*n and
-    b -= Gamma*m to leave W = a*tau - b + sum_j Gamma_j z_j unchanged.
-    """
-    surface = state.surface
-    if surface.genus == 0:
-        pts = tuple(
-            surface.canonical_point(SurfacePoint(c, z)) for c, z in zip(charts, coords)
-        )
-        return replace(state, positions=pts)
-    tau = surface.tau
-    new_a = list(state.base_a)
-    new_b = list(state.base_b)
-    pts = []
-    for z, gamma in zip(coords, state.strengths):
-        m, n = wrap_counts(tau, z)
-        pts.append(surface.canonical_point(SurfacePoint(0, z)))
-        new_a[0] += gamma * n
-        new_b[0] -= gamma * m
-    return replace(
-        state, positions=tuple(pts), base_a=tuple(new_a), base_b=tuple(new_b)
-    )
-
-
 # ---------------------------------------------------------------------------
 # time integration
 
@@ -341,16 +342,14 @@ class _Trajectory:
         self.coords[flip] = 1.0 / self.coords[flip]
 
     def record(self, t: float) -> TrajectoryRecord:
-        pts = tuple(
-            self.surface.canonical_point(SurfacePoint(c, z))
-            for c, z in zip(self.charts.tolist(), self.coords.tolist())
-        )
-        h = _hamiltonian_raw(
-            self.surface, self.basis, self.charts, self.coords, self.strengths,
-            self.base_a, self.base_b,
-        )
-        sep = min_separation(self.surface, pts)
-        return TrajectoryRecord(t, pts, h, self.base_a, self.base_b, sep)
+        charts, coords, a, b = _canonical(self.surface, self.charts, self.coords,
+                                          self.strengths, self.base_a, self.base_b)
+        h = _hamiltonian_raw(self.surface, self.basis, charts, coords,
+                             self.strengths, a, b)
+        sep = _check_separation(self.surface, charts, coords, -math.inf, t)
+        w = circulation_state(self.basis, coords, self.strengths, a, b)
+        return TrajectoryRecord(t, _points(charts, coords), h, a, b, sep,
+                                kelvin_coefficients(self.basis, w))
 
 
 def _rk4_step(traj: _Trajectory, dt: float) -> None:
@@ -408,8 +407,9 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
 
     `method` is "rk4" (fixed step) or "rk45-adaptive" (embedded 4(5) pair with
     step control between record times).  Records are emitted at t=0, every
-    `record_every`-th step, and at the end; each carries the energy, the
-    configured base circulations and the minimum separation.
+    `record_every`-th step, and at the end; each is the canonical state at its
+    time (positions and compensated base circulations, so it restarts the
+    run) with its energy, Kelvin coefficients and minimum separation.
     Raises CollisionError when two vortices approach below the state's
     collision threshold, and StepRejectionError if adaptive control stalls.
     `stats_out`, when given, receives the rejection count and, on either

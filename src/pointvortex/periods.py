@@ -75,6 +75,12 @@ def circulation_state(basis: PeriodBasis, positions, strengths,
     return complex(base_a[0] * basis.tau - base_b[0] + w)
 
 
+def kelvin_coefficients(basis: PeriodBasis, w: complex) -> tuple[float, ...]:
+    """(A, B) = (Im W, Im(W conj(tau))) / Im tau, so W = A tau - B; () on genus 0."""
+    tau = basis.tau
+    return (w.imag / tau.imag, (w * tau.conjugate()).imag / tau.imag) if basis.genus else ()
+
+
 def circulation_form(basis: PeriodBasis, w: complex) -> complex:
     """du*/dz = conj(W) / (2 Im tau), the conjugate potential's constant gradient."""
     return w.conjugate() / (2.0 * basis.tau.imag) if basis.genus else 0j

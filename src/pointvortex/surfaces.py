@@ -36,27 +36,34 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class Surface:
-    """Descriptor of a closed surface: kind, modulus, genus and area."""
+    """A closed surface: its kind and, for a torus, the modulus tau."""
 
     kind: str
     tau: complex = field(default=1j)
-    genus: int = field(default=0)
-    area: float = field(default=4.0 * math.pi)
 
     @classmethod
     def sphere(cls) -> "Surface":
-        return cls(kind=SPHERE, tau=1j, genus=0, area=4.0 * math.pi)
+        return cls(SPHERE)
 
     @classmethod
     def flat_torus(cls, tau: complex) -> "Surface":
-        tau = complex(tau)
-        if not tau.imag > 0:
-            raise ValueError(f"torus modulus must have Im(tau) > 0, got {tau!r}")
-        return cls(kind=FLAT_TORUS, tau=tau, genus=1, area=tau.imag)
+        return cls(FLAT_TORUS, tau)
 
     def __post_init__(self):
         if self.kind not in (SPHERE, FLAT_TORUS):
             raise ValueError(f"unknown surface kind {self.kind!r}")
+        tau = complex(self.tau)
+        if self.kind == FLAT_TORUS and not tau.imag > 0:
+            raise ValueError(f"torus modulus must have Im(tau) > 0, got {tau!r}")
+        object.__setattr__(self, "tau", tau)
+
+    @property
+    def genus(self) -> int:
+        return 0 if self.kind == SPHERE else 1
+
+    @property
+    def area(self) -> float:
+        return 4.0 * math.pi if self.kind == SPHERE else self.tau.imag
 
     def check_chart(self, chart_id: int) -> None:
         valid = (0, 1) if self.kind == SPHERE else (0,)
@@ -64,35 +71,55 @@ class Surface:
             raise ChartError(f"chart {chart_id} is not a chart of the {self.kind}")
 
     def canonical_point(self, p: SurfacePoint) -> SurfacePoint:
-        """Canonical representative: sphere uses the chart with |coord| <= 1
-        (chart 0 on ties), the torus reduces to the fundamental domain."""
-        self.check_chart(p.chart_id)
-        if self.kind == SPHERE:
-            z = p.coord
-            if abs(z) <= 1.0:
-                return p
-            return SurfacePoint(1 - p.chart_id, 1.0 / z)
-        return SurfacePoint(0, reduce_to_fundamental(self.tau, p.coord))
+        """Canonical representative of one point (see `canonical_coords`)."""
+        charts, coords, _, _ = canonical_coords(self, [p.chart_id], [p.coord])
+        return SurfacePoint(int(charts[0]), complex(coords[0]))
 
 
-def lattice_split(tau: complex, z: complex) -> tuple[float, float]:
-    """Real lattice coordinates (s, t) with z = s + t*tau."""
+def lattice_split(tau: complex, z):
+    """Real lattice coordinates (s, t) with z = s + t*tau (z complex or array)."""
     t = z.imag / tau.imag
     s = z.real - t * tau.real
     return s, t
 
 
-def reduce_to_fundamental(tau: complex, z: complex) -> complex:
-    """Reduce to the fundamental domain {s + t*tau : s, t in [0, 1)}.  Idempotent."""
-    s, t = lattice_split(tau, z)
-    s -= math.floor(s)
-    t -= math.floor(t)
-    # floor can round ...999 up to the excluded endpoint; fold it back
-    if s >= 1.0:
-        s -= 1.0
-    if t >= 1.0:
-        t -= 1.0
-    return complex(s + t * tau.real, t * tau.imag)
+def canonical_coords(surface: Surface, charts, coords):
+    """Canonical (charts, coords) of a configuration and the lattice counts
+    (m, n) removed: on the sphere the chart with |coord| <= 1 (m = n = 0); on
+    the torus z - (m + n*tau) in {s + t*tau : s, t in [0, 1)}, equal to z up
+    to rounding.  Idempotent; raises ChartError for a foreign chart id."""
+    charts = np.asarray(charts, dtype=int)
+    coords = np.asarray(coords, dtype=complex)
+    bad = (charts < 0) | (charts > (1 if surface.kind == SPHERE else 0))
+    if bad.any():
+        surface.check_chart(int(charts[bad][0]))
+    if surface.kind == SPHERE:
+        flip = np.abs(coords) > 1.0
+        charts, coords = charts.copy(), coords.copy()
+        charts[flip] = 1 - charts[flip]
+        coords[flip] = 1.0 / coords[flip]
+        zero = np.zeros(coords.shape, dtype=int)
+        return charts, coords, zero, zero
+    tau = surface.tau
+    s, t = lattice_split(tau, coords)
+    m, n = np.floor(s), np.floor(t)
+    out = np.empty(coords.shape, dtype=complex)
+    out.real = coords.real - m - n * tau.real
+    out.imag = coords.imag - n * tau.imag
+    # rounding can leave a point a hair outside [0, 1)^2 when split again: put
+    # it on the edge t = 0 or s = 0 (counting the wrap from 1), so that every
+    # result splits into [0, 1)^2 and a second pass leaves it unchanged
+    t = out.imag / tau.imag
+    over = t >= 1.0
+    n += over
+    out.real -= over * tau.real
+    out.imag[(t < 0.0) | over] = 0.0
+    s, t = lattice_split(tau, out)
+    over = s >= 1.0
+    m += over
+    edge = (s < 0.0) | over
+    out.real[edge] = t[edge] * tau.real
+    return charts, out, m.astype(int), n.astype(int)
 
 
 def reduce_centered(tau: complex, z: np.ndarray) -> np.ndarray:
@@ -101,12 +128,6 @@ def reduce_centered(tau: complex, z: np.ndarray) -> np.ndarray:
     s = s - np.floor(s + 0.5)
     t = t - np.floor(t + 0.5)
     return s + t * tau
-
-
-def wrap_counts(tau: complex, z: complex) -> tuple[int, int]:
-    """Integers (m, n) with z - (m + n*tau) in the fundamental domain."""
-    s, t = lattice_split(tau, z)
-    return math.floor(s), math.floor(t)
 
 
 def conformal_factor(surface: Surface, p: SurfacePoint) -> float:

@@ -84,7 +84,7 @@ def _log_abs_eta(tau: complex) -> float:
     return -math.pi * tau.imag / 12.0 + float(np.log(np.abs(1.0 - q**n)).sum())
 
 
-def theta1_series(ctx: ThetaContext, z, n_terms: int | None = None):
+def theta1_series(ctx: ThetaContext, z):
     """(theta1(z), theta1'(z)) from one pass of the truncated series.
 
     With x = pi z, sin((2k+1)x) and cos((2k+1)x) both obey the recurrence
@@ -93,7 +93,7 @@ def theta1_series(ctx: ThetaContext, z, n_terms: int | None = None):
     keeping theta1 at full relative precision near its zero at z = 0.  Points
     go through in blocks of _BLOCK, which bounds the temporaries' memory.
     """
-    n = ctx.n_terms if n_terms is None else min(n_terms, ctx.n_terms)
+    n = ctx.n_terms
     z = np.asarray(z, dtype=complex)
     out = np.empty((2,) + z.shape, dtype=complex)
     flat_z, flat_out = z.reshape(-1), out.reshape(2, -1)
@@ -117,15 +117,15 @@ def theta1_series(ctx: ThetaContext, z, n_terms: int | None = None):
     return out[0], out[1]
 
 
-def theta1(ctx: ThetaContext, z, n_terms: int | None = None):
+def theta1(ctx: ThetaContext, z):
     """theta1(z | tau); scalar complex in, scalar out; ndarray in, ndarray out."""
-    th = theta1_series(ctx, z, n_terms)[0]
+    th = theta1_series(ctx, z)[0]
     return th if isinstance(z, np.ndarray) else complex(th)
 
 
-def theta1_dz(ctx: ThetaContext, z, n_terms: int | None = None):
+def theta1_dz(ctx: ThetaContext, z):
     """d theta1/dz."""
-    dth = theta1_series(ctx, z, n_terms)[1]
+    dth = theta1_series(ctx, z)[1]
     return dth if isinstance(z, np.ndarray) else complex(dth)
 
 

@@ -33,6 +33,7 @@ from .green import (
 from .oracles import (
     contour_integral,
     delta_probe_points,
+    gradient_form,
     loop_path,
     min_image_distance_grid,
     mollified_delta,
@@ -178,7 +179,15 @@ def torus_green_vs_poisson(tau: complex, grid_n: int = 256,
     return float(np.abs(diff).max() / np.abs(exact[mask]).max())
 
 
-def period_relation_residual(tau: complex, n_points: int = 512) -> float:
+def _flow_periods(tau: complex, grad: complex, star: bool) -> tuple[float, float]:
+    """Periods of du* (star: of *du*) around alpha = [0, 1] and beta = [0, tau],
+    by contour integration of the constant gradient du*/dz = grad."""
+    form = (star_gradient_form if star else gradient_form)(
+        lambda z: np.full(np.shape(z), grad))
+    return tuple(complex(contour_integral(form, loop_path(0j, d))).real for d in (1.0, tau))
+
+
+def period_relation_residual(tau: complex) -> float:
     """Periods of *du* of the circulating flow around alpha and beta vs -(A, B).
 
     du*/dz comes from the W closed form (`circulation_form`); A and B are
@@ -194,18 +203,27 @@ def period_relation_residual(tau: complex, n_points: int = 512) -> float:
     big_b = b + sum(g * (-z.real + t1 * z.imag / t2) for z, g in zip(zs, gs))
     basis = build_basis(Surface.flat_torus(tau))
     grad = circulation_form(basis, circulation_state(basis, zs, gs, (a,), (b,)))
-    form = star_gradient_form(lambda z: np.full(np.shape(z), grad))
-    got_a = contour_integral(form, loop_path(0.11 + 0.13 * tau, 1.0), n_points)
-    got_b = contour_integral(form, loop_path(0.17 + 0.0j, tau), n_points)
+    got_a, got_b = _flow_periods(tau, grad, star=True)
     return max(abs(got_a + big_a), abs(got_b + big_b))
 
 
 def period_matrix_residual(tau: complex) -> float:
+    """Period matrix P against the Riemann bilinear relation: the flow with
+    Kelvin coefficients (A, B) has energy E(A, B) = per_alpha(du*) per_beta(*du*)
+    - per_beta(du*) per_alpha(*du*), and E(1, 0), E(0, 1), E(1, 1) give P by
+    polarization.  E is a Dirichlet energy, so agreement also makes P positive
+    definite."""
     basis = build_basis(Surface.flat_torus(tau))
-    m = basis.period_matrix
-    asym = float(np.abs(m - m.T).max())
-    mineig = float(np.linalg.eigvalsh(m).min())
-    return asym if mineig > 0 else math.inf
+
+    def energy(a: float, b: float) -> float:
+        grad = circulation_form(basis, circulation_state(basis, (), (), (a,), (b,)))
+        (d_alpha, d_beta), (s_alpha, s_beta) = (
+            _flow_periods(tau, grad, star) for star in (False, True))
+        return d_alpha * s_beta - d_beta * s_alpha
+
+    e10, e01 = energy(1.0, 0.0), energy(0.0, 1.0)
+    mixed = 0.5 * (energy(1.0, 1.0) - e10 - e01)
+    return float(np.abs(basis.period_matrix - np.array([[e10, mixed], [mixed, e01]])).max())
 
 
 def conjugate_period_residual(surface: Surface, rng: np.random.Generator,
@@ -342,8 +360,9 @@ def velocity_equivalence(surface: Surface, rng: np.random.Generator,
 
 
 def conservation_residuals(tau: complex, dt: float, steps: int) -> tuple[float, float]:
-    """(relative energy drift, drift of the recorded circulations) on a
-    4-vortex run; the records carry the configured base circulations."""
+    """(relative energy drift, drift of the Kelvin coefficients (A, B)) on a
+    4-vortex run whose vortices wrap around the torus unevenly; each record's
+    (A, B) comes from its own canonical positions and circulations."""
     surface = Surface.flat_torus(tau)
     st = VortexState(
         surface,
@@ -360,13 +379,7 @@ def conservation_residuals(tau: complex, dt: float, steps: int) -> tuple[float, 
     recs = integrate(st, dt, steps, method="rk4", record_every=max(1, steps // 20))
     h0 = recs[0].hamiltonian
     drift = max(abs(r.hamiltonian - h0) for r in recs) / abs(h0)
-    kelvin = 0.0
-    for r in recs:
-        kelvin = max(
-            kelvin,
-            max(abs(x - y) for x, y in zip(r.circ_a, st.base_a)),
-            max(abs(x - y) for x, y in zip(r.circ_b, st.base_b)),
-        )
+    kelvin = max(abs(x - y) for r in recs for x, y in zip(r.kelvin, recs[0].kelvin))
     return drift, kelvin
 
 

@@ -213,8 +213,9 @@ def test_criterion_7_conservation_on_long_torus_run():
     recs = integrate(st, 1e-3, 10000, method="rk4", record_every=200)
     h0 = recs[0].hamiltonian
     drift = max(abs(r.hamiltonian - h0) for r in recs) / abs(h0)
+    # drift of the Kelvin coefficients (A, B) of each record's canonical state
     kelvin = max(
-        max(abs(r.circ_a[0] - 0.3), abs(r.circ_b[0] + 0.2)) for r in recs
+        max(abs(x - y) for x, y in zip(r.kelvin, recs[0].kelvin)) for r in recs
     )
 
     def short_drift(dt, steps):

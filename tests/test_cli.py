@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,6 +95,30 @@ class TestConfigParsing:
         bad["vortices"][0].pop("coord")
         with pytest.raises(ConfigError, match=r"vortices\[0\]"):
             parse_scenario(bad)
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("vortices", 0, "strength"), math.nan, r"vortices\[0\]\.strength"),
+        (("base_circulations", "a", 0), math.nan, r"base_circulations\.a"),
+        (("integrator", "dt"), math.inf, r"integrator\.dt"),
+        (("surface", "tau", 0), math.nan, r"surface\.tau"),
+        (("vortices", 1, "chart"), 1, r"vortices\[1\]\.chart"),
+    ], ids=["strength-nan", "a-nan", "dt-inf", "tau-nan", "torus-chart-1"])
+    def test_non_finite_numbers_and_foreign_charts_rejected(self, tmp_path, path,
+                                                             value, field):
+        data = resolve_scenario("torus_pair_translate").to_dict()
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ConfigError, match=field):
+            parse_scenario(data)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))  # NaN and Infinity, as Python's json reads them
+        proc = run_cli(["run", str(cfg), "--out-dir", str(tmp_path)], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestRunCommand:

@@ -9,7 +9,6 @@ from pointvortex.dynamics import (
     VortexState,
     c0_coefficient,
     c1_coefficient,
-    canonical_state,
     hamiltonian,
     hamiltonian_velocity,
     vortex_velocity,
@@ -62,11 +61,24 @@ class TestStateValidation:
         st = VortexState(torus_i, (SurfacePoint(0, 1.2 + 0.3j), SurfacePoint(0, 0.5 + 0.5j)),
                          (1.0, -1.0), (0.0,), (0.0,))
         assert st.positions[0].coord == pytest.approx(0.2 + 0.3j)
+        # the wrap by m = 1 of the unit-strength vortex moves into b
+        assert st.base_a == (0.0,) and st.base_b == (-1.0,)
 
     def test_circulation_lengths_checked(self, torus_i):
         with pytest.raises(ValueError, match="length"):
             VortexState(torus_i, (SurfacePoint(0, 0.2 + 0.3j), SurfacePoint(0, 0.5 + 0.5j)),
                         (1.0, -1.0))
+
+    @pytest.mark.parametrize("strengths, a, b", [
+        ((math.nan, -1.0), (0.0,), (0.0,)),
+        ((math.inf, -math.inf), (0.0,), (0.0,)),
+        ((1.0, -1.0), (math.nan,), (0.0,)),
+        ((1.0, -1.0), (0.0,), (-math.inf,)),
+    ])
+    def test_non_finite_numbers_rejected(self, torus_i, strengths, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            VortexState(torus_i, (SurfacePoint(0, 0.2 + 0.3j), SurfacePoint(0, 0.5 + 0.5j)),
+                        strengths, a, b)
 
 
 class TestC1:
@@ -297,8 +309,8 @@ class TestHamiltonian:
         assert hamiltonian(doubled) == pytest.approx(4.0 * hamiltonian(st), rel=1e-12)
 
     def test_wrap_compensation_preserves_dynamics(self, torus_skew, rng):
-        # raw cover coordinates and their canonical reduction with adjusted
-        # base circulations describe the same flow
+        # a state built from raw cover coordinates describes the same flow as
+        # those coordinates: canonical positions, compensated circulations
         st = random_state(torus_skew, 3, rng, circulations=True)
         basis = build_basis(torus_skew)
         tau = torus_skew.tau
@@ -308,7 +320,10 @@ class TestHamiltonian:
         charts = [0, 0, 0]
         v_raw = _velocity_raw(torus_skew, basis, charts, raw, st.strengths,
                               st.base_a, st.base_b)
-        reduced = canonical_state(st, charts, raw)
+        reduced = VortexState(torus_skew, tuple(SurfacePoint(0, z) for z in raw),
+                              st.strengths, st.base_a, st.base_b)
+        for p, q in zip(reduced.positions, st.positions):
+            assert abs(p.coord - q.coord) < 1e-12
         for k in range(3):
             assert abs(vortex_velocity(reduced, k) - v_raw[k]) < 1e-12
 

@@ -50,15 +50,26 @@ def test_theta_derivative_at_zero_matches_eta_cube(tau):
     assert abs(ctx.d1_zero) == pytest.approx(2.0 * math.pi * eta_cubed, rel=1e-12)
 
 
+def theta1_longer_sum(tau: complex, u: complex, terms: int) -> tuple[complex, complex]:
+    """(theta1(u), theta1'(u)) summed term by term with q = exp(i pi tau)."""
+    th = dth = 0j
+    for k in range(terms):
+        c = (-1) ** k * cmath.exp(1j * math.pi * tau * (k + 0.5) ** 2)
+        f = (2 * k + 1) * math.pi
+        th += 2.0 * c * cmath.sin(f * u)
+        dth += 2.0 * c * f * cmath.cos(f * u)
+    return th, dth
+
+
 def test_theta_truncation_self_consistency():
-    # adding five more terms moves nothing at the working truncation
-    for tau in TAUS:
+    # five more terms than the working truncation move nothing, over the
+    # whole fundamental domain the truncation is sized for
+    for tau in TAUS + (0.4 + 0.02j,):
         ctx = theta.theta_context(tau)
-        surface = Surface.flat_torus(tau)
-        for u in (0.31 + 0.17j, 0.05 - 0.44j, -0.49 + 0.5j * tau.imag):
-            base = theta.theta1(ctx, u)
-            more = theta.theta1(ctx, u, n_terms=ctx.n_terms + 5)
-            assert abs(base - more) <= 1e-12 * max(1.0, abs(base))
+        for u in (0.31 + 0.17 * tau, 0.05 - 0.44 * tau, -0.49 + 0.5 * tau, 0.2 + tau):
+            th, dth = theta1_longer_sum(tau, u, ctx.n_terms + 5)
+            assert abs(theta.theta1(ctx, u) - th) <= 1e-12 * max(1.0, abs(th))
+            assert abs(theta.theta1_dz(ctx, u) - dth) <= 1e-12 * max(1.0, abs(dth))
 
 
 def test_green_symmetry(torus_skew, rng):

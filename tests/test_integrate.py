@@ -121,9 +121,10 @@ class TestConservation:
         h0 = recs[0].hamiltonian
         drift = max(abs(r.hamiltonian - h0) for r in recs) / abs(h0)
         assert drift < 1e-9
+        # the Kelvin coefficients (A, B) of each record's own canonical state
         for rec in recs:
-            assert abs(rec.circ_a[0] - 0.3) < 1e-10
-            assert abs(rec.circ_b[0] + 0.2) < 1e-10
+            assert abs(rec.kelvin[0] - recs[0].kelvin[0]) < 1e-10
+            assert abs(rec.kelvin[1] - recs[0].kelvin[1]) < 1e-10
 
     def test_dt_halving_improves_energy_drift(self):
         st = four_vortex_torus()
@@ -210,6 +211,33 @@ class TestConservation:
             got = periods(coords)
             assert abs(got[0] - base[0]) < 1e-8
             assert abs(got[1] - base[1]) < 1e-8
+
+
+class TestRestart:
+    def test_every_record_restarts_the_run(self):
+        # torus_four_vortex's first 600 steps: vortices wrap unevenly at steps
+        # 266, 293 and 315, after which the records' base circulations differ
+        # from the configured ones.  A state built from any record and
+        # integrated to the next record time matches the continuing run.
+        from pointvortex.surfaces import reduce_centered
+
+        st = four_vortex_torus()
+        every = 20
+        recs = integrate(st, 1e-3, 600, record_every=every)
+        assert recs[-1].circ_b != st.base_b, "fixture must wrap unevenly"
+        worst = 0.0
+        for rec, following in zip(recs, recs[1:]):
+            again = VortexState(st.surface, rec.positions, st.strengths,
+                                rec.circ_a, rec.circ_b)
+            got = integrate(again, 1e-3, every, record_every=every)[-1]
+            # positions up to the lattice, and W = A tau - B through (A, B)
+            worst = max(
+                worst,
+                *(abs(reduce_centered(st.surface.tau, p.coord - q.coord))
+                  for p, q in zip(got.positions, following.positions)),
+                *(abs(x - y) for x, y in zip(got.kelvin, following.kelvin)),
+            )
+        assert worst <= 1e-12
 
 
 class TestChartHandover:

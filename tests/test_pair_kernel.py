@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pointvortex import theta
@@ -21,7 +21,6 @@ from pointvortex.dynamics import (
     _check_separation,
     _hamiltonian_raw,
     _velocity_raw,
-    canonical_state,
     min_separation,
 )
 from pointvortex.errors import CollisionError
@@ -35,9 +34,11 @@ from pointvortex.periods import (
 from pointvortex.surfaces import (
     Surface,
     SurfacePoint,
+    canonical_coords,
     conformal_factor,
     dlog_lambda_dzbar,
     geodesic_distance,
+    lattice_split,
     sphere_embedding,
 )
 
@@ -332,16 +333,31 @@ def test_check_separation_reports_first_closest_pair():
 # (f) wrap bookkeeping
 
 
+@given(st.sampled_from(TAUS), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+@example(1j, -1e-17, 0.3)  # s - floor(s) rounds to the excluded endpoint 1
+def test_canonical_coords_properties(tau, s, t):
+    surface = Surface.flat_torus(tau)
+    z = complex(s + t * tau.real, t * tau.imag)
+    _, once, m, n = canonical_coords(surface, [0], [z])
+    # lands in the fundamental domain [0, 1)^2
+    s1, t1 = lattice_split(tau, once[0])
+    assert 0.0 <= s1 < 1.0 and 0.0 <= t1 < 1.0
+    # the counts are the lattice vector removed: adding it back recovers z
+    assert abs(once[0] + m[0] + n[0] * tau - z) <= 1e-14 * (1.0 + abs(z))
+    # idempotent
+    _, twice, m2, n2 = canonical_coords(surface, [0], once)
+    assert twice[0] == once[0] and m2[0] == 0 and n2[0] == 0
+
+
 @pytest.mark.parametrize("tau", TAUS)
 @given(data=st.data())
 def test_canonical_state_round_trip(tau, data):
-    # cover coordinates z_j = p_j + m_j + n_j tau (|m|, |n| <= 3) and their
-    # canonical reduction with compensated base circulations carry the same
-    # W and the same velocities
+    # cover coordinates z_j = p_j + m_j + n_j tau (|m|, |n| <= 3) and the
+    # state built from them (canonical positions, compensated base
+    # circulations) carry the same W and the same velocities
     surface, charts, coords, g, a, b = data.draw(torus_configs(taus=(tau,)))
-    state = VortexState(surface, tuple(SurfacePoint(0, complex(z)) for z in coords),
-                        tuple(g), a, b, collision_threshold=1e-4)
-    back = canonical_state(state, charts, coords)
+    back = VortexState(surface, tuple(SurfacePoint(0, complex(z)) for z in coords),
+                       tuple(g), a, b, collision_threshold=1e-4)
     basis = build_basis(surface)
     back_coords = np.array([p.coord for p in back.positions])
     w_raw = circulation_state(basis, coords, g, a, b)

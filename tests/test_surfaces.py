@@ -1,17 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
 from pointvortex.errors import ChartError
 from pointvortex.oracles import meridian_arc_length
 from pointvortex.surfaces import (
+    FLAT_TORUS,
     Surface,
     SurfacePoint,
+    canonical_coords,
     conformal_factor,
     dlog_lambda_dzbar,
     geodesic_distance,
     metric_connection,
-    reduce_to_fundamental,
     transition,
 )
 
@@ -23,9 +25,18 @@ def test_surface_descriptors(sphere, torus_skew):
     assert abs(torus_skew.area - 1.0) < 1e-12
 
 
+def test_directly_built_torus_derives_genus_and_area():
+    torus = Surface(FLAT_TORUS, tau=0.3 + 2j)
+    assert torus.genus == 1
+    assert torus.area == 2.0
+    assert torus == Surface.flat_torus(0.3 + 2j)
+
+
 def test_torus_requires_upper_half_plane_modulus():
     with pytest.raises(ValueError):
         Surface.flat_torus(1.0 - 0.5j)
+    with pytest.raises(ValueError):
+        Surface(FLAT_TORUS, tau=1.0 - 0.5j)
 
 
 def test_point_coordinates_must_be_finite():
@@ -94,11 +105,11 @@ def test_torus_transition_is_reduction(torus_i):
 
 
 def test_torus_reduction_idempotent(torus_skew, rng):
-    for _ in range(50):
-        z = complex(*rng.uniform(-5, 5, 2))
-        once = reduce_to_fundamental(torus_skew.tau, z)
-        twice = reduce_to_fundamental(torus_skew.tau, once)
-        assert once == twice
+    z = rng.uniform(-5, 5, 50) + 1j * rng.uniform(-5, 5, 50)
+    _, once, _, _ = canonical_coords(torus_skew, np.zeros(50, dtype=int), z)
+    _, twice, m, n = canonical_coords(torus_skew, np.zeros(50, dtype=int), once)
+    assert (once == twice).all()
+    assert not m.any() and not n.any()
 
 
 def test_canonical_point(sphere, torus_i):
