@@ -40,6 +40,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _worker_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _configure_logging() -> None:
     level = os.environ.get("VORTEX_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
@@ -160,7 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_OK
     out_dir = Path(args.out_dir)
     if args.jobs > 1 and len(configs) > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(min(args.jobs, len(configs))) as pool:
             codes = pool.map(_run_worker, [(c, str(out_dir)) for c in configs])
     else:
         codes = [run_one(cfg, out_dir) for cfg in configs]
@@ -200,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("configs", nargs="+",
                        help="config JSON paths or bundled scenario names")
     p_run.add_argument("--out-dir", default=".", help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1,
+    p_run.add_argument("--jobs", type=_worker_count, default=1,
                        help="fan independent scenarios across N worker processes")
     p_run.add_argument("--dump-config", action="store_true",
                        help="print the normalized config JSON and exit")

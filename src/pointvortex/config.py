@@ -138,9 +138,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         if "tau" not in surf:
             raise ConfigError("surface.tau: required for the flat torus")
         tau = _complex_pair(surf["tau"], "surface.tau")
-        if not tau.imag > 0:
-            raise ConfigError(f"surface.tau: must have positive imaginary part, got {tau}")
-    surface = Surface(kind, tau)
+    try:
+        surface = Surface(kind, tau)
+    except ValueError as exc:
+        raise ConfigError(f"surface.tau: {exc}") from exc
 
     raw_vortices = _expect(data, "vortices", list, "top level", required=True)
     if len(raw_vortices) < 2:

@@ -62,18 +62,19 @@ class RobinData:
 
 
 def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
-    """G and dG/dz over an array of differences u = z - a (any lattice branch),
-    from one lattice centering and one theta series pass per difference.
+    """G and dG/dz over an array of differences u = z - a (any lattice branch):
+    G(u; tau) = G(u / j; tau'), with u / j centered in the reduced basis and
+    one theta series pass on tau', and dG/dz picks up 1 / j.
     Raises SingularityError if any difference sits on a lattice point."""
-    tau = complex(tau)
-    ur = reduce_centered(tau, np.asarray(u, dtype=complex))
-    if (np.abs(ur) <= _COINCIDENCE_TOL).any():
+    ctx = theta.theta_context(complex(tau))
+    u = np.asarray(u, dtype=complex)
+    ur = reduce_centered(ctx.tau, u if ctx.j == 1 else u / ctx.j)  # j = 1: no extra pass
+    if (np.abs(ur) <= _COINCIDENCE_TOL / abs(ctx.j)).any():
         raise SingularityError("Green function evaluated at coincident points")
-    ctx = theta.theta_context(tau)
     th, dth = theta.theta1_series(ctx, ur)
-    value = -(np.log(np.abs(th)) - math.pi * ur.imag**2 / tau.imag) / (2.0 * math.pi)
-    grad = -(0.5 * dth / th + 1j * math.pi * ur.imag / tau.imag) / (2.0 * math.pi)
-    return value + ctx.green_const, grad
+    value = -(np.log(np.abs(th)) - math.pi * ur.imag**2 / ctx.tau.imag) / (2.0 * math.pi)
+    grad = -(0.5 * dth / th + 1j * math.pi * ur.imag / ctx.tau.imag) / (2.0 * math.pi)
+    return value + ctx.green_const, grad if ctx.j == 1 else grad / ctx.j
 
 
 def sphere_pair_terms(ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,8 +133,7 @@ def robin_h0_h1(surface: Surface, a):
     if surface.kind == SPHERE:
         m2 = abs(a) ** 2
         return np.log1p(m2) - 0.5, a.conjugate() / (1.0 + m2)
-    ctx = theta.theta_context(surface.tau)
-    return -math.log(abs(ctx.d1_zero)) + 2.0 * math.pi * ctx.green_const, 0.0j
+    return theta.theta_context(surface.tau).h0, 0.0j
 
 
 def robin_data(surface: Surface, a: SurfacePoint) -> RobinData:
@@ -151,13 +151,10 @@ def robin_data(surface: Surface, a: SurfacePoint) -> RobinData:
             at=a,
             chart_id=a.chart_id,
         )
-    tau = surface.tau
-    ctx = theta.theta_context(tau)
-    h2 = -ctx.d3_zero / (6.0 * ctx.d1_zero) - math.pi / (2.0 * tau.imag)
     return RobinData(
         h0=h0,
         h1=h1,
-        h2=h2,
+        h2=theta.theta_context(surface.tau).h2,
         h11=math.pi / (2.0 * surface.area),
         at=a,
         chart_id=a.chart_id,

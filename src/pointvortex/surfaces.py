@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +19,33 @@ from .errors import ChartError
 
 SPHERE = "sphere"
 FLAT_TORUS = "flat_torus"
+
+MAX_REDUCED_IM_TAU = 200.0   # past about 226 the theta recurrence overflows
+
+
+@lru_cache(maxsize=None)
+def reduced_modulus(tau: complex) -> tuple[complex, complex]:
+    """(tau', j) with tau' = (a tau + b) / j, j = c tau + d, (a b; c d) in SL2(Z),
+    |Re tau'| <= 1/2 and |tau'| >= 1 (the identity there), by Gauss reduction of
+    the integer basis, tau' exact up to one rounding per part.  The one modulus
+    check: ValueError unless Im tau > 0 and Im tau' <= MAX_REDUCED_IM_TAU (200)."""
+    tau = complex(tau)
+    if not (tau.imag > 0 and math.isfinite(abs(tau))):
+        raise ValueError(f"torus modulus must be finite with Im(tau) > 0, got {tau!r}")
+    x, y = Fraction(tau.real), Fraction(tau.imag)
+    a, b, c, d = 1, 0, 0, 1
+    # bounded: below Im 1/2 each inversion (after one translation) doubles Im tau'
+    for _ in range(2400):
+        den = (c * x + d) ** 2 + (c * y) ** 2    # |j|^2 = Im tau / Im tau'
+        if y > MAX_REDUCED_IM_TAU * den:
+            raise ValueError(f"torus modulus {tau!r} reduces to Im tau' > {MAX_REDUCED_IM_TAU:g}")
+        re = a * c * (x * x + y * y) + (a * d + b * c) * x + b * d
+        t = complex(float(re / den), float(y / den))
+        n = round(t.real)
+        if not n and abs(t) >= 1.0 - 1e-12:  # the slack stops rounding cycling at |t| = 1
+            return t, complex(float(c * x + d), float(c * y))
+        a, b, c, d = (a - n * c, b - n * d, c, d) if n else (-c, -d, a, b)
+    raise ValueError(f"torus modulus {tau!r} did not reduce")
 
 
 @dataclass(frozen=True)
@@ -53,8 +81,8 @@ class Surface:
         if self.kind not in (SPHERE, FLAT_TORUS):
             raise ValueError(f"unknown surface kind {self.kind!r}")
         tau = complex(self.tau)
-        if self.kind == FLAT_TORUS and not tau.imag > 0:
-            raise ValueError(f"torus modulus must have Im(tau) > 0, got {tau!r}")
+        if self.kind == FLAT_TORUS:
+            reduced_modulus(tau)
         object.__setattr__(self, "tau", tau)
 
     @property
@@ -206,16 +234,17 @@ def _lattice_offsets(tau: complex) -> np.ndarray:
 
 def pair_distances(surface: Surface, charts, coords, i, j) -> np.ndarray:
     """Geodesic separations of the point pairs (i[k], j[k]), diagnostic grade:
-    R^3 chords on the sphere; on the torus (any cover coordinates) the centered
-    difference against the 9 nearest lattice translates."""
+    R^3 chords on the sphere; on the torus (any cover coordinates) |j| times
+    the nearest of the 9 centered translates of u / j in the reduced basis."""
     if surface.kind == SPHERE:
         e = np.stack(sphere_embedding(charts, coords))
         d = e[:, i] - e[:, j]
         chord = np.sqrt((d * d).sum(axis=0))
         return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
+    tau_r, j_tau = reduced_modulus(surface.tau)
     coords = np.asarray(coords)
-    u = reduce_centered(surface.tau, coords[i] - coords[j])
-    return np.abs(u[..., None] + _lattice_offsets(surface.tau)).min(axis=-1)
+    u = reduce_centered(tau_r, (coords[i] - coords[j]) * (1.0 / j_tau))
+    return abs(j_tau) * np.abs(u[..., None] + _lattice_offsets(tau_r)).min(axis=-1)
 
 
 def geodesic_distance(surface: Surface, p: SurfacePoint, q: SurfacePoint) -> float:

@@ -1,10 +1,12 @@
 """Odd Jacobi theta series and per-modulus cached data for the torus Green function.
 
-The series theta1(z | tau) = 2 * sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) pi z)
-with nome q = exp(i pi tau) converges double-exponentially once |Im z| stays
-below Im(tau)/2, which lattice-centered reduction of arguments guarantees.
-The truncation length is fixed per tau so that the first dropped term is below
-1e-15 of the leading one on that strip (never fewer than 8 terms).
+The series theta1(z | tau') = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) pi z),
+q = exp(i pi tau'), runs on the reduced modulus tau' = (a tau + b) / j of
+`surfaces.reduced_modulus`, where Im tau' >= sqrt(3)/2: there its _TERMS = 9 terms
+leave a first dropped term below exp(-71.1 pi Im tau') < exp(-190) of the leading
+one over |Im z| <= 1.05 Im tau', and the eta sum's _ETA_TERMS = 8 a tail below
+1e-21.  By modular covariance G(u; tau) = G(u / j; tau'), h0(tau) = h0(tau') +
+log|j| and h2(tau) = h2(tau') / j^2.
 """
 from __future__ import annotations
 
@@ -15,77 +17,49 @@ from functools import lru_cache
 
 import numpy as np
 
-_MIN_TERMS = 8
-_MAX_TERMS = 400
+from .surfaces import reduced_modulus
+
+_TERMS = 9
+_ETA_TERMS = 8
 _BLOCK = 4096    # points per series pass in theta1_series
-_MAX_ETA_TERMS = 1 << 16
-
-
-def _term_count(tau_im: float) -> int:
-    # magnitude bound of term n on |Im z| <= 1.05 * Im tau (covers the whole
-    # fundamental domain, not just the centered strip), relative to term 0
-    imax = 1.05 * tau_im
-    lead = -math.pi * tau_im * 0.25 + math.pi * imax
-    n = 1
-    while n < _MAX_TERMS:
-        expo = -math.pi * tau_im * (n + 0.5) ** 2 + (2 * n + 1) * math.pi * imax
-        if expo - lead < math.log(1e-15) and n >= _MIN_TERMS:
-            break
-        n += 1
-    return n + 1
 
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Truncated series data for one modulus tau."""
+    """Truncated series data on the reduced modulus tau' of one user modulus."""
 
-    tau: complex
+    tau: complex                     # reduced modulus tau'
+    j: complex                       # c tau + d, with tau' = (a tau + b) / j
     n_terms: int
-    coeffs: tuple[complex, ...]      # (-1)^n q^{(n+1/2)^2}
-    freqs: tuple[float, ...]         # (2n+1) pi
-    d1_zero: complex                 # theta1'(0)
-    d3_zero: complex                 # theta1'''(0)
-    green_const: float               # log|eta(tau)| / 2 pi
-    # read-only (n_terms, 2, 1) array of (coeffs, coeffs * freqs)
+    green_const: float               # C(tau') = log|eta(tau')| / 2 pi
+    h0: float                        # Robin h0 of the user's tau
+    h2: complex                      # Robin h2 of the user's tau
+    # read-only (n_terms, 2, 1) array of (c_n, c_n (2n+1) pi), c_n = (-1)^n q^{(n+1/2)^2}
     weights: np.ndarray = field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
 def theta_context(tau: complex) -> ThetaContext:
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise ValueError("theta modulus must have Im(tau) > 0")
-    n = _term_count(tau.imag)
-    q = cmath.exp(1j * math.pi * tau)
-    coeffs = []
-    freqs = []
-    for j in range(n):
-        coeffs.append((-1) ** j * q ** ((j + 0.5) ** 2))
-        freqs.append((2 * j + 1) * math.pi)
-    d1 = 2.0 * sum(c * f for c, f in zip(coeffs, freqs))
-    d3 = -2.0 * sum(c * f**3 for c, f in zip(coeffs, freqs))
+    """Series data for the user modulus tau; ValueError if tau is invalid."""
+    tau_r, j = reduced_modulus(complex(tau))
+    q = cmath.exp(1j * math.pi * tau_r)
+    coeffs = [(-1) ** n * q ** ((n + 0.5) ** 2) for n in range(_TERMS)]
+    freqs = [(2 * n + 1) * math.pi for n in range(_TERMS)]
+    d1 = 2.0 * sum(c * f for c, f in zip(coeffs, freqs))        # theta1'(0 | tau')
+    d3 = -2.0 * sum(c * f**3 for c, f in zip(coeffs, freqs))    # theta1'''(0 | tau')
+    # C(tau') = log|eta(tau')| / 2 pi, the domain mean of log|theta1| - pi Im(z)^2 / Im tau'
+    eta_q = cmath.exp(2j * math.pi * tau_r) ** np.arange(1, _ETA_TERMS + 1)
+    log_abs_eta = -math.pi * tau_r.imag / 12.0 + float(np.log(np.abs(1.0 - eta_q)).sum())
+    green_const = log_abs_eta / (2.0 * math.pi)
+    h0 = -math.log(abs(d1)) + 2.0 * math.pi * green_const + math.log(abs(j))
+    h2 = (-d3 / (6.0 * d1) - math.pi / (2.0 * tau_r.imag)) / j**2
     weights = np.array([((c,), (c * f,)) for c, f in zip(coeffs, freqs)])
     weights.flags.writeable = False
-    return ThetaContext(tau, n, tuple(coeffs), tuple(freqs), d1, d3,
-                        _log_abs_eta(tau) / (2.0 * math.pi), weights)
-
-
-def _log_abs_eta(tau: complex) -> float:
-    """log|eta(tau)| = -pi Im(tau) / 12 + sum_{n>=1} log|1 - q^n|, q = exp(2 pi i tau).
-
-    This is the mean of log|theta1(s + t tau)| - pi Im(tau) t^2 over the
-    fundamental domain (Jensen's formula on each slice of the theta product).
-    The sum stops once its tail, below |q|^N / (1 - |q|), is under 1e-17.
-    """
-    q = cmath.exp(2j * math.pi * tau)
-    r = abs(q)
-    n_terms = 1 if r < 1e-17 else math.ceil(math.log(1e-17 * (1.0 - r)) / math.log(r))
-    n = np.arange(1, min(n_terms, _MAX_ETA_TERMS) + 1)
-    return -math.pi * tau.imag / 12.0 + float(np.log(np.abs(1.0 - q**n)).sum())
+    return ThetaContext(tau_r, j, _TERMS, green_const, h0, h2, weights)
 
 
 def theta1_series(ctx: ThetaContext, z):
-    """(theta1(z), theta1'(z)) from one pass of the truncated series.
+    """(theta1(z | ctx.tau), theta1'(z | ctx.tau)) from one series pass.
 
     With x = pi z, sin((2k+1)x) and cos((2k+1)x) both obey the recurrence
     f_{k+1} = 2 cos(2x) f_k - f_{k-1}, so one Clenshaw pass over a (2, m)
@@ -118,7 +92,7 @@ def theta1_series(ctx: ThetaContext, z):
 
 
 def theta1(ctx: ThetaContext, z):
-    """theta1(z | tau); scalar complex in, scalar out; ndarray in, ndarray out."""
+    """theta1(z | ctx.tau); scalar complex in, scalar out; ndarray in, ndarray out."""
     th = theta1_series(ctx, z)[0]
     return th if isinstance(z, np.ndarray) else complex(th)
 
@@ -131,5 +105,7 @@ def theta1_dz(ctx: ThetaContext, z):
 
 def green_normalization_constant(tau: complex) -> float:
     """Additive constant C(tau) = log|eta(tau)| / 2 pi making the torus Green
-    function integrate to zero over the fundamental domain."""
-    return theta_context(tau).green_const
+    function integrate to zero over the fundamental domain; from the reduced
+    modulus as C(tau') - log|j| / 4 pi."""
+    ctx = theta_context(tau)
+    return ctx.green_const - math.log(abs(ctx.j)) / (4.0 * math.pi)

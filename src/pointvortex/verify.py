@@ -240,14 +240,16 @@ def conjugate_period_residual(surface: Surface, rng: np.random.Generator,
         return star_gradient_form(grad)
 
     worst = 0.0
-    done = 0
-    while done < pairs:
-        a = complex(rng.uniform(0.1, 0.9) + rng.uniform(0.05, 0.40) * tau)
-        b = complex(rng.uniform(0.1, 0.9) + rng.uniform(0.05, 0.40) * tau)
-        sa, _ = lattice_split(tau, a)
-        sb, _ = lattice_split(tau, b)
-        if abs(a - b) < 0.1 or abs(sa - sb) > 0.6:
-            continue
+    for _ in range(pairs):
+        for _ in range(_MAX_DRAWS):
+            a = complex(rng.uniform(0.1, 0.9) + rng.uniform(0.05, 0.40) * tau)
+            b = complex(rng.uniform(0.1, 0.9) + rng.uniform(0.05, 0.40) * tau)
+            sa, _ = lattice_split(tau, a)
+            sb, _ = lattice_split(tau, b)
+            if abs(a - b) >= 0.1 and abs(sa - sb) <= 0.6:
+                break
+        else:
+            raise ValueError(f"no admissible pole pair in {_MAX_DRAWS} draws")
         form = star_dv(a, b)
         # alpha-homologous loop at lattice height t0=0.7: the poles sit at
         # t in (0.05, 0.40), so neither the loop nor the straight b->a path
@@ -260,18 +262,19 @@ def conjugate_period_residual(surface: Surface, rng: np.random.Generator,
         lhs_b = complex(contour_integral(form, loop_path(complex(s0, 0.0), tau), 1024)).real
         rhs_b = -(a.real - b.real) + (tau.real / t2) * (a.imag - b.imag)
         worst = max(worst, abs(lhs_a - rhs_a), abs(lhs_b - rhs_b))
-        done += 1
     return worst
 
 
 def robin_transformation_laws(rng: np.random.Generator, count: int = 100) -> float:
     """Chart-handover laws for (h0, h1, h11) and the h2 combination on the sphere."""
     worst = 0.0
-    done = 0
-    while done < count:
-        a = complex(*rng.uniform(-1.5, 1.5, 2))
-        if not 0.5 < abs(a) < 2.0:
-            continue
+    for _ in range(count):
+        for _ in range(_MAX_DRAWS):
+            a = complex(*rng.uniform(-1.5, 1.5, 2))
+            if 0.5 < abs(a) < 2.0:
+                break
+        else:
+            raise ValueError(f"no point with 0.5 < |a| < 2 in {_MAX_DRAWS} draws")
         p = SurfacePoint(0, a)
         q, jet = transition(_SPHERE, p, 1)
         d0 = robin_data(_SPHERE, p)
@@ -295,15 +298,16 @@ def robin_transformation_laws(rng: np.random.Generator, count: int = 100) -> flo
         lhs = (dh1_da(q) - 2.0 * d1.h2) * jet.phi1**2
         rhs = dh1_da(p) - 2.0 * d0.h2 + bracket(jet, 2) / 6.0
         worst = max(worst, abs(lhs - rhs))
-        done += 1
     return worst
 
 
 def _random_jet(rng: np.random.Generator) -> TransitionJet:
     c = rng.normal(size=3) + 1j * rng.normal(size=3)
-    while abs(c[0]) < 0.3:
+    for _ in range(_MAX_DRAWS):
+        if abs(c[0]) >= 0.3:
+            return TransitionJet(c[0], c[1], c[2])
         c[0] = rng.normal() + 1j * rng.normal()
-    return TransitionJet(c[0], c[1], c[2])
+    raise ValueError(f"no jet with |phi1| >= 0.3 in {_MAX_DRAWS} draws")
 
 
 def bracket_chain_rules(rng: np.random.Generator, count: int = 200) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,7 +103,11 @@ class TestConfigParsing:
         (("integrator", "dt"), math.inf, r"integrator\.dt"),
         (("surface", "tau", 0), math.nan, r"surface\.tau"),
         (("vortices", 1, "chart"), 1, r"vortices\[1\]\.chart"),
-    ], ids=["strength-nan", "a-nan", "dt-inf", "tau-nan", "torus-chart-1"])
+        (("surface", "tau"), [0.0, 300.0], r"surface\.tau"),
+        (("surface", "tau"), [0.0, 1e-300], r"surface\.tau"),
+        (("surface", "tau"), [0.0, 0.0], r"surface\.tau"),
+    ], ids=["strength-nan", "a-nan", "dt-inf", "tau-nan", "torus-chart-1",
+            "tau-tall", "tau-skinny", "tau-zero"])
     def test_non_finite_numbers_and_foreign_charts_rejected(self, tmp_path, path,
                                                              value, field):
         data = resolve_scenario("torus_pair_translate").to_dict()
@@ -118,6 +123,7 @@ class TestConfigParsing:
         proc = run_cli(["run", str(cfg), "--out-dir", str(tmp_path)], cwd=tmp_path)
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+        assert re.search(field, proc.stderr)
         assert "Traceback" not in proc.stderr
 
 
@@ -262,6 +268,33 @@ class TestRunCommand:
         assert code == 0
         assert (tmp_path / "sphere_antipodal_pair.csv").exists()
         assert (tmp_path / "torus_pair_translate.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, capsys):
+        assert main(["run", "torus_pair_translate", "--jobs", jobs]) == 1
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+    def test_pool_has_no_more_workers_than_configs(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # starts no process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [0 for _ in items]
+
+        monkeypatch.setattr(pointvortex.cli.multiprocessing, "Pool", RecordingPool)
+        code = main(["run", "sphere_antipodal_pair", "torus_pair_translate",
+                     "--out-dir", str(tmp_path), "--jobs", "8"])
+        assert code == 0
+        assert sizes == [2]
 
     def test_log_env_accepted(self, tmp_path):
         proc = run_cli(

@@ -45,9 +45,11 @@ def test_green_has_zero_mean_by_quadrature(tau):
 
 @pytest.mark.parametrize("tau", TAUS)
 def test_theta_derivative_at_zero_matches_eta_cube(tau):
-    ctx = theta.theta_context(tau)
-    eta_cubed = math.exp(3.0 * dedekind_eta_log_abs(tau))
-    assert abs(ctx.d1_zero) == pytest.approx(2.0 * math.pi * eta_cubed, rel=1e-12)
+    # theta1'(0) = 2 pi eta^3 and C = log|eta| / 2 pi make the Robin constant
+    # h0 = -log|theta1'(0)| + 2 pi C equal to -log 2 pi - 2 log|eta(tau)|
+    h0 = theta.theta_context(tau).h0
+    expected = -math.log(2.0 * math.pi) - 2.0 * dedekind_eta_log_abs(tau)
+    assert h0 == pytest.approx(expected, rel=1e-12)
 
 
 def theta1_longer_sum(tau: complex, u: complex, terms: int) -> tuple[complex, complex]:
@@ -63,11 +65,13 @@ def theta1_longer_sum(tau: complex, u: complex, terms: int) -> tuple[complex, co
 
 def test_theta_truncation_self_consistency():
     # five more terms than the working truncation move nothing, over the
-    # whole fundamental domain the truncation is sized for
+    # whole fundamental domain of the reduced modulus the series runs on
     for tau in TAUS + (0.4 + 0.02j,):
         ctx = theta.theta_context(tau)
-        for u in (0.31 + 0.17 * tau, 0.05 - 0.44 * tau, -0.49 + 0.5 * tau, 0.2 + tau):
-            th, dth = theta1_longer_sum(tau, u, ctx.n_terms + 5)
+        tau_r = ctx.tau
+        for u in (0.31 + 0.17 * tau_r, 0.05 - 0.44 * tau_r, -0.49 + 0.5 * tau_r,
+                  0.2 + tau_r):
+            th, dth = theta1_longer_sum(tau_r, u, ctx.n_terms + 5)
             assert abs(theta.theta1(ctx, u) - th) <= 1e-12 * max(1.0, abs(th))
             assert abs(theta.theta1_dz(ctx, u) - dth) <= 1e-12 * max(1.0, abs(dth))
 

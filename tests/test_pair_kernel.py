@@ -1,9 +1,10 @@
 """Properties of the vectorized pair kernel, checked with hypothesis.
 
-The loop reference below is the per-pair evaluation the kernel replaced: the
-cmath theta series, the scalar lattice reduction, the sphere closed form in
-the chart of each point, per-vortex sums, and the circulation terms from the
-per-cycle potentials and the period matrix.  The kernel must agree with it
+The loop reference below evaluates one pair at a time: the cmath theta
+series on the modulus as given (not the reduced one the kernel uses), the
+scalar lattice reduction, an exhaustive nearest image, the sphere closed form
+in the chart of each point, per-vortex sums, and the circulation terms from
+the per-cycle potentials and the period matrix.  The kernel must agree with it
 to 1e-12 relative on random configurations of both surfaces, including mixed
 sphere charts and torus cover coordinates outside the fundamental domain.
 """
@@ -39,6 +40,7 @@ from pointvortex.surfaces import (
     dlog_lambda_dzbar,
     geodesic_distance,
     lattice_split,
+    pair_distances,
     sphere_embedding,
 )
 
@@ -60,9 +62,18 @@ def ref_centered(tau, u):
     return complex(s + t * tau.real, t * tau.imag)
 
 
-def ref_theta(ctx, u):
-    th = 2.0 * sum(c * cmath.sin(f * u) for c, f in zip(ctx.coeffs, ctx.freqs))
-    dth = 2.0 * sum(c * f * cmath.cos(f * u) for c, f in zip(ctx.coeffs, ctx.freqs))
+def ref_theta(tau, u):
+    """(theta1(u | tau), theta1'(u | tau)) summed term by term from
+    q = exp(i pi tau) on the modulus as given, for |Im u| <= Im(tau) / 2.
+    Term n is below exp(-pi Im(tau) (n^2 - 1/4)) of the leading one there,
+    so the sum stops once that is under exp(-40)."""
+    terms = math.ceil(math.sqrt(40.0 / (math.pi * tau.imag) + 0.25))
+    th = dth = 0j
+    for n in range(terms):
+        c = (-1) ** n * cmath.exp(1j * math.pi * tau * (n + 0.5) ** 2)
+        f = (2 * n + 1) * math.pi
+        th += 2.0 * c * cmath.sin(f * u)
+        dth += 2.0 * c * f * cmath.cos(f * u)
     return th, dth
 
 
@@ -78,7 +89,7 @@ def ref_green(surface, cz, z, ca, a):
         return -(ratio + 1.0) / (4.0 * math.pi), grad
     tau = surface.tau
     u = ref_centered(tau, z - a)
-    th, dth = ref_theta(theta.theta_context(tau), u)
+    th, dth = ref_theta(tau, u)
     value = (-(math.log(abs(th)) - math.pi * u.imag**2 / tau.imag) / (2.0 * math.pi)
              + theta.green_normalization_constant(tau))
     grad = -(0.5 * dth / th + 1j * math.pi * u.imag / tau.imag) / (2.0 * math.pi)
@@ -91,8 +102,17 @@ def ref_geodesic(surface, p, q):
         b = sphere_embedding(q.chart_id, q.coord)
         chord = math.sqrt(sum(float(x - y) ** 2 for x, y in zip(a, b)))
         return 2.0 * math.asin(min(1.0, 0.5 * chord))
-    u = ref_centered(surface.tau, p.coord - q.coord)
-    return min(abs(u + m + n * surface.tau) for m in (-1, 0, 1) for n in (-1, 0, 1))
+    return ref_nearest_image(surface.tau, p.coord - q.coord)
+
+
+def ref_nearest_image(tau, u):
+    """min |u + m + n tau| over every image that can be nearest: the rows
+    |n| <= ceil(3 / Im tau), and in each row the three m around the row's
+    own nearest integer."""
+    rows = math.ceil(3.0 / tau.imag)
+    w = ref_centered(tau, u) + np.arange(-rows, rows + 1) * tau
+    m = -np.round(w.real)[:, None] + np.array([-1.0, 0.0, 1.0])
+    return float(np.abs(w[:, None] + m).min())
 
 
 def ref_circulation(tau, coords, strengths, base_a, base_b):
@@ -317,6 +337,24 @@ def test_min_separation_matches_scalar_minimum(config):
     assert err.value.pair == pairs[scalar.index(best)]
     assert err.value.separation == best
     assert err.value.time == 0.5
+
+
+@pytest.mark.parametrize("tau", (0.4 + 0.02j, 0.3 + 0.001j, 0.5 + 0.005j))
+def test_pair_distances_are_nearest_images_on_skinny_tori(tau):
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(-2.0, 2.0, 41) + rng.uniform(-2.0, 2.0, 41) * tau
+    i, k = np.arange(40), np.arange(1, 41)
+    got = pair_distances(Surface.flat_torus(tau), np.zeros(41, dtype=int), coords, i, k)
+    expected = np.array([ref_nearest_image(tau, coords[a] - coords[b]) for a, b in zip(i, k)])
+    assert (np.abs(got - expected) <= REL_TOL * expected).all()
+
+
+def test_collision_seen_across_a_skinny_lattice():
+    # the two points are 0.05 apart through the lattice vector 1 - 2 tau
+    surface = Surface.flat_torus(0.4 + 0.02j)
+    with pytest.raises(ValueError, match="separation 5.000e-02"):
+        VortexState(surface, (SurfacePoint(0, 0.1 + 0.002j), SurfacePoint(0, 0.3 + 0.012j)),
+                    (1.0, -1.0), (0.0,), (0.0,), collision_threshold=0.1)
 
 
 def test_check_separation_reports_first_closest_pair():
