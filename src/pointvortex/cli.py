@@ -41,7 +41,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _worker_count(text: str) -> int:
-    jobs = int(text)
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
     return jobs

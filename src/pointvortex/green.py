@@ -64,17 +64,17 @@ class RobinData:
 def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
     """G and dG/dz over an array of differences u = z - a (any lattice branch):
     G(u; tau) = G(u / j; tau'), with u / j centered in the reduced basis and
-    one theta series pass on tau', and dG/dz picks up 1 / j.
+    one theta series pass on tau', and dG/dz picks up 1 / j (a scalar multiply).
     Raises SingularityError if any difference sits on a lattice point."""
     ctx = theta.theta_context(complex(tau))
-    u = np.asarray(u, dtype=complex)
-    ur = reduce_centered(ctx.tau, u if ctx.j == 1 else u / ctx.j)  # j = 1: no extra pass
-    if (np.abs(ur) <= _COINCIDENCE_TOL / abs(ctx.j)).any():
+    inv_j = 1.0 / ctx.j
+    ur = reduce_centered(ctx.tau, np.asarray(u, dtype=complex) * inv_j)
+    if (np.abs(ur) <= _COINCIDENCE_TOL * abs(inv_j)).any():
         raise SingularityError("Green function evaluated at coincident points")
     th, dth = theta.theta1_series(ctx, ur)
     value = -(np.log(np.abs(th)) - math.pi * ur.imag**2 / ctx.tau.imag) / (2.0 * math.pi)
     grad = -(0.5 * dth / th + 1j * math.pi * ur.imag / ctx.tau.imag) / (2.0 * math.pi)
-    return value + ctx.green_const, grad if ctx.j == 1 else grad / ctx.j
+    return value + ctx.green_const, grad * inv_j
 
 
 def sphere_pair_terms(ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

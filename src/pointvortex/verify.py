@@ -302,12 +302,15 @@ def robin_transformation_laws(rng: np.random.Generator, count: int = 100) -> flo
 
 
 def _random_jet(rng: np.random.Generator) -> TransitionJet:
+    """Random 3-jet with |phi1| >= 0.3, from at most _MAX_DRAWS draws of phi1."""
     c = rng.normal(size=3) + 1j * rng.normal(size=3)
-    for _ in range(_MAX_DRAWS):
+    for _ in range(_MAX_DRAWS - 1):
         if abs(c[0]) >= 0.3:
-            return TransitionJet(c[0], c[1], c[2])
+            break
         c[0] = rng.normal() + 1j * rng.normal()
-    raise ValueError(f"no jet with |phi1| >= 0.3 in {_MAX_DRAWS} draws")
+    if abs(c[0]) < 0.3:
+        raise ValueError(f"no jet with |phi1| >= 0.3 in {_MAX_DRAWS} draws")
+    return TransitionJet(c[0], c[1], c[2])
 
 
 def bracket_chain_rules(rng: np.random.Generator, count: int = 200) -> float:

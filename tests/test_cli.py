@@ -269,10 +269,16 @@ class TestRunCommand:
         assert (tmp_path / "sphere_antipodal_pair.csv").exists()
         assert (tmp_path / "torus_pair_translate.csv").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_a_usage_error(self, jobs, capsys):
+    @pytest.mark.parametrize("jobs, message", [
+        ("0", "must be at least 1"),
+        ("-3", "must be at least 1"),
+        ("abc", "expected an integer, got 'abc'"),
+    ])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, message, capsys):
         assert main(["run", "torus_pair_translate", "--jobs", jobs]) == 1
-        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--jobs: {message}" in err
+        assert "_worker_count" not in err
 
     def test_pool_has_no_more_workers_than_configs(self, tmp_path, monkeypatch):
         sizes = []
