@@ -90,24 +90,27 @@ def write_diagnostics(path: Path, records: list[TrajectoryRecord],
                       stats: dict, status: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     h0 = records[0].hamiltonian
+    scale = max(abs(h0), 1e-300)
     lines = []
     for rec in records:
         kelvin = max((abs(x - y) for x, y in zip(rec.kelvin, records[0].kelvin)),
                      default=0.0)
+        drift = abs(rec.hamiltonian - h0)
         lines.append(json.dumps({
             "t": rec.time,
-            "energy_drift": abs(rec.hamiltonian - h0) / max(abs(h0), 1e-300),
+            "energy_drift": drift / scale,
+            "energy_drift_abs": drift,
             "kelvin_drift": kelvin,
             "min_separation": rec.min_separation,
         }))
+    drift = max(abs(r.hamiltonian - h0) for r in records)
     summary = {
         "event": "summary",
         "status": status,
         "records": len(records),
         "step_rejections": stats.get("step_rejections", 0),
-        "energy_drift": max(
-            abs(r.hamiltonian - h0) for r in records
-        ) / max(abs(h0), 1e-300),
+        "energy_drift": drift / scale,
+        "energy_drift_abs": drift,
     }
     summary.update({k: v for k, v in stats.items() if k != "step_rejections"})
     lines.append(json.dumps(summary))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .dynamics import DEFAULT_COLLISION_THRESHOLD, VortexState
@@ -68,25 +68,11 @@ class ScenarioConfig:
         out = {
             "name": self.name,
             "surface": {"kind": self.surface_kind},
-            "vortices": [
-                {
-                    "chart": v.chart,
-                    "coord": [v.coord.real, v.coord.imag],
-                    "strength": v.strength,
-                }
-                for v in self.vortices
-            ],
+            "vortices": [{"chart": v.chart, "coord": [v.coord.real, v.coord.imag],
+                          "strength": v.strength} for v in self.vortices],
             "base_circulations": {"a": list(self.base_a), "b": list(self.base_b)},
-            "integrator": {
-                "method": self.integrator.method,
-                "dt": self.integrator.dt,
-                "steps": self.integrator.steps,
-                "record_every": self.integrator.record_every,
-            },
-            "output": {
-                "trajectory": self.trajectory_path,
-                "diagnostics": self.diagnostics_path,
-            },
+            "integrator": asdict(self.integrator),
+            "output": {"trajectory": self.trajectory_path, "diagnostics": self.diagnostics_path},
             "collision_threshold": self.collision_threshold,
             "tolerances": dict(self.tolerances),
         }

@@ -19,12 +19,13 @@ same flow as those coordinates (see VortexState), and each emitted record is
 that canonical state of the run at its time, so any record restarts the run.
 
 Array layout: a configuration is a chart-id array and a complex coordinate
-array, one entry per vortex.  The read-only indices (i, j) of the unordered
-pairs i < j are cached per n; the pair kernel `green.pair_terms` evaluates
-G_ij and both gradients once per pair, and the n x n gradient matrix is
-filled from them, at (j, i) by the odd symmetry dG(-u) = -dG(u) on the torus.
-Separations come from the same pair indices; collisions name the first
-closest pair in (i, j) order.
+array, one entry per vortex; the read-only pair indices i < j are cached per n.
+The velocity law has one implementation, `_Plan`, built once per run (and per
+one-shot call) with the pair indices, strengths and surface constants; each
+evaluation forms only Green gradients, through the gradient entries under
+`green.pair_terms`.  The Hamiltonian recomputes W from the coordinates it is
+given, so its finite differences stay an independent velocity route.
+Collisions name the first closest pair in (i, j) order.
 """
 from __future__ import annotations
 
@@ -35,7 +36,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CollisionError, StepRejectionError
-from .green import pair_terms, renormalized_robin_at, robin_h0_h1
+from .green import (
+    pair_terms,
+    renormalized_robin_at,
+    robin_h0_h1,
+    sphere_gradient_terms,
+    torus_gradient_terms,
+)
 from .periods import (
     PeriodBasis,
     build_basis,
@@ -51,13 +58,13 @@ from .surfaces import (
     SurfacePoint,
     canonical_coords,
     conformal_factor,
-    dlog_lambda_dzbar_at,
-    lambda_at,
     pair_distances,
 )
+from .theta import ThetaContext, theta_context
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
+_TWO_PI_I = 2j * math.pi
 
 DEFAULT_COLLISION_THRESHOLD = 1e-3
 
@@ -182,35 +189,53 @@ def _row_sums(i, j, upper, lower, weights: np.ndarray) -> np.ndarray:
     return (m * weights).sum(axis=1)
 
 
-def _c1_raw(surface: Surface, basis: PeriodBasis, charts, coords, strengths,
-            base_a, base_b) -> np.ndarray:
-    """c1 at every vortex: h1 + 4 pi ((M Gamma) + u*') / Gamma, with M_kj the
-    gradient dG(z_k, z_j)/dz_k in the chart of z_k."""
-    i, j, _, grad_i, grad_j = _pair_terms(surface, charts, coords)
-    mixed = _row_sums(i, j, grad_i, grad_j, strengths)
-    if basis.genus:
-        w = circulation_state(basis, coords, strengths, base_a, base_b)
-        mixed = mixed + circulation_form(basis, w)
-    return robin_h0_h1(surface, coords)[1] + _FOUR_PI * mixed / strengths
+@dataclass(frozen=True)
+class _Plan:
+    """The velocity law of a run.  On the torus lambda = 1, h1 = 0 and
+    du*/dz = conj(W) / (2 Im tau) is a constant of the motion (sum Gamma v = 0),
+    taken at the coordinates the plan is built at."""
+
+    surface: Surface
+    basis: PeriodBasis
+    strengths: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    theta: ThetaContext | None   # None on the sphere
+    flow: complex                # du*/dz
+
+    def c1(self, charts: np.ndarray, coords: np.ndarray):
+        """(c1 = h1 + 4 pi (M Gamma + du*/dz) / Gamma, 1 + |z|^2 or None on the
+        torus) at every vortex, with M_kj = dG(z_k, z_j)/dz_k in z_k's chart."""
+        i, j, g = self.i, self.j, self.strengths
+        if self.theta is None:
+            w = 1.0 + np.abs(coords) ** 2
+            _, grad_i, grad_j = sphere_gradient_terms(
+                charts[i], coords[i], charts[j], coords[j], w[i], w[j])
+            return coords.conjugate() / w + _FOUR_PI * _row_sums(i, j, grad_i, grad_j, g) / g, w
+        grad = torus_gradient_terms(self.theta, coords[i] - coords[j])[2]
+        return _FOUR_PI * (_row_sums(i, j, grad, -grad, g) + self.flow) / g, None
+
+    def velocity(self, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        c1, w = self.c1(charts, coords)
+        if w is None:
+            return self.strengths / _TWO_PI_I * c1.conjugate()
+        # sphere: lambda = 2 / w and d log(lambda)/dzbar = -z / w
+        return self.strengths / (_TWO_PI_I * (2.0 / w) ** 2) * (c1.conjugate() - coords / w)
 
 
-def _velocity_raw(surface: Surface, basis: PeriodBasis, charts, coords,
-                  strengths, base_a, base_b) -> np.ndarray:
-    charts = np.asarray(charts)
-    coords = np.asarray(coords, dtype=complex)
+def _plan(surface: Surface, coords, strengths, base_a, base_b) -> _Plan:
     strengths = np.asarray(strengths, dtype=float)
-    c1 = _c1_raw(surface, basis, charts, coords, strengths, base_a, base_b)
-    return (
-        strengths / (2j * math.pi * lambda_at(surface, coords) ** 2)
-        * (c1.conjugate() + dlog_lambda_dzbar_at(surface, coords))
-    )
+    basis = build_basis(surface)
+    i, j = _pairs(len(strengths))
+    if not basis.genus:
+        return _Plan(surface, basis, strengths, i, j, None, 0j)
+    w = circulation_state(basis, coords, strengths, base_a, base_b)
+    return _Plan(surface, basis, strengths, i, j, theta_context(surface.tau),
+                 circulation_form(basis, w))
 
 
 def _hamiltonian_raw(surface: Surface, basis: PeriodBasis, charts, coords,
                      strengths, base_a, base_b) -> float:
-    charts = np.asarray(charts)
-    coords = np.asarray(coords, dtype=complex)
-    strengths = np.asarray(strengths, dtype=float)
     i, j, value, _, _ = _pair_terms(surface, charts, coords)
     twice_h = (strengths**2 * renormalized_robin_at(surface, coords)).sum()
     twice_h += 2.0 * (strengths[i] * strengths[j] * value).sum()
@@ -239,19 +264,20 @@ def _check_separation(surface: Surface, charts, coords, threshold: float,
 
 def _unpack(state: VortexState):
     charts, coords = _point_arrays(state.positions)
-    return charts, coords, np.array(state.strengths), build_basis(state.surface)
+    return charts, coords, _plan(state.surface, coords, state.strengths,
+                                 state.base_a, state.base_b)
 
 
 def c1_coefficient(state: VortexState, k: int) -> complex:
     """First stream-expansion coefficient at vortex k, in its canonical chart."""
-    charts, coords, g, basis = _unpack(state)
-    return complex(_c1_raw(state.surface, basis, charts, coords, g,
-                           state.base_a, state.base_b)[k])
+    charts, coords, plan = _unpack(state)
+    return complex(plan.c1(charts, coords)[0][k])
 
 
 def c0_coefficient(state: VortexState, k: int) -> float:
     """Constant stream-expansion coefficient at vortex k (diagnostic only)."""
-    charts, coords, g, basis = _unpack(state)
+    charts, coords, plan = _unpack(state)
+    g, basis = plan.strengths, plan.basis
     i, j, value, _, _ = _pair_terms(state.surface, charts, coords)
     mutual = _row_sums(i, j, value, value, g)[k]
     if basis.genus:
@@ -262,15 +288,14 @@ def c0_coefficient(state: VortexState, k: int) -> float:
 
 def vortex_velocity(state: VortexState, k: int) -> complex:
     """Velocity dz_k/dt from the connection-based law, in the canonical chart."""
-    charts, coords, g, basis = _unpack(state)
-    return complex(_velocity_raw(state.surface, basis, charts, coords, g,
-                                 state.base_a, state.base_b)[k])
+    charts, coords, plan = _unpack(state)
+    return complex(plan.velocity(charts, coords)[k])
 
 
 def hamiltonian(state: VortexState) -> float:
     """Renormalized energy of the configuration."""
-    charts, coords, g, basis = _unpack(state)
-    return _hamiltonian_raw(state.surface, basis, charts, coords, g,
+    charts, coords, plan = _unpack(state)
+    return _hamiltonian_raw(state.surface, plan.basis, charts, coords, plan.strengths,
                             state.base_a, state.base_b)
 
 
@@ -281,12 +306,12 @@ def hamiltonian_velocity(state: VortexState, k: int, step: float = 1e-5) -> comp
     coefficients are recomputed inside every perturbed energy evaluation, so
     this route shares no assembled terms with the direct law.
     """
-    charts, coords, g, basis = _unpack(state)
+    charts, coords, plan = _unpack(state)
 
     def energy(dz: complex) -> float:
         pert = coords.copy()
         pert[k] += dz
-        return _hamiltonian_raw(state.surface, basis, charts, pert, g,
+        return _hamiltonian_raw(state.surface, plan.basis, charts, pert, plan.strengths,
                                 state.base_a, state.base_b)
 
     def dzbar(h: float) -> complex:
@@ -317,9 +342,7 @@ _RKF_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.
 
 @dataclass
 class _Trajectory:
-    surface: Surface
-    basis: PeriodBasis
-    strengths: np.ndarray
+    plan: _Plan
     base_a: tuple[float, ...]
     base_b: tuple[float, ...]
     charts: np.ndarray
@@ -328,36 +351,30 @@ class _Trajectory:
     handover: float
     rejections: int = 0
 
-    def velocity(self, coords: np.ndarray) -> np.ndarray:
-        return _velocity_raw(
-            self.surface, self.basis, self.charts, coords, self.strengths,
-            self.base_a, self.base_b,
-        )
-
     def handover_step(self) -> None:
-        if self.surface.kind != SPHERE:
+        if self.plan.surface.kind != SPHERE:
             return
         flip = np.abs(self.coords) > self.handover
         self.charts[flip] = 1 - self.charts[flip]
         self.coords[flip] = 1.0 / self.coords[flip]
 
     def record(self, t: float) -> TrajectoryRecord:
-        charts, coords, a, b = _canonical(self.surface, self.charts, self.coords,
-                                          self.strengths, self.base_a, self.base_b)
-        h = _hamiltonian_raw(self.surface, self.basis, charts, coords,
-                             self.strengths, a, b)
-        sep = _check_separation(self.surface, charts, coords, -math.inf, t)
-        w = circulation_state(self.basis, coords, self.strengths, a, b)
+        surface, basis, g = self.plan.surface, self.plan.basis, self.plan.strengths
+        charts, coords, a, b = _canonical(surface, self.charts, self.coords, g,
+                                          self.base_a, self.base_b)
+        h = _hamiltonian_raw(surface, basis, charts, coords, g, a, b)
+        sep = _check_separation(surface, charts, coords, -math.inf, t)
+        w = circulation_state(basis, coords, g, a, b)   # not the plan's: independent
         return TrajectoryRecord(t, _points(charts, coords), h, a, b, sep,
-                                kelvin_coefficients(self.basis, w))
+                                kelvin_coefficients(basis, w))
 
 
 def _rk4_step(traj: _Trajectory, dt: float) -> None:
-    y0 = traj.coords
-    k1 = traj.velocity(y0)
-    k2 = traj.velocity(y0 + 0.5 * dt * k1)
-    k3 = traj.velocity(y0 + 0.5 * dt * k2)
-    k4 = traj.velocity(y0 + dt * k3)
+    velocity, charts, y0 = traj.plan.velocity, traj.charts, traj.coords
+    k1 = velocity(charts, y0)
+    k2 = velocity(charts, y0 + 0.5 * dt * k1)
+    k3 = velocity(charts, y0 + 0.5 * dt * k2)
+    k4 = velocity(charts, y0 + dt * k3)
     traj.coords = y0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
@@ -374,7 +391,7 @@ def _rkf45_advance(traj: _Trajectory, t: float, t_end: float, dt0: float,
             yi = y0.copy()
             for j, a in enumerate(_RKF_A[i]):
                 yi += dt * a * ks[j]
-            ks.append(traj.velocity(yi))
+            ks.append(traj.plan.velocity(traj.charts, yi))
         y1 = y0.copy()
         for i, b in enumerate(_RKF_B5):
             y1 += dt * b * ks[i]
@@ -384,7 +401,7 @@ def _rkf45_advance(traj: _Trajectory, t: float, t_end: float, dt0: float,
             traj.coords = y1
             t += dt
             traj.handover_step()
-            _check_separation(traj.surface, traj.charts, traj.coords,
+            _check_separation(traj.plan.surface, traj.charts, traj.coords,
                               traj.threshold, t)
             consecutive = 0
         else:
@@ -415,19 +432,17 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     `stats_out`, when given, receives the rejection count and, on either
     abort, the records produced so far under "partial_records".
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt: must be finite and positive, got {dt}")
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ValueError(f"steps: must be >= 1, got {steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every: must be >= 1, got {record_every}")
     if method not in ("rk4", "rk45-adaptive"):
-        raise ValueError(f"unknown integration method {method!r}")
-    charts, coords, strengths, basis = _unpack(state)
-    traj = _Trajectory(
-        surface=state.surface, basis=basis, strengths=strengths,
-        base_a=state.base_a, base_b=state.base_b, charts=charts,
-        coords=coords, threshold=state.collision_threshold,
-        handover=handover_threshold,
-    )
+        raise ValueError(f"method: unknown integration method {method!r}")
+    charts, coords, plan = _unpack(state)
+    traj = _Trajectory(plan, state.base_a, state.base_b, charts, coords,
+                       state.collision_threshold, handover_threshold)
     records = [traj.record(0.0)]
     try:
         if method == "rk4":
@@ -435,7 +450,7 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
                 _rk4_step(traj, dt)
                 t = i * dt
                 traj.handover_step()
-                _check_separation(traj.surface, traj.charts, traj.coords,
+                _check_separation(plan.surface, traj.charts, traj.coords,
                                   traj.threshold, t)
                 if i % record_every == 0 or i == steps:
                     records.append(traj.record(t))

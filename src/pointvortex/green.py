@@ -11,7 +11,8 @@ by the formula itself.
 
 Every Green value and gradient comes from one pair kernel, `pair_terms`,
 which works elementwise over arrays of point pairs; `green()` and the
-`*_green_values` helpers are one-pair and array views of it.
+`*_green_values` helpers are one-pair and array views of it.  It builds on
+one gradient entry per surface, which the velocity law calls directly.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
@@ -61,42 +62,48 @@ class RobinData:
     chart_id: int
 
 
-def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
-    """G and dG/dz over an array of differences u = z - a (any lattice branch):
-    G(u; tau) = G(u / j; tau'), with u / j centered in the reduced basis and
-    one theta series pass on tau', and dG/dz picks up 1 / j (a scalar multiply).
-    Raises SingularityError if any difference sits on a lattice point."""
-    ctx = theta.theta_context(complex(tau))
-    inv_j = 1.0 / ctx.j
-    ur = reduce_centered(ctx.tau, np.asarray(u, dtype=complex) * inv_j)
-    if (np.abs(ur) <= _COINCIDENCE_TOL * abs(inv_j)).any():
+def torus_gradient_terms(ctx: theta.ThetaContext, u):
+    """(u', theta1(u' | tau'), dG/dz) over differences u = z - a (any branch),
+    u' = u / j centered in the reduced basis; SingularityError on a lattice point."""
+    ur = reduce_centered(ctx.tau, np.asarray(u, dtype=complex) * ctx.inv_j)
+    if (np.abs(ur) <= _COINCIDENCE_TOL * abs(ctx.inv_j)).any():
         raise SingularityError("Green function evaluated at coincident points")
     th, dth = theta.theta1_series(ctx, ur)
-    value = -(np.log(np.abs(th)) - math.pi * ur.imag**2 / ctx.tau.imag) / (2.0 * math.pi)
     grad = -(0.5 * dth / th + 1j * math.pi * ur.imag / ctx.tau.imag) / (2.0 * math.pi)
-    return value + ctx.green_const, grad * inv_j
+    return ur, th, grad * ctx.inv_j
 
 
-def sphere_pair_terms(ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G(z_i, z_j), dG/dz_i in the chart of z_i and dG/dz_j in the chart of z_j,
-    elementwise over arrays of chart ids and coordinates.
+def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
+    """G and dG/dz over differences u = z - a (any branch): G(u; tau) = G(u'; tau')."""
+    ctx = theta.theta_context(complex(tau))
+    ur, th, grad = torus_gradient_terms(ctx, u)
+    value = -(np.log(np.abs(th)) - math.pi * ur.imag**2 / ctx.tau.imag) / (2.0 * math.pi)
+    return value + ctx.green_const, grad
 
-    Cross-chart pairs use |zi zj - 1|^2 in place of |zi - zj|^2, which stays
-    stable near either chart's point at infinity; the pole terms depend on the
-    charts, so both orientations are formed.  Raises SingularityError if any
+
+def sphere_gradient_terms(ci, zi, cj, zj, wi, wj):
+    """(|d|^2, dG/dz_i in zi's chart, dG/dz_j in zj's chart) over arrays of
+    pairs, with wi = 1 + |zi|^2, wj = 1 + |zj|^2 and d = zi - zj, or zi zj - 1
+    across charts (stable near either chart's infinity; the pole terms depend
+    on the charts, so both orientations are formed).  SingularityError if any
     two points coincide."""
-    zi, zj = np.asarray(zi, dtype=complex), np.asarray(zj, dtype=complex)
     same = np.asarray(ci) == np.asarray(cj)
     diff = np.where(same, zi - zj, zi * zj - 1.0)
     num = np.abs(diff) ** 2
-    mi, mj = np.abs(zi) ** 2, np.abs(zj) ** 2
-    wi, wj = 1.0 + mi, 1.0 + mj
     # squared R^3 chord 4 num / ((1+|zi|^2)(1+|zj|^2)) against the tolerance
     if (4.0 * num <= _COINCIDENCE_TOL**2 * wi * wj).any():
         raise SingularityError("Green function evaluated at coincident points")
-    value = -(np.log(num) - np.log1p(mi) - np.log1p(mj) + 1.0) / (4.0 * math.pi)
     grad_i = -(np.where(same, 1.0, zj) / diff - zi.conjugate() / wi) / (4.0 * math.pi)
     grad_j = -(np.where(same, -1.0, zi) / diff - zj.conjugate() / wj) / (4.0 * math.pi)
+    return num, grad_i, grad_j
+
+
+def sphere_pair_terms(ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G(z_i, z_j) and the two gradients of `sphere_gradient_terms`."""
+    zi, zj = np.asarray(zi, dtype=complex), np.asarray(zj, dtype=complex)
+    mi, mj = np.abs(zi) ** 2, np.abs(zj) ** 2
+    num, grad_i, grad_j = sphere_gradient_terms(ci, zi, cj, zj, 1.0 + mi, 1.0 + mj)
+    value = -(np.log(num) - np.log1p(mi) - np.log1p(mj) + 1.0) / (4.0 * math.pi)
     return value, grad_i, grad_j
 
 
@@ -141,24 +148,12 @@ def robin_data(surface: Surface, a: SurfacePoint) -> RobinData:
     surface.check_chart(a.chart_id)
     h0, h1 = robin_h0_h1(surface, a.coord)
     if surface.kind == SPHERE:
-        ac = a.coord
-        denom = 1.0 + abs(ac) ** 2
-        return RobinData(
-            h0=float(h0),
-            h1=h1,
-            h2=-(ac.conjugate() ** 2) / (2.0 * denom * denom),
-            h11=1.0 / (2.0 * denom * denom),
-            at=a,
-            chart_id=a.chart_id,
-        )
-    return RobinData(
-        h0=h0,
-        h1=h1,
-        h2=theta.theta_context(surface.tau).h2,
-        h11=math.pi / (2.0 * surface.area),
-        at=a,
-        chart_id=a.chart_id,
-    )
+        denom = 1.0 + abs(a.coord) ** 2
+        d2 = 2.0 * denom * denom
+        h2, h11 = -(a.coord.conjugate() ** 2) / d2, 1.0 / d2
+    else:
+        h2, h11 = theta.theta_context(surface.tau).h2, math.pi / (2.0 * surface.area)
+    return RobinData(float(h0), h1, h2, h11, at=a, chart_id=a.chart_id)
 
 
 def robin_metric(surface: Surface, a: SurfacePoint) -> float:

@@ -183,12 +183,8 @@ def metric_connection(surface: Surface, p: SurfacePoint) -> complex:
 def dlog_lambda_dzbar(surface: Surface, p: SurfacePoint) -> complex:
     """Anti-holomorphic Wirtinger derivative of log(lambda) at p."""
     surface.check_chart(p.chart_id)
-    return dlog_lambda_dzbar_at(surface, p.coord)
-
-
-def dlog_lambda_dzbar_at(surface: Surface, z):
-    """d(log lambda)/dzbar at chart coordinates z (complex or complex array)."""
     if surface.kind == SPHERE:
+        z = p.coord
         return -z / (1.0 + abs(z) ** 2)
     return 0.0
 
@@ -248,9 +244,11 @@ def pair_distances(surface: Surface, charts, coords, i, j) -> np.ndarray:
 
 
 def geodesic_distance(surface: Surface, p: SurfacePoint, q: SurfacePoint) -> float:
-    """Geodesic separation; diagnostic grade (collision checks, monitors)."""
+    """Geodesic separation; diagnostic grade (collision checks, monitors).  The pair
+    goes in as an array, like a configuration's: numpy's scalar complex product
+    can differ from its array product in the last bit."""
     surface.check_chart(p.chart_id)
     surface.check_chart(q.chart_id)
     return float(pair_distances(
-        surface, np.array([p.chart_id, q.chart_id]), np.array([p.coord, q.coord]), 0, 1
-    ))
+        surface, np.array([p.chart_id, q.chart_id]), np.array([p.coord, q.coord]), [0], [1]
+    )[0])

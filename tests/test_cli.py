@@ -4,13 +4,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import pointvortex
 import pointvortex.cli
-from pointvortex.cli import main
+from pointvortex.cli import main, write_diagnostics
+from pointvortex.dynamics import integrate
 from pointvortex.config import load_scenario, parse_scenario, resolve_scenario
 from pointvortex.errors import ConfigError, StepRejectionError
 
@@ -140,6 +142,22 @@ class TestRunCommand:
         summary = json.loads(diags[-1])
         assert summary["status"] == "ok"
         assert summary["energy_drift"] < 1e-9
+
+    def test_diagnostics_report_absolute_energy_drift(self, tmp_path):
+        # beside the relative drift, whose 1e-300 floor makes it noise when
+        # H = 0 (the second run: the same records shifted to H(0) = 0)
+        recs = integrate(resolve_scenario("torus_four_vortex").state(), 1e-3, 40,
+                         record_every=10)
+        shifted = [replace(r, hamiltonian=r.hamiltonian - recs[0].hamiltonian) for r in recs]
+        for records in (recs, shifted):
+            path = tmp_path / "diag.jsonl"
+            write_diagnostics(path, records, {}, "ok")
+            *lines, summary = map(json.loads, path.read_text().splitlines())
+            drifts = [abs(r.hamiltonian - records[0].hamiltonian) for r in records]
+            assert [line["energy_drift_abs"] for line in lines] == drifts
+            assert summary["energy_drift_abs"] == max(drifts)
+            assert 0.0 < summary["energy_drift_abs"] < 1e-9
+        assert summary["energy_drift"] > 1e200
 
     def test_sphere_header_has_no_circulation_columns(self, tmp_path):
         code = main(["run", "sphere_antipodal_pair", "--out-dir", str(tmp_path)])

@@ -12,7 +12,7 @@ from pointvortex.dynamics import (
     hamiltonian,
     hamiltonian_velocity,
     vortex_velocity,
-    _velocity_raw,
+    _plan,
 )
 from pointvortex.errors import CollisionError
 from pointvortex.green import green, renormalized_robin, robin_data
@@ -211,7 +211,6 @@ class TestVelocityLaw:
     def test_velocity_transforms_contravariantly(self, sphere, rng):
         # evaluating with the position handed over to the other chart must
         # multiply the velocity by the transition derivative
-        basis = build_basis(sphere)
         done = 0
         while done < 25:
             z = complex(*rng.uniform(-0.9, 0.9, 2))
@@ -219,9 +218,10 @@ class TestVelocityLaw:
             if abs(z) < 0.2 or abs(z - a) < 0.2:
                 continue
             strengths = (1.7, -1.7)
-            v0 = _velocity_raw(sphere, basis, [0, 0], [z, a], strengths, (), ())[0]
+            coords0, coords1 = np.array([z, a]), np.array([1.0 / z, a])
+            v0 = _plan(sphere, coords0, strengths, (), ()).velocity(np.array([0, 0]), coords0)[0]
             _, jet = transition(sphere, SurfacePoint(0, z), 1)
-            v1 = _velocity_raw(sphere, basis, [1, 0], [1.0 / z, a], strengths, (), ())[0]
+            v1 = _plan(sphere, coords1, strengths, (), ()).velocity(np.array([1, 0]), coords1)[0]
             assert abs(v1 - jet.phi1 * v0) < 1e-9 * max(1.0, abs(v1))
             done += 1
 
@@ -312,14 +312,12 @@ class TestHamiltonian:
         # a state built from raw cover coordinates describes the same flow as
         # those coordinates: canonical positions, compensated circulations
         st = random_state(torus_skew, 3, rng, circulations=True)
-        basis = build_basis(torus_skew)
         tau = torus_skew.tau
-        raw = [p.coord + m + n * tau for p, (m, n) in zip(
+        raw = np.array([p.coord + m + n * tau for p, (m, n) in zip(
             st.positions, ((2, -1), (0, 3), (-1, 0))
-        )]
-        charts = [0, 0, 0]
-        v_raw = _velocity_raw(torus_skew, basis, charts, raw, st.strengths,
-                              st.base_a, st.base_b)
+        )])
+        v_raw = _plan(torus_skew, raw, st.strengths, st.base_a, st.base_b).velocity(
+            np.zeros(3, dtype=int), raw)
         reduced = VortexState(torus_skew, tuple(SurfacePoint(0, z) for z in raw),
                               st.strengths, st.base_a, st.base_b)
         for p, q in zip(reduced.positions, st.positions):

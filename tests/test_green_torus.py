@@ -76,6 +76,27 @@ def test_theta_truncation_self_consistency():
             assert abs(theta.theta1_dz(ctx, u) - dth) <= 1e-12 * max(1.0, abs(dth))
 
 
+def test_theta_truncation_at_least_conditioned_modulus():
+    # tau' = exp(i pi / 3) has the smallest Im tau' of the reduced domain, and
+    # |Im z| <= 1.05 Im tau' is the strip the series is run on: there theta1
+    # and theta1' agree with a 20-term sum to 1e-14 of the sum of the terms'
+    # moduli.  Four terms read 3.7e-14 in theta1', five or more 1.3e-15.
+    ctx = theta.theta_context(cmath.exp(1j * math.pi / 3.0))
+    tau_r = ctx.tau
+    assert abs(abs(tau_r) - 1.0) < 1e-15 and abs(abs(tau_r.real) - 0.5) < 1e-15
+    xs = np.linspace(-0.5, 0.5, 21) + 0.0123   # off the zeros of theta1
+    ys = np.linspace(-1.05, 1.05, 43) * tau_r.imag
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    th, dth = theta.theta1_series(ctx, z)
+    coeffs = [(-1) ** k * cmath.exp(1j * math.pi * tau_r * (k + 0.5) ** 2) for k in range(20)]
+    for u, got_th, got_dth in zip(z, th, dth):
+        th_terms = [2.0 * c * cmath.sin((2 * k + 1) * math.pi * u) for k, c in enumerate(coeffs)]
+        dth_terms = [2.0 * c * (2 * k + 1) * math.pi * cmath.cos((2 * k + 1) * math.pi * u)
+                     for k, c in enumerate(coeffs)]
+        for got, terms in ((got_th, th_terms), (got_dth, dth_terms)):
+            assert abs(got - sum(terms)) <= 1e-14 * sum(map(abs, terms))
+
+
 def test_green_symmetry(torus_skew, rng):
     pts = delta_probe_points(torus_skew, rng, 200)
     for i in range(100):

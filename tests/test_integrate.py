@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pointvortex.dynamics import VortexState, integrate, vortex_velocity
+from pointvortex.dynamics import VortexState, hamiltonian_velocity, integrate, vortex_velocity
 from pointvortex.errors import CollisionError, StepRejectionError
 from pointvortex.oracles import contour_integral, loop_path, star_gradient_form
 from pointvortex.periods import build_basis, circulation_form, circulation_state
-from pointvortex.surfaces import SurfacePoint, Surface
+from pointvortex.surfaces import SurfacePoint, Surface, reduce_centered
 from pointvortex.verify import random_state
 
 
@@ -240,6 +240,33 @@ class TestRestart:
         assert worst <= 1e-12
 
 
+    def test_runs_with_other_circulations_share_no_plan_data(self):
+        # the same four vortices on the same torus under two base circulations
+        # (two values of du*/dz), run one after the other: each run's first
+        # step follows its own Hamiltonian velocity, and a restart from any of
+        # its records, made after both runs, matches its own continuation
+        positions = four_vortex_torus().positions
+        runs = []
+        for a, b in (((0.3,), (-0.2,)), ((-0.7,), (0.9,))):
+            st = VortexState(Surface.flat_torus(1j), positions, (1.0, -0.6, 0.8, -1.2), a, b)
+            first = integrate(st, 1e-4, 1)[1]
+            runs.append((st, first, integrate(st, 1e-3, 200, record_every=50)))
+        for st, first, recs in runs:
+            want = [hamiltonian_velocity(st, k) for k in range(st.n)]
+            speed = max(map(abs, want))
+            for p, q, v in zip(first.positions, st.positions, want):
+                assert abs((p.coord - q.coord) / 1e-4 - v) <= 1e-3 * speed
+            for rec, following in zip(recs, recs[1:]):
+                again = VortexState(st.surface, rec.positions, st.strengths,
+                                    rec.circ_a, rec.circ_b)
+                got = integrate(again, 1e-3, 50, record_every=50)[-1]
+                for p, q in zip(got.positions, following.positions):
+                    assert abs(reduce_centered(1j, p.coord - q.coord)) <= 1e-12
+        (_, _, recs_a), (_, _, recs_b) = runs
+        assert max(abs(reduce_centered(1j, p.coord - q.coord)) for p, q in zip(
+            recs_a[-1].positions, recs_b[-1].positions)) > 0.05
+
+
 class TestChartHandover:
     def test_threshold_independence_on_sphere(self, rng):
         # a wandering 4-vortex trajectory crossing the equator must not care
@@ -330,3 +357,16 @@ def test_invalid_integrate_arguments():
         integrate(st, 0.1, 0)
     with pytest.raises(ValueError):
         integrate(st, 0.1, 10, method="euler")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ("rk4", "rk45-adaptive"))
+@pytest.mark.parametrize("name, value", [
+    ("dt", math.nan), ("dt", math.inf), ("dt", -math.inf),
+    ("record_every", 0), ("record_every", -1),
+])
+def test_integrate_names_the_bad_argument(method, name, value):
+    args = {"dt": 0.01, "steps": 10, "record_every": 1, name: value}
+    with pytest.raises(ValueError, match=f"^{name}: must be"):
+        integrate(four_vortex_torus(), args["dt"], args["steps"], method=method,
+                  record_every=args["record_every"])

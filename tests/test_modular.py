@@ -80,7 +80,7 @@ def sl2z_entries(tau, tau_r, j):
                                  0.5 + 0.5j * math.sqrt(3.0)))
 def test_reduction_is_identity_on_fundamental_domain(tau):
     assert reduced_modulus(tau) == (tau, 1.0)
-    assert theta.theta_context(tau).n_terms == 9
+    assert theta.theta_context(tau).n_terms == 6
 
 
 @pytest.mark.parametrize("tau", SKINNY + (0.1 + 0.9j, -2.7 + 0.3j, 5.5 + 0.01j))
@@ -90,7 +90,7 @@ def test_reduction_lands_in_fundamental_domain(tau):
     a, b, c, d = sl2z_entries(tau, tau_r, j)
     assert a * d - b * c == 1
     assert abs((a * tau + b) / (c * tau + d) - tau_r) <= 1e-12 * abs(tau_r)
-    assert theta.theta_context(tau).n_terms == 9
+    assert theta.theta_context(tau).n_terms == 6
 
 
 @pytest.mark.parametrize("tau", (0j, -1j, 1.0 - 0.5j, 300j, 1e-300j, 0.3 + 1e-250j,

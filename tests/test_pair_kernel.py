@@ -21,8 +21,10 @@ from pointvortex.dynamics import (
     VortexState,
     _check_separation,
     _hamiltonian_raw,
-    _velocity_raw,
+    _plan,
+    hamiltonian_velocity,
     min_separation,
+    vortex_velocity,
 )
 from pointvortex.errors import CollisionError
 from pointvortex.green import pair_terms, renormalized_robin, robin_data
@@ -220,6 +222,18 @@ def sphere_configs(draw, sizes=SIZES):
 
 
 configs = st.one_of(torus_configs(), sphere_configs())
+
+
+def skinny_config():
+    """Four vortices on tau = 0.4+0.02i, where 0.1+0.002i and 0.3+0.012i are
+    0.05 apart through the lattice vector 1 - 2 tau: an explicit example, so
+    the skinny lattice is exercised whatever the draws."""
+    tau = 0.4 + 0.02j
+    coords = np.array([0.1 + 0.002j, 0.3 + 0.012j, 0.65 + 0.4 * tau, 1.85 - 1.7 * tau])
+    return (Surface.flat_torus(tau), np.zeros(4, dtype=int), coords,
+            np.array([1.0, -0.6, 0.8, -1.2]), (0.3,), (-0.2,))
+
+
 # every surface is covered in every run: one parametrization per modulus
 SURFACE_CONFIGS = [pytest.param(torus_configs(taus=(tau,)), id=f"tau={tau}") for tau in TAUS]
 SURFACE_CONFIGS.append(pytest.param(sphere_configs(), id="sphere"))
@@ -231,23 +245,46 @@ SURFACE_CONFIGS.append(pytest.param(sphere_configs(), id="sphere"))
 
 @pytest.mark.parametrize("surface_configs", SURFACE_CONFIGS)
 @given(data=st.data())
+@example(data=None)  # the skinny_config() example
 @settings(max_examples=30)
 def test_velocity_matches_loop_reference(surface_configs, data):
-    surface, charts, coords, g, a, b = data.draw(surface_configs)
-    got = _velocity_raw(surface, build_basis(surface), charts, coords, g, a, b)
+    surface, charts, coords, g, a, b = data.draw(surface_configs) if data else skinny_config()
+    got = _plan(surface, coords, g, a, b).velocity(charts, coords)
     want = ref_velocity(surface, charts, coords, g, a, b)
     assert np.abs(got - want).max() <= REL_TOL * np.abs(want).max()
 
 
 @pytest.mark.parametrize("surface_configs", SURFACE_CONFIGS)
 @given(data=st.data())
+@example(data=None)  # the skinny_config() example
 @settings(max_examples=30)
 def test_hamiltonian_matches_loop_reference(surface_configs, data):
-    surface, charts, coords, g, a, b = data.draw(surface_configs)
+    surface, charts, coords, g, a, b = data.draw(surface_configs) if data else skinny_config()
     got = _hamiltonian_raw(surface, build_basis(surface), charts, coords, g, a, b)
     terms = ref_hamiltonian_terms(surface, charts, coords, g, a, b)
     assert type(got) is float
     assert abs(got - 0.5 * math.fsum(terms)) <= REL_TOL * 0.5 * sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("surface_configs", [
+    pytest.param(torus_configs(taus=(tau,), sizes=(2, 3, 4)), id=f"tau={tau}") for tau in TAUS
+] + [pytest.param(sphere_configs(sizes=(2, 3, 4)), id="sphere")])
+@given(data=st.data())
+@settings(max_examples=20)
+def test_plan_velocity_matches_hamiltonian_velocity(surface_configs, data):
+    # the direct law against finite differences of the energy, on admissible
+    # states (canonical, so mixed sphere charts), to 1e-6 of the speed scale:
+    # the largest speed, or max |Gamma| / 2 pi (the speed the strongest vortex
+    # induces at unit distance) for near-stationary states such as an
+    # antipodal sphere pair, where the speeds are finite-difference noise
+    surface, charts, coords, g, a, b = data.draw(surface_configs)
+    assume(min_ref_separation(surface, charts, coords) > 0.01)
+    points = tuple(SurfacePoint(int(c), complex(z)) for c, z in zip(charts, coords))
+    state = VortexState(surface, points, tuple(g), a, b, collision_threshold=1e-4)
+    direct = [vortex_velocity(state, k) for k in range(state.n)]
+    scale = max(*map(abs, direct), np.abs(g).max() / (2.0 * math.pi))
+    for k, v in enumerate(direct):
+        assert abs(v - hamiltonian_velocity(state, k)) <= 1e-6 * scale
 
 
 @pytest.mark.parametrize("tau", TAUS)
@@ -323,6 +360,7 @@ def test_sphere_chart_invariance(config):
 
 
 @given(configs)
+@example(skinny_config())
 def test_min_separation_matches_scalar_minimum(config):
     surface, charts, coords, _, _, _ = config
     pts = [SurfacePoint(int(c), complex(z)) for c, z in zip(charts, coords)]
@@ -402,6 +440,6 @@ def test_canonical_state_round_trip(tau, data):
     w_back = circulation_state(basis, back_coords, g, back.base_a, back.base_b)
     scale = abs(a[0] * tau) + abs(b[0]) + float(np.abs(g * coords).sum())
     assert abs(w_back - w_raw) <= REL_TOL * scale
-    v_raw = _velocity_raw(surface, basis, charts, coords, g, a, b)
-    v_back = _velocity_raw(surface, basis, charts, back_coords, g, back.base_a, back.base_b)
+    v_raw = _plan(surface, coords, g, a, b).velocity(charts, coords)
+    v_back = _plan(surface, back_coords, g, back.base_a, back.base_b).velocity(charts, back_coords)
     assert np.abs(v_back - v_raw).max() <= REL_TOL * np.abs(v_raw).max()
