@@ -22,10 +22,12 @@ Array layout: a configuration is a chart-id array and a complex coordinate
 array, one entry per vortex; the read-only pair indices i < j are cached per n.
 The velocity law has one implementation, `_Plan`, built once per run (and per
 one-shot call) with the pair indices, strengths and surface constants; each
-evaluation forms only Green gradients, through the gradient entries under
-`green.pair_terms`.  The Hamiltonian recomputes W from the coordinates it is
-given, so its finite differences stay an independent velocity route.
-Collisions name the first closest pair in (i, j) order.
+evaluation forms only Green gradients (`green.pair_terms`' gradient entries).
+The Hamiltonian recomputes W from its coordinates, so its finite differences
+stay an independent velocity route.  `integrate` has one record loop; a
+`METHODS` entry advances between records and ends every accepted step in
+`_Trajectory.accept`: the sphere chart rule of `canonical_coords`, then the
+collision check, which names the first closest pair in (i, j) order.
 """
 from __future__ import annotations
 
@@ -85,6 +87,9 @@ class VortexState:
     collision_threshold: float = DEFAULT_COLLISION_THRESHOLD
 
     def __post_init__(self):
+        if not 0.0 < self.collision_threshold < math.inf:   # NaN fails too
+            raise ValueError("collision_threshold: must be finite and positive, "
+                             f"got {self.collision_threshold}")
         n = len(self.positions)
         if n < 2:
             raise ValueError("a vortex state needs at least two vortices")
@@ -338,6 +343,7 @@ _RKF_A = (
 )
 _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 _RKF_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0)
+_MAX_REJECTS = 60   # consecutive rejections before StepRejectionError
 
 
 @dataclass
@@ -348,15 +354,18 @@ class _Trajectory:
     charts: np.ndarray
     coords: np.ndarray
     threshold: float
-    handover: float
+    rtol: float
+    atol: float
+    trial_dt: float              # rk45: the step controller's next trial step
     rejections: int = 0
 
-    def handover_step(self) -> None:
-        if self.plan.surface.kind != SPHERE:
-            return
-        flip = np.abs(self.coords) > self.handover
-        self.charts[flip] = 1 - self.charts[flip]
-        self.coords[flip] = 1.0 / self.coords[flip]
+    def accept(self, coords: np.ndarray, t: float) -> None:
+        """End an accepted step at time t: sphere vortices move to the chart with
+        |z| <= 1 (torus cover coordinates stay), then the collision check runs."""
+        if self.plan.surface.kind == SPHERE:
+            self.charts, coords, _, _ = canonical_coords(self.plan.surface, self.charts, coords)
+        self.coords = coords
+        _check_separation(self.plan.surface, self.charts, coords, self.threshold, t)
 
     def record(self, t: float) -> TrajectoryRecord:
         surface, basis, g = self.plan.surface, self.plan.basis, self.plan.strengths
@@ -369,19 +378,21 @@ class _Trajectory:
                                 kelvin_coefficients(basis, w))
 
 
-def _rk4_step(traj: _Trajectory, dt: float) -> None:
-    velocity, charts, y0 = traj.plan.velocity, traj.charts, traj.coords
-    k1 = velocity(charts, y0)
-    k2 = velocity(charts, y0 + 0.5 * dt * k1)
-    k3 = velocity(charts, y0 + 0.5 * dt * k2)
-    k4 = velocity(charts, y0 + dt * k3)
-    traj.coords = y0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+def _rk4_advance(traj: _Trajectory, i0: int, i1: int, dt: float) -> None:
+    """Fixed steps i0 + 1 .. i1, each ending at t = i * dt."""
+    for i in range(i0 + 1, i1 + 1):
+        velocity, charts, y0 = traj.plan.velocity, traj.charts, traj.coords
+        k1 = velocity(charts, y0)
+        k2 = velocity(charts, y0 + 0.5 * dt * k1)
+        k3 = velocity(charts, y0 + 0.5 * dt * k2)
+        k4 = velocity(charts, y0 + dt * k3)
+        traj.accept(y0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, i * dt)
 
 
-def _rkf45_advance(traj: _Trajectory, t: float, t_end: float, dt0: float,
-                   rtol: float, atol: float, max_rejects: int = 60) -> float:
-    """Advance to t_end with embedded 4(5) steps; returns the final trial dt."""
-    dt = dt0
+def _rkf45_advance(traj: _Trajectory, i0: int, i1: int, step: float) -> None:
+    """Embedded 4(5) steps from i0 * step to i1 * step under step control,
+    starting from and leaving the controller's trial step in traj.trial_dt."""
+    t, t_end, dt = i0 * step, i1 * step, traj.trial_dt
     consecutive = 0
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
         dt = min(dt, t_end - t)
@@ -396,39 +407,40 @@ def _rkf45_advance(traj: _Trajectory, t: float, t_end: float, dt0: float,
         for i, b in enumerate(_RKF_B5):
             y1 += dt * b * ks[i]
         err = float(np.abs(sum(dt * c * k for c, k in zip(_RKF_ERR, ks))).max())
-        tol = atol + rtol * max(1.0, float(np.abs(y0).max()))
+        tol = traj.atol + traj.rtol * max(1.0, float(np.abs(y0).max()))
         if err <= tol:
-            traj.coords = y1
             t += dt
-            traj.handover_step()
-            _check_separation(traj.plan.surface, traj.charts, traj.coords,
-                              traj.threshold, t)
+            traj.accept(y1, t)
             consecutive = 0
         else:
             traj.rejections += 1
             consecutive += 1
-            if consecutive > max_rejects:
+            if consecutive > _MAX_REJECTS:
                 raise StepRejectionError(
                     f"adaptive step rejected {consecutive} times in a row at t={t:.6g}"
                 )
         factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
         dt *= min(5.0, max(0.2, factor))
-    return dt
+    traj.trial_dt = dt
+
+
+# the integration methods by name; `config` validates against the same table
+METHODS = {"rk4": _rk4_advance, "rk45-adaptive": _rkf45_advance}
 
 
 def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
-              record_every: int = 1, handover_threshold: float = 1.0,
-              rtol: float = 1e-9, atol: float = 1e-12,
+              record_every: int = 1, rtol: float = 1e-9, atol: float = 1e-12,
               stats_out: dict | None = None) -> list[TrajectoryRecord]:
     """Advance the state for `steps` steps of size `dt` under the velocity law.
 
-    `method` is "rk4" (fixed step) or "rk45-adaptive" (embedded 4(5) pair with
-    step control between record times).  Records are emitted at t=0, every
-    `record_every`-th step, and at the end; each is the canonical state at its
-    time (positions and compensated base circulations, so it restarts the
-    run) with its energy, Kelvin coefficients and minimum separation.
-    Raises CollisionError when two vortices approach below the state's
-    collision threshold, and StepRejectionError if adaptive control stalls.
+    `method` names a METHODS entry: "rk4" (fixed step) or "rk45-adaptive"
+    (embedded 4(5) pair with step control between record times).  Records are
+    emitted at t=0, every `record_every`-th step and at the end; each is the
+    canonical state at its time (positions and compensated base circulations,
+    so it restarts the run) with its energy, Kelvin coefficients and minimum
+    separation.  After every accepted step each sphere vortex is in its chart
+    with |z| <= 1, and CollisionError is raised when two vortices come closer
+    than the state's collision threshold; StepRejectionError if adaptive control stalls.
     `stats_out`, when given, receives the rejection count and, on either
     abort, the records produced so far under "partial_records".
     """
@@ -438,38 +450,21 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
         raise ValueError(f"steps: must be >= 1, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every: must be >= 1, got {record_every}")
-    if method not in ("rk4", "rk45-adaptive"):
+    if method not in METHODS:
         raise ValueError(f"method: unknown integration method {method!r}")
     charts, coords, plan = _unpack(state)
     traj = _Trajectory(plan, state.base_a, state.base_b, charts, coords,
-                       state.collision_threshold, handover_threshold)
+                       state.collision_threshold, rtol, atol, dt)
     records = [traj.record(0.0)]
+    marks = (0, *range(record_every, steps, record_every), steps)
+    stats = {} if stats_out is None else stats_out
     try:
-        if method == "rk4":
-            for i in range(1, steps + 1):
-                _rk4_step(traj, dt)
-                t = i * dt
-                traj.handover_step()
-                _check_separation(plan.surface, traj.charts, traj.coords,
-                                  traj.threshold, t)
-                if i % record_every == 0 or i == steps:
-                    records.append(traj.record(t))
-        else:
-            trial_dt = dt
-            t = 0.0
-            for i in range(record_every, steps + 1, record_every):
-                t_target = i * dt
-                trial_dt = _rkf45_advance(traj, t, t_target, trial_dt, rtol, atol)
-                t = t_target
-                records.append(traj.record(t))
-            if steps % record_every:
-                _rkf45_advance(traj, t, steps * dt, trial_dt, rtol, atol)
-                records.append(traj.record(steps * dt))
+        for i0, i1 in zip(marks, marks[1:]):
+            METHODS[method](traj, i0, i1, dt)
+            records.append(traj.record(i1 * dt))
     except (CollisionError, StepRejectionError):
-        if stats_out is not None:
-            stats_out["step_rejections"] = traj.rejections
-            stats_out["partial_records"] = records
+        stats["partial_records"] = records
         raise
-    if stats_out is not None:
-        stats_out["step_rejections"] = traj.rejections
+    finally:
+        stats["step_rejections"] = traj.rejections
     return records

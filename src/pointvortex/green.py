@@ -36,6 +36,7 @@ from .surfaces import (
     geodesic_distance,
     lambda_at,
     reduce_centered,
+    sphere_difference,
 )
 
 _COINCIDENCE_TOL = 1e-12
@@ -83,12 +84,10 @@ def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
 
 def sphere_gradient_terms(ci, zi, cj, zj, wi, wj):
     """(|d|^2, dG/dz_i in zi's chart, dG/dz_j in zj's chart) over arrays of
-    pairs, with wi = 1 + |zi|^2, wj = 1 + |zj|^2 and d = zi - zj, or zi zj - 1
-    across charts (stable near either chart's infinity; the pole terms depend
-    on the charts, so both orientations are formed).  SingularityError if any
-    two points coincide."""
-    same = np.asarray(ci) == np.asarray(cj)
-    diff = np.where(same, zi - zj, zi * zj - 1.0)
+    pairs, with wi = 1 + |zi|^2, wj = 1 + |zj|^2 and d from `sphere_difference`
+    (the pole terms depend on the charts, so both orientations are formed).
+    SingularityError if any two points coincide."""
+    same, diff = sphere_difference(ci, zi, cj, zj)
     num = np.abs(diff) ** 2
     # squared R^3 chord 4 num / ((1+|zi|^2)(1+|zj|^2)) against the tolerance
     if (4.0 * num <= _COINCIDENCE_TOL**2 * wi * wj).any():

@@ -211,14 +211,11 @@ def transition(surface: Surface, p: SurfacePoint,
     return SurfacePoint(target_chart, 1.0 / z), jet
 
 
-def sphere_embedding(chart_id, z):
-    """Unit-sphere R^3 coordinates of chart points; `chart_id` and `z` may be arrays."""
-    z = np.asarray(z)
-    sign = 1.0 - 2.0 * np.asarray(chart_id)   # chart 1 mirrors y and the polar axis
-    denom = 1.0 + np.abs(z) ** 2
-    x = 2.0 * z.real / denom
-    y = 2.0 * z.imag / denom
-    return x, sign * y, sign * (np.abs(z) ** 2 - 1.0) / denom
+def sphere_difference(ci, zi, cj, zj):
+    """(same, d) over arrays of pairs: `same` marks the pairs in one chart, where
+    d = zi - zj; across charts d = zi zj - 1 (stable near either chart's infinity)."""
+    same = np.asarray(ci) == np.asarray(cj)
+    return same, np.where(same, zi - zj, zi * zj - 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -229,24 +226,24 @@ def _lattice_offsets(tau: complex) -> np.ndarray:
 
 
 def pair_distances(surface: Surface, charts, coords, i, j) -> np.ndarray:
-    """Geodesic separations of the point pairs (i[k], j[k]), diagnostic grade:
-    R^3 chords on the sphere; on the torus (any cover coordinates) |j| times
+    """Geodesic separations of the point pairs (i[k], j[k]): on the sphere
+    2 atan2(|d|, |e|), d from `sphere_difference`, e = 1 + conj(zi) zj in one chart
+    and zj + conj(zi) across charts; on the torus (any cover coordinates) |j| times
     the nearest of the 9 centered translates of u / j in the reduced basis."""
-    if surface.kind == SPHERE:
-        e = np.stack(sphere_embedding(charts, coords))
-        d = e[:, i] - e[:, j]
-        chord = np.sqrt((d * d).sum(axis=0))
-        return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
-    tau_r, j_tau = reduced_modulus(surface.tau)
     coords = np.asarray(coords)
+    if surface.kind == SPHERE:
+        zi, zj = coords[i], coords[j]
+        same, d = sphere_difference(charts[i], zi, charts[j], zj)
+        e = np.where(same, 1.0 + zi.conjugate() * zj, zj + zi.conjugate())
+        return 2.0 * np.arctan2(np.abs(d), np.abs(e))
+    tau_r, j_tau = reduced_modulus(surface.tau)
     u = reduce_centered(tau_r, (coords[i] - coords[j]) * (1.0 / j_tau))
     return abs(j_tau) * np.abs(u[..., None] + _lattice_offsets(tau_r)).min(axis=-1)
 
 
 def geodesic_distance(surface: Surface, p: SurfacePoint, q: SurfacePoint) -> float:
-    """Geodesic separation; diagnostic grade (collision checks, monitors).  The pair
-    goes in as an array, like a configuration's: numpy's scalar complex product
-    can differ from its array product in the last bit."""
+    """Geodesic separation, through `pair_distances` on a one-pair array like a
+    configuration's (numpy's scalar and array complex products can differ)."""
     surface.check_chart(p.chart_id)
     surface.check_chart(q.chart_id)
     return float(pair_distances(

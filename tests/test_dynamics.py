@@ -43,6 +43,13 @@ class TestStateValidation:
             VortexState(sphere, (SurfacePoint(0, 0j), SurfacePoint(0, 0.5 + 0j)),
                         (1.0, 1.0))
 
+    @pytest.mark.parametrize("threshold", (math.nan, -1.0, -math.inf, 0.0, math.inf))
+    def test_collision_threshold_must_be_finite_and_positive(self, sphere, threshold):
+        # with NaN no collision could ever be raised: `sep < nan` is always false
+        with pytest.raises(ValueError, match="^collision_threshold: must be finite"):
+            VortexState(sphere, (SurfacePoint(0, 0j), SurfacePoint(0, 0.5 + 0j)),
+                        (1.0, -1.0), collision_threshold=threshold)
+
     def test_strengths_must_be_nonzero(self, sphere):
         with pytest.raises(ValueError, match="nonzero"):
             VortexState(sphere, (SurfacePoint(0, 0j), SurfacePoint(0, 0.5 + 0j)),

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pointvortex.dynamics import VortexState, hamiltonian_velocity, integrate, vortex_velocity
+from pointvortex.dynamics import (
+    VortexState,
+    _plan,
+    hamiltonian_velocity,
+    integrate,
+    vortex_velocity,
+)
 from pointvortex.errors import CollisionError, StepRejectionError
 from pointvortex.oracles import contour_integral, loop_path, star_gradient_form
 from pointvortex.periods import build_basis, circulation_form, circulation_state
@@ -267,23 +273,45 @@ class TestRestart:
             recs_a[-1].positions, recs_b[-1].positions)) > 0.05
 
 
+def rk4_handover_at(st, dt, steps, every, limit):
+    """(charts, coords) every `every` steps of RK4 on the plan's velocity,
+    handing a sphere vortex over to the other chart only once |z| > limit."""
+    charts = np.array([p.chart_id for p in st.positions])
+    coords = np.array([p.coord for p in st.positions])
+    velocity = _plan(st.surface, coords, st.strengths, st.base_a, st.base_b).velocity
+    out = []
+    for i in range(1, steps + 1):
+        k1 = velocity(charts, coords)
+        k2 = velocity(charts, coords + 0.5 * dt * k1)
+        k3 = velocity(charts, coords + 0.5 * dt * k2)
+        k4 = velocity(charts, coords + dt * k3)
+        coords = coords + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        flip = np.abs(coords) > limit
+        charts[flip] = 1 - charts[flip]
+        coords[flip] = 1.0 / coords[flip]
+        if i % every == 0:
+            out.append((charts.copy(), coords.copy()))
+    return out
+
+
 class TestChartHandover:
     def test_threshold_independence_on_sphere(self, rng):
         # a wandering 4-vortex trajectory crossing the equator must not care
-        # where the handover happens
+        # where the handover happens: integrate hands over at |z| > 1, the
+        # loop above at |z| > 1.5
         sphere = Surface.sphere()
         st = random_state(sphere, 4, rng, min_sep=0.5)
-        recs_a = integrate(st, 5e-3, 400, record_every=100)
-        recs_b = integrate(st, 5e-3, 400, record_every=100,
-                           handover_threshold=1.5)
-        crossed = set()
-        for ra, rb in zip(recs_a, recs_b):
-            for pa, pb in zip(ra.positions, rb.positions):
+        recs = integrate(st, 5e-3, 400, record_every=100)
+        late = rk4_handover_at(st, 5e-3, 400, 100, 1.5)
+        assert len(late) == len(recs) - 1
+        crossed = {p.chart_id for p in recs[0].positions}
+        for rec, (charts, coords) in zip(recs[1:], late):
+            for pa, cb, zb in zip(rec.positions, charts, coords):
                 crossed.add(pa.chart_id)
-                if pa.chart_id == pb.chart_id:
-                    assert abs(pa.coord - pb.coord) < 1e-8
+                if pa.chart_id == cb:
+                    assert abs(pa.coord - zb) < 1e-8
                 else:
-                    assert abs(pa.coord - 1.0 / pb.coord) < 1e-8
+                    assert abs(pa.coord - 1.0 / zb) < 1e-8
         assert crossed == {0, 1}, "fixture must actually exercise the handover"
 
     def test_trajectory_time_reversal(self, sphere, rng):
@@ -331,15 +359,19 @@ class TestAdaptive:
 
 
 class TestCollision:
-    def test_deterministic_abort(self):
-        # this trajectory's minimum separation dips to ~0.2226 near t=4.5, so
-        # a 0.25 threshold gives a reproducible abort
+    @pytest.mark.parametrize("method", ("rk4", "rk45-adaptive"))
+    def test_deterministic_abort(self, method):
+        # pair (1, 3) of this trajectory first comes within 0.25 near t = 0.66
+        # (rk4 aborts at t = 0.655 at 0.2490, rk45-adaptive at t = 0.66556 at
+        # 0.2470), so a 0.25 threshold gives a reproducible abort
         st = four_vortex_torus(threshold=0.25)
         stats = {}
         with pytest.raises(CollisionError) as err:
-            integrate(st, 5e-3, 3000, record_every=50, stats_out=stats)
+            integrate(st, 5e-3, 3000, method=method, record_every=50, stats_out=stats)
+        assert err.value.pair == (1, 3)
         assert err.value.separation < 0.25
         assert stats["partial_records"], "partial trajectory must be kept"
+        assert "step_rejections" in stats
 
     def test_records_carry_min_separation(self):
         st = four_vortex_torus()

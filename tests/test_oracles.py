@@ -18,7 +18,8 @@ from pointvortex.oracles import (
     torus_poisson_oracle,
     wirtinger_fd,
 )
-from pointvortex.surfaces import sphere_embedding
+
+from embedding import sphere_embedding
 
 
 class TestPoissonOracle:

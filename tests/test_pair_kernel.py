@@ -43,8 +43,9 @@ from pointvortex.surfaces import (
     geodesic_distance,
     lattice_split,
     pair_distances,
-    sphere_embedding,
 )
+
+from embedding import sphere_embedding
 
 TAUS = (1j, 0.5 + 1j, 0.4 + 0.02j, 8j)
 SIZES = (2, 3, 4, 16)

@@ -135,6 +135,14 @@ def test_geodesic_distance_examples(sphere, torus_i):
     assert geodesic_distance(torus_i, a, b) == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("z", (0.3 + 0.4j, 0.9 + 0.1j, 0.01, 0.7 - 0.7j))
+def test_antipodal_separation_is_pi(sphere, z):
+    # an arcsin of a clamped R^3 chord misses pi here by up to 3e-8
+    antipode = sphere.canonical_point(SurfacePoint(0, -1.0 / complex(z).conjugate()))
+    assert antipode.chart_id == 1
+    assert abs(geodesic_distance(sphere, SurfacePoint(0, z), antipode) - math.pi) <= 1e-15
+
+
 def test_geodesic_distance_cross_chart_consistency(sphere, rng):
     for _ in range(30):
         z = complex(*rng.uniform(-0.9, 0.9, 2))
