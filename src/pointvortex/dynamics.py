@@ -191,7 +191,7 @@ def _row_sums(i, j, upper, lower, weights: np.ndarray) -> np.ndarray:
     m = np.zeros((n, n), dtype=upper.dtype)
     m[i, j] = upper
     m[j, i] = lower
-    return (m * weights).sum(axis=1)
+    return m @ weights
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,11 @@ class _Plan:
     theta: ThetaContext | None   # None on the sphere
     flow: complex                # du*/dz
 
+    def _torus_rows(self, coords: np.ndarray) -> np.ndarray:
+        """M Gamma + du*/dz at every vortex on the torus."""
+        grad = torus_gradient_terms(self.theta, coords[self.i] - coords[self.j])[2]
+        return _row_sums(self.i, self.j, grad, -grad, self.strengths) + self.flow
+
     def c1(self, charts: np.ndarray, coords: np.ndarray):
         """(c1 = h1 + 4 pi (M Gamma + du*/dz) / Gamma, 1 + |z|^2 or None on the
         torus) at every vortex, with M_kj = dG(z_k, z_j)/dz_k in z_k's chart."""
@@ -217,13 +222,12 @@ class _Plan:
             _, grad_i, grad_j = sphere_gradient_terms(
                 charts[i], coords[i], charts[j], coords[j], w[i], w[j])
             return coords.conjugate() / w + _FOUR_PI * _row_sums(i, j, grad_i, grad_j, g) / g, w
-        grad = torus_gradient_terms(self.theta, coords[i] - coords[j])[2]
-        return _FOUR_PI * (_row_sums(i, j, grad, -grad, g) + self.flow) / g, None
+        return _FOUR_PI * self._torus_rows(coords) / g, None
 
     def velocity(self, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        if self.theta is not None:
+            return -2j * self._torus_rows(coords).conjugate()   # Gamma / (2 pi i) conj(c1)
         c1, w = self.c1(charts, coords)
-        if w is None:
-            return self.strengths / _TWO_PI_I * c1.conjugate()
         # sphere: lambda = 2 / w and d log(lambda)/dzbar = -z / w
         return self.strengths / (_TWO_PI_I * (2.0 / w) ** 2) * (c1.conjugate() - coords / w)
 
@@ -251,10 +255,10 @@ def _hamiltonian_raw(surface: Surface, basis: PeriodBasis, charts, coords,
 
 
 def _check_separation(surface: Surface, charts, coords, threshold: float,
-                      time: float) -> float:
-    """Minimum pair separation; raises CollisionError below `threshold`,
-    naming the first closest pair in (i, j) order."""
-    i, j = _pairs(len(coords))
+                      time: float, pairs: tuple | None = None) -> float:
+    """Minimum pair separation over `pairs` (default: all i < j); raises
+    CollisionError below `threshold`, naming the first closest pair in (i, j) order."""
+    i, j = _pairs(len(coords)) if pairs is None else pairs
     d = pair_distances(surface, np.asarray(charts), np.asarray(coords, dtype=complex), i, j)
     k = int(np.argmin(d))
     best = float(d[k])
@@ -353,28 +357,32 @@ class _Trajectory:
     base_b: tuple[float, ...]
     charts: np.ndarray
     coords: np.ndarray
+    separation: float            # minimum separation at coords, for the next record
     threshold: float
     rtol: float
     atol: float
     trial_dt: float              # rk45: the step controller's next trial step
     rejections: int = 0
+    evaluations: int = 0         # velocity evaluations, counted per step
+    accepted: int = 0
 
     def accept(self, coords: np.ndarray, t: float) -> None:
         """End an accepted step at time t: sphere vortices move to the chart with
         |z| <= 1 (torus cover coordinates stay), then the collision check runs."""
-        if self.plan.surface.kind == SPHERE:
-            self.charts, coords, _, _ = canonical_coords(self.plan.surface, self.charts, coords)
+        surface, pairs = self.plan.surface, (self.plan.i, self.plan.j)
+        if surface.kind == SPHERE:
+            self.charts, coords, _, _ = canonical_coords(surface, self.charts, coords)
         self.coords = coords
-        _check_separation(self.plan.surface, self.charts, coords, self.threshold, t)
+        self.separation = _check_separation(surface, self.charts, coords, self.threshold, t, pairs)
+        self.accepted += 1
 
     def record(self, t: float) -> TrajectoryRecord:
         surface, basis, g = self.plan.surface, self.plan.basis, self.plan.strengths
         charts, coords, a, b = _canonical(surface, self.charts, self.coords, g,
                                           self.base_a, self.base_b)
         h = _hamiltonian_raw(surface, basis, charts, coords, g, a, b)
-        sep = _check_separation(surface, charts, coords, -math.inf, t)
         w = circulation_state(basis, coords, g, a, b)   # not the plan's: independent
-        return TrajectoryRecord(t, _points(charts, coords), h, a, b, sep,
+        return TrajectoryRecord(t, _points(charts, coords), h, a, b, self.separation,
                                 kelvin_coefficients(basis, w))
 
 
@@ -386,6 +394,7 @@ def _rk4_advance(traj: _Trajectory, i0: int, i1: int, dt: float) -> None:
         k2 = velocity(charts, y0 + 0.5 * dt * k1)
         k3 = velocity(charts, y0 + 0.5 * dt * k2)
         k4 = velocity(charts, y0 + dt * k3)
+        traj.evaluations += 4
         traj.accept(y0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, i * dt)
 
 
@@ -403,6 +412,7 @@ def _rkf45_advance(traj: _Trajectory, i0: int, i1: int, step: float) -> None:
             for j, a in enumerate(_RKF_A[i]):
                 yi += dt * a * ks[j]
             ks.append(traj.plan.velocity(traj.charts, yi))
+        traj.evaluations += 6
         y1 = y0.copy()
         for i, b in enumerate(_RKF_B5):
             y1 += dt * b * ks[i]
@@ -441,8 +451,9 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     separation.  After every accepted step each sphere vortex is in its chart
     with |z| <= 1, and CollisionError is raised when two vortices come closer
     than the state's collision threshold; StepRejectionError if adaptive control stalls.
-    `stats_out`, when given, receives the rejection count and, on either
-    abort, the records produced so far under "partial_records".
+    `stats_out`, when given, receives the counts "step_rejections",
+    "accepted_steps" and "velocity_evaluations" and, on either abort, the
+    records produced so far under "partial_records".
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt: must be finite and positive, got {dt}")
@@ -453,7 +464,8 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     if method not in METHODS:
         raise ValueError(f"method: unknown integration method {method!r}")
     charts, coords, plan = _unpack(state)
-    traj = _Trajectory(plan, state.base_a, state.base_b, charts, coords,
+    sep = _check_separation(state.surface, charts, coords, -math.inf, 0.0, (plan.i, plan.j))
+    traj = _Trajectory(plan, state.base_a, state.base_b, charts, coords, sep,
                        state.collision_threshold, rtol, atol, dt)
     records = [traj.record(0.0)]
     marks = (0, *range(record_every, steps, record_every), steps)
@@ -466,5 +478,6 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
         stats["partial_records"] = records
         raise
     finally:
-        stats["step_rejections"] = traj.rejections
+        stats.update(step_rejections=traj.rejections, accepted_steps=traj.accepted,
+                     velocity_evaluations=traj.evaluations)
     return records

@@ -70,8 +70,9 @@ def torus_gradient_terms(ctx: theta.ThetaContext, u):
     if (np.abs(ur) <= _COINCIDENCE_TOL * abs(ctx.inv_j)).any():
         raise SingularityError("Green function evaluated at coincident points")
     th, dth = theta.theta1_series(ctx, ur)
-    grad = -(0.5 * dth / th + 1j * math.pi * ur.imag / ctx.tau.imag) / (2.0 * math.pi)
-    return ur, th, grad * ctx.inv_j
+    # dG/dz = -(theta1'/theta1 / 2 + i pi Im u' / Im tau') / (2 pi j), folded into two scalars
+    a, b = -ctx.inv_j / (4.0 * math.pi), -0.5j * ctx.inv_j / ctx.tau.imag
+    return ur, th, a * (dth / th) + b * ur.imag
 
 
 def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from .errors import ChartError
 SPHERE = "sphere"
 FLAT_TORUS = "flat_torus"
 
-MAX_REDUCED_IM_TAU = 200.0   # past about 226 the theta recurrence overflows
+MAX_REDUCED_IM_TAU = 200.0   # past about 226 the theta series' cos 2 pi z overflows
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ class ThetaContext:
     green_const: float               # C(tau') = log|eta(tau')| / 2 pi
     h0: float                        # Robin h0 of the user's tau
     h2: complex                      # Robin h2 of the user's tau
-    # read-only (n_terms, 2, 1) array of (c_n, c_n (2n+1) pi), c_n = (-1)^n q^{(n+1/2)^2}
+    # read-only (n_terms, 2, 1): the c^m coefficients of theta1 / sin x and theta1' / cos x
     weights: np.ndarray = field(compare=False, repr=False)
 
 
@@ -55,7 +55,16 @@ def theta_context(tau: complex) -> ThetaContext:
     green_const = log_abs_eta / (2.0 * math.pi)
     h0 = -math.log(abs(d1)) + 2.0 * math.pi * green_const + math.log(abs(j))
     h2 = (-d3 / (6.0 * d1) - math.pi / (2.0 * tau_r.imag)) / j**2
-    weights = np.array([((c,), (c * f,)) for c, f in zip(coeffs, freqs)])
+    # theta1 / sin x = sum_n 2 c_n D_n(c) and theta1' / cos x = sum_n 2 c_n f_n (-1)^n D_n(-c)
+    # in c = cos 2x, x = pi z, with D_n = 1 + 2 (T_1 + ... + T_n) in monomials of c
+    weights = np.zeros((_TERMS, 2, 1), dtype=complex)
+    zeros = [0] * (_TERMS - 1)
+    t_prev, t, kernel = [0, 1] + zeros[1:], [1] + zeros, [-1] + zeros
+    for n, (c, f) in enumerate(zip(coeffs, freqs)):
+        kernel = [d + 2 * a for d, a in zip(kernel, t)]              # D_n, from D_-1 = -1
+        weights[:, 0, 0] += [2 * c * d for d in kernel]
+        weights[:, 1, 0] += [2 * (-1) ** (n + m) * c * f * d for m, d in enumerate(kernel)]
+        t_prev, t = t, [2 * a - b for a, b in zip([0] + t, t_prev)]   # T_{n+1}, from T_-1 = T_1
     weights.flags.writeable = False
     return ThetaContext(tau_r, j, 1.0 / j, _TERMS, green_const, h0, h2, weights)
 
@@ -63,11 +72,10 @@ def theta_context(tau: complex) -> ThetaContext:
 def theta1_series(ctx: ThetaContext, z):
     """(theta1(z | ctx.tau), theta1'(z | ctx.tau)) from one series pass.
 
-    With x = pi z, sin((2k+1)x) and cos((2k+1)x) both obey the recurrence
-    f_{k+1} = 2 cos(2x) f_k - f_{k-1}, so one Clenshaw pass over a (2, m)
-    array sums both series.  It ends in sin x (b0 + b1) and cos x (b0 - b1),
-    keeping theta1 at full relative precision near its zero at z = 0.  Points
-    go through in blocks of _BLOCK, which bounds the temporaries' memory.
+    With x = pi z, theta1 / sin x and theta1' / cos x are degree n_terms - 1
+    polynomials in c = cos 2x (`ThetaContext.weights`); one Horner pass over a
+    (2, m) array times sin x and cos x keeps theta1 at full relative precision
+    near z = 0.  Points go in blocks of _BLOCK, bounding the temporaries' memory.
     """
     n = ctx.n_terms
     z = np.asarray(z, dtype=complex)
@@ -80,15 +88,14 @@ def theta1_series(ctx: ThetaContext, z):
         sinh_b, cosh_b = np.sinh(x.imag), np.cosh(x.imag)
         sin_x = sin_a * cosh_b + 1j * (cos_a * sinh_b)
         cos_x = cos_a * cosh_b - 1j * (sin_a * sinh_b)
-        two_cos2x = 2.0 - 4.0 * sin_x * sin_x
-        b0, b1 = ctx.weights[n - 1], 0.0
-        for k in range(n - 2, -1, -1):
-            b = two_cos2x * b0
-            b -= b1
-            b += ctx.weights[k]
-            b0, b1 = b, b0
-        flat_out[0, start:start + _BLOCK] = 2.0 * sin_x * (b0[0] + b1[0])
-        flat_out[1, start:start + _BLOCK] = 2.0 * cos_x * (b0[1] - b1[1])
+        c = 1.0 - 2.0 * sin_x * sin_x
+        p = ctx.weights[n - 1] * c
+        for k in range(n - 2, 0, -1):
+            p += ctx.weights[k]
+            p *= c
+        p += ctx.weights[0]
+        np.multiply(sin_x, p[0], out=flat_out[0, start:start + _BLOCK])
+        np.multiply(cos_x, p[1], out=flat_out[1, start:start + _BLOCK])
     return out[0], out[1]
 
 

@@ -143,6 +143,17 @@ class TestRunCommand:
         assert summary["status"] == "ok"
         assert summary["energy_drift"] < 1e-9
 
+    def test_summary_carries_run_counters(self, tmp_path):
+        # the CSV has no counter columns; the JSONL summary has the counts
+        assert main(["run", "torus_pair_translate", "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads(
+            (tmp_path / "torus_pair_translate.jsonl").read_text().splitlines()[-1])
+        assert summary["accepted_steps"] == 1000
+        assert summary["velocity_evaluations"] == 4000
+        assert summary["step_rejections"] == 0
+        header = (tmp_path / "torus_pair_translate.csv").read_text().splitlines()[0]
+        assert "evaluations" not in header and "accepted" not in header
+
     def test_diagnostics_report_absolute_energy_drift(self, tmp_path):
         # beside the relative drift, whose 1e-300 floor makes it noise when
         # H = 0 (the second run: the same records shifted to H(0) = 0)

@@ -97,6 +97,37 @@ def test_theta_truncation_at_least_conditioned_modulus():
             assert abs(got - sum(terms)) <= 1e-14 * sum(map(abs, terms))
 
 
+@pytest.mark.parametrize("tau", (1j, 0.5 + 1j, cmath.exp(1j * math.pi / 3.0), 0.4 + 0.02j, 8j))
+def test_theta_near_its_zero_keeps_relative_precision(tau):
+    # theta1 = theta1'(0) z + theta1'''(0) z^3 / 6 + O(z^5), with both derivatives
+    # from a 12-term sum on the modulus the series runs on; forming sin x from
+    # exponentials as (e - 1/e) / 2i would miss here by about 1e-7
+    ctx = theta.theta_context(tau)
+    coeffs = [(-1) ** k * cmath.exp(1j * math.pi * ctx.tau * (k + 0.5) ** 2) for k in range(12)]
+    d1 = 2.0 * sum(c * (2 * k + 1) * math.pi for k, c in enumerate(coeffs))
+    d3 = -2.0 * sum(c * ((2 * k + 1) * math.pi) ** 3 for k, c in enumerate(coeffs))
+    for z in (1e-9, 1e-6 * (1 + 1j), -3e-8j, 2e-5 - 1e-5j, 1e-12j):
+        th, dth = d1 * z + d3 * z**3 / 6.0, d1 + d3 * z**2 / 2.0
+        assert abs(theta.theta1(ctx, z) - th) <= 2e-15 * abs(th)
+        assert abs(theta.theta1_dz(ctx, z) - dth) <= 2e-15 * abs(dth)
+
+
+@pytest.mark.parametrize("tau", (100j, 199j, 0.5 + 199j))
+def test_theta_log_derivative_on_tall_moduli(tau):
+    # for Im tau >= 100 the q-corrections to theta1'/theta1 = pi cot(pi u) are
+    # below 4 pi exp(-pi Im tau) over the centered cell, so the two agree to rounding,
+    # with no overflow, division by zero or invalid operation in the cell
+    ctx = theta.theta_context(tau)
+    s = np.linspace(-0.5, 0.5, 41)
+    u = (s[None, :] + s[:, None] * ctx.tau).ravel()
+    u = u[u != 0]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        th, dth = theta.theta1_series(ctx, u)
+        expected = math.pi * np.cos(math.pi * u) / np.sin(math.pi * u)
+        got = dth / th
+    assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+
+
 def test_green_symmetry(torus_skew, rng):
     pts = delta_probe_points(torus_skew, rng, 200)
     for i in range(100):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from pointvortex import dynamics
+from pointvortex.config import resolve_scenario
 from pointvortex.dynamics import (
     VortexState,
     _plan,
     hamiltonian_velocity,
     integrate,
+    min_separation,
     vortex_velocity,
 )
 from pointvortex.errors import CollisionError, StepRejectionError
@@ -379,6 +382,60 @@ class TestCollision:
         for rec in recs:
             assert rec.min_separation > 0.2
             assert math.isfinite(rec.hamiltonian)
+
+
+class TestRunCounters:
+    def counting(self, monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("name", ("sphere_antipodal_pair", "torus_four_vortex"))
+    def test_each_separation_is_computed_once(self, monkeypatch, name):
+        # the collision check of each step hands its minimum to the record at
+        # that step; only the t = 0 record computes its own
+        cfg = resolve_scenario(name)
+        state, spec = cfg.state(), cfg.integrator
+        calls = self.counting(monkeypatch, dynamics, "pair_distances")
+        recs = integrate(state, spec.dt, spec.steps, record_every=spec.record_every)
+        assert len(calls) == spec.steps + 1
+        if name == "sphere_antipodal_pair":
+            assert len(calls) == 1601
+        for rec in recs:
+            fresh = min_separation(state.surface, rec.positions)
+            assert abs(rec.min_separation - fresh) <= 1e-14 * fresh
+
+    def test_rk4_counts_four_evaluations_per_step(self, monkeypatch):
+        calls = self.counting(monkeypatch, dynamics._Plan, "velocity")
+        stats = {}
+        integrate(four_vortex_torus(), 1e-3, 37, record_every=10, stats_out=stats)
+        assert stats["velocity_evaluations"] == len(calls) == 4 * 37
+        assert stats["accepted_steps"] == 37
+        assert stats["step_rejections"] == 0
+
+    def test_rk45_counts_six_evaluations_per_trial_step(self, monkeypatch):
+        calls = self.counting(monkeypatch, dynamics._Plan, "velocity")
+        stats = {}
+        recs = integrate(four_vortex_torus(), 0.05, 20, method="rk45-adaptive",
+                         record_every=5, rtol=1e-11, atol=1e-13, stats_out=stats)
+        assert stats["step_rejections"] > 0, "fixture must exercise a rejection"
+        assert stats["accepted_steps"] >= len(recs) - 1
+        assert stats["velocity_evaluations"] == len(calls) == 6 * (
+            stats["accepted_steps"] + stats["step_rejections"])
+
+    def test_counters_survive_a_collision_abort(self):
+        stats = {}
+        with pytest.raises(CollisionError):
+            integrate(four_vortex_torus(threshold=0.25), 5e-3, 3000, stats_out=stats)
+        # rk4 aborts in the check of step 131 (t = 0.655), after its four evaluations
+        assert stats["accepted_steps"] == 130
+        assert stats["velocity_evaluations"] == 4 * 131
 
 
 def test_invalid_integrate_arguments():
