@@ -22,7 +22,7 @@ from pathlib import Path
 from .config import ScenarioConfig, resolve_scenario
 from .dynamics import TrajectoryRecord, integrate
 from .errors import CollisionError, ConfigError, StepRejectionError
-from .verify import format_report, run_suite, verify_scenario
+from .verify import check_tolerance, format_report, run_suite, verify_scenario
 
 log = logging.getLogger("pointvortex")
 
@@ -40,14 +40,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _worker_count(text: str) -> int:
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _override(text: str) -> tuple[str, float]:
+    """argparse type: NAME=TOL under `verify.check_tolerance`'s rules."""
+    name, _, value = text.partition("=")
     try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+        return name, check_tolerance(name, value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _configure_logging() -> None:
@@ -181,14 +193,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    overrides = {}
-    for item in args.override or []:
-        name, _, value = item.partition("=")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            print(f"bad --override {item!r}: expected NAME=TOLERANCE", file=sys.stderr)
-            return EXIT_CONFIG
     if args.config is not None:
         try:
             cfg = resolve_scenario(args.config)
@@ -197,7 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     else:
-        results = run_suite(suite=args.suite, seed=args.seed, overrides=overrides)
+        results = run_suite(args.suite, args.seed, dict(args.override or ()))
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("configs", nargs="+",
                        help="config JSON paths or bundled scenario names")
     p_run.add_argument("--out-dir", default=".", help="output directory")
-    p_run.add_argument("--jobs", type=_worker_count, default=1,
+    p_run.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="fan independent scenarios across N worker processes")
     p_run.add_argument("--dump-config", action="store_true",
                        help="print the normalized config JSON and exit")
@@ -222,16 +226,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("config", nargs="?", default=None,
                        help="optional scenario to verify instead of the suite")
     p_ver.add_argument("--suite", choices=("quick", "full"), default="quick")
-    p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--override", action="append", metavar="NAME=TOL",
-                       help="override a check tolerance (repeatable)")
+    p_ver.add_argument("--seed", type=_int_at_least(0), default=7,
+                       help="random seed of the suite (N >= 0)")
+    p_ver.add_argument("--override", action="append", type=_override, metavar="NAME=TOL",
+                       help="override a suite check's tolerance (repeatable)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "verify" and args.config is not None and args.override:
+            parser.error("argument --override: for the suite, not a CONFIG (see its tolerances)")
     except SystemExit as exc:  # a usage error (EXIT_CONFIG) or --help (0)
         return exc.code
     if args.command == "run":

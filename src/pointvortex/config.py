@@ -87,7 +87,7 @@ def _expect(mapping, key, kind, where, default=None, required=False):
     value = mapping[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):   # bool is an int to Python
         raise ConfigError(
             f"{where}.{key}: expected {getattr(kind, '__name__', kind)}, "
             f"got {type(value).__name__}"
@@ -188,9 +188,11 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         raise ConfigError(f"collision_threshold: must be positive, got {threshold}")
 
     tolerances = _expect(data, "tolerances", dict, "top level", default={})
-    for key, value in tolerances.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"tolerances.{key}: expected a number")
+    for key in tolerances:
+        if key != "velocity_equivalence":
+            raise ConfigError(f"tolerances.{key}: unknown (only 'velocity_equivalence')")
+        if not _expect(tolerances, key, float, "tolerances") > 0:
+            raise ConfigError(f"tolerances.{key}: must be positive, got {tolerances[key]}")
 
     cfg = ScenarioConfig(
         name=name,

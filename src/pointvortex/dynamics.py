@@ -5,11 +5,12 @@ The velocity of vortex k in its chart is
 
     dz_k/dt = Gamma_k / (2 pi i lambda(z_k)^2) * (conj(c1(z_k)) + d(log lambda)/dzbar),
 
-where c1 collects the Robin coefficient h1, the holomorphic Green gradients of
-the other vortices, and the gradient of the conjugate circulation potential.
-The Hamiltonian couples the Green/Robin quadratic form in the strengths with
-the circulation quadratic form; differentiating it numerically gives an
-independent velocity route used for cross-validation.
+where c1 = h1 + 4 pi (M Gamma + du*/dz)_k / Gamma_k collects the Robin
+coefficient h1, the Green gradients M_kj = dG(z_k, z_j)/dz_k of the other
+vortices and the circulation gradient du*/dz.  On the sphere and flat tori the
+self-term conj(h1) + d(log lambda)/dzbar vanishes, so dz_k/dt =
+-2i conj(M Gamma + du*/dz)_k / lambda^2.  Finite differences of the
+renormalized Hamiltonian give an independent velocity route for cross-validation.
 
 Torus trajectories are integrated in universal-cover coordinates so the
 multivalued circulation potentials stay on one continuous branch; doubly
@@ -45,6 +46,7 @@ from .green import (
     sphere_gradient_terms,
     torus_gradient_terms,
 )
+from .oracles import wirtinger_fd
 from .periods import (
     PeriodBasis,
     build_basis,
@@ -66,7 +68,6 @@ from .theta import ThetaContext, theta_context
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
-_TWO_PI_I = 2j * math.pi
 
 DEFAULT_COLLISION_THRESHOLD = 1e-3
 
@@ -196,9 +197,9 @@ def _row_sums(i, j, upper, lower, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The velocity law of a run.  On the torus lambda = 1, h1 = 0 and
-    du*/dz = conj(W) / (2 Im tau) is a constant of the motion (sum Gamma v = 0),
-    taken at the coordinates the plan is built at."""
+    """The velocity law of a run (see the module docstring).  On the torus
+    lambda = 1 and du*/dz = conj(W) / (2 Im tau) is a constant of the motion
+    (sum Gamma v = 0), taken at the coordinates the plan is built at."""
 
     surface: Surface
     basis: PeriodBasis
@@ -208,28 +209,21 @@ class _Plan:
     theta: ThetaContext | None   # None on the sphere
     flow: complex                # du*/dz
 
-    def _torus_rows(self, coords: np.ndarray) -> np.ndarray:
-        """M Gamma + du*/dz at every vortex on the torus."""
-        grad = torus_gradient_terms(self.theta, coords[self.i] - coords[self.j])[2]
-        return _row_sums(self.i, self.j, grad, -grad, self.strengths) + self.flow
-
-    def c1(self, charts: np.ndarray, coords: np.ndarray):
-        """(c1 = h1 + 4 pi (M Gamma + du*/dz) / Gamma, 1 + |z|^2 or None on the
-        torus) at every vortex, with M_kj = dG(z_k, z_j)/dz_k in z_k's chart."""
+    def rows(self, charts: np.ndarray, coords: np.ndarray):
+        """(M Gamma + du*/dz, 1 / lambda^2) at every vortex, with
+        M_kj = dG(z_k, z_j)/dz_k in z_k's chart."""
         i, j, g = self.i, self.j, self.strengths
         if self.theta is None:
-            w = 1.0 + np.abs(coords) ** 2
+            w = 1.0 + np.abs(coords) ** 2   # lambda = 2 / w
             _, grad_i, grad_j = sphere_gradient_terms(
                 charts[i], coords[i], charts[j], coords[j], w[i], w[j])
-            return coords.conjugate() / w + _FOUR_PI * _row_sums(i, j, grad_i, grad_j, g) / g, w
-        return _FOUR_PI * self._torus_rows(coords) / g, None
+            return _row_sums(i, j, grad_i, grad_j, g), 0.25 * w * w
+        grad = torus_gradient_terms(self.theta, coords[i] - coords[j])[2]
+        return _row_sums(i, j, grad, -grad, g) + self.flow, 1.0
 
     def velocity(self, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        if self.theta is not None:
-            return -2j * self._torus_rows(coords).conjugate()   # Gamma / (2 pi i) conj(c1)
-        c1, w = self.c1(charts, coords)
-        # sphere: lambda = 2 / w and d log(lambda)/dzbar = -z / w
-        return self.strengths / (_TWO_PI_I * (2.0 / w) ** 2) * (c1.conjugate() - coords / w)
+        rows, inv_lam2 = self.rows(charts, coords)
+        return -2j * inv_lam2 * rows.conjugate()
 
 
 def _plan(surface: Surface, coords, strengths, base_a, base_b) -> _Plan:
@@ -280,7 +274,9 @@ def _unpack(state: VortexState):
 def c1_coefficient(state: VortexState, k: int) -> complex:
     """First stream-expansion coefficient at vortex k, in its canonical chart."""
     charts, coords, plan = _unpack(state)
-    return complex(plan.c1(charts, coords)[0][k])
+    rows = plan.rows(charts, coords)[0]
+    return complex(robin_h0_h1(state.surface, coords[k])[1]
+                   + _FOUR_PI * rows[k] / plan.strengths[k])
 
 
 def c0_coefficient(state: VortexState, k: int) -> float:
@@ -308,29 +304,21 @@ def hamiltonian(state: VortexState) -> float:
                             state.base_a, state.base_b)
 
 
-def hamiltonian_velocity(state: VortexState, k: int, step: float = 1e-5) -> complex:
-    """Velocity of vortex k from central finite differences of the Hamiltonian.
-
-    One Richardson level on the Wirtinger derivative; the circulation
-    coefficients are recomputed inside every perturbed energy evaluation, so
-    this route shares no assembled terms with the direct law.
-    """
+def hamiltonian_velocity(state: VortexState, k: int) -> complex:
+    """Velocity of vortex k, -2i dH/dzbar_k / (Gamma_k lambda^2), with dH/dzbar_k
+    from `oracles.wirtinger_fd` (step 1e-5, one Richardson level).  Every
+    perturbed energy recomputes W, so this route shares no assembled terms
+    with the direct law."""
     charts, coords, plan = _unpack(state)
 
-    def energy(dz: complex) -> float:
+    def energy(z: complex) -> float:
         pert = coords.copy()
-        pert[k] += dz
+        pert[k] = z
         return _hamiltonian_raw(state.surface, plan.basis, charts, pert, plan.strengths,
                                 state.base_a, state.base_b)
 
-    def dzbar(h: float) -> complex:
-        hx = (energy(h) - energy(-h)) / (2.0 * h)
-        hy = (energy(1j * h) - energy(-1j * h)) / (2.0 * h)
-        return 0.5 * (hx + 1j * hy)
-
-    d = (4.0 * dzbar(step / 2.0) - dzbar(step)) / 3.0
     lam2 = conformal_factor(state.surface, state.positions[k]) ** 2
-    return -2j * d / (state.strengths[k] * lam2)
+    return -2j * wirtinger_fd(energy, coords[k], 1e-5)[1] / (state.strengths[k] * lam2)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +353,16 @@ class _Trajectory:
     rejections: int = 0
     evaluations: int = 0         # velocity evaluations, counted per step
     accepted: int = 0
+    handovers: int = 0           # vortices that changed chart, summed over steps
 
     def accept(self, coords: np.ndarray, t: float) -> None:
         """End an accepted step at time t: sphere vortices move to the chart with
         |z| <= 1 (torus cover coordinates stay), then the collision check runs."""
         surface, pairs = self.plan.surface, (self.plan.i, self.plan.j)
         if surface.kind == SPHERE:
-            self.charts, coords, _, _ = canonical_coords(surface, self.charts, coords)
+            charts, coords, _, _ = canonical_coords(surface, self.charts, coords)
+            self.handovers += int((charts != self.charts).sum())
+            self.charts = charts
         self.coords = coords
         self.separation = _check_separation(surface, self.charts, coords, self.threshold, t, pairs)
         self.accepted += 1
@@ -451,9 +442,9 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     separation.  After every accepted step each sphere vortex is in its chart
     with |z| <= 1, and CollisionError is raised when two vortices come closer
     than the state's collision threshold; StepRejectionError if adaptive control stalls.
-    `stats_out`, when given, receives the counts "step_rejections",
-    "accepted_steps" and "velocity_evaluations" and, on either abort, the
-    records produced so far under "partial_records".
+    `stats_out`, when given, receives the counts "step_rejections", "accepted_steps",
+    "velocity_evaluations" and "chart_handovers" (sphere chart changes; 0 on the
+    torus) and, on either abort, the records made so far under "partial_records".
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt: must be finite and positive, got {dt}")
@@ -479,5 +470,5 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
         raise
     finally:
         stats.update(step_rejections=traj.rejections, accepted_steps=traj.accepted,
-                     velocity_evaluations=traj.evaluations)
+                     velocity_evaluations=traj.evaluations, chart_handovers=traj.handovers)
     return records

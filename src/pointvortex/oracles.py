@@ -177,9 +177,6 @@ def star_gradient_form(grad_fn: Callable[[np.ndarray], np.ndarray]) -> FormFn:
 
 SphereIntegrand = Callable[[int, np.ndarray], np.ndarray]
 
-_GL_NODES_LO, _GL_W_LO = np.polynomial.legendre.leggauss(4)
-_GL_NODES_HI, _GL_W_HI = np.polynomial.legendre.leggauss(8)
-
 
 def _cell_estimate(f, chart, r0, r1, th0, th1, nodes, weights):
     rm, rw = 0.5 * (r1 + r0), 0.5 * (r1 - r0)
@@ -202,11 +199,13 @@ def sphere_quadrature(f: SphereIntegrand, abs_tol: float = 1e-7,
     Cells are bisected worst-error-first until the summed error estimate
     drops below `abs_tol`; integrable (log-type) singularities refine
     geometrically.  Raises QuadratureError if the budget runs out first.
+    Its 4- and 8-node Gauss-Legendre rules are formed per call, not on import.
     """
+    lo, hi = (np.polynomial.legendre.leggauss(m) for m in (4, 8))
 
     def evaluate(chart, cell):
-        coarse = _cell_estimate(f, chart, *cell, _GL_NODES_LO, _GL_W_LO)
-        fine = _cell_estimate(f, chart, *cell, _GL_NODES_HI, _GL_W_HI)
+        coarse = _cell_estimate(f, chart, *cell, *lo)
+        fine = _cell_estimate(f, chart, *cell, *hi)
         return fine, abs(fine - coarse)
 
     heap = []

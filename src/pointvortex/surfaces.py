@@ -181,12 +181,8 @@ def metric_connection(surface: Surface, p: SurfacePoint) -> complex:
 
 
 def dlog_lambda_dzbar(surface: Surface, p: SurfacePoint) -> complex:
-    """Anti-holomorphic Wirtinger derivative of log(lambda) at p."""
-    surface.check_chart(p.chart_id)
-    if surface.kind == SPHERE:
-        z = p.coord
-        return -z / (1.0 + abs(z) ** 2)
-    return 0.0
+    """d(log lambda)/dzbar at p: lambda is real, so half the conjugate connection."""
+    return 0.5 * metric_connection(surface, p).conjugate()
 
 
 def transition(surface: Surface, p: SurfacePoint,

@@ -42,6 +42,7 @@ from .oracles import (
     torus_domain_mean,
     torus_grid,
     torus_poisson_oracle,
+    wirtinger_fd,
 )
 from .periods import build_basis, circulation_form, circulation_state
 from .surfaces import (
@@ -53,6 +54,7 @@ from .surfaces import (
 )
 
 _SPHERE = Surface.sphere()
+_TORUS_SKEW = Surface.flat_torus(0.5 + 1j)
 
 
 @dataclass(frozen=True)
@@ -286,14 +288,10 @@ def robin_transformation_laws(rng: np.random.Generator, count: int = 100) -> flo
             abs(d1.h11 * abs(jet.phi1) ** 2 - d0.h11),
         )
 
-        def dh1_da(point: SurfacePoint, h: float = 1e-5) -> complex:
-            def h1_at(c: complex) -> complex:
-                return robin_data(_SPHERE, SurfacePoint(point.chart_id, c)).h1
-
-            z = point.coord
-            fx = (h1_at(z + h) - h1_at(z - h)) / (2.0 * h)
-            fy = (h1_at(z + 1j * h) - h1_at(z - 1j * h)) / (2.0 * h)
-            return 0.5 * (fx - 1j * fy)
+        def dh1_da(point: SurfacePoint) -> complex:
+            return wirtinger_fd(
+                lambda c: robin_data(_SPHERE, SurfacePoint(point.chart_id, c)).h1,
+                point.coord, 1e-5, richardson=False)[0]
 
         lhs = (dh1_da(q) - 2.0 * d1.h2) * jet.phi1**2
         rhs = dh1_da(p) - 2.0 * d0.h2 + bracket(jet, 2) / 6.0
@@ -393,55 +391,59 @@ def conservation_residuals(tau: complex, dt: float, steps: int) -> tuple[float, 
 # ---------------------------------------------------------------------------
 # suite assembly
 
+# (name, tolerance, residual(rng, full)) in suite order; the rng draws are sequential
+_CHECKS = (
+    ("sphere_robin_closed_forms", 1e-12, lambda rng, full: sphere_robin_closed_forms(rng)),
+    ("sphere_green_closed_form", 1e-13, lambda rng, full: sphere_green_closed_form(rng)),
+    ("sphere_green_symmetry", 1e-12, lambda rng, full: green_symmetry(_SPHERE, rng, 200)),
+    ("torus_green_symmetry", 1e-12, lambda rng, full: green_symmetry(_TORUS_SKEW, rng, 100)),
+    ("sphere_green_normalization", 1e-6, lambda rng, full: sphere_green_normalization()),
+    ("torus_green_normalization", 1e-12, lambda rng, full: torus_green_normalization()),
+    ("torus_green_vs_poisson", 1e-6, lambda rng, full: max(
+        torus_green_vs_poisson(t, 256 if full else 128)
+        for t in ((1j, 0.5 + 1j, 2j) if full else (1j,)))),
+    ("period_relations", 1e-10,
+     lambda rng, full: max(period_relation_residual(t) for t in (1j, 0.5 + 1j))),
+    ("period_matrix_spd", 1e-12,
+     lambda rng, full: max(period_matrix_residual(t) for t in (1j, 0.5 + 1j, 2j))),
+    ("conjugate_periods", 1e-6,
+     lambda rng, full: conjugate_period_residual(_TORUS_SKEW, rng, 20 if full else 5)),
+    ("robin_transformation_laws", 1e-8, lambda rng, full: robin_transformation_laws(rng)),
+    ("bracket_chain_rules", 1e-10, lambda rng, full: bracket_chain_rules(rng)),
+    ("mobius_schwarzian", 1e-10, lambda rng, full: mobius_schwarzian(rng)),
+    ("single_vortex_self_term", 1e-10, lambda rng, full: self_term_residual(rng)),
+    ("velocity_equivalence_sphere", 1e-6,
+     lambda rng, full: velocity_equivalence(_SPHERE, rng, 50 if full else 8)),
+    ("velocity_equivalence_torus", 1e-6,
+     lambda rng, full: velocity_equivalence(_TORUS_SKEW, rng, 50 if full else 8)),
+    ("energy_drift_short", 1e-7,
+     lambda rng, full: conservation_residuals(1j, 1e-3, 2000 if full else 500)[0]),
+    ("kelvin_drift_short", 1e-8, lambda rng, full: conservation_residuals(1j, 1e-3, 500)[1]),
+)
+CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
+
+
+def check_tolerance(name: str, tol: float | str) -> float:
+    """float(tol) as the tolerance of suite check `name`; ValueError unless the
+    check exists and the value is finite and > 0."""
+    if name not in CHECK_NAMES:
+        raise ValueError(f"unknown check {name!r} (checks: {', '.join(CHECK_NAMES)})")
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:   # NaN fails too
+        raise ValueError(f"tolerance of {name} must be finite and > 0, got {tol}")
+    return tol
+
 
 def run_suite(suite: str = "quick", seed: int = 7,
               overrides: dict[str, float] | None = None) -> list[CheckResult]:
-    full = suite == "full"
-    overrides = overrides or {}
+    """Run the checks in order; `overrides` maps names to `check_tolerance`s."""
+    overrides = {k: check_tolerance(k, v) for k, v in (overrides or {}).items()}
     rng = np.random.default_rng(seed)
-    torus = Surface.flat_torus(1j)
-    torus_skew = Surface.flat_torus(0.5 + 1j)
-
-    specs: list[tuple[str, float, object]] = [
-        ("sphere_robin_closed_forms", 1e-12,
-         lambda: sphere_robin_closed_forms(rng, 200)),
-        ("sphere_green_closed_form", 1e-13,
-         lambda: sphere_green_closed_form(rng, 200)),
-        ("sphere_green_symmetry", 1e-12, lambda: green_symmetry(_SPHERE, rng, 200)),
-        ("torus_green_symmetry", 1e-12, lambda: green_symmetry(torus_skew, rng, 100)),
-        ("sphere_green_normalization", 1e-6, sphere_green_normalization),
-        ("torus_green_normalization", 1e-12, torus_green_normalization),
-        ("torus_green_vs_poisson", 1e-6,
-         lambda: max(
-             torus_green_vs_poisson(t, 256 if full else 128)
-             for t in ((1j, 0.5 + 1j, 2j) if full else (1j,))
-         )),
-        ("period_relations", 1e-10,
-         lambda: max(period_relation_residual(t) for t in (1j, 0.5 + 1j))),
-        ("period_matrix_spd", 1e-12,
-         lambda: max(period_matrix_residual(t) for t in (1j, 0.5 + 1j, 2j))),
-        ("conjugate_periods", 1e-6,
-         lambda: conjugate_period_residual(torus_skew, rng, 20 if full else 5)),
-        ("robin_transformation_laws", 1e-8,
-         lambda: robin_transformation_laws(rng, 100)),
-        ("bracket_chain_rules", 1e-10, lambda: bracket_chain_rules(rng, 200)),
-        ("mobius_schwarzian", 1e-10, lambda: mobius_schwarzian(rng, 500)),
-        ("single_vortex_self_term", 1e-10, lambda: self_term_residual(rng, 200)),
-        ("velocity_equivalence_sphere", 1e-6,
-         lambda: velocity_equivalence(_SPHERE, rng, 50 if full else 8)),
-        ("velocity_equivalence_torus", 1e-6,
-         lambda: velocity_equivalence(torus_skew, rng, 50 if full else 8)),
-        ("energy_drift_short", 1e-7,
-         lambda: conservation_residuals(1j, 1e-3, 2000 if full else 500)[0]),
-        ("kelvin_drift_short", 1e-8,
-         lambda: conservation_residuals(1j, 1e-3, 500)[1]),
-    ]
-
     results = []
-    for name, tol, fn in specs:
-        tol = float(overrides.get(name, tol))
+    for name, tol, fn in _CHECKS:
+        tol = overrides.get(name, tol)
         start = time.perf_counter()
-        residual = float(fn())
+        residual = float(fn(rng, suite == "full"))
         elapsed = time.perf_counter() - start
         results.append(CheckResult(name, residual, tol, residual < tol, elapsed))
     return results

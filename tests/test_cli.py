@@ -15,6 +15,8 @@ from pointvortex.cli import main, write_diagnostics
 from pointvortex.dynamics import integrate
 from pointvortex.config import load_scenario, parse_scenario, resolve_scenario
 from pointvortex.errors import ConfigError, StepRejectionError
+from pointvortex.surfaces import Surface
+from pointvortex.verify import random_state
 
 BUNDLED = ("sphere_antipodal_pair", "torus_pair_translate", "torus_four_vortex")
 
@@ -129,6 +131,41 @@ class TestConfigParsing:
         assert "Traceback" not in proc.stderr
 
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("integrator", "steps"), True, r"integrator\.steps"),
+        (("integrator", "record_every"), True, r"integrator\.record_every"),
+        (("vortices", 0, "chart"), False, r"vortices\[0\]\.chart"),
+        (("tolerances", "velocity_equivalence"), math.nan, r"tolerances\.velocity_equivalence"),
+        (("tolerances", "velocity_equivalence"), -1, r"tolerances\.velocity_equivalence"),
+        (("tolerances", "velocity_equivalence"), 0.0, r"tolerances\.velocity_equivalence"),
+        (("tolerances", "typo"), 1e-6, r"tolerances\.typo"),
+    ], ids=["steps-true", "record-every-true", "chart-false", "tolerance-nan",
+            "tolerance-negative", "tolerance-zero", "tolerance-unknown"])
+    def test_booleans_and_bad_tolerances_rejected(self, tmp_path, path, value, field):
+        # JSON true/false are not integers, and the one tolerance a config
+        # carries is a finite, positive velocity_equivalence
+        data = resolve_scenario("torus_pair_translate").to_dict()
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ConfigError, match=field):
+            parse_scenario(data)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        for command in ("run", "verify"):
+            proc = run_cli([command, str(cfg)], cwd=tmp_path)
+            assert proc.returncode == 1
+            assert re.search(field, proc.stderr)
+            assert "Traceback" not in proc.stderr
+
+    def test_positive_velocity_tolerance_accepted(self):
+        data = resolve_scenario("torus_pair_translate").to_dict()
+        data["tolerances"] = {"velocity_equivalence": 1e-3}
+        assert parse_scenario(data).tolerances == {"velocity_equivalence": 1e-3}
+
+
 class TestRunCommand:
     def test_bundled_run_and_outputs(self, tmp_path):
         code = main(["run", "torus_pair_translate", "--out-dir", str(tmp_path)])
@@ -153,6 +190,29 @@ class TestRunCommand:
         assert summary["step_rejections"] == 0
         header = (tmp_path / "torus_pair_translate.csv").read_text().splitlines()[0]
         assert "evaluations" not in header and "accepted" not in header
+
+    def test_summary_counts_chart_handovers(self, tmp_path, rng):
+        # a sphere run recorded at every step: the summary's chart_handovers
+        # equals the chart changes between consecutive CSV rows
+        st = random_state(Surface.sphere(), 4, rng, min_sep=0.5)
+        data = {
+            "name": "crossing",
+            "surface": {"kind": "sphere"},
+            "vortices": [{"chart": p.chart_id, "coord": [p.coord.real, p.coord.imag],
+                          "strength": g} for p, g in zip(st.positions, st.strengths)],
+            "integrator": {"dt": 5e-3, "steps": 2000, "record_every": 1},
+        }
+        cfg = tmp_path / "crossing.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "crossing.csv").read_text().splitlines()
+        cols = [i for i, name in enumerate(header.split(",")) if name.startswith("chart")]
+        charts = [[row.split(",")[i] for i in cols] for row in rows]
+        changes = sum(a != b for r0, r1 in zip(charts, charts[1:]) for a, b in zip(r0, r1))
+        summary = json.loads((tmp_path / "crossing.jsonl").read_text().splitlines()[-1])
+        assert changes > 0, "fixture must exercise the handover"
+        assert summary["chart_handovers"] == changes
+        assert "handover" not in header
 
     def test_diagnostics_report_absolute_energy_drift(self, tmp_path):
         # beside the relative drift, whose 1e-300 floor makes it noise when
@@ -361,3 +421,42 @@ class TestVerifyCommand:
 
     def test_bad_override_reports_config_error(self):
         assert main(["verify", "--override", "nonsense"]) == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["--override", "no_such_check=1e-3"], "--override: unknown check 'no_such_check'"),
+        (["--override", "mobius_schwarzian=nan"],
+         "--override: tolerance of mobius_schwarzian must be finite and > 0, got nan"),
+        (["--override", "mobius_schwarzian=inf"],
+         "--override: tolerance of mobius_schwarzian must be finite and > 0, got inf"),
+        (["--override", "mobius_schwarzian=0"],
+         "--override: tolerance of mobius_schwarzian must be finite and > 0, got 0.0"),
+        (["torus_pair_translate", "--override", "velocity_equivalence_torus=1e-300"],
+         "--override: for the suite, not a CONFIG"),
+        (["--seed", "-1"], "--seed: must be at least 0, got -1"),
+        (["--seed", "1.5"], "--seed: expected an integer, got '1.5'"),
+    ], ids=["unknown-check", "nan", "inf", "zero", "with-config", "seed-negative",
+            "seed-fraction"])
+    def test_bad_verify_flags_are_usage_errors(self, args, message, capsys):
+        # each is refused before any check runs, naming the flag
+        assert main(["verify", *args]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "checks passed" not in captured.out
+
+    def test_negative_seed_exits_without_traceback(self):
+        proc = run_cli(["verify", "--seed", "-1"])
+        assert proc.returncode == 1
+        assert "--seed: must be at least 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_import_leaves_numpy_polynomial_unloaded(self, tmp_path):
+        # the oracles form their Gauss-Legendre rules when called, so neither
+        # the command line nor the verify battery pays for numpy.polynomial
+        # on import
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, pointvortex.cli, pointvortex.verify; "
+             "print('numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pointvortex import oracles
 from pointvortex.errors import QuadratureError
 from pointvortex.green import torus_green_values
 from pointvortex.oracles import (
@@ -157,3 +160,24 @@ def test_wirtinger_fd_on_polynomial():
     dz, dzbar = wirtinger_fd(f, z0, h=1e-5)
     assert abs(dz - (3 * z0**2 + 2 * z0.conjugate())) < 1e-9
     assert abs(dzbar - 2 * z0) < 1e-9
+
+
+def test_oracles_import_only_errors_and_surfaces_from_the_package():
+    # the validators stay independent of the evaluators they check: of the
+    # package, oracles may use only the error types and the surface geometry
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level and module:
+                local.add(module.split(".")[0])
+            elif node.level:                       # from . import x
+                local.update(alias.name for alias in node.names)
+            elif module.split(".")[0] == "pointvortex":
+                local.add(module.split(".")[1] if "." in module else module)
+        elif isinstance(node, ast.Import):
+            local.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("pointvortex."))
+    assert "surfaces" in local, "the walk must see the relative imports"
+    assert local <= {"errors", "surfaces"}, sorted(local)

@@ -1,13 +1,20 @@
-"""The sampling loops of the verify battery are bounded."""
+"""The sampling loops of the verify battery are bounded, and its tolerance
+overrides name real checks."""
+import math
+
 import numpy as np
 import pytest
 
+from pointvortex import verify
 from pointvortex.surfaces import Surface
 from pointvortex.verify import (
     _MAX_DRAWS,
+    CHECK_NAMES,
     _random_jet,
+    check_tolerance,
     conjugate_period_residual,
     robin_transformation_laws,
+    run_suite,
 )
 
 
@@ -53,3 +60,25 @@ def test_random_jet_checks_every_draw_it_makes():
     with pytest.raises(ValueError, match="draws"):
         _random_jet(rng)
     assert rng.calls == 2 * (_MAX_DRAWS - 1)  # no draw is made and left unchecked
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"no_such_check": 1e-3}, "unknown check 'no_such_check'"),
+    ({"mobius_schwarzian": math.nan}, "must be finite and > 0"),
+    ({"mobius_schwarzian": math.inf}, "must be finite and > 0"),
+    ({"mobius_schwarzian": -1e-3}, "must be finite and > 0"),
+], ids=["unknown", "nan", "inf", "negative"])
+def test_run_suite_refuses_bad_overrides_before_running(overrides, message, monkeypatch):
+    def must_not_run(rng, full):
+        raise AssertionError("a check ran before the overrides were validated")
+
+    monkeypatch.setattr(verify, "_CHECKS", (("mobius_schwarzian", 1e-10, must_not_run),))
+    with pytest.raises(ValueError, match=message):
+        run_suite("quick", 7, overrides)
+
+
+def test_check_names_are_the_suite_in_order():
+    assert len(CHECK_NAMES) == len(set(CHECK_NAMES)) == 18
+    assert CHECK_NAMES[0] == "sphere_robin_closed_forms"
+    assert CHECK_NAMES[-1] == "kelvin_drift_short"
+    assert check_tolerance("mobius_schwarzian", "1e-300") == 1e-300
