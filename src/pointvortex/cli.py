@@ -230,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random seed of the suite (N >= 0)")
     p_ver.add_argument("--override", action="append", type=_override, metavar="NAME=TOL",
                        help="override a suite check's tolerance (repeatable)")
+    p_ver.set_defaults(usage_error=p_ver.error)   # with the verify usage line
     return parser
 
 
@@ -239,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify" and args.config is not None and args.override:
-            parser.error("argument --override: for the suite, not a CONFIG (see its tolerances)")
+            args.usage_error("argument --override: for the suite, not a CONFIG (see its tolerances)")
     except SystemExit as exc:  # a usage error (EXIT_CONFIG) or --help (0)
         return exc.code
     if args.command == "run":

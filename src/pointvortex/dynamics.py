@@ -24,11 +24,15 @@ array, one entry per vortex; the read-only pair indices i < j are cached per n.
 The velocity law has one implementation, `_Plan`, built once per run (and per
 one-shot call) with the pair indices, strengths and surface constants; each
 evaluation forms only Green gradients (`green.pair_terms`' gradient entries).
-The Hamiltonian recomputes W from its coordinates, so its finite differences
-stay an independent velocity route.  `integrate` has one record loop; a
-`METHODS` entry advances between records and ends every accepted step in
-`_Trajectory.accept`: the sphere chart rule of `canonical_coords`, then the
-collision check, which names the first closest pair in (i, j) order.
+On the sphere a run holds the pairs' chart selection (`_Plan.select`, the
+index rows of `surfaces.sphere_selection`) and rebuilds it only after a step
+that moved a vortex to the other chart; one-shot calls fill the same terms
+with np.where.  The Hamiltonian recomputes W from its coordinates, so its
+finite differences stay an independent velocity route.  `integrate` has one
+record loop; a `METHODS` entry advances between records and ends every
+accepted step in `_Trajectory.accept`: the sphere chart rule of
+`canonical_coords`, the selection, then the collision check, which names the
+first closest pair in (i, j) order.
 """
 from __future__ import annotations
 
@@ -63,6 +67,8 @@ from .surfaces import (
     canonical_coords,
     conformal_factor,
     pair_distances,
+    sphere_pair_points,
+    sphere_selection,
 )
 from .theta import ThetaContext, theta_context
 
@@ -209,20 +215,26 @@ class _Plan:
     theta: ThetaContext | None   # None on the sphere
     flow: complex                # du*/dz
 
-    def rows(self, charts: np.ndarray, coords: np.ndarray):
+    def select(self, charts: np.ndarray) -> np.ndarray | None:
+        """The sphere pairs' `sphere_selection` for these charts (None on the torus)."""
+        return sphere_selection(charts, self.i, self.j) if self.theta is None else None
+
+    def rows(self, charts: np.ndarray, coords: np.ndarray, select=None):
         """(M Gamma + du*/dz, 1 / lambda^2) at every vortex, with
-        M_kj = dG(z_k, z_j)/dz_k in z_k's chart."""
+        M_kj = dG(z_k, z_j)/dz_k in z_k's chart; `select`, when given, is
+        `self.select(charts)`."""
         i, j, g = self.i, self.j, self.strengths
         if self.theta is None:
             w = 1.0 + np.abs(coords) ** 2   # lambda = 2 / w
+            h = coords.conjugate() / w
             _, grad_i, grad_j = sphere_gradient_terms(
-                charts[i], coords[i], charts[j], coords[j], w[i], w[j])
+                *sphere_pair_points(charts, coords, i, j, select), h[i], h[j], w[i], w[j])
             return _row_sums(i, j, grad_i, grad_j, g), 0.25 * w * w
         grad = torus_gradient_terms(self.theta, coords[i] - coords[j])[2]
         return _row_sums(i, j, grad, -grad, g) + self.flow, 1.0
 
-    def velocity(self, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        rows, inv_lam2 = self.rows(charts, coords)
+    def velocity(self, charts: np.ndarray, coords: np.ndarray, select=None) -> np.ndarray:
+        rows, inv_lam2 = self.rows(charts, coords, select)
         return -2j * inv_lam2 * rows.conjugate()
 
 
@@ -249,11 +261,13 @@ def _hamiltonian_raw(surface: Surface, basis: PeriodBasis, charts, coords,
 
 
 def _check_separation(surface: Surface, charts, coords, threshold: float,
-                      time: float, pairs: tuple | None = None) -> float:
-    """Minimum pair separation over `pairs` (default: all i < j); raises
-    CollisionError below `threshold`, naming the first closest pair in (i, j) order."""
+                      time: float, pairs: tuple | None = None, select=None) -> float:
+    """Minimum pair separation over `pairs` (default: all i < j, `select` their
+    sphere selection if given); raises CollisionError below `threshold`, naming
+    the first closest pair in (i, j) order."""
     i, j = _pairs(len(coords)) if pairs is None else pairs
-    d = pair_distances(surface, np.asarray(charts), np.asarray(coords, dtype=complex), i, j)
+    d = pair_distances(surface, np.asarray(charts), np.asarray(coords, dtype=complex), i, j,
+                       select)
     k = int(np.argmin(d))
     best = float(d[k])
     if best < threshold:
@@ -291,10 +305,15 @@ def c0_coefficient(state: VortexState, k: int) -> float:
     return float(robin_h0_h1(state.surface, coords[k])[0] + _TWO_PI * mutual / g[k])
 
 
-def vortex_velocity(state: VortexState, k: int) -> complex:
-    """Velocity dz_k/dt from the connection-based law, in the canonical chart."""
+def vortex_velocities(state: VortexState) -> np.ndarray:
+    """Velocities dz_k/dt of all vortices (connection-based law, canonical charts)."""
     charts, coords, plan = _unpack(state)
-    return complex(plan.velocity(charts, coords)[k])
+    return plan.velocity(charts, coords)
+
+
+def vortex_velocity(state: VortexState, k: int) -> complex:
+    """Velocity dz_k/dt of vortex k (see `vortex_velocities`)."""
+    return complex(vortex_velocities(state)[k])
 
 
 def hamiltonian(state: VortexState) -> float:
@@ -344,6 +363,7 @@ class _Trajectory:
     base_a: tuple[float, ...]
     base_b: tuple[float, ...]
     charts: np.ndarray
+    select: np.ndarray | None    # plan.select(charts), rebuilt only when a chart changes
     coords: np.ndarray
     separation: float            # minimum separation at coords, for the next record
     threshold: float
@@ -357,14 +377,18 @@ class _Trajectory:
 
     def accept(self, coords: np.ndarray, t: float) -> None:
         """End an accepted step at time t: sphere vortices move to the chart with
-        |z| <= 1 (torus cover coordinates stay), then the collision check runs."""
-        surface, pairs = self.plan.surface, (self.plan.i, self.plan.j)
-        if surface.kind == SPHERE:
-            charts, coords, _, _ = canonical_coords(surface, self.charts, coords)
-            self.handovers += int((charts != self.charts).sum())
-            self.charts = charts
+        |z| <= 1 (torus cover coordinates stay), the selection follows a chart
+        change, then the collision check runs."""
+        plan = self.plan
+        if plan.surface.kind == SPHERE:
+            charts, coords, _, _ = canonical_coords(plan.surface, self.charts, coords)
+            changed = int((charts != self.charts).sum())
+            if changed:
+                self.handovers += changed
+                self.charts, self.select = charts, plan.select(charts)
         self.coords = coords
-        self.separation = _check_separation(surface, self.charts, coords, self.threshold, t, pairs)
+        self.separation = _check_separation(plan.surface, self.charts, coords, self.threshold,
+                                            t, (plan.i, plan.j), self.select)
         self.accepted += 1
 
     def record(self, t: float) -> TrajectoryRecord:
@@ -380,30 +404,35 @@ class _Trajectory:
 def _rk4_advance(traj: _Trajectory, i0: int, i1: int, dt: float) -> None:
     """Fixed steps i0 + 1 .. i1, each ending at t = i * dt."""
     for i in range(i0 + 1, i1 + 1):
-        velocity, charts, y0 = traj.plan.velocity, traj.charts, traj.coords
-        k1 = velocity(charts, y0)
-        k2 = velocity(charts, y0 + 0.5 * dt * k1)
-        k3 = velocity(charts, y0 + 0.5 * dt * k2)
-        k4 = velocity(charts, y0 + dt * k3)
+        velocity, charts, select, y0 = traj.plan.velocity, traj.charts, traj.select, traj.coords
+        k1 = velocity(charts, y0, select)
+        k2 = velocity(charts, y0 + 0.5 * dt * k1, select)
+        k3 = velocity(charts, y0 + 0.5 * dt * k2, select)
+        k4 = velocity(charts, y0 + dt * k3, select)
         traj.evaluations += 4
         traj.accept(y0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, i * dt)
 
 
 def _rkf45_advance(traj: _Trajectory, i0: int, i1: int, step: float) -> None:
     """Embedded 4(5) steps from i0 * step to i1 * step under step control,
-    starting from and leaving the controller's trial step in traj.trial_dt."""
+    starting from and leaving the controller's trial step in traj.trial_dt.
+    A rejected trial keeps k1: its state and charts are the next trial's."""
     t, t_end, dt = i0 * step, i1 * step, traj.trial_dt
     consecutive = 0
+    k1 = None
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
         dt = min(dt, t_end - t)
         y0 = traj.coords
-        ks = []
-        for i in range(6):
+        if k1 is None:
+            k1 = traj.plan.velocity(traj.charts, y0, traj.select)
+            traj.evaluations += 1
+        ks = [k1]
+        for i in range(1, 6):
             yi = y0.copy()
             for j, a in enumerate(_RKF_A[i]):
                 yi += dt * a * ks[j]
-            ks.append(traj.plan.velocity(traj.charts, yi))
-        traj.evaluations += 6
+            ks.append(traj.plan.velocity(traj.charts, yi, traj.select))
+        traj.evaluations += 5
         y1 = y0.copy()
         for i, b in enumerate(_RKF_B5):
             y1 += dt * b * ks[i]
@@ -412,7 +441,7 @@ def _rkf45_advance(traj: _Trajectory, i0: int, i1: int, step: float) -> None:
         if err <= tol:
             t += dt
             traj.accept(y1, t)
-            consecutive = 0
+            consecutive, k1 = 0, None
         else:
             traj.rejections += 1
             consecutive += 1
@@ -455,8 +484,10 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     if method not in METHODS:
         raise ValueError(f"method: unknown integration method {method!r}")
     charts, coords, plan = _unpack(state)
-    sep = _check_separation(state.surface, charts, coords, -math.inf, 0.0, (plan.i, plan.j))
-    traj = _Trajectory(plan, state.base_a, state.base_b, charts, coords, sep,
+    select = plan.select(charts)
+    sep = _check_separation(state.surface, charts, coords, -math.inf, 0.0, (plan.i, plan.j),
+                            select)
+    traj = _Trajectory(plan, state.base_a, state.base_b, charts, select, coords, sep,
                        state.collision_threshold, rtol, atol, dt)
     records = [traj.record(0.0)]
     marks = (0, *range(record_every, steps, record_every), steps)

@@ -12,7 +12,10 @@ by the formula itself.
 Every Green value and gradient comes from one pair kernel, `pair_terms`,
 which works elementwise over arrays of point pairs; `green()` and the
 `*_green_values` helpers are one-pair and array views of it.  It builds on
-one gradient entry per surface, which the velocity law calls directly.
+one gradient entry per surface, which the velocity law calls directly.  The
+sphere entry takes the pair in homogeneous form (z_i, a_j, b_j, c_i) from
+`surfaces.sphere_chart_terms` or a run's `surfaces.sphere_selection`, so one
+formula serves every chart combination with one complex division per pair.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
@@ -36,10 +39,11 @@ from .surfaces import (
     geodesic_distance,
     lambda_at,
     reduce_centered,
-    sphere_difference,
+    sphere_chart_terms,
 )
 
 _COINCIDENCE_TOL = 1e-12
+_INV_FOUR_PI = 1.0 / (4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -83,26 +87,30 @@ def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
     return value + ctx.green_const, grad
 
 
-def sphere_gradient_terms(ci, zi, cj, zj, wi, wj):
+def sphere_gradient_terms(zi, a, b, c, hi, hj, wi, wj):
     """(|d|^2, dG/dz_i in zi's chart, dG/dz_j in zj's chart) over arrays of
-    pairs, with wi = 1 + |zi|^2, wj = 1 + |zj|^2 and d from `sphere_difference`
-    (the pole terms depend on the charts, so both orientations are formed).
+    pairs in the homogeneous form of `surfaces.sphere_chart_terms`: d = zi b - a
+    (zi - zj in one chart, zi zj - 1 across) and one reciprocal r = 1/d, with
+    dG/dz_i = (hi - b r) / 4 pi and dG/dz_j = (hj - c r) / 4 pi, where
+    w = 1 + |z|^2 and h = conj(z) / w (the Robin h1) at each point.
     SingularityError if any two points coincide."""
-    same, diff = sphere_difference(ci, zi, cj, zj)
-    num = np.abs(diff) ** 2
+    d = zi * b - a
+    num = np.abs(d) ** 2
     # squared R^3 chord 4 num / ((1+|zi|^2)(1+|zj|^2)) against the tolerance
     if (4.0 * num <= _COINCIDENCE_TOL**2 * wi * wj).any():
         raise SingularityError("Green function evaluated at coincident points")
-    grad_i = -(np.where(same, 1.0, zj) / diff - zi.conjugate() / wi) / (4.0 * math.pi)
-    grad_j = -(np.where(same, -1.0, zi) / diff - zj.conjugate() / wj) / (4.0 * math.pi)
-    return num, grad_i, grad_j
+    r = 1.0 / d
+    return num, (hi - b * r) * _INV_FOUR_PI, (hj - c * r) * _INV_FOUR_PI
 
 
 def sphere_pair_terms(ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G(z_i, z_j) and the two gradients of `sphere_gradient_terms`."""
     zi, zj = np.asarray(zi, dtype=complex), np.asarray(zj, dtype=complex)
     mi, mj = np.abs(zi) ** 2, np.abs(zj) ** 2
-    num, grad_i, grad_j = sphere_gradient_terms(ci, zi, cj, zj, 1.0 + mi, 1.0 + mj)
+    wi, wj = 1.0 + mi, 1.0 + mj
+    num, grad_i, grad_j = sphere_gradient_terms(
+        zi, *sphere_chart_terms(ci, zi, cj, zj), zi.conjugate() / wi, zj.conjugate() / wj,
+        wi, wj)
     value = -(np.log(num) - np.log1p(mi) - np.log1p(mj) + 1.0) / (4.0 * math.pi)
     return value, grad_i, grad_j
 

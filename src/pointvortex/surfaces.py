@@ -207,11 +207,32 @@ def transition(surface: Surface, p: SurfacePoint,
     return SurfacePoint(target_chart, 1.0 / z), jet
 
 
-def sphere_difference(ci, zi, cj, zj):
-    """(same, d) over arrays of pairs: `same` marks the pairs in one chart, where
-    d = zi - zj; across charts d = zi zj - 1 (stable near either chart's infinity)."""
+def sphere_chart_terms(ci, zi, cj, zj):
+    """(a_j, b_j, c_i) over arrays of pairs, filled per call: in zi's chart zj is
+    the point a_j / b_j, with (a_j, b_j) = (zj, 1) when both are in one chart and
+    (1, zj) across charts (w = 1/z), and c_i = -1 in one chart, zi across."""
     same = np.asarray(ci) == np.asarray(cj)
-    return same, np.where(same, zi - zj, zi * zj - 1.0)
+    return np.where(same, zj, 1.0), np.where(same, 1.0, zj), np.where(same, -1.0, zi)
+
+
+def sphere_selection(charts, i, j) -> np.ndarray:
+    """`sphere_chart_terms` of the pairs (i[k], j[k]) of a chart array as index
+    rows (i, a, b, c) into concatenate((coords, [1, -1])); they hold for any
+    coordinates until a vortex changes chart (see `sphere_pair_points`)."""
+    n, same = len(charts), charts[i] == charts[j]
+    return np.stack((i, np.where(same, j, n), np.where(same, n, j), np.where(same, n + 1, i)))
+
+
+_ONE_MINUS_ONE = np.array([1.0, -1.0], dtype=complex)
+
+
+def sphere_pair_points(charts, coords, i, j, select=None):
+    """(zi, a_j, b_j, c_i) over the pairs (i[k], j[k]): gathered through `select`,
+    their `sphere_selection`, or else filled by `sphere_chart_terms`."""
+    if select is not None:
+        return np.concatenate((coords, _ONE_MINUS_ONE))[select]
+    zi = coords[i]
+    return (zi,) + sphere_chart_terms(charts[i], zi, charts[j], coords[j])
 
 
 @lru_cache(maxsize=None)
@@ -221,17 +242,15 @@ def _lattice_offsets(tau: complex) -> np.ndarray:
     return offsets
 
 
-def pair_distances(surface: Surface, charts, coords, i, j) -> np.ndarray:
+def pair_distances(surface: Surface, charts, coords, i, j, select=None) -> np.ndarray:
     """Geodesic separations of the point pairs (i[k], j[k]): on the sphere
-    2 atan2(|d|, |e|), d from `sphere_difference`, e = 1 + conj(zi) zj in one chart
-    and zj + conj(zi) across charts; on the torus (any cover coordinates) |j| times
-    the nearest of the 9 centered translates of u / j in the reduced basis."""
+    2 atan2(|d|, |e|) with d = zi b_j - a_j and e = conj(zi) a_j + b_j from
+    `sphere_pair_points` (`select` optional); on the torus (any cover coordinates)
+    |j| times the nearest of the 9 centered translates of u / j in the reduced basis."""
     coords = np.asarray(coords)
     if surface.kind == SPHERE:
-        zi, zj = coords[i], coords[j]
-        same, d = sphere_difference(charts[i], zi, charts[j], zj)
-        e = np.where(same, 1.0 + zi.conjugate() * zj, zj + zi.conjugate())
-        return 2.0 * np.arctan2(np.abs(d), np.abs(e))
+        zi, a, b, _ = sphere_pair_points(np.asarray(charts), coords, i, j, select)
+        return 2.0 * np.arctan2(np.abs(zi * b - a), np.abs(zi.conjugate() * a + b))
     tau_r, j_tau = reduced_modulus(surface.tau)
     u = reduce_centered(tau_r, (coords[i] - coords[j]) * (1.0 / j_tau))
     return abs(j_tau) * np.abs(u[..., None] + _lattice_offsets(tau_r)).min(axis=-1)

@@ -21,7 +21,7 @@ from .dynamics import (
     hamiltonian_velocity,
     integrate,
     min_separation,
-    vortex_velocity,
+    vortex_velocities,
 )
 from .green import (
     green,
@@ -357,8 +357,7 @@ def velocity_equivalence(surface: Surface, rng: np.random.Generator,
     for i in range(states):
         n = sizes[i % len(sizes)]
         st = random_state(surface, n, rng, circulations=surface.genus > 0)
-        for k in range(n):
-            v1 = vortex_velocity(st, k)
+        for k, v1 in enumerate(vortex_velocities(st).tolist()):
             v2 = hamiltonian_velocity(st, k)
             worst = max(worst, abs(v1 - v2) / max(abs(v1), 1e-12))
     return worst
@@ -453,7 +452,7 @@ def verify_scenario(cfg: ScenarioConfig) -> list[CheckResult]:
     """Per-vortex velocity-law cross-check for one configured scenario."""
     state = cfg.state()
     tol = float(cfg.tolerances.get("velocity_equivalence", 1e-6))
-    direct = [vortex_velocity(state, k) for k in range(state.n)]
+    direct = vortex_velocities(state).tolist()
     # normalize by the configuration's speed scale so that stationary
     # configurations compare finite-difference noise against something sane
     scale = max(max(abs(v) for v in direct), 1e-4)

@@ -443,6 +443,13 @@ class TestVerifyCommand:
         assert message in captured.err
         assert "checks passed" not in captured.out
 
+    def test_override_with_config_is_a_verify_usage_error(self, capsys):
+        assert main(["verify", "torus_pair_translate", "--override",
+                     "velocity_equivalence_torus=1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pointvortex verify ")
+        assert "\npointvortex verify: error: argument --override: for the suite" in err
+
     def test_negative_seed_exits_without_traceback(self):
         proc = run_cli(["verify", "--seed", "-1"])
         assert proc.returncode == 1

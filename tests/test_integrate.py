@@ -437,15 +437,17 @@ class TestRunCounters:
         assert stats["accepted_steps"] == 37
         assert stats["step_rejections"] == 0
 
-    def test_rk45_counts_six_evaluations_per_trial_step(self, monkeypatch):
+    def test_rk45_reuses_k1_across_rejections(self, monkeypatch):
+        # a rejected trial keeps its k1 for the next: 6 evaluations per accepted
+        # step and 5 per rejection
         calls = self.counting(monkeypatch, dynamics._Plan, "velocity")
         stats = {}
         recs = integrate(four_vortex_torus(), 0.05, 20, method="rk45-adaptive",
                          record_every=5, rtol=1e-11, atol=1e-13, stats_out=stats)
         assert stats["step_rejections"] > 0, "fixture must exercise a rejection"
         assert stats["accepted_steps"] >= len(recs) - 1
-        assert stats["velocity_evaluations"] == len(calls) == 6 * (
-            stats["accepted_steps"] + stats["step_rejections"])
+        assert stats["velocity_evaluations"] == len(calls) == (
+            6 * stats["accepted_steps"] + 5 * stats["step_rejections"])
 
     def test_counters_survive_a_collision_abort(self):
         stats = {}

@@ -1,11 +1,13 @@
-"""The sampling loops of the verify battery are bounded, and its tolerance
-overrides name real checks."""
+"""The sampling loops of the verify battery are bounded, its tolerance
+overrides name real checks, and its direct velocity route makes one all-vortex
+evaluation per state."""
 import math
 
 import numpy as np
 import pytest
 
-from pointvortex import verify
+from pointvortex import dynamics, verify
+from pointvortex.config import resolve_scenario
 from pointvortex.surfaces import Surface
 from pointvortex.verify import (
     _MAX_DRAWS,
@@ -15,6 +17,8 @@ from pointvortex.verify import (
     conjugate_period_residual,
     robin_transformation_laws,
     run_suite,
+    velocity_equivalence,
+    verify_scenario,
 )
 
 
@@ -82,3 +86,32 @@ def test_check_names_are_the_suite_in_order():
     assert CHECK_NAMES[0] == "sphere_robin_closed_forms"
     assert CHECK_NAMES[-1] == "kelvin_drift_short"
     assert check_tolerance("mobius_schwarzian", "1e-300") == 1e-300
+
+
+@pytest.fixture
+def plan_evaluations(monkeypatch):
+    calls = []
+    real = dynamics._Plan.velocity
+
+    def velocity(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(dynamics._Plan, "velocity", velocity)
+    return calls
+
+
+@pytest.mark.parametrize("name", ("torus_four_vortex", "sphere_antipodal_pair"))
+def test_verify_scenario_evaluates_the_direct_law_once(name, plan_evaluations):
+    # one all-vortex evaluation serves every vortex's cross-check
+    results = verify_scenario(resolve_scenario(name))
+    assert len(results) == resolve_scenario(name).state().n + 1
+    assert len(plan_evaluations) == 1
+
+
+@pytest.mark.parametrize("surface", (Surface.sphere(), Surface.flat_torus(0.5 + 1j)),
+                         ids=("sphere", "torus"))
+def test_velocity_equivalence_evaluates_the_direct_law_once_per_state(surface,
+                                                                      plan_evaluations):
+    velocity_equivalence(surface, np.random.default_rng(3), 3)
+    assert len(plan_evaluations) == 3
