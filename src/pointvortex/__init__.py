@@ -3,32 +3,25 @@
 Library layout:
 
 - ``surfaces``     charts, metric factor, transitions, geodesic distance
-- ``connections``  coordinate-change brackets, connection transforms, covariant
-                   derivatives, curvature
+- ``connections``  transition jets and their coordinate-change brackets
 - ``green``        the pair kernel behind every Green value and gradient,
-                   Robin data, two-point potential
+                   Robin data
 - ``periods``      circulation state W of a torus, period matrix, circulation
-                   energy and conjugate potential
+                   energy and flow
 - ``dynamics``     velocity law, Hamiltonian, time integration
 - ``oracles``      independent validators (spectral Poisson solve, quadrature,
-                   contour integration, finite differences)
+                   loop contour integrals, finite differences)
 - ``cli``          the ``pointvortex`` command-line front door
+
+The package holds what ``run``, ``verify`` and the benchmark call; the
+connection calculus and the other paper identities that only the tests
+compare against live in ``tests/reference.py``.
 """
 
-from .connections import (
-    ConnectionValue,
-    TransitionJet,
-    bracket,
-    chain_check,
-    covariant_derivative,
-    curvature,
-    lambda2_operator,
-    transform_connection,
-)
+from .connections import TransitionJet, bracket, chain_check
 from .dynamics import (
     TrajectoryRecord,
     VortexState,
-    c0_coefficient,
     c1_coefficient,
     hamiltonian,
     hamiltonian_velocity,
@@ -44,21 +37,13 @@ from .errors import (
     SingularityError,
     StepRejectionError,
 )
-from .green import (
-    GreenEvaluation,
-    RobinData,
-    fundamental_potential,
-    green,
-    robin_data,
-    robin_metric,
-)
+from .green import GreenEvaluation, RobinData, green, robin_data
 from .periods import (
     PeriodBasis,
     build_basis,
     circulation_energy,
     circulation_form,
     circulation_state,
-    conjugate_potential,
 )
 from .surfaces import (
     Surface,
@@ -72,16 +57,12 @@ from .surfaces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChartError", "CollisionError", "ConfigError", "ConnectionValue",
-    "GreenEvaluation", "PeriodBasis", "PointVortexError", "QuadratureError",
-    "RobinData", "SingularityError", "StepRejectionError", "Surface",
-    "SurfacePoint", "TrajectoryRecord", "TransitionJet", "VortexState",
-    "bracket", "build_basis",
-    "c0_coefficient", "c1_coefficient", "chain_check", "circulation_energy",
-    "circulation_form", "circulation_state", "conformal_factor",
-    "conjugate_potential", "covariant_derivative", "curvature",
-    "fundamental_potential", "geodesic_distance", "green", "hamiltonian",
-    "hamiltonian_velocity", "integrate", "lambda2_operator",
-    "metric_connection", "robin_data", "robin_metric", "transform_connection",
+    "ChartError", "CollisionError", "ConfigError", "GreenEvaluation", "PeriodBasis",
+    "PointVortexError", "QuadratureError", "RobinData", "SingularityError",
+    "StepRejectionError", "Surface", "SurfacePoint", "TrajectoryRecord",
+    "TransitionJet", "VortexState", "bracket", "build_basis", "c1_coefficient",
+    "chain_check", "circulation_energy", "circulation_form", "circulation_state",
+    "conformal_factor", "geodesic_distance", "green", "hamiltonian",
+    "hamiltonian_velocity", "integrate", "metric_connection", "robin_data",
     "transition", "vortex_velocity",
 ]

@@ -5,8 +5,8 @@
 
 `run` writes one trajectory CSV (fixed column order: t, per-vortex re/im/chart,
 H, base circulations, min separation) plus a JSON-lines diagnostics file per
-scenario.  Exit codes: 0 clean, 1 configuration or usage error, 2 collision
-abort, 3 adaptive step rejection, 4 failed verify check.
+scenario.  Exit codes: 0 clean, 1 configuration, usage or unwritable output
+error, 2 collision abort, 3 adaptive step rejection, 4 failed verify check.
 Set VORTEX_LOG=debug|info|warning to control logging.
 """
 from __future__ import annotations
@@ -80,13 +80,13 @@ def _csv_header(n_vortices: int, genus: int) -> str:
 
 
 def _csv_row(rec: TrajectoryRecord) -> str:
-    cells = [repr(rec.time)]
+    """One CSV line; every real cell is repr(float(x)), so numpy scalars from
+    library callers write as plain numbers."""
+    cells = [repr(float(rec.time))]
     for p in rec.positions:
-        cells += [repr(p.coord.real), repr(p.coord.imag), str(p.chart_id)]
-    cells.append(repr(rec.hamiltonian))
-    cells += [repr(v) for v in rec.circ_a]
-    cells += [repr(v) for v in rec.circ_b]
-    cells.append(repr(rec.min_separation))
+        cells += [repr(float(p.coord.real)), repr(float(p.coord.imag)), str(p.chart_id)]
+    cells += [repr(float(v)) for v in (rec.hamiltonian, *rec.circ_a, *rec.circ_b,
+                                       rec.min_separation)]
     return ",".join(cells)
 
 
@@ -129,8 +129,19 @@ def write_diagnostics(path: Path, records: list[TrajectoryRecord],
     path.write_text("\n".join(lines) + "\n")
 
 
+def _cannot_write(exc: OSError) -> int:
+    # one write call, so lines from --jobs workers sharing stderr stay whole
+    sys.stderr.write(f"cannot write {exc.filename}: {exc.strerror}\n")
+    return EXIT_CONFIG
+
+
 def run_one(cfg: ScenarioConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run one scenario and write its outputs; an output path that cannot be
+    written is reported as `cannot write PATH: REASON` (EXIT_CONFIG)."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(exc)
     traj_path = out_dir / cfg.trajectory_path
     diag_path = out_dir / cfg.diagnostics_path
     try:
@@ -142,6 +153,7 @@ def run_one(cfg: ScenarioConfig, out_dir: Path) -> int:
     spec = cfg.integrator
     log.info("running %s: n=%d steps=%d dt=%g method=%s",
              cfg.name, state.n, spec.steps, spec.dt, spec.method)
+    status, code = "ok", EXIT_OK
     try:
         records = integrate(
             state, spec.dt, spec.steps, method=spec.method,
@@ -155,15 +167,16 @@ def run_one(cfg: ScenarioConfig, out_dir: Path) -> int:
                           "collision_separation": exc.separation})
         else:
             status, code = "step_rejected", EXIT_STEP_REJECTED
-        partial = stats.pop("partial_records")
-        write_trajectory(traj_path, partial, state.surface.genus)
-        write_diagnostics(diag_path, partial, stats, status=status)
+        records = stats.pop("partial_records")
         print(f"{cfg.name}: {exc}", file=sys.stderr)
-        return code
-    write_trajectory(traj_path, records, state.surface.genus)
-    write_diagnostics(diag_path, records, stats, status="ok")
-    print(f"{cfg.name}: wrote {traj_path} ({len(records)} records)")
-    return EXIT_OK
+    try:
+        write_trajectory(traj_path, records, state.surface.genus)
+        write_diagnostics(diag_path, records, stats, status=status)
+    except OSError as exc:
+        return _cannot_write(exc)
+    if code == EXIT_OK:
+        print(f"{cfg.name}: wrote {traj_path} ({len(records)} records)")
+    return code
 
 
 def _run_worker(args: tuple[ScenarioConfig, str]) -> int:

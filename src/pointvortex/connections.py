@@ -1,11 +1,11 @@
-"""Coordinate-change calculus for chart-indexed quantities.
+"""Coordinate-change brackets of chart transitions.
 
 A holomorphic change of chart w = phi(z) acts on the coefficient of an
-order-k object through one of three nonlinear differential expressions of
-the 3-jet of phi (log-derivative, its derivative, and the Schwarzian
-derivative).  This module implements those brackets, the gluing rules for
-connection coefficients of order 0, 1 and 2, the covariant derivatives they
-induce, and the curvature map from order-1 to order-2 coefficients.
+order-k connection through one of three nonlinear differential expressions
+of the 3-jet of phi: the log-derivative, its derivative, and the Schwarzian
+derivative.  This module holds the jets and those brackets, which the sphere
+chart transition and `verify` use; the gluing rules, covariant derivatives
+and curvature built on them are test references (`tests/reference.py`).
 """
 from __future__ import annotations
 
@@ -50,31 +50,6 @@ class TransitionJet:
         return TransitionJet(i1, i2, i3)
 
 
-@dataclass(frozen=True)
-class ConnectionValue:
-    """Coefficient of an order-0/1/2 connection at a point, in some stated chart.
-
-    Order-0 values carry an additive 2*pi*i indeterminacy in the imaginary
-    part; only their exponential is fully well defined, and `close_to`
-    compares accordingly.
-    """
-
-    order: int
-    value: complex
-
-    def __post_init__(self):
-        if self.order not in (0, 1, 2):
-            raise ValueError(f"connection order must be 0, 1 or 2, got {self.order}")
-
-    def close_to(self, other: "ConnectionValue", tol: float = 1e-12) -> bool:
-        if self.order != other.order:
-            return False
-        d = self.value - other.value
-        if self.order == 0:
-            d -= _TWO_PI * 1j * round(d.imag / _TWO_PI)
-        return abs(d) <= tol
-
-
 def bracket(jet: TransitionJet, k: int) -> complex:
     """The order-k change-of-coordinate expression of a 3-jet.
 
@@ -89,20 +64,6 @@ def bracket(jet: TransitionJet, k: int) -> complex:
     if k == 2:
         return jet.phi3 / jet.phi1 - 1.5 * r * r
     raise ValueError(f"bracket order must be 0, 1 or 2, got {k}")
-
-
-def transform_connection(c: ConnectionValue, jet: TransitionJet) -> ConnectionValue:
-    """Push a connection coefficient through the chart change with the given jet.
-
-    Order 0: p~ = p - {w,z}_0.  Order 1: r~ = (r - {w,z}_1)/phi'.
-    Order 2: q~ = (q - {w,z}_2)/phi'^2.
-    """
-    b = bracket(jet, c.order)
-    if c.order == 0:
-        return ConnectionValue(0, c.value - b)
-    if c.order == 1:
-        return ConnectionValue(1, (c.value - b) / jet.phi1)
-    return ConnectionValue(2, (c.value - b) / (jet.phi1 * jet.phi1))
 
 
 def chain_check(jet_a: TransitionJet, jet_b: TransitionJet,
@@ -120,29 +81,3 @@ def chain_check(jet_a: TransitionJet, jet_b: TransitionJet,
     if k == 0:
         d -= _TWO_PI * 1j * round(d.imag / _TWO_PI)
     return abs(d)
-
-
-def curvature(r: ConnectionValue, dr_dz: complex) -> ConnectionValue:
-    """Order-2 coefficient q = dr/dz - r^2/2 induced by an order-1 coefficient.
-
-    `dr_dz` is the holomorphic (Wirtinger) z-derivative of the order-1
-    coefficient at the point, supplied by the caller analytically or by
-    finite differences.
-    """
-    if r.order != 1:
-        raise ValueError("curvature expects an order-1 connection value")
-    return ConnectionValue(2, dr_dz - 0.5 * r.value * r.value)
-
-
-def covariant_derivative(phi: complex, dphi_dz: complex, k: float, r: ConnectionValue) -> complex:
-    """nabla_k phi = dphi/dz - k*r*phi, taking order-k to order-(k+1) differentials."""
-    if r.order != 1:
-        raise ValueError("covariant derivative expects an order-1 connection value")
-    return dphi_dz - k * r.value * phi
-
-
-def lambda2_operator(phi: complex, d2phi_dz2: complex, q: ConnectionValue) -> complex:
-    """Second covariant operator d^2 phi/dz^2 + q*phi/2 on order -1/2 differentials."""
-    if q.order != 2:
-        raise ValueError("lambda2 expects an order-2 connection value")
-    return d2phi_dz2 + 0.5 * q.value * phi

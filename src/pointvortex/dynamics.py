@@ -1,5 +1,5 @@
-"""Point-vortex dynamics: stream-expansion coefficients, the connection-based
-velocity law, the renormalized Hamiltonian, and time integration.
+"""Point-vortex dynamics: the c1 stream-expansion coefficient, the
+connection-based velocity law, the renormalized Hamiltonian, and time integration.
 
 The velocity of vortex k in its chart is
 
@@ -57,7 +57,6 @@ from .periods import (
     circulation_energy,
     circulation_form,
     circulation_state,
-    conjugate_potential,
     kelvin_coefficients,
 )
 from .surfaces import (
@@ -72,7 +71,6 @@ from .surfaces import (
 )
 from .theta import ThetaContext, theta_context
 
-_TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
 
 DEFAULT_COLLISION_THRESHOLD = 1e-3
@@ -291,18 +289,6 @@ def c1_coefficient(state: VortexState, k: int) -> complex:
     rows = plan.rows(charts, coords)[0]
     return complex(robin_h0_h1(state.surface, coords[k])[1]
                    + _FOUR_PI * rows[k] / plan.strengths[k])
-
-
-def c0_coefficient(state: VortexState, k: int) -> float:
-    """Constant stream-expansion coefficient at vortex k (diagnostic only)."""
-    charts, coords, plan = _unpack(state)
-    g, basis = plan.strengths, plan.basis
-    i, j, value, _, _ = _pair_terms(state.surface, charts, coords)
-    mutual = _row_sums(i, j, value, value, g)[k]
-    if basis.genus:
-        w = circulation_state(basis, coords, g, state.base_a, state.base_b)
-        mutual += conjugate_potential(basis, w, coords[k])
-    return float(robin_h0_h1(state.surface, coords[k])[0] + _TWO_PI * mutual / g[k])
 
 
 def vortex_velocities(state: VortexState) -> np.ndarray:

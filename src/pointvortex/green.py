@@ -1,4 +1,4 @@
-"""One-point Green function, its Robin expansion data, and the two-point potential.
+"""Green function, its pair kernel, and its Robin expansion data.
 
 Sphere values come from the closed form
     G(z,a) = -(1/4pi) (log(|z-a|^2 / ((1+|z|^2)(1+|a|^2))) + 1),
@@ -10,18 +10,20 @@ Correctness of the torus branch is pinned by the spectral Poisson oracle, not
 by the formula itself.
 
 Every Green value and gradient comes from one pair kernel, `pair_terms`,
-which works elementwise over arrays of point pairs; `green()` and the
-`*_green_values` helpers are one-pair and array views of it.  It builds on
-one gradient entry per surface, which the velocity law calls directly.  The
-sphere entry takes the pair in homogeneous form (z_i, a_j, b_j, c_i) from
-`surfaces.sphere_chart_terms` or a run's `surfaces.sphere_selection`, so one
-formula serves every chart combination with one complex division per pair.
+which works elementwise over arrays of point pairs; `green()` is its one-pair
+view, and array callers use `torus_pair_terms` / `sphere_pair_terms`.  It
+builds on one gradient entry per surface, which the velocity law calls
+directly.  The sphere entry takes the pair in homogeneous form
+(z_i, a_j, b_j, c_i) from `surfaces.sphere_chart_terms` or a run's
+`surfaces.sphere_selection`, so one formula serves every chart combination
+with one complex division per pair.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
 defines the chart-dependent Robin data (h0, h1, h2, h11); RobinData records
 the chart it was evaluated in, since these coefficients glue as connections,
-not functions.
+not functions.  The Hamiltonian uses the chart-invariant combination
+R = (h0 + log lambda) / 2 pi (`renormalized_robin_at`).
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ from .surfaces import (
     SPHERE,
     Surface,
     SurfacePoint,
-    geodesic_distance,
     lambda_at,
     reduce_centered,
     sphere_chart_terms,
@@ -52,7 +53,6 @@ class GreenEvaluation:
 
     value: float
     grad_z: complex
-    at: tuple[SurfacePoint, SurfacePoint]
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class RobinData:
     h1: complex
     h2: complex
     h11: float
-    at: SurfacePoint
     chart_id: int
 
 
@@ -130,17 +129,7 @@ def green(surface: Surface, z: SurfacePoint, a: SurfacePoint) -> GreenEvaluation
     surface.check_chart(z.chart_id)
     surface.check_chart(a.chart_id)
     value, grad, _ = pair_terms(surface, z.chart_id, z.coord, a.chart_id, a.coord)
-    return GreenEvaluation(float(value), complex(grad), (z, a))
-
-
-def torus_green_values(tau: complex, u) -> np.ndarray:
-    """Vectorized torus G over an array of differences u = z - a (any branch)."""
-    return torus_pair_terms(tau, u)[0]
-
-
-def sphere_green_values(pole: SurfacePoint, chart_id: int, zs) -> np.ndarray:
-    """Vectorized sphere G(.; pole) over chart coordinates zs of one chart."""
-    return sphere_pair_terms(chart_id, zs, pole.chart_id, pole.coord)[0]
+    return GreenEvaluation(float(value), complex(grad))
 
 
 def robin_h0_h1(surface: Surface, a):
@@ -161,41 +150,10 @@ def robin_data(surface: Surface, a: SurfacePoint) -> RobinData:
         h2, h11 = -(a.coord.conjugate() ** 2) / d2, 1.0 / d2
     else:
         h2, h11 = theta.theta_context(surface.tau).h2, math.pi / (2.0 * surface.area)
-    return RobinData(float(h0), h1, h2, h11, at=a, chart_id=a.chart_id)
-
-
-def robin_metric(surface: Surface, a: SurfacePoint) -> float:
-    """Coefficient exp(-h0(a)) of the Robin metric in the chart of a."""
-    return math.exp(-robin_data(surface, a).h0)
-
-
-def renormalized_robin(surface: Surface, a: SurfacePoint) -> float:
-    """R(a) = (h0(a) + log lambda(a)) / (2 pi); chart-invariant."""
-    surface.check_chart(a.chart_id)
-    return float(renormalized_robin_at(surface, a.coord))
+    return RobinData(float(h0), h1, h2, h11, a.chart_id)
 
 
 def renormalized_robin_at(surface: Surface, z):
-    """R at chart coordinates z (complex or complex array)."""
+    """R = (h0 + log lambda) / (2 pi), chart-invariant, at chart coordinates z
+    (complex or complex array)."""
     return (robin_h0_h1(surface, z)[0] + np.log(lambda_at(surface, z))) / (2.0 * math.pi)
-
-
-def fundamental_potential(surface: Surface, z: SurfacePoint, w: SurfacePoint,
-                          a: SurfacePoint, b: SurfacePoint) -> float:
-    """Two-point potential 2 pi (G(z,a) - G(z,b) - G(w,a) + G(w,b)).
-
-    Metric-independent, with +-1 logarithmic poles at a and b (in z) and
-    normalized to vanish at z = w.
-    """
-    for probe in (z, w):
-        for pole in (a, b):
-            if geodesic_distance(surface, probe, pole) <= _COINCIDENCE_TOL:
-                raise SingularityError("fundamental potential evaluated at a pole")
-    if z.chart_id == w.chart_id and z.coord == w.coord:
-        return 0.0
-    return 2.0 * math.pi * (
-        green(surface, z, a).value
-        - green(surface, z, b).value
-        - green(surface, w, a).value
-        + green(surface, w, b).value
-    )

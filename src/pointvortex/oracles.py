@@ -1,5 +1,6 @@
 """Independent brute-force validators: spectral Poisson solves, quadrature,
-contour integration and finite-difference derivatives.
+contour integration along closed lattice loops and finite-difference
+derivatives.
 
 Everything here exists to check the analytic machinery through a second
 route, so none of it shares code with the closed-form / series evaluators.
@@ -9,7 +10,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,58 +98,12 @@ def mollified_delta(tau: complex, grid_n: int, a: complex,
 FormFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class ParametricPath:
-    """Path t in [0, 1] -> point(t) with velocity dz/dt, closed or open."""
-
-    point: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray]
-    closed: bool
-
-
-def segment_path(z0: complex, z1: complex) -> ParametricPath:
-    dz = z1 - z0
-    return ParametricPath(
-        point=lambda t: z0 + t * dz,
-        velocity=lambda t: np.full_like(np.asarray(t, dtype=float), dz, dtype=complex),
-        closed=False,
-    )
-
-
-def loop_path(z0: complex, delta: complex) -> ParametricPath:
-    """Straight closed loop z0 + t*delta on a torus (delta a lattice vector)."""
-    return ParametricPath(
-        point=lambda t: z0 + t * delta,
-        velocity=lambda t: np.full_like(np.asarray(t, dtype=float), delta, dtype=complex),
-        closed=True,
-    )
-
-
-def circle_path(center: complex, radius: float) -> ParametricPath:
-    def pt(t):
-        return center + radius * np.exp(2j * math.pi * np.asarray(t))
-
-    def vel(t):
-        return 2j * math.pi * radius * np.exp(2j * math.pi * np.asarray(t))
-
-    return ParametricPath(point=pt, velocity=vel, closed=True)
-
-
-def contour_integral(form: FormFn, path: ParametricPath, n_points: int = 512) -> complex:
-    """Integrate the 1-form along the path: periodic trapezoid when closed
-    (spectrally accurate for smooth integrands), Gauss-Legendre when open."""
-    if path.closed:
-        t = np.arange(n_points) / n_points
-        w = np.full(n_points, 1.0 / n_points)
-    else:
-        nodes, weights = np.polynomial.legendre.leggauss(n_points)
-        t = 0.5 * (nodes + 1.0)
-        w = 0.5 * weights
-    z = path.point(t)
-    v = path.velocity(t)
-    cx, cy = form(z)
-    integrand = cx * v.real + cy * v.imag
-    return complex(np.sum(w * integrand))
+def contour_integral(form: FormFn, z0: complex, delta: complex, n_points: int = 512) -> complex:
+    """Integrate the 1-form along the straight closed loop z0 + t delta, t in
+    [0, 1], with delta a lattice vector of a torus and the form periodic under
+    it: the periodic trapezoid rule, spectrally accurate for smooth forms."""
+    cx, cy = form(z0 + np.arange(n_points) / n_points * delta)
+    return complex(np.mean(cx * delta.real + cy * delta.imag))
 
 
 def gradient_form(grad_fn: Callable[[np.ndarray], np.ndarray]) -> FormFn:
@@ -263,14 +217,6 @@ def wirtinger_fd(f: Callable[[complex], complex], z: complex, h: float = 1e-6,
         (4.0 * d2[0] - d1[0]) / 3.0,
         (4.0 * d2[1] - d1[1]) / 3.0,
     )
-
-
-def meridian_arc_length(n: int = 20000) -> float:
-    """Chart-0 integral of the sphere metric factor along [0, 1] plus its
-    chart-1 mirror: the pole-to-pole distance, by midpoint rule."""
-    r = (np.arange(n) + 0.5) / n
-    lam = 2.0 / (1.0 + r**2)
-    return 2.0 * float(lam.mean())
 
 
 def min_image_distance_grid(tau: complex, n: int, a: complex) -> np.ndarray:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .surfaces import FLAT_TORUS, Surface
+from .surfaces import Surface
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,6 @@ class PeriodBasis:
 def build_basis(surface: Surface) -> PeriodBasis:
     if surface.genus == 0:
         return PeriodBasis(None, np.zeros((0, 0)))
-    if surface.kind != FLAT_TORUS:
-        raise ValueError(f"no period basis for genus {surface.genus} {surface.kind}")
     tau = surface.tau
     matrix = np.array([[abs(tau) ** 2, -tau.real], [-tau.real, 1.0]]) / tau.imag
     matrix.flags.writeable = False
@@ -84,11 +82,6 @@ def kelvin_coefficients(basis: PeriodBasis, w: complex) -> tuple[float, ...]:
 def circulation_form(basis: PeriodBasis, w: complex) -> complex:
     """du*/dz = conj(W) / (2 Im tau), the conjugate potential's constant gradient."""
     return w.conjugate() / (2.0 * basis.tau.imag) if basis.genus else 0j
-
-
-def conjugate_potential(basis: PeriodBasis, w: complex, z: complex) -> float:
-    """u*(z) = Re(conj(W) z) / Im tau, on the branch of the coordinate as given."""
-    return (w.conjugate() * z).real / basis.tau.imag if basis.genus else 0.0
 
 
 def circulation_energy(basis: PeriodBasis, w: complex) -> float:

@@ -23,18 +23,11 @@ from .dynamics import (
     min_separation,
     vortex_velocities,
 )
-from .green import (
-    green,
-    robin_data,
-    sphere_green_values,
-    torus_green_values,
-    torus_pair_terms,
-)
+from .green import green, robin_data, sphere_pair_terms, torus_pair_terms
 from .oracles import (
     contour_integral,
     delta_probe_points,
     gradient_form,
-    loop_path,
     min_image_distance_grid,
     mollified_delta,
     sphere_quadrature,
@@ -152,7 +145,7 @@ def sphere_green_normalization(poles=None) -> float:
     worst = 0.0
     for pole in poles:
         def integrand(chart, z, pole=pole):
-            return sphere_green_values(pole, chart, z)
+            return sphere_pair_terms(chart, z, pole.chart_id, pole.coord)[0]
 
         worst = max(worst, abs(sphere_quadrature(integrand, abs_tol=2e-8)))
     return worst
@@ -160,7 +153,7 @@ def sphere_green_normalization(poles=None) -> float:
 
 def torus_green_normalization(tau: complex = 0.5 + 1j) -> float:
     """|Mean of G(., 0)| over the torus, by quadrature that does not use C(tau)."""
-    return abs(torus_domain_mean(lambda z: torus_green_values(tau, z), tau))
+    return abs(torus_domain_mean(lambda z: torus_pair_terms(tau, z)[0], tau))
 
 
 def torus_green_vs_poisson(tau: complex, grid_n: int = 256,
@@ -173,7 +166,7 @@ def torus_green_vs_poisson(tau: complex, grid_n: int = 256,
     source = mollified_delta(tau, grid_n, pole, sigma_cells=2.0)
     solved = torus_poisson_oracle(tau, grid_n, source)
     z = torus_grid(tau, grid_n)
-    exact = torus_green_values(tau, z - pole)
+    exact = torus_pair_terms(tau, z - pole)[0]
     dist = min_image_distance_grid(tau, grid_n, pole)
     mask = dist > 12.0 * max(1.0, abs(tau)) / grid_n
     diff = solved[mask] - exact[mask]
@@ -186,7 +179,7 @@ def _flow_periods(tau: complex, grad: complex, star: bool) -> tuple[float, float
     by contour integration of the constant gradient du*/dz = grad."""
     form = (star_gradient_form if star else gradient_form)(
         lambda z: np.full(np.shape(z), grad))
-    return tuple(complex(contour_integral(form, loop_path(0j, d))).real for d in (1.0, tau))
+    return tuple(contour_integral(form, 0j, d).real for d in (1.0, tau))
 
 
 def period_relation_residual(tau: complex) -> float:
@@ -256,12 +249,12 @@ def conjugate_period_residual(surface: Surface, rng: np.random.Generator,
         # alpha-homologous loop at lattice height t0=0.7: the poles sit at
         # t in (0.05, 0.40), so neither the loop nor the straight b->a path
         # meets it
-        lhs_a = complex(contour_integral(form, loop_path(0.7 * tau, 1.0), 1024)).real
+        lhs_a = contour_integral(form, 0.7 * tau, 1.0, 1024).real
         rhs_a = (a.imag - b.imag) / t2
         # beta-homologous loop on the midline of the complementary s-arc
         lo, hi = min(sa, sb), max(sa, sb)
         s0 = (hi + lo + 1.0) / 2.0 % 1.0
-        lhs_b = complex(contour_integral(form, loop_path(complex(s0, 0.0), tau), 1024)).real
+        lhs_b = contour_integral(form, complex(s0, 0.0), tau, 1024).real
         rhs_b = -(a.real - b.real) + (tau.real / t2) * (a.imag - b.imag)
         worst = max(worst, abs(lhs_a - rhs_a), abs(lhs_b - rhs_b))
     return worst

@@ -1,0 +1,144 @@
+"""Paper identities that the tests compare the package against.
+
+The connection calculus of the order-0/1/2 gluing rules, the two-point
+potential, the constant stream coefficient c0 with the conjugate potential
+u*, and a meridian arc-length quadrature.  None of them is on a `run` or
+`verify` path, so they live here, built on the package's public calls.
+"""
+import cmath
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from pointvortex.connections import TransitionJet, bracket
+from pointvortex.dynamics import VortexState
+from pointvortex.errors import SingularityError
+from pointvortex.green import green, robin_data
+from pointvortex.periods import PeriodBasis, build_basis, circulation_state
+from pointvortex.surfaces import Surface, SurfacePoint, geodesic_distance
+
+_TWO_PI = 2.0 * cmath.pi
+
+
+# ---------------------------------------------------------------------------
+# connection calculus
+
+
+@dataclass(frozen=True)
+class ConnectionValue:
+    """Coefficient of an order-0/1/2 connection at a point, in some stated chart.
+
+    Order-0 values carry an additive 2*pi*i indeterminacy in the imaginary
+    part; only their exponential is fully well defined, and `close_to`
+    compares accordingly.
+    """
+
+    order: int
+    value: complex
+
+    def __post_init__(self):
+        if self.order not in (0, 1, 2):
+            raise ValueError(f"connection order must be 0, 1 or 2, got {self.order}")
+
+    def close_to(self, other: "ConnectionValue", tol: float = 1e-12) -> bool:
+        if self.order != other.order:
+            return False
+        d = self.value - other.value
+        if self.order == 0:
+            d -= _TWO_PI * 1j * round(d.imag / _TWO_PI)
+        return abs(d) <= tol
+
+
+def transform_connection(c: ConnectionValue, jet: TransitionJet) -> ConnectionValue:
+    """Push a connection coefficient through the chart change with the given jet.
+
+    Order 0: p~ = p - {w,z}_0.  Order 1: r~ = (r - {w,z}_1)/phi'.
+    Order 2: q~ = (q - {w,z}_2)/phi'^2.
+    """
+    b = bracket(jet, c.order)
+    if c.order == 0:
+        return ConnectionValue(0, c.value - b)
+    if c.order == 1:
+        return ConnectionValue(1, (c.value - b) / jet.phi1)
+    return ConnectionValue(2, (c.value - b) / (jet.phi1 * jet.phi1))
+
+
+def curvature(r: ConnectionValue, dr_dz: complex) -> ConnectionValue:
+    """Order-2 coefficient q = dr/dz - r^2/2 induced by an order-1 coefficient.
+
+    `dr_dz` is the holomorphic (Wirtinger) z-derivative of the order-1
+    coefficient at the point, supplied by the caller analytically or by
+    finite differences.
+    """
+    if r.order != 1:
+        raise ValueError("curvature expects an order-1 connection value")
+    return ConnectionValue(2, dr_dz - 0.5 * r.value * r.value)
+
+
+def covariant_derivative(phi: complex, dphi_dz: complex, k: float, r: ConnectionValue) -> complex:
+    """nabla_k phi = dphi/dz - k*r*phi, taking order-k to order-(k+1) differentials."""
+    if r.order != 1:
+        raise ValueError("covariant derivative expects an order-1 connection value")
+    return dphi_dz - k * r.value * phi
+
+
+def lambda2_operator(phi: complex, d2phi_dz2: complex, q: ConnectionValue) -> complex:
+    """Second covariant operator d^2 phi/dz^2 + q*phi/2 on order -1/2 differentials."""
+    if q.order != 2:
+        raise ValueError("lambda2 expects an order-2 connection value")
+    return d2phi_dz2 + 0.5 * q.value * phi
+
+
+# ---------------------------------------------------------------------------
+# potentials and stream coefficients
+
+
+def fundamental_potential(surface: Surface, z: SurfacePoint, w: SurfacePoint,
+                          a: SurfacePoint, b: SurfacePoint) -> float:
+    """Two-point potential 2 pi (G(z,a) - G(z,b) - G(w,a) + G(w,b)).
+
+    Metric-independent, with +-1 logarithmic poles at a and b (in z) and
+    normalized to vanish at z = w.
+    """
+    for probe in (z, w):
+        for pole in (a, b):
+            if geodesic_distance(surface, probe, pole) <= 1e-12:
+                raise SingularityError("fundamental potential evaluated at a pole")
+    if z.chart_id == w.chart_id and z.coord == w.coord:
+        return 0.0
+    return 2.0 * math.pi * (
+        green(surface, z, a).value
+        - green(surface, z, b).value
+        - green(surface, w, a).value
+        + green(surface, w, b).value
+    )
+
+
+def conjugate_potential(basis: PeriodBasis, w: complex, z: complex) -> float:
+    """u*(z) = Re(conj(W) z) / Im tau, on the branch of the coordinate as given."""
+    return (w.conjugate() * z).real / basis.tau.imag if basis.genus else 0.0
+
+
+def c0_coefficient(state: VortexState, k: int) -> float:
+    """Constant stream-expansion coefficient at vortex k, in its canonical chart:
+    h0(z_k) + 2 pi (sum_{j != k} Gamma_j G(z_k, z_j) + u*(z_k)) / Gamma_k."""
+    surface, points, g = state.surface, state.positions, state.strengths
+    mutual = sum(g[j] * green(surface, points[k], p).value
+                 for j, p in enumerate(points) if j != k)
+    basis = build_basis(surface)
+    w = circulation_state(basis, [p.coord for p in points], g, state.base_a, state.base_b)
+    mutual += conjugate_potential(basis, w, points[k].coord)
+    return robin_data(surface, points[k]).h0 + _TWO_PI * mutual / g[k]
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+
+
+def meridian_arc_length(n: int = 20000) -> float:
+    """Chart-0 integral of the sphere metric factor along [0, 1] plus its
+    chart-1 mirror: the pole-to-pole distance, by midpoint rule."""
+    r = (np.arange(n) + 0.5) / n
+    lam = 2.0 / (1.0 + r**2)
+    return 2.0 * float(lam.mean())

@@ -7,11 +7,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pointvortex
 import pointvortex.cli
-from pointvortex.cli import main, write_diagnostics
+from pointvortex.cli import main, write_diagnostics, write_trajectory
 from pointvortex.dynamics import integrate
 from pointvortex.config import load_scenario, parse_scenario, resolve_scenario
 from pointvortex.errors import ConfigError, StepRejectionError
@@ -256,11 +257,19 @@ class TestRunCommand:
         dirs = [s / abs(s) for s in steps]
         assert max(abs(d - dirs[0]) for d in dirs) < 1e-8
 
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", BUNDLED + ("numpy_dt", "numpy_circulations"))
     def test_csv_cells_are_plain_numbers(self, tmp_path, name):
         # every cell is a plain Python number repr: no numpy scalar leaks
-        # (such as "np.float64(...)") into any column
-        assert main(["run", name, "--out-dir", str(tmp_path)]) == 0
+        # (such as "np.float64(...)") into any column, from a bundled run or
+        # from a library caller's numpy dt or numpy base circulations
+        if name in BUNDLED:
+            assert main(["run", name, "--out-dir", str(tmp_path)]) == 0
+        else:
+            rng = np.random.default_rng(5)
+            state = random_state(Surface.flat_torus(0.5 + 1j), 3, rng,
+                                 circulations=name == "numpy_circulations")
+            dt = np.float64(1e-3) if name == "numpy_dt" else 1e-3
+            write_trajectory(tmp_path / f"{name}.csv", integrate(state, dt, 2), 1)
         header, *rows = (tmp_path / f"{name}.csv").read_text().splitlines()
         columns = header.split(",")
         for row in rows:
@@ -335,6 +344,16 @@ class TestRunCommand:
         assert summary["step_rejections"] == 61
         csv = (tmp_path / "torus_pair_translate.csv").read_text().splitlines()
         assert len(csv) == 1 + summary["records"] >= 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_out_dir_exits_one_without_traceback(self, tmp_path, jobs):
+        (tmp_path / "afile").write_text("")
+        out_dir = tmp_path / "afile" / "sub"
+        proc = run_cli(["run", "torus_pair_translate", "sphere_antipodal_pair",
+                        "--out-dir", str(out_dir), "--jobs", jobs])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"cannot write {out_dir}: Not a directory"] * 2
 
     def test_removed_flags_are_rejected(self):
         # a usage error is a configuration error, never the collision code 2

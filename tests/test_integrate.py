@@ -14,7 +14,7 @@ from pointvortex.dynamics import (
     vortex_velocity,
 )
 from pointvortex.errors import CollisionError, StepRejectionError
-from pointvortex.oracles import contour_integral, loop_path, star_gradient_form
+from pointvortex.oracles import contour_integral, star_gradient_form
 from pointvortex.periods import build_basis, circulation_form, circulation_state
 from pointvortex.surfaces import SurfacePoint, Surface, reduce_centered
 from pointvortex.verify import random_state
@@ -185,8 +185,8 @@ class TestConservation:
         s0 = gap_midpoint(np.array([
             c.real - (c.imag / tau.imag) * tau.real for row in cover for c in row
         ]))
-        la = loop_path(t0 * tau, 1.0)
-        lb = loop_path(complex(s0, 0.0), tau)
+        la = (t0 * tau, 1.0)
+        lb = (complex(s0, 0.0), tau)
 
         def periods(coords):
             w = circulation_state(basis, coords, st.strengths, st.base_a, st.base_b)
@@ -210,8 +210,8 @@ class TestConservation:
                 return gy + ex, -gx + ey
 
             return (
-                complex(contour_integral(nu, la, 1024)).real,
-                complex(contour_integral(nu, lb, 1024)).real,
+                contour_integral(nu, *la, 1024).real,
+                contour_integral(nu, *lb, 1024).real,
             )
 
         samples = cover[::12]

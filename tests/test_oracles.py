@@ -7,15 +7,12 @@ import pytest
 
 from pointvortex import oracles
 from pointvortex.errors import QuadratureError
-from pointvortex.green import torus_green_values
+from pointvortex.green import torus_pair_terms
 from pointvortex.oracles import (
-    circle_path,
     contour_integral,
     gradient_form,
-    loop_path,
     min_image_distance_grid,
     mollified_delta,
-    segment_path,
     sphere_quadrature,
     torus_grid,
     torus_poisson_oracle,
@@ -59,7 +56,7 @@ class TestPoissonOracle:
         for n in (128, 256):
             source = mollified_delta(tau, n, pole, sigma_cells=2.0)
             solved = torus_poisson_oracle(tau, n, source)
-            exact = torus_green_values(tau, torus_grid(tau, n) - pole)
+            exact = torus_pair_terms(tau, torus_grid(tau, n) - pole)[0]
             mask = min_image_distance_grid(tau, n, pole) > 12.0 / n
             diff = solved[mask] - exact[mask]
             diff -= diff.mean()
@@ -75,7 +72,7 @@ class TestPoissonOracle:
         source = mollified_delta(tau, n, a) - mollified_delta(tau, n, b)
         solved = torus_poisson_oracle(tau, n, source)
         z = torus_grid(tau, n)
-        exact = torus_green_values(tau, z - a) - torus_green_values(tau, z - b)
+        exact = torus_pair_terms(tau, z - a)[0] - torus_pair_terms(tau, z - b)[0]
         mask = (min_image_distance_grid(tau, n, a) > 12.0 / n) & (
             min_image_distance_grid(tau, n, b) > 12.0 / n
         )
@@ -86,41 +83,49 @@ class TestPoissonOracle:
 
 class TestContourIntegral:
     def test_exact_form_integrates_to_zero_on_loops(self):
-        # dF for F = x^2 y - y^3/3, fed in via its Wirtinger gradient
-        form = gradient_form(lambda z: z.imag * z.real + 0.5j * (z.imag**2 - z.real**2))
+        # dF for F doubly periodic on C / (Z + tau Z), fed in via its Wirtinger
+        # gradient: every lattice loop closes, so each integral vanishes
+        tau = 0.5 + 1j
 
-        got = contour_integral(form, circle_path(0.3 + 0.2j, 0.8))
-        assert abs(complex(got)) < 1e-12
+        def grad(z):
+            t = z.imag / tau.imag
+            s = z.real - t * tau.real
+            f_s = 2 * math.pi * (np.cos(2 * math.pi * s) * np.cos(2 * math.pi * t)
+                                 - np.sin(2 * math.pi * (s - 2 * t)))
+            f_t = 2 * math.pi * (-np.sin(2 * math.pi * s) * np.sin(2 * math.pi * t)
+                                 + 2 * np.sin(2 * math.pi * (s - 2 * t)))
+            f_x, f_y = f_s, (f_t - tau.real * f_s) / tau.imag
+            return 0.5 * (f_x - 1j * f_y)
 
-    def test_segment_integral_of_exact_form_is_potential_difference(self):
-        def form(z):
-            x, y = z.real, z.imag
-            return 2 * x * y, x**2 - y**2
-
-        z0, z1 = 0.1 + 0.5j, -0.7 + 0.2j
-
-        def F(z):
-            return z.real**2 * z.imag - z.imag**3 / 3.0
-
-        got = contour_integral(form, segment_path(z0, z1), n_points=32)
-        assert abs(complex(got) - (F(z1) - F(z0))) < 1e-12
+        form = gradient_form(grad)
+        for z0, delta in ((0.2 + 0.3j, 1.0), (0.1 + 0j, tau), (0.3 + 0.1j, 1.0 + tau)):
+            assert abs(contour_integral(form, z0, delta)) < 1e-12
 
     def test_unit_alpha_period(self, torus_i):
         # loop along the first lattice direction sees -dU_beta = dx
         def form(z):
             return np.ones(np.shape(z)), np.zeros(np.shape(z))
 
-        got = contour_integral(form, loop_path(0.2 + 0.4j, 1.0))
-        assert abs(complex(got) - 1.0) < 1e-12
+        got = contour_integral(form, 0.2 + 0.4j, 1.0)
+        assert abs(got - 1.0) < 1e-12
 
     def test_resolution_stability(self):
+        # on the square torus the alpha and beta loops give cos(2 pi y0) I0(1)
+        # and I0(1): the periodic trapezoid converges geometrically to both
         def form(z):
-            return np.cos(2 * math.pi * z.real), np.sin(2 * math.pi * z.imag)
+            x, y = z.real, z.imag
+            return np.exp(np.sin(2 * math.pi * x)) * np.cos(2 * math.pi * y), \
+                np.exp(np.cos(2 * math.pi * y))
 
-        path = circle_path(0.1 - 0.1j, 0.55)
-        a = complex(contour_integral(form, path, n_points=512))
-        b = complex(contour_integral(form, path, n_points=1024))
-        assert abs(a - b) < 1e-12
+        i0 = float(np.i0(1.0))
+        for z0, delta, exact in ((0.3 + 0.2j, 1.0, math.cos(0.4 * math.pi) * i0),
+                                 (0.3 + 0.2j, 1j, i0)):
+            errs = [abs(contour_integral(form, z0, delta, n) - exact) for n in (4, 8, 16)]
+            assert errs[0] > errs[1] > errs[2]
+            a = contour_integral(form, z0, delta, n_points=512)
+            b = contour_integral(form, z0, delta, n_points=1024)
+            assert abs(a - b) < 1e-12
+            assert abs(a - exact) < 1e-14
 
 
 class TestSphereQuadrature:

@@ -27,7 +27,7 @@ from pointvortex.dynamics import (
     vortex_velocity,
 )
 from pointvortex.errors import CollisionError
-from pointvortex.green import pair_terms, renormalized_robin, robin_data
+from pointvortex.green import pair_terms, renormalized_robin_at, robin_data
 from pointvortex.periods import (
     build_basis,
     circulation_energy,
@@ -159,8 +159,8 @@ def ref_velocity(surface, charts, coords, strengths, base_a, base_b):
 
 def ref_hamiltonian_terms(surface, charts, coords, strengths, base_a, base_b):
     """The terms of 2H, summed by the caller."""
-    terms = [g * g * renormalized_robin(surface, SurfacePoint(c, z))
-             for c, z, g in zip(charts, coords, strengths)]
+    terms = [g * g * float(renormalized_robin_at(surface, z))
+             for z, g in zip(coords, strengths)]
     n = len(coords)
     for k in range(n):
         for j in range(k + 1, n):

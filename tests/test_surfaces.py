@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pointvortex.errors import ChartError
-from pointvortex.oracles import meridian_arc_length
 from pointvortex.surfaces import (
     FLAT_TORUS,
     Surface,
@@ -16,6 +15,8 @@ from pointvortex.surfaces import (
     metric_connection,
     transition,
 )
+
+from reference import meridian_arc_length
 
 
 def test_surface_descriptors(sphere, torus_skew):
