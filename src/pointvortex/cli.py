@@ -129,9 +129,9 @@ def write_diagnostics(path: Path, records: list[TrajectoryRecord],
     path.write_text("\n".join(lines) + "\n")
 
 
-def _cannot_write(exc: OSError) -> int:
-    # one write call, so lines from --jobs workers sharing stderr stay whole
-    sys.stderr.write(f"cannot write {exc.filename}: {exc.strerror}\n")
+def _error(text: str) -> int:
+    # one write call keeps --jobs workers' lines whole; EXIT_CONFIG for callers exiting on it
+    sys.stderr.write(text + "\n")
     return EXIT_CONFIG
 
 
@@ -141,14 +141,13 @@ def run_one(cfg: ScenarioConfig, out_dir: Path) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _cannot_write(exc)
+        return _error(f"cannot write {exc.filename}: {exc.strerror}")
     traj_path = out_dir / cfg.trajectory_path
     diag_path = out_dir / cfg.diagnostics_path
     try:
         state = cfg.state()
     except ConfigError as exc:
-        print(f"config error in {cfg.name}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(f"config error in {cfg.name}: {exc}")
     stats: dict = {}
     spec = cfg.integrator
     log.info("running %s: n=%d steps=%d dt=%g method=%s",
@@ -168,12 +167,12 @@ def run_one(cfg: ScenarioConfig, out_dir: Path) -> int:
         else:
             status, code = "step_rejected", EXIT_STEP_REJECTED
         records = stats.pop("partial_records")
-        print(f"{cfg.name}: {exc}", file=sys.stderr)
+        _error(f"{cfg.name}: {exc}")
     try:
         write_trajectory(traj_path, records, state.surface.genus)
         write_diagnostics(diag_path, records, stats, status=status)
     except OSError as exc:
-        return _cannot_write(exc)
+        return _error(f"cannot write {exc.filename}: {exc.strerror}")
     if code == EXIT_OK:
         print(f"{cfg.name}: wrote {traj_path} ({len(records)} records)")
     return code
@@ -190,8 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             configs.append(resolve_scenario(ref))
         except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _error(f"config error: {exc}")
     if args.dump_config:
         for cfg in configs:
             print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
@@ -211,8 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             cfg = resolve_scenario(args.config)
             results = verify_scenario(cfg)
         except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _error(f"config error: {exc}")
     else:
         results = run_suite(args.suite, args.seed, dict(args.override or ()))
     print(format_report(results))

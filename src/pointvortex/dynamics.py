@@ -21,24 +21,22 @@ that canonical state of the run at its time, so any record restarts the run.
 
 Array layout: a configuration is a chart-id array and a complex coordinate
 array, one entry per vortex; the read-only pair indices i < j are cached per n.
-The velocity law has one implementation, `_Plan`, built once per run (and per
-one-shot call) with the pair indices, strengths and surface constants; each
+Pair evaluations read charts only through the pairs' `surfaces.pair_selection`:
+a run builds it at the start and after each step that moved a vortex to the
+other chart, a one-shot call once per call.  The velocity law has one
+implementation, `_Plan`, built once per run (and per one-shot call); each
 evaluation forms only Green gradients (`green.pair_terms`' gradient entries).
-On the sphere a run holds the pairs' chart selection (`_Plan.select`, the
-index rows of `surfaces.sphere_selection`) and rebuilds it only after a step
-that moved a vortex to the other chart; one-shot calls fill the same terms
-with np.where.  The Hamiltonian recomputes W from its coordinates, so its
-finite differences stay an independent velocity route.  `integrate` has one
-record loop; a `METHODS` entry advances between records and ends every
-accepted step in `_Trajectory.accept`: the sphere chart rule of
-`canonical_coords`, the selection, then the collision check, which names the
-first closest pair in (i, j) order.
+The Hamiltonian recomputes W from its coordinates, so its finite differences
+stay an independent velocity route.  `integrate` has one record loop; a
+`METHODS` entry advances between records and ends every accepted step in
+`_Trajectory.accept`: the sphere chart rule of `canonical_coords`, the
+selection, then the collision check, which names the first closest pair in
+(i, j) order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +46,7 @@ from .green import (
     renormalized_robin_at,
     robin_h0_h1,
     sphere_gradient_terms,
+    sphere_point_terms,
     torus_gradient_terms,
 )
 from .oracles import wirtinger_fd
@@ -66,8 +65,8 @@ from .surfaces import (
     canonical_coords,
     conformal_factor,
     pair_distances,
-    sphere_pair_points,
-    sphere_selection,
+    pair_indices,
+    pair_selection,
 )
 from .theta import ThetaContext, theta_context
 
@@ -119,7 +118,7 @@ class VortexState:
         object.__setattr__(self, "strengths", strengths)
         object.__setattr__(self, "base_a", base_a)
         object.__setattr__(self, "base_b", base_b)
-        sep = _check_separation(self.surface, charts, coords, -math.inf, 0.0)
+        sep = min_separation(self.surface, self.positions)
         if sep <= self.collision_threshold:
             raise ValueError(
                 f"initial pairwise separation {sep:.3e} is below the collision "
@@ -146,14 +145,6 @@ class TrajectoryRecord:
     kelvin: tuple[float, ...]
 
 
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only indices (i, j) of the unordered pairs i < j, in (i, j) order."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
 def _point_arrays(positions) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([p.chart_id for p in positions], dtype=int),
             np.array([p.coord for p in positions], dtype=complex))
@@ -176,17 +167,14 @@ def _canonical(surface: Surface, charts, coords, strengths: np.ndarray,
 def min_separation(surface: Surface, positions) -> float:
     if len(positions) < 2:
         return math.inf
-    return _check_separation(surface, *_point_arrays(positions), -math.inf, 0.0)
+    charts, coords = _point_arrays(positions)
+    i, j = pair_indices(len(coords))
+    return _check_separation(surface, coords, i, j, pair_selection(surface, charts, i, j),
+                             -math.inf, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# raw evaluation layer: chart and coordinate arrays, no reduction
-
-
-def _pair_terms(surface: Surface, charts: np.ndarray, coords: np.ndarray):
-    """(i, j, G_ij, dG_ij/dz_i, dG_ij/dz_j) over the unordered pairs."""
-    i, j = _pairs(len(coords))
-    return (i, j) + pair_terms(surface, charts[i], coords[i], charts[j], coords[j])
+# raw evaluation layer: coordinate arrays and a pair selection, no reduction
 
 
 def _row_sums(i, j, upper, lower, weights: np.ndarray) -> np.ndarray:
@@ -201,9 +189,10 @@ def _row_sums(i, j, upper, lower, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The velocity law of a run (see the module docstring).  On the torus
-    lambda = 1 and du*/dz = conj(W) / (2 Im tau) is a constant of the motion
-    (sum Gamma v = 0), taken at the coordinates the plan is built at."""
+    """A run's pairs, strengths and surface constants, and its velocity law (see
+    the module docstring).  On the torus lambda = 1 and du*/dz = conj(W) / (2 Im tau)
+    is a constant of the motion (sum Gamma v = 0), taken at the coordinates the
+    plan is built at."""
 
     surface: Surface
     basis: PeriodBasis
@@ -214,32 +203,29 @@ class _Plan:
     flow: complex                # du*/dz
 
     def select(self, charts: np.ndarray) -> np.ndarray | None:
-        """The sphere pairs' `sphere_selection` for these charts (None on the torus)."""
-        return sphere_selection(charts, self.i, self.j) if self.theta is None else None
+        """The pairs' `pair_selection` for these charts."""
+        return pair_selection(self.surface, charts, self.i, self.j)
 
-    def rows(self, charts: np.ndarray, coords: np.ndarray, select=None):
+    def rows(self, coords: np.ndarray, select):
         """(M Gamma + du*/dz, 1 / lambda^2) at every vortex, with
-        M_kj = dG(z_k, z_j)/dz_k in z_k's chart; `select`, when given, is
-        `self.select(charts)`."""
+        M_kj = dG(z_k, z_j)/dz_k in z_k's chart; `select` is `self.select(charts)`."""
         i, j, g = self.i, self.j, self.strengths
         if self.theta is None:
-            w = 1.0 + np.abs(coords) ** 2   # lambda = 2 / w
-            h = coords.conjugate() / w
-            _, grad_i, grad_j = sphere_gradient_terms(
-                *sphere_pair_points(charts, coords, i, j, select), h[i], h[j], w[i], w[j])
+            _, w, h = sphere_point_terms(coords)   # lambda = 2 / w
+            _, grad_i, grad_j = sphere_gradient_terms(coords, i, j, select, w, h)
             return _row_sums(i, j, grad_i, grad_j, g), 0.25 * w * w
         grad = torus_gradient_terms(self.theta, coords[i] - coords[j])[2]
         return _row_sums(i, j, grad, -grad, g) + self.flow, 1.0
 
-    def velocity(self, charts: np.ndarray, coords: np.ndarray, select=None) -> np.ndarray:
-        rows, inv_lam2 = self.rows(charts, coords, select)
+    def velocity(self, coords: np.ndarray, select) -> np.ndarray:
+        rows, inv_lam2 = self.rows(coords, select)
         return -2j * inv_lam2 * rows.conjugate()
 
 
 def _plan(surface: Surface, coords, strengths, base_a, base_b) -> _Plan:
     strengths = np.asarray(strengths, dtype=float)
     basis = build_basis(surface)
-    i, j = _pairs(len(strengths))
+    i, j = pair_indices(len(strengths))
     if not basis.genus:
         return _Plan(surface, basis, strengths, i, j, None, 0j)
     w = circulation_state(basis, coords, strengths, base_a, base_b)
@@ -247,25 +233,24 @@ def _plan(surface: Surface, coords, strengths, base_a, base_b) -> _Plan:
                  circulation_form(basis, w))
 
 
-def _hamiltonian_raw(surface: Surface, basis: PeriodBasis, charts, coords,
-                     strengths, base_a, base_b) -> float:
-    i, j, value, _, _ = _pair_terms(surface, charts, coords)
-    twice_h = (strengths**2 * renormalized_robin_at(surface, coords)).sum()
-    twice_h += 2.0 * (strengths[i] * strengths[j] * value).sum()
-    if basis.genus:
-        w = circulation_state(basis, coords, strengths, base_a, base_b)
-        twice_h += circulation_energy(basis, w)
+def _hamiltonian_raw(plan: _Plan, coords, select, base_a, base_b) -> float:
+    """The energy at `coords`, with W from `coords`, not from the plan."""
+    surface, g, i, j = plan.surface, plan.strengths, plan.i, plan.j
+    value = pair_terms(surface, coords, i, j, select)[0]
+    twice_h = (g**2 * renormalized_robin_at(surface, coords)).sum()
+    twice_h += 2.0 * (g[i] * g[j] * value).sum()
+    if plan.basis.genus:
+        w = circulation_state(plan.basis, coords, g, base_a, base_b)
+        twice_h += circulation_energy(plan.basis, w)
     return float(0.5 * twice_h)
 
 
-def _check_separation(surface: Surface, charts, coords, threshold: float,
-                      time: float, pairs: tuple | None = None, select=None) -> float:
-    """Minimum pair separation over `pairs` (default: all i < j, `select` their
-    sphere selection if given); raises CollisionError below `threshold`, naming
-    the first closest pair in (i, j) order."""
-    i, j = _pairs(len(coords)) if pairs is None else pairs
-    d = pair_distances(surface, np.asarray(charts), np.asarray(coords, dtype=complex), i, j,
-                       select)
+def _check_separation(surface: Surface, coords, i, j, select, threshold: float,
+                      time: float) -> float:
+    """Minimum separation over the pairs (i[k], j[k]), `select` their
+    `pair_selection`; raises CollisionError below `threshold`, naming the first
+    closest pair in (i, j) order."""
+    d = pair_distances(surface, coords, i, j, select)
     k = int(np.argmin(d))
     best = float(d[k])
     if best < threshold:
@@ -278,23 +263,24 @@ def _check_separation(surface: Surface, charts, coords, threshold: float,
 
 
 def _unpack(state: VortexState):
+    """(charts, coords, plan, selection) of a state: one selection per call."""
     charts, coords = _point_arrays(state.positions)
-    return charts, coords, _plan(state.surface, coords, state.strengths,
-                                 state.base_a, state.base_b)
+    plan = _plan(state.surface, coords, state.strengths, state.base_a, state.base_b)
+    return charts, coords, plan, plan.select(charts)
 
 
 def c1_coefficient(state: VortexState, k: int) -> complex:
     """First stream-expansion coefficient at vortex k, in its canonical chart."""
-    charts, coords, plan = _unpack(state)
-    rows = plan.rows(charts, coords)[0]
+    _, coords, plan, select = _unpack(state)
+    rows = plan.rows(coords, select)[0]
     return complex(robin_h0_h1(state.surface, coords[k])[1]
                    + _FOUR_PI * rows[k] / plan.strengths[k])
 
 
 def vortex_velocities(state: VortexState) -> np.ndarray:
     """Velocities dz_k/dt of all vortices (connection-based law, canonical charts)."""
-    charts, coords, plan = _unpack(state)
-    return plan.velocity(charts, coords)
+    _, coords, plan, select = _unpack(state)
+    return plan.velocity(coords, select)
 
 
 def vortex_velocity(state: VortexState, k: int) -> complex:
@@ -304,23 +290,21 @@ def vortex_velocity(state: VortexState, k: int) -> complex:
 
 def hamiltonian(state: VortexState) -> float:
     """Renormalized energy of the configuration."""
-    charts, coords, plan = _unpack(state)
-    return _hamiltonian_raw(state.surface, plan.basis, charts, coords, plan.strengths,
-                            state.base_a, state.base_b)
+    _, coords, plan, select = _unpack(state)
+    return _hamiltonian_raw(plan, coords, select, state.base_a, state.base_b)
 
 
 def hamiltonian_velocity(state: VortexState, k: int) -> complex:
     """Velocity of vortex k, -2i dH/dzbar_k / (Gamma_k lambda^2), with dH/dzbar_k
     from `oracles.wirtinger_fd` (step 1e-5, one Richardson level).  Every
     perturbed energy recomputes W, so this route shares no assembled terms
-    with the direct law."""
-    charts, coords, plan = _unpack(state)
+    with the direct law (only the selection: vortex k keeps its chart)."""
+    _, coords, plan, select = _unpack(state)
 
     def energy(z: complex) -> float:
         pert = coords.copy()
         pert[k] = z
-        return _hamiltonian_raw(state.surface, plan.basis, charts, pert, plan.strengths,
-                                state.base_a, state.base_b)
+        return _hamiltonian_raw(plan, pert, select, state.base_a, state.base_b)
 
     lam2 = conformal_factor(state.surface, state.positions[k]) ** 2
     return -2j * wirtinger_fd(energy, coords[k], 1e-5)[1] / (state.strengths[k] * lam2)
@@ -373,15 +357,17 @@ class _Trajectory:
                 self.handovers += changed
                 self.charts, self.select = charts, plan.select(charts)
         self.coords = coords
-        self.separation = _check_separation(plan.surface, self.charts, coords, self.threshold,
-                                            t, (plan.i, plan.j), self.select)
+        self.separation = _check_separation(plan.surface, coords, plan.i, plan.j, self.select,
+                                            self.threshold, t)
         self.accepted += 1
 
     def record(self, t: float) -> TrajectoryRecord:
-        surface, basis, g = self.plan.surface, self.plan.basis, self.plan.strengths
-        charts, coords, a, b = _canonical(surface, self.charts, self.coords, g,
+        plan, basis, g = self.plan, self.plan.basis, self.plan.strengths
+        charts, coords, a, b = _canonical(plan.surface, self.charts, self.coords, g,
                                           self.base_a, self.base_b)
-        h = _hamiltonian_raw(surface, basis, charts, coords, g, a, b)
+        # a second canonicalization can flip back a sphere vortex with |z| within rounding of 1
+        select = self.select if np.array_equal(charts, self.charts) else plan.select(charts)
+        h = _hamiltonian_raw(plan, coords, select, a, b)
         w = circulation_state(basis, coords, g, a, b)   # not the plan's: independent
         return TrajectoryRecord(t, _points(charts, coords), h, a, b, self.separation,
                                 kelvin_coefficients(basis, w))
@@ -390,11 +376,11 @@ class _Trajectory:
 def _rk4_advance(traj: _Trajectory, i0: int, i1: int, dt: float) -> None:
     """Fixed steps i0 + 1 .. i1, each ending at t = i * dt."""
     for i in range(i0 + 1, i1 + 1):
-        velocity, charts, select, y0 = traj.plan.velocity, traj.charts, traj.select, traj.coords
-        k1 = velocity(charts, y0, select)
-        k2 = velocity(charts, y0 + 0.5 * dt * k1, select)
-        k3 = velocity(charts, y0 + 0.5 * dt * k2, select)
-        k4 = velocity(charts, y0 + dt * k3, select)
+        velocity, select, y0 = traj.plan.velocity, traj.select, traj.coords
+        k1 = velocity(y0, select)
+        k2 = velocity(y0 + 0.5 * dt * k1, select)
+        k3 = velocity(y0 + 0.5 * dt * k2, select)
+        k4 = velocity(y0 + dt * k3, select)
         traj.evaluations += 4
         traj.accept(y0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, i * dt)
 
@@ -410,14 +396,14 @@ def _rkf45_advance(traj: _Trajectory, i0: int, i1: int, step: float) -> None:
         dt = min(dt, t_end - t)
         y0 = traj.coords
         if k1 is None:
-            k1 = traj.plan.velocity(traj.charts, y0, traj.select)
+            k1 = traj.plan.velocity(y0, traj.select)
             traj.evaluations += 1
         ks = [k1]
         for i in range(1, 6):
             yi = y0.copy()
             for j, a in enumerate(_RKF_A[i]):
                 yi += dt * a * ks[j]
-            ks.append(traj.plan.velocity(traj.charts, yi, traj.select))
+            ks.append(traj.plan.velocity(yi, traj.select))
         traj.evaluations += 5
         y1 = y0.copy()
         for i, b in enumerate(_RKF_B5):
@@ -469,10 +455,8 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
         raise ValueError(f"record_every: must be >= 1, got {record_every}")
     if method not in METHODS:
         raise ValueError(f"method: unknown integration method {method!r}")
-    charts, coords, plan = _unpack(state)
-    select = plan.select(charts)
-    sep = _check_separation(state.surface, charts, coords, -math.inf, 0.0, (plan.i, plan.j),
-                            select)
+    charts, coords, plan, select = _unpack(state)
+    sep = _check_separation(state.surface, coords, plan.i, plan.j, select, -math.inf, 0.0)
     traj = _Trajectory(plan, state.base_a, state.base_b, charts, select, coords, sep,
                        state.collision_threshold, rtol, atol, dt)
     records = [traj.record(0.0)]

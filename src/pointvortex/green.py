@@ -9,14 +9,11 @@ periodicity and an additive constant enforcing zero mean:
 Correctness of the torus branch is pinned by the spectral Poisson oracle, not
 by the formula itself.
 
-Every Green value and gradient comes from one pair kernel, `pair_terms`,
-which works elementwise over arrays of point pairs; `green()` is its one-pair
-view, and array callers use `torus_pair_terms` / `sphere_pair_terms`.  It
-builds on one gradient entry per surface, which the velocity law calls
-directly.  The sphere entry takes the pair in homogeneous form
-(z_i, a_j, b_j, c_i) from `surfaces.sphere_chart_terms` or a run's
-`surfaces.sphere_selection`, so one formula serves every chart combination
-with one complex division per pair.
+Every Green value and gradient comes from one pair kernel, `pair_terms`, over
+the pairs (i[k], j[k]) of a coordinate array; `green()` is its one-pair view.
+The velocity law calls its gradient entries directly.  On the sphere the pairs
+come in the homogeneous chart form of their `surfaces.pair_selection`, so one
+formula serves every chart combination with one complex division per pair.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
@@ -39,8 +36,10 @@ from .surfaces import (
     Surface,
     SurfacePoint,
     lambda_at,
+    pair_indices,
+    pair_selection,
     reduce_centered,
-    sphere_chart_terms,
+    sphere_pair_points,
 )
 
 _COINCIDENCE_TOL = 1e-12
@@ -86,41 +85,42 @@ def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
     return value + ctx.green_const, grad
 
 
-def sphere_gradient_terms(zi, a, b, c, hi, hj, wi, wj):
-    """(|d|^2, dG/dz_i in zi's chart, dG/dz_j in zj's chart) over arrays of
-    pairs in the homogeneous form of `surfaces.sphere_chart_terms`: d = zi b - a
-    (zi - zj in one chart, zi zj - 1 across) and one reciprocal r = 1/d, with
-    dG/dz_i = (hi - b r) / 4 pi and dG/dz_j = (hj - c r) / 4 pi, where
-    w = 1 + |z|^2 and h = conj(z) / w (the Robin h1) at each point.
-    SingularityError if any two points coincide."""
+def sphere_point_terms(coords):
+    """(|z|^2, w, h) at each point: w = 1 + |z|^2 (lambda = 2 / w) and
+    h = conj(z) / w, the Robin h1."""
+    m = np.abs(coords) ** 2
+    w = 1.0 + m
+    return m, w, coords.conjugate() / w
+
+
+def sphere_gradient_terms(coords, i, j, select, w, h):
+    """(|d|^2, dG/dz_i in zi's chart, dG/dz_j in zj's chart) over the pairs
+    (i[k], j[k]), `select` their `pair_selection` and (w, h) from
+    `sphere_point_terms`: d = zi b_j - a_j (zi - zj in one chart, zi zj - 1
+    across) and one reciprocal r = 1/d, with dG/dz_i = (h_i - b_j r) / 4 pi and
+    dG/dz_j = (h_j - c_i r) / 4 pi.  SingularityError if any two points coincide."""
+    zi, a, b, c = sphere_pair_points(coords, select)
     d = zi * b - a
     num = np.abs(d) ** 2
     # squared R^3 chord 4 num / ((1+|zi|^2)(1+|zj|^2)) against the tolerance
-    if (4.0 * num <= _COINCIDENCE_TOL**2 * wi * wj).any():
+    if (4.0 * num <= _COINCIDENCE_TOL**2 * w[i] * w[j]).any():
         raise SingularityError("Green function evaluated at coincident points")
     r = 1.0 / d
-    return num, (hi - b * r) * _INV_FOUR_PI, (hj - c * r) * _INV_FOUR_PI
+    return num, (h[i] - b * r) * _INV_FOUR_PI, (h[j] - c * r) * _INV_FOUR_PI
 
 
-def sphere_pair_terms(ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G(z_i, z_j) and the two gradients of `sphere_gradient_terms`."""
-    zi, zj = np.asarray(zi, dtype=complex), np.asarray(zj, dtype=complex)
-    mi, mj = np.abs(zi) ** 2, np.abs(zj) ** 2
-    wi, wj = 1.0 + mi, 1.0 + mj
-    num, grad_i, grad_j = sphere_gradient_terms(
-        zi, *sphere_chart_terms(ci, zi, cj, zj), zi.conjugate() / wi, zj.conjugate() / wj,
-        wi, wj)
-    value = -(np.log(num) - np.log1p(mi) - np.log1p(mj) + 1.0) / (4.0 * math.pi)
-    return value, grad_i, grad_j
-
-
-def pair_terms(surface: Surface, ci, zi, cj, zj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pair_terms(surface: Surface, coords, i, j, select) -> tuple[np.ndarray, ...]:
     """The pair kernel: G(z_i, z_j) and both holomorphic gradients, each in its
-    own point's chart, elementwise over arrays of pairs.  On the torus the
-    second is the first negated: G depends on z_i - z_j only and is even."""
+    own point's chart, over the pairs (i[k], j[k]), `select` their
+    `pair_selection`.  On the torus the second gradient is the first negated:
+    G depends on z_i - z_j only and is even."""
+    coords = np.asarray(coords, dtype=complex)
     if surface.kind == SPHERE:
-        return sphere_pair_terms(ci, zi, cj, zj)
-    value, grad = torus_pair_terms(surface.tau, np.asarray(zi) - zj)
+        m, w, h = sphere_point_terms(coords)
+        num, grad_i, grad_j = sphere_gradient_terms(coords, i, j, select, w, h)
+        log_w = np.log1p(m)
+        return -(np.log(num) - log_w[i] - log_w[j] + 1.0) / (4.0 * math.pi), grad_i, grad_j
+    value, grad = torus_pair_terms(surface.tau, coords[i] - coords[j])
     return value, grad, -grad
 
 
@@ -128,8 +128,10 @@ def green(surface: Surface, z: SurfacePoint, a: SurfacePoint) -> GreenEvaluation
     """Green function G(z, a) with zero mean, and dG/dz in the chart of z."""
     surface.check_chart(z.chart_id)
     surface.check_chart(a.chart_id)
-    value, grad, _ = pair_terms(surface, z.chart_id, z.coord, a.chart_id, a.coord)
-    return GreenEvaluation(float(value), complex(grad))
+    i, j = pair_indices(2)
+    select = pair_selection(surface, (z.chart_id, a.chart_id), i, j)
+    value, grad, _ = pair_terms(surface, (z.coord, a.coord), i, j, select)
+    return GreenEvaluation(float(value[0]), complex(grad[0]))
 
 
 def robin_h0_h1(surface: Surface, a):

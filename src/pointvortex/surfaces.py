@@ -207,18 +207,23 @@ def transition(surface: Surface, p: SurfacePoint,
     return SurfacePoint(target_chart, 1.0 / z), jet
 
 
-def sphere_chart_terms(ci, zi, cj, zj):
-    """(a_j, b_j, c_i) over arrays of pairs, filled per call: in zi's chart zj is
-    the point a_j / b_j, with (a_j, b_j) = (zj, 1) when both are in one chart and
-    (1, zj) across charts (w = 1/z), and c_i = -1 in one chart, zi across."""
-    same = np.asarray(ci) == np.asarray(cj)
-    return np.where(same, zj, 1.0), np.where(same, 1.0, zj), np.where(same, -1.0, zi)
+@lru_cache(maxsize=None)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices (i, j) of the unordered pairs i < j, in (i, j) order."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
-def sphere_selection(charts, i, j) -> np.ndarray:
-    """`sphere_chart_terms` of the pairs (i[k], j[k]) of a chart array as index
-    rows (i, a, b, c) into concatenate((coords, [1, -1])); they hold for any
-    coordinates until a vortex changes chart (see `sphere_pair_points`)."""
+def pair_selection(surface: Surface, charts, i, j) -> np.ndarray | None:
+    """The sphere pairs' (i[k], j[k]) chart form, the only chart input of pair
+    evaluations (None on the torus): in zi's chart zj is a_j / b_j, with
+    (a_j, b_j) = (zj, 1) in one chart and (1, zj) across (w = 1/z), and c_i = -1
+    in one chart, zi across; as index rows (i, a, b, c) into
+    concatenate((coords, [1, -1])), valid until a point changes chart."""
+    if surface.kind != SPHERE:
+        return None
+    charts = np.asarray(charts)
     n, same = len(charts), charts[i] == charts[j]
     return np.stack((i, np.where(same, j, n), np.where(same, n, j), np.where(same, n + 1, i)))
 
@@ -226,13 +231,9 @@ def sphere_selection(charts, i, j) -> np.ndarray:
 _ONE_MINUS_ONE = np.array([1.0, -1.0], dtype=complex)
 
 
-def sphere_pair_points(charts, coords, i, j, select=None):
-    """(zi, a_j, b_j, c_i) over the pairs (i[k], j[k]): gathered through `select`,
-    their `sphere_selection`, or else filled by `sphere_chart_terms`."""
-    if select is not None:
-        return np.concatenate((coords, _ONE_MINUS_ONE))[select]
-    zi = coords[i]
-    return (zi,) + sphere_chart_terms(charts[i], zi, charts[j], coords[j])
+def sphere_pair_points(coords, select):
+    """(zi, a_j, b_j, c_i) over the pairs of `select`, a `pair_selection`."""
+    return np.concatenate((coords, _ONE_MINUS_ONE))[select]
 
 
 @lru_cache(maxsize=None)
@@ -242,14 +243,14 @@ def _lattice_offsets(tau: complex) -> np.ndarray:
     return offsets
 
 
-def pair_distances(surface: Surface, charts, coords, i, j, select=None) -> np.ndarray:
-    """Geodesic separations of the point pairs (i[k], j[k]): on the sphere
-    2 atan2(|d|, |e|) with d = zi b_j - a_j and e = conj(zi) a_j + b_j from
-    `sphere_pair_points` (`select` optional); on the torus (any cover coordinates)
-    |j| times the nearest of the 9 centered translates of u / j in the reduced basis."""
-    coords = np.asarray(coords)
+def pair_distances(surface: Surface, coords, i, j, select) -> np.ndarray:
+    """Geodesic separations of the point pairs (i[k], j[k]), `select` their
+    `pair_selection`: on the sphere 2 atan2(|d|, |e|) with d = zi b_j - a_j and
+    e = conj(zi) a_j + b_j; on the torus (any cover coordinates) |j| times the
+    nearest of the 9 centered translates of u / j in the reduced basis."""
+    coords = np.asarray(coords, dtype=complex)
     if surface.kind == SPHERE:
-        zi, a, b, _ = sphere_pair_points(np.asarray(charts), coords, i, j, select)
+        zi, a, b, _ = sphere_pair_points(coords, select)
         return 2.0 * np.arctan2(np.abs(zi * b - a), np.abs(zi.conjugate() * a + b))
     tau_r, j_tau = reduced_modulus(surface.tau)
     u = reduce_centered(tau_r, (coords[i] - coords[j]) * (1.0 / j_tau))
@@ -261,6 +262,6 @@ def geodesic_distance(surface: Surface, p: SurfacePoint, q: SurfacePoint) -> flo
     configuration's (numpy's scalar and array complex products can differ)."""
     surface.check_chart(p.chart_id)
     surface.check_chart(q.chart_id)
-    return float(pair_distances(
-        surface, np.array([p.chart_id, q.chart_id]), np.array([p.coord, q.coord]), [0], [1]
-    )[0])
+    i, j = pair_indices(2)
+    select = pair_selection(surface, (p.chart_id, q.chart_id), i, j)
+    return float(pair_distances(surface, (p.coord, q.coord), i, j, select)[0])

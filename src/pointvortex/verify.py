@@ -23,7 +23,7 @@ from .dynamics import (
     min_separation,
     vortex_velocities,
 )
-from .green import green, robin_data, sphere_pair_terms, torus_pair_terms
+from .green import green, pair_terms, robin_data, torus_pair_terms
 from .oracles import (
     contour_integral,
     delta_probe_points,
@@ -43,6 +43,7 @@ from .surfaces import (
     SurfacePoint,
     dlog_lambda_dzbar,
     lattice_split,
+    pair_selection,
     transition,
 )
 
@@ -145,7 +146,11 @@ def sphere_green_normalization(poles=None) -> float:
     worst = 0.0
     for pole in poles:
         def integrand(chart, z, pole=pole):
-            return sphere_pair_terms(chart, z, pole.chart_id, pole.coord)[0]
+            # the m grid points and the pole as one (m+1)-point configuration
+            m, charts = z.size, np.append(np.full(z.size, chart), pole.chart_id)
+            i, j = np.arange(m), np.full(m, m)
+            select = pair_selection(_SPHERE, charts, i, j)
+            return pair_terms(_SPHERE, np.append(z, pole.coord), i, j, select)[0].reshape(z.shape)
 
         worst = max(worst, abs(sphere_quadrature(integrand, abs_tol=2e-8)))
     return worst

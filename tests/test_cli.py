@@ -355,6 +355,51 @@ class TestRunCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [f"cannot write {out_dir}: Not a directory"] * 2
 
+    @pytest.mark.parametrize("case", ["run_state", "run_collision", "run_config",
+                                      "verify_config"])
+    def test_error_lines_are_single_writes(self, tmp_path, monkeypatch, case):
+        # --jobs workers share stderr: a message written as text, then "\n",
+        # can interleave with another worker's.  The torus state is the one of
+        # test_collision_exits_two; a config object whose collision threshold
+        # exceeds its initial separation reaches run_one only from a library caller
+        (tmp_path / "collide.json").write_text(json.dumps({
+            "surface": {"kind": "flat_torus", "tau": [0.0, 1.0]},
+            "vortices": [{"chart": 0, "coord": z, "strength": g} for z, g in (
+                ([0.21, 0.33], 1.0), ([0.68, 0.41], -0.6), ([0.45, 0.72], 0.8),
+                ([0.82, 0.15], -1.2))],
+            "base_circulations": {"a": [0.3], "b": [-0.2]},
+            "integrator": {"method": "rk4", "dt": 0.005, "steps": 3000},
+            "collision_threshold": 0.25,
+        }))
+        close = replace(resolve_scenario("torus_pair_translate"), collision_threshold=1.0)
+        missing, out = str(tmp_path / "missing.json"), ["--out-dir", str(tmp_path)]
+        message, call = {
+            "run_state": ("config error in torus_pair_translate: ",
+                          lambda: pointvortex.cli.run_one(close, tmp_path)),
+            "run_collision": ("collide: ",
+                              lambda: main(["run", str(tmp_path / "collide.json"), *out])),
+            "run_config": ("config error: ", lambda: main(["run", missing, *out])),
+            "verify_config": ("config error: ", lambda: main(["verify", missing])),
+        }[case]
+
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        err = Recorder()
+        monkeypatch.setattr(sys, "stderr", err)
+        assert call() in (1, 2)
+        assert [w for w in err.writes if w.startswith(message)], err.writes
+        for text in err.writes:
+            assert text.endswith("\n") and text.count("\n") == 1, err.writes
+
     def test_removed_flags_are_rejected(self):
         # a usage error is a configuration error, never the collision code 2
         assert main(["verify", "--out-dir", "."]) == 1

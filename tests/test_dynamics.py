@@ -227,9 +227,10 @@ class TestVelocityLaw:
                 continue
             strengths = (1.7, -1.7)
             coords0, coords1 = np.array([z, a]), np.array([1.0 / z, a])
-            v0 = _plan(sphere, coords0, strengths, (), ()).velocity(np.array([0, 0]), coords0)[0]
+            plan0, plan1 = (_plan(sphere, c, strengths, (), ()) for c in (coords0, coords1))
+            v0 = plan0.velocity(coords0, plan0.select(np.array([0, 0])))[0]
             _, jet = transition(sphere, SurfacePoint(0, z), 1)
-            v1 = _plan(sphere, coords1, strengths, (), ()).velocity(np.array([1, 0]), coords1)[0]
+            v1 = plan1.velocity(coords1, plan1.select(np.array([1, 0])))[0]
             assert abs(v1 - jet.phi1 * v0) < 1e-9 * max(1.0, abs(v1))
             done += 1
 
@@ -324,8 +325,7 @@ class TestHamiltonian:
         raw = np.array([p.coord + m + n * tau for p, (m, n) in zip(
             st.positions, ((2, -1), (0, 3), (-1, 0))
         )])
-        v_raw = _plan(torus_skew, raw, st.strengths, st.base_a, st.base_b).velocity(
-            np.zeros(3, dtype=int), raw)
+        v_raw = _plan(torus_skew, raw, st.strengths, st.base_a, st.base_b).velocity(raw, None)
         reduced = VortexState(torus_skew, tuple(SurfacePoint(0, z) for z in raw),
                               st.strengths, st.base_a, st.base_b)
         for p, q in zip(reduced.positions, st.positions):
@@ -358,9 +358,10 @@ def test_raw_evaluation_checks_collisions(torus_i):
     # the integrator hands evolving raw coordinates to the separation check;
     # the public constructor would already reject this configuration
     from pointvortex.dynamics import _check_separation
+    from pointvortex.surfaces import pair_indices
 
     with pytest.raises(CollisionError):
-        _check_separation(torus_i, [0, 0], [0.2 + 0.2j, 0.2 + 0.21j], 0.05, 1.0)
+        _check_separation(torus_i, [0.2 + 0.2j, 0.2 + 0.21j], *pair_indices(2), None, 0.05, 1.0)
 
 
 def test_random_state_impossible_request_raises(torus_i):

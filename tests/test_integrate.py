@@ -281,13 +281,14 @@ def rk4_handover_at(st, dt, steps, every, limit):
     handing a sphere vortex over to the other chart only once |z| > limit."""
     charts = np.array([p.chart_id for p in st.positions])
     coords = np.array([p.coord for p in st.positions])
-    velocity = _plan(st.surface, coords, st.strengths, st.base_a, st.base_b).velocity
+    plan = _plan(st.surface, coords, st.strengths, st.base_a, st.base_b)
     out = []
     for i in range(1, steps + 1):
-        k1 = velocity(charts, coords)
-        k2 = velocity(charts, coords + 0.5 * dt * k1)
-        k3 = velocity(charts, coords + 0.5 * dt * k2)
-        k4 = velocity(charts, coords + dt * k3)
+        select = plan.select(charts)
+        k1 = plan.velocity(coords, select)
+        k2 = plan.velocity(coords + 0.5 * dt * k1, select)
+        k3 = plan.velocity(coords + 0.5 * dt * k2, select)
+        k4 = plan.velocity(coords + dt * k3, select)
         coords = coords + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         flip = np.abs(coords) > limit
         charts[flip] = 1 - charts[flip]

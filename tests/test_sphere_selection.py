@@ -1,14 +1,13 @@
-"""The sphere pair kernel's chart selection.
+"""The sphere pair kernel through its chart selection.
 
 In vortex i's chart vortex j is the point a_j / b_j, and the pole term of
-dG/dz_j has numerator c_i (`surfaces.sphere_chart_terms`).  A run gathers
-(a_j, b_j, c_i) through index rows built from the charts once per chart change
-(`surfaces.sphere_selection`); one-shot calls fill them with np.where.  Both
-must feed the one kernel the same numbers, in all four chart combinations, on
+dG/dz_j has numerator c_i.  Every sphere pair evaluation gathers (a_j, b_j, c_i)
+through index rows built from the charts (`surfaces.pair_selection`): a run
+builds them once per chart change, a one-shot call once per call.  The kernel
+on them must match the pole written out, in all four chart combinations, on
 |z| = 1, near antipodes and 1e-9 apart.
 """
 import cmath
-import importlib
 import math
 
 import numpy as np
@@ -16,17 +15,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from pointvortex import dynamics, surfaces
-from pointvortex.dynamics import VortexState, _check_separation, _plan, integrate
+from pointvortex import dynamics
+from pointvortex.dynamics import VortexState, _plan, hamiltonian, integrate
 from pointvortex.errors import SingularityError
-from pointvortex.green import green, sphere_gradient_terms, sphere_pair_terms
+from pointvortex.green import green, pair_terms
 from pointvortex.surfaces import (
     Surface,
     SurfacePoint,
     geodesic_distance,
     pair_distances,
-    sphere_pair_points,
-    sphere_selection,
+    pair_selection,
 )
 from pointvortex.verify import random_state
 
@@ -81,19 +79,9 @@ def ref_gradient(cz, z, ca, a):
 
 
 @given(st.lists(sphere_pairs(), min_size=1, max_size=8))
-def test_selected_kernel_matches_per_call_form(pairs):
+def test_selected_kernel_matches_reference(pairs):
     charts, coords, i, j = as_configuration(pairs)
-    select = sphere_selection(charts, i, j)
-    gathered = sphere_pair_points(charts, coords, i, j, select)
-    filled = sphere_pair_points(charts, coords, i, j)
-    for got, want in zip(gathered, filled):
-        assert np.array_equal(got, want)
-    # the kernel on the gathered terms is sphere_pair_terms' np.where form, bit for bit
-    w = 1.0 + np.abs(coords) ** 2
-    h = coords.conjugate() / w
-    _, grad_i, grad_j = sphere_gradient_terms(*gathered, h[i], h[j], w[i], w[j])
-    _, want_i, want_j = sphere_pair_terms(charts[i], coords[i], charts[j], coords[j])
-    assert np.array_equal(grad_i, want_i) and np.array_equal(grad_j, want_j)
+    _, grad_i, grad_j = pair_terms(SPHERE, coords, i, j, pair_selection(SPHERE, charts, i, j))
     for k, (ci, zi, cj, zj, _) in enumerate(pairs):
         for got, (ref, tol) in ((grad_i[k], ref_gradient(ci, zi, cj, zj)),
                                 (grad_j[k], ref_gradient(cj, zj, ci, zi))):
@@ -101,10 +89,9 @@ def test_selected_kernel_matches_per_call_form(pairs):
 
 
 @given(st.lists(sphere_pairs(), min_size=1, max_size=8))
-def test_selected_pair_distances_match_per_call_form(pairs):
+def test_selected_pair_distances_match_geodesic_distance(pairs):
     charts, coords, i, j = as_configuration(pairs)
-    got = pair_distances(SPHERE, charts, coords, i, j, sphere_selection(charts, i, j))
-    assert np.array_equal(got, pair_distances(SPHERE, charts, coords, i, j))
+    got = pair_distances(SPHERE, coords, i, j, pair_selection(SPHERE, charts, i, j))
     for k, (ci, zi, cj, zj, kind) in enumerate(pairs):
         assert got[k] == geodesic_distance(SPHERE, SurfacePoint(ci, zi), SurfacePoint(cj, zj))
         if kind == "antipodal":
@@ -120,7 +107,8 @@ def test_exact_antipodes_are_pi_apart(ci, cj):
     for z in (0.3 + 0.4j, 1.0, 0.6 - 0.8j, 2.5j):
         zj = in_chart(1 - ci, -z.conjugate(), cj)
         charts, coords = np.array([ci, cj]), np.array([z, zj])
-        d = pair_distances(SPHERE, charts, coords, [0], [1], sphere_selection(charts, [0], [1]))
+        i, j = np.array([0]), np.array([1])
+        d = pair_distances(SPHERE, coords, i, j, pair_selection(SPHERE, charts, i, j))
         assert abs(d[0] - math.pi) <= 1e-15 * math.pi
 
 
@@ -134,19 +122,7 @@ def test_coincident_points_raise_in_both_orientations(ci, cj):
         charts, coords = np.array([c1, c2]), np.array([z1, z2])
         plan = _plan(SPHERE, coords, (1.0, -1.0), (), ())
         with pytest.raises(SingularityError):
-            plan.velocity(charts, coords, plan.select(charts))
-
-
-def test_plan_velocity_is_the_same_with_and_without_selection(rng):
-    st_ = random_state(SPHERE, 6, rng)
-    charts = np.array([p.chart_id for p in st_.positions])
-    coords = np.array([p.coord for p in st_.positions])
-    assert len(set(charts.tolist())) == 2, "fixture must use both charts"
-    plan = _plan(SPHERE, coords, st_.strengths, (), ())
-    select = plan.select(charts)
-    assert np.array_equal(plan.velocity(charts, coords, select), plan.velocity(charts, coords))
-    assert (_check_separation(SPHERE, charts, coords, 0.0, 0.0, (plan.i, plan.j), select)
-            == _check_separation(SPHERE, charts, coords, 0.0, 0.0))
+            plan.velocity(coords, plan.select(charts))
 
 
 def crossing_state(rng):
@@ -157,21 +133,23 @@ def crossing_state(rng):
 
 def test_selection_is_rebuilt_only_when_a_chart_changes(monkeypatch, rng):
     # every velocity evaluation of a step sees the step's selection object;
-    # a new one is built at the start and after each step whose charts changed
+    # a new one is built at the start and after each step whose charts
+    # changed, and the records (one per step here) build none
     built, seen = [], []
-    real_selection, real_velocity = dynamics.sphere_selection, dynamics._Plan.velocity
+    real_selection, real_velocity = dynamics.pair_selection, dynamics._Plan.velocity
 
     def selection(*args):
         built.append(real_selection(*args))
         return built[-1]
 
-    def velocity(self, charts, coords, select=None):
+    def velocity(self, coords, select):
         seen.append(select)
-        return real_velocity(self, charts, coords, select)
+        return real_velocity(self, coords, select)
 
-    monkeypatch.setattr(dynamics, "sphere_selection", selection)
+    state = crossing_state(rng)
+    monkeypatch.setattr(dynamics, "pair_selection", selection)
     monkeypatch.setattr(dynamics._Plan, "velocity", velocity)
-    recs = integrate(crossing_state(rng), 5e-3, 2000, record_every=1)
+    recs = integrate(state, 5e-3, 2000, record_every=1)
     changed = [k for k, (a, b) in enumerate(zip(recs, recs[1:]))
                if any(p.chart_id != q.chart_id for p, q in zip(a.positions, b.positions))]
     assert changed, "fixture must actually exercise the handover"
@@ -186,24 +164,21 @@ def test_selection_is_rebuilt_only_when_a_chart_changes(monkeypatch, rng):
     assert all(a is b for a, b in zip(seen, expected))
 
 
-def test_run_stages_fill_no_chart_terms(monkeypatch, rng):
-    # the per-call np.where form serves only each record's Hamiltonian: the
-    # stages and collision checks of a run that crosses charts gather
-    state, calls = crossing_state(rng), []
-    real = surfaces.sphere_chart_terms
-
-    def chart_terms(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(surfaces, "sphere_chart_terms", chart_terms)
-    # (the package's `green` attribute is the function, so fetch the module)
-    monkeypatch.setattr(importlib.import_module("pointvortex.green"), "sphere_chart_terms",
-                        chart_terms)
-    stats = {}
-    recs = integrate(state, 5e-3, 2000, record_every=100, stats_out=stats)
-    assert stats["chart_handovers"] > 0, "fixture must actually exercise the handover"
-    assert len(calls) == len(recs)
+def test_record_energy_follows_a_chart_flip_of_its_own(rng):
+    # canonical_coords can flip a point with |z| a rounding above 1 to a 1/z
+    # that reads |1/z| > 1 too, so a record's canonical charts can differ from
+    # the run's; here vortex 0 sits off its canonical chart outright
+    st_ = random_state(SPHERE, 3, rng)
+    charts = np.array([p.chart_id for p in st_.positions])
+    coords = np.array([p.coord for p in st_.positions])
+    assert 0.0 < abs(coords[0]) < 1.0
+    charts[0], coords[0] = 1 - charts[0], 1.0 / coords[0]
+    plan = _plan(SPHERE, coords, st_.strengths, (), ())
+    traj = dynamics._Trajectory(plan, (), (), charts, plan.select(charts), coords, 1.0,
+                                1e-3, 1e-9, 1e-12, 1e-3)
+    rec = traj.record(0.0)
+    assert [p.chart_id for p in rec.positions] == [p.chart_id for p in st_.positions]
+    assert abs(rec.hamiltonian - hamiltonian(st_)) <= 1e-12 * abs(hamiltonian(st_))
 
 
 def test_record_after_a_handover_restarts_the_run(rng):
