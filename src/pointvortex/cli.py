@@ -3,9 +3,12 @@
     pointvortex run CONFIG [CONFIG ...] [--out-dir DIR] [--jobs N] [--dump-config]
     pointvortex verify [CONFIG] [--suite quick|full] [--seed N] [--override NAME=TOL]
 
+Each CONFIG is parsed once (`config.resolve_scenario`), into a ScenarioConfig
+holding its VortexState, so a config error can only come from that parse.
 `run` writes one trajectory CSV (fixed column order: t, per-vortex re/im/chart,
 H, base circulations, min separation) plus a JSON-lines diagnostics file per
-scenario.  Exit codes: 0 clean, 1 configuration, usage or unwritable output
+scenario; `--dump-config` prints the normalized input JSON, with positions
+as given.  Exit codes: 0 clean, 1 configuration, usage or unwritable output
 error, 2 collision abort, 3 adaptive step rejection, 4 failed verify check.
 Set VORTEX_LOG=debug|info|warning to control logging.
 """
@@ -144,10 +147,7 @@ def run_one(cfg: ScenarioConfig, out_dir: Path) -> int:
         return _error(f"cannot write {exc.filename}: {exc.strerror}")
     traj_path = out_dir / cfg.trajectory_path
     diag_path = out_dir / cfg.diagnostics_path
-    try:
-        state = cfg.state()
-    except ConfigError as exc:
-        return _error(f"config error in {cfg.name}: {exc}")
+    state = cfg.state()
     stats: dict = {}
     spec = cfg.integrator
     log.info("running %s: n=%d steps=%d dt=%g method=%s",
@@ -207,9 +207,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.config is not None:
         try:
             cfg = resolve_scenario(args.config)
-            results = verify_scenario(cfg)
         except ConfigError as exc:
             return _error(f"config error: {exc}")
+        results = verify_scenario(cfg)
     else:
         results = run_suite(args.suite, args.seed, dict(args.override or ()))
     print(format_report(results))

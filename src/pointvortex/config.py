@@ -2,25 +2,22 @@
 
 Complex numbers are [re, im] pairs throughout so configs stay language-neutral
 and diff-friendly.  `parse_scenario` raises ConfigError naming the offending
-field; JSON syntax errors are reported with line/column.
+field; JSON syntax errors are reported with line/column.  It builds the
+scenario's VortexState once, and the ScenarioConfig it returns holds that
+state and the normalized input JSON, which `to_dict` (and so `--dump-config`)
+returns with the positions as given.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .dynamics import DEFAULT_COLLISION_THRESHOLD, METHODS, VortexState
 from .errors import ChartError, ConfigError
 from .surfaces import FLAT_TORUS, SPHERE, Surface, SurfacePoint
-
-
-@dataclass(frozen=True)
-class VortexSpec:
-    chart: int
-    coord: complex
-    strength: float
 
 
 @dataclass(frozen=True)
@@ -33,50 +30,22 @@ class IntegratorSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed scenario: its initial state, integrator and output names, and
+    the normalized input JSON (positions as given, not canonicalized)."""
+
     name: str
-    surface_kind: str
-    tau: complex
-    vortices: tuple[VortexSpec, ...]
-    base_a: tuple[float, ...]
-    base_b: tuple[float, ...]
     integrator: IntegratorSpec
     trajectory_path: str
     diagnostics_path: str
-    collision_threshold: float = DEFAULT_COLLISION_THRESHOLD
-    tolerances: dict = field(default_factory=dict)
-
-    def surface(self) -> Surface:
-        return Surface(self.surface_kind, self.tau)
+    tolerances: dict
+    _state: VortexState
+    _normalized: dict
 
     def state(self) -> VortexState:
-        surface = self.surface()
-        try:
-            return VortexState(
-                surface=surface,
-                positions=tuple(SurfacePoint(v.chart, v.coord) for v in self.vortices),
-                strengths=tuple(v.strength for v in self.vortices),
-                base_a=self.base_a,
-                base_b=self.base_b,
-                collision_threshold=self.collision_threshold,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"vortices: {exc}") from exc
+        return self._state
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "surface": {"kind": self.surface_kind},
-            "vortices": [{"chart": v.chart, "coord": [v.coord.real, v.coord.imag],
-                          "strength": v.strength} for v in self.vortices],
-            "base_circulations": {"a": list(self.base_a), "b": list(self.base_b)},
-            "integrator": asdict(self.integrator),
-            "output": {"trajectory": self.trajectory_path, "diagnostics": self.diagnostics_path},
-            "collision_threshold": self.collision_threshold,
-            "tolerances": dict(self.tolerances),
-        }
-        if self.surface_kind == FLAT_TORUS:
-            out["surface"]["tau"] = [self.tau.real, self.tau.imag]
-        return out
+        return copy.deepcopy(self._normalized)
 
 
 def _expect(mapping, key, kind, where, default=None, required=False):
@@ -130,7 +99,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     raw_vortices = _expect(data, "vortices", list, "top level", required=True)
     if len(raw_vortices) < 2:
         raise ConfigError("vortices: at least two vortices are required")
-    vortices = []
+    points, strengths, entries = [], [], []
     for i, entry in enumerate(raw_vortices):
         where = f"vortices[{i}]"
         if not isinstance(entry, dict):
@@ -146,7 +115,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         strength = _expect(entry, "strength", float, where, required=True)
         if strength == 0.0:
             raise ConfigError(f"{where}.strength: must be nonzero")
-        vortices.append(VortexSpec(chart, coord, strength))
+        points.append(SurfacePoint(chart, coord))
+        strengths.append(strength)
+        entries.append({"chart": chart, "coord": [coord.real, coord.imag],
+                        "strength": strength})
 
     genus = surface.genus
     circ = _expect(data, "base_circulations", dict, "top level", default={})
@@ -163,16 +135,17 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
             )
 
     integ = _expect(data, "integrator", dict, "top level", default={})
-    method = _expect(integ, "method", str, "integrator", default="rk4")
+    method = _expect(integ, "method", str, "integrator", default=IntegratorSpec.method)
     if method not in METHODS:
         raise ConfigError(f"integrator.method: must be one of {tuple(METHODS)}, got {method!r}")
-    dt = _expect(integ, "dt", float, "integrator", default=1e-3)
+    dt = _expect(integ, "dt", float, "integrator", default=IntegratorSpec.dt)
     if not dt > 0:
         raise ConfigError(f"integrator.dt: must be positive, got {dt}")
-    steps = _expect(integ, "steps", int, "integrator", default=1000)
+    steps = _expect(integ, "steps", int, "integrator", default=IntegratorSpec.steps)
     if steps < 1:
         raise ConfigError(f"integrator.steps: must be >= 1, got {steps}")
-    record_every = _expect(integ, "record_every", int, "integrator", default=1)
+    record_every = _expect(integ, "record_every", int, "integrator",
+                           default=IntegratorSpec.record_every)
     if record_every < 1:
         raise ConfigError(f"integrator.record_every: must be >= 1, got {record_every}")
 
@@ -194,21 +167,27 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         if not _expect(tolerances, key, float, "tolerances") > 0:
             raise ConfigError(f"tolerances.{key}: must be positive, got {tolerances[key]}")
 
-    cfg = ScenarioConfig(
-        name=name,
-        surface_kind=kind,
-        tau=tau,
-        vortices=tuple(vortices),
-        base_a=tuple(float(v) for v in base_a),
-        base_b=tuple(float(v) for v in base_b),
-        integrator=IntegratorSpec(method, dt, steps, record_every),
-        trajectory_path=trajectory,
-        diagnostics_path=diagnostics,
-        collision_threshold=threshold,
-        tolerances=dict(tolerances),
-    )
-    cfg.state()  # a config parses only if it yields an admissible state
-    return cfg
+    base_a = tuple(float(v) for v in base_a)
+    base_b = tuple(float(v) for v in base_b)
+    try:  # a config parses only if it yields an admissible state
+        state = VortexState(surface, tuple(points), tuple(strengths), base_a, base_b,
+                            collision_threshold=threshold)
+    except ValueError as exc:
+        raise ConfigError(f"vortices: {exc}") from exc
+    integrator = IntegratorSpec(method, dt, steps, record_every)
+    normalized = {
+        "name": name,
+        "surface": {"kind": kind, "tau": [tau.real, tau.imag]} if kind == FLAT_TORUS
+                   else {"kind": kind},
+        "vortices": entries,
+        "base_circulations": {"a": list(base_a), "b": list(base_b)},
+        "integrator": asdict(integrator),
+        "output": {"trajectory": trajectory, "diagnostics": diagnostics},
+        "collision_threshold": threshold,
+        "tolerances": dict(tolerances),
+    }
+    return ScenarioConfig(name, integrator, trajectory, diagnostics, dict(tolerances),
+                          state, normalized)
 
 
 def load_scenario(path: Path) -> ScenarioConfig:

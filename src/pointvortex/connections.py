@@ -41,14 +41,6 @@ class TransitionJet:
             f3 * g1**3 + 3.0 * f2 * g1 * g2 + f1 * g3,
         )
 
-    def inverse(self) -> "TransitionJet":
-        """Jet of the inverse map at the image point."""
-        p1, p2, p3 = self.phi1, self.phi2, self.phi3
-        i1 = 1.0 / p1
-        i2 = -p2 / p1**3
-        i3 = (3.0 * p2 * p2 - p1 * p3) / p1**5
-        return TransitionJet(i1, i2, i3)
-
 
 def bracket(jet: TransitionJet, k: int) -> complex:
     """The order-k change-of-coordinate expression of a 3-jet.

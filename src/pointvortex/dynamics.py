@@ -27,11 +27,12 @@ other chart, a one-shot call once per call.  The velocity law has one
 implementation, `_Plan`, built once per run (and per one-shot call); each
 evaluation forms only Green gradients (`green.pair_terms`' gradient entries).
 The Hamiltonian recomputes W from its coordinates, so its finite differences
-stay an independent velocity route.  `integrate` has one record loop; a
-`METHODS` entry advances between records and ends every accepted step in
-`_Trajectory.accept`: the sphere chart rule of `canonical_coords`, the
-selection, then the collision check, which names the first closest pair in
-(i, j) order.
+stay an independent velocity route.  The circulation terms are called on
+every surface; `periods` makes them 0 on the sphere (genus 0).  `integrate`
+has one record loop; a `METHODS` entry advances between records and ends
+every accepted step in `_Trajectory.accept`: the sphere chart rule of
+`canonical_coords`, the selection, then the collision check, which names the
+first closest pair in (i, j) order.
 """
 from __future__ import annotations
 
@@ -226,11 +227,9 @@ def _plan(surface: Surface, coords, strengths, base_a, base_b) -> _Plan:
     strengths = np.asarray(strengths, dtype=float)
     basis = build_basis(surface)
     i, j = pair_indices(len(strengths))
-    if not basis.genus:
-        return _Plan(surface, basis, strengths, i, j, None, 0j)
     w = circulation_state(basis, coords, strengths, base_a, base_b)
-    return _Plan(surface, basis, strengths, i, j, theta_context(surface.tau),
-                 circulation_form(basis, w))
+    theta = None if surface.kind == SPHERE else theta_context(surface.tau)
+    return _Plan(surface, basis, strengths, i, j, theta, circulation_form(basis, w))
 
 
 def _hamiltonian_raw(plan: _Plan, coords, select, base_a, base_b) -> float:
@@ -239,9 +238,8 @@ def _hamiltonian_raw(plan: _Plan, coords, select, base_a, base_b) -> float:
     value = pair_terms(surface, coords, i, j, select)[0]
     twice_h = (g**2 * renormalized_robin_at(surface, coords)).sum()
     twice_h += 2.0 * (g[i] * g[j] * value).sum()
-    if plan.basis.genus:
-        w = circulation_state(plan.basis, coords, g, base_a, base_b)
-        twice_h += circulation_energy(plan.basis, w)
+    w = circulation_state(plan.basis, coords, g, base_a, base_b)
+    twice_h += circulation_energy(plan.basis, w)
     return float(0.5 * twice_h)
 
 
@@ -346,9 +344,9 @@ class _Trajectory:
     handovers: int = 0           # vortices that changed chart, summed over steps
 
     def accept(self, coords: np.ndarray, t: float) -> None:
-        """End an accepted step at time t: sphere vortices move to the chart with
-        |z| <= 1 (torus cover coordinates stay), the selection follows a chart
-        change, then the collision check runs."""
+        """End an accepted step at time t: sphere vortices take the chart rule of
+        `canonical_coords` (torus cover coordinates stay), the selection follows
+        a chart change, then the collision check runs."""
         plan = self.plan
         if plan.surface.kind == SPHERE:
             charts, coords, _, _ = canonical_coords(plan.surface, self.charts, coords)
@@ -365,9 +363,7 @@ class _Trajectory:
         plan, basis, g = self.plan, self.plan.basis, self.plan.strengths
         charts, coords, a, b = _canonical(plan.surface, self.charts, self.coords, g,
                                           self.base_a, self.base_b)
-        # a second canonicalization can flip back a sphere vortex with |z| within rounding of 1
-        select = self.select if np.array_equal(charts, self.charts) else plan.select(charts)
-        h = _hamiltonian_raw(plan, coords, select, a, b)
+        h = _hamiltonian_raw(plan, coords, self.select, a, b)
         w = circulation_state(basis, coords, g, a, b)   # not the plan's: independent
         return TrajectoryRecord(t, _points(charts, coords), h, a, b, self.separation,
                                 kelvin_coefficients(basis, w))
@@ -441,8 +437,9 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     canonical state at its time (positions and compensated base circulations,
     so it restarts the run) with its energy, Kelvin coefficients and minimum
     separation.  After every accepted step each sphere vortex is in its chart
-    with |z| <= 1, and CollisionError is raised when two vortices come closer
-    than the state's collision threshold; StepRejectionError if adaptive control stalls.
+    with |z| <= 1 (up to a rounding at |z| = 1), and CollisionError is raised
+    when two vortices come closer than the state's collision threshold;
+    StepRejectionError if adaptive control stalls.
     `stats_out`, when given, receives the counts "step_rejections", "accepted_steps",
     "velocity_evaluations" and "chart_handovers" (sphere chart changes; 0 on the
     torus) and, on either abort, the records made so far under "partial_records".

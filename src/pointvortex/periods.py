@@ -21,7 +21,8 @@ so (A, B) = (Im W, Im(W conj(tau))) / Im tau, and
 
 Moving a vortex to another cover copy, z -> z - m - n tau, while a += Gamma n
 and b -= Gamma m leaves W unchanged.  Genus-0 surfaces have W = 0 and an
-empty period matrix, so the dynamics layer skips this module on the sphere.
+empty period matrix: there W, its flow and energy are 0 and the Kelvin
+coefficients (), so the dynamics layer calls this module on both surfaces.
 """
 from __future__ import annotations
 

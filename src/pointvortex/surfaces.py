@@ -113,9 +113,11 @@ def lattice_split(tau: complex, z):
 
 def canonical_coords(surface: Surface, charts, coords):
     """Canonical (charts, coords) of a configuration and the lattice counts
-    (m, n) removed: on the sphere the chart with |coord| <= 1 (m = n = 0); on
-    the torus z - (m + n*tau) in {s + t*tau : s, t in [0, 1)}, equal to z up
-    to rounding.  Idempotent; raises ChartError for a foreign chart id."""
+    (m, n) removed: on the sphere a point moves to the other chart where
+    |z| > 1 and |1/z| <= 1 as computed, so the chart with |coord| <= 1 up to
+    a rounding at |z| = 1 (m = n = 0); on the torus z - (m + n*tau) in
+    {s + t*tau : s, t in [0, 1)}, equal to z up to rounding.  Idempotent
+    bit for bit on both; raises ChartError for a foreign chart id."""
     charts = np.asarray(charts, dtype=int)
     coords = np.asarray(coords, dtype=complex)
     bad = (charts < 0) | (charts > (1 if surface.kind == SPHERE else 0))
@@ -123,6 +125,8 @@ def canonical_coords(surface: Surface, charts, coords):
         surface.check_chart(int(charts[bad][0]))
     if surface.kind == SPHERE:
         flip = np.abs(coords) > 1.0
+        # |z| and |1/z| can both read above 1 at |z| = 1: such a point stays
+        flip[flip] = np.abs(1.0 / coords[flip]) <= 1.0
         charts, coords = charts.copy(), coords.copy()
         charts[flip] = 1 - charts[flip]
         coords[flip] = 1.0 / coords[flip]

@@ -1,8 +1,8 @@
 """Paper identities that the tests compare the package against.
 
-The connection calculus of the order-0/1/2 gluing rules, the two-point
-potential, the constant stream coefficient c0 with the conjugate potential
-u*, and a meridian arc-length quadrature.  None of them is on a `run` or
+The inverse of a transition jet, the connection calculus of the order-0/1/2
+gluing rules, the two-point potential, the constant stream coefficient c0
+with the conjugate potential u*, and a meridian arc-length quadrature.  None of them is on a `run` or
 `verify` path, so they live here, built on the package's public calls.
 """
 import cmath
@@ -48,6 +48,15 @@ class ConnectionValue:
         if self.order == 0:
             d -= _TWO_PI * 1j * round(d.imag / _TWO_PI)
         return abs(d) <= tol
+
+
+def inverse_jet(jet: TransitionJet) -> TransitionJet:
+    """Jet of the inverse map at the image point."""
+    p1, p2, p3 = jet.phi1, jet.phi2, jet.phi3
+    i1 = 1.0 / p1
+    i2 = -p2 / p1**3
+    i3 = (3.0 * p2 * p2 - p1 * p3) / p1**5
+    return TransitionJet(i1, i2, i3)
 
 
 def transform_connection(c: ConnectionValue, jet: TransitionJet) -> ConnectionValue:

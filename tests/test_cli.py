@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,11 +15,11 @@ import pytest
 import pointvortex
 import pointvortex.cli
 from pointvortex.cli import main, write_diagnostics, write_trajectory
-from pointvortex.dynamics import integrate
+from pointvortex.dynamics import VortexState, integrate
 from pointvortex.config import load_scenario, parse_scenario, resolve_scenario
 from pointvortex.errors import ConfigError, StepRejectionError
 from pointvortex.surfaces import Surface
-from pointvortex.verify import random_state
+from pointvortex.verify import random_state, verify_scenario
 
 BUNDLED = ("sphere_antipodal_pair", "torus_pair_translate", "torus_four_vortex")
 
@@ -66,6 +68,45 @@ class TestConfigParsing:
             cfg = resolve_scenario(name)
             again = parse_scenario(json.loads(json.dumps(cfg.to_dict())))
             assert again == cfg
+
+    @pytest.mark.parametrize("surface, vortices", [
+        ({"kind": "flat_torus", "tau": [0.3, 1.2]},
+         [(0, [1.7, -0.4], 1.0), (0, [-2.25, 3.1], -0.5), (0, [0.4, 0.5], -0.5)]),
+        ({"kind": "sphere"}, [(0, [2.0, 1.5], 1.0), (1, [-1.3, 0.2], -2.0),
+                              (0, [0.1, -0.3], 1.0)]),
+    ], ids=["torus-outside-cell", "sphere-beyond-unit-disc"])
+    def test_to_dict_gives_positions_as_given(self, surface, vortices):
+        cfg = parse_scenario({
+            "surface": surface,
+            "vortices": [{"chart": c, "coord": z, "strength": g} for c, z, g in vortices],
+        })
+        given = [{"chart": c, "coord": z, "strength": g} for c, z, g in vortices]
+        assert cfg.to_dict()["vortices"] == given
+        # the state is canonical, so it differs from the input
+        assert [p.coord for p in cfg.state().positions] != [complex(*z) for _, z, _ in vortices]
+        out = cfg.to_dict()
+        out["vortices"][0]["coord"][0] = 99.0
+        out["surface"]["kind"] = "other"
+        out["tolerances"]["velocity_equivalence"] = 1.0
+        again = cfg.to_dict()
+        assert again["vortices"] == given
+        assert again["surface"] == surface and again["tolerances"] == {}
+
+    def test_a_scenario_builds_its_state_once(self, tmp_path, monkeypatch):
+        # resolve_scenario parses; run_one and verify_scenario reuse its state
+        built = []
+        real = VortexState.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(VortexState, "__post_init__", counting)
+        cfg = resolve_scenario("torus_pair_translate")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert pointvortex.cli.run_one(cfg, tmp_path) == 0
+        assert all(r.passed for r in verify_scenario(cfg))
+        assert len(built) == 1
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="no such config"):
@@ -355,13 +396,11 @@ class TestRunCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [f"cannot write {out_dir}: Not a directory"] * 2
 
-    @pytest.mark.parametrize("case", ["run_state", "run_collision", "run_config",
-                                      "verify_config"])
+    @pytest.mark.parametrize("case", ["run_collision", "run_config", "verify_config"])
     def test_error_lines_are_single_writes(self, tmp_path, monkeypatch, case):
         # --jobs workers share stderr: a message written as text, then "\n",
         # can interleave with another worker's.  The torus state is the one of
-        # test_collision_exits_two; a config object whose collision threshold
-        # exceeds its initial separation reaches run_one only from a library caller
+        # test_collision_exits_two
         (tmp_path / "collide.json").write_text(json.dumps({
             "surface": {"kind": "flat_torus", "tau": [0.0, 1.0]},
             "vortices": [{"chart": 0, "coord": z, "strength": g} for z, g in (
@@ -371,11 +410,8 @@ class TestRunCommand:
             "integrator": {"method": "rk4", "dt": 0.005, "steps": 3000},
             "collision_threshold": 0.25,
         }))
-        close = replace(resolve_scenario("torus_pair_translate"), collision_threshold=1.0)
         missing, out = str(tmp_path / "missing.json"), ["--out-dir", str(tmp_path)]
         message, call = {
-            "run_state": ("config error in torus_pair_translate: ",
-                          lambda: pointvortex.cli.run_one(close, tmp_path)),
             "run_collision": ("collide: ",
                               lambda: main(["run", str(tmp_path / "collide.json"), *out])),
             "run_config": ("config error: ", lambda: main(["run", missing, *out])),

@@ -1,7 +1,9 @@
-"""Every public top-level name in the package has a caller outside the tests.
+"""Every public name in the package has a caller outside the tests.
 
-A name is called if it is referenced in `src/pointvortex` other than by its
-own definition and `__init__`'s re-exports, or anywhere in `perfbench/`.
+The names are the top-level ones and the public methods and properties of
+the package's classes.  A name is called if it is referenced in
+`src/pointvortex` other than by its own definition and `__init__`'s
+re-exports, or anywhere in `perfbench/`; a method by its attribute name.
 Paper identities that only the tests compare against belong in
 `tests/reference.py`, not in the package.
 """
@@ -19,11 +21,16 @@ ALLOWED = {
 
 
 def definitions(tree):
-    """Public top-level name -> its defining statement."""
+    """Public top-level name, and Class.method for a class's public methods and
+    properties -> its defining statement."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out[node.name] = node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out.update((f"{node.name}.{m.name}", m) for m in node.body
+                       if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not m.name.startswith("_"))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out.update((t.id, node) for t in targets if isinstance(t, ast.Name))
@@ -56,9 +63,10 @@ def uncalled_names():
     found = []
     for module, tree in modules.items():
         elsewhere = bench.union(*(r for m, r in refs.items() if m != module))
-        for name, node in definitions(tree).items():
+        for qualname, node in definitions(tree).items():
+            name = qualname.rsplit(".", 1)[-1]
             if name not in elsewhere and name not in references(tree, skip=node):
-                found.append(f"{module}.{name}")
+                found.append(f"{module}.{qualname}")
     return found
 
 

@@ -5,7 +5,8 @@ dG/dz_j has numerator c_i.  Every sphere pair evaluation gathers (a_j, b_j, c_i)
 through index rows built from the charts (`surfaces.pair_selection`): a run
 builds them once per chart change, a one-shot call once per call.  The kernel
 on them must match the pole written out, in all four chart combinations, on
-|z| = 1, near antipodes and 1e-9 apart.
+|z| = 1, near antipodes and 1e-9 apart.  The chart rule that sets the charts
+must leave its own output unchanged at |z| = 1.
 """
 import cmath
 import math
@@ -16,12 +17,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pointvortex import dynamics
-from pointvortex.dynamics import VortexState, _plan, hamiltonian, integrate
+from pointvortex.dynamics import VortexState, _plan, integrate
 from pointvortex.errors import SingularityError
 from pointvortex.green import green, pair_terms
 from pointvortex.surfaces import (
     Surface,
     SurfacePoint,
+    canonical_coords,
     geodesic_distance,
     pair_distances,
     pair_selection,
@@ -164,21 +166,17 @@ def test_selection_is_rebuilt_only_when_a_chart_changes(monkeypatch, rng):
     assert all(a is b for a, b in zip(seen, expected))
 
 
-def test_record_energy_follows_a_chart_flip_of_its_own(rng):
-    # canonical_coords can flip a point with |z| a rounding above 1 to a 1/z
-    # that reads |1/z| > 1 too, so a record's canonical charts can differ from
-    # the run's; here vortex 0 sits off its canonical chart outright
-    st_ = random_state(SPHERE, 3, rng)
-    charts = np.array([p.chart_id for p in st_.positions])
-    coords = np.array([p.coord for p in st_.positions])
-    assert 0.0 < abs(coords[0]) < 1.0
-    charts[0], coords[0] = 1 - charts[0], 1.0 / coords[0]
-    plan = _plan(SPHERE, coords, st_.strengths, (), ())
-    traj = dynamics._Trajectory(plan, (), (), charts, plan.select(charts), coords, 1.0,
-                                1e-3, 1e-9, 1e-12, 1e-3)
-    rec = traj.record(0.0)
-    assert [p.chart_id for p in rec.positions] == [p.chart_id for p in st_.positions]
-    assert abs(rec.hamiltonian - hamiltonian(st_)) <= 1e-12 * abs(hamiltonian(st_))
+@given(st.integers(-4, 8), angles, st.sampled_from((0, 1)))
+def test_chart_rule_is_idempotent_at_the_unit_circle(k, theta, chart):
+    # |z| and |1/z| can both read above 1 there: a second pass must keep the
+    # first pass's charts and coordinates bit for bit, in either chart
+    fan = theta + np.arange(64) * (2.0 * math.pi / 64)
+    coords = (1.0 + k * 2.0**-52) * np.exp(1j * fan)
+    charts = (chart + np.arange(64)) % 2
+    once = canonical_coords(SPHERE, charts, coords)[:2]
+    twice = canonical_coords(SPHERE, *once)[:2]
+    assert twice[0].tobytes() == once[0].tobytes()
+    assert twice[1].tobytes() == once[1].tobytes()
 
 
 def test_record_after_a_handover_restarts_the_run(rng):
