@@ -9,8 +9,9 @@ Library layout:
 - ``periods``      circulation state W of a torus, period matrix, circulation
                    energy and flow
 - ``dynamics``     velocity law, Hamiltonian, time integration
-- ``oracles``      independent validators (spectral Poisson solve, quadrature,
-                   loop contour integrals, finite differences)
+- ``oracles``      independent validators (spectral Poisson solve, torus and
+                   pole-centred sphere quadrature, loop contour integrals,
+                   finite differences)
 - ``cli``          the ``pointvortex`` command-line front door
 
 The package holds what ``run``, ``verify`` and the benchmark call; the
@@ -33,7 +34,6 @@ from .errors import (
     CollisionError,
     ConfigError,
     PointVortexError,
-    QuadratureError,
     SingularityError,
     StepRejectionError,
 )
@@ -50,7 +50,6 @@ from .surfaces import (
     SurfacePoint,
     conformal_factor,
     geodesic_distance,
-    metric_connection,
     transition,
 )
 
@@ -58,11 +57,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChartError", "CollisionError", "ConfigError", "GreenEvaluation", "PeriodBasis",
-    "PointVortexError", "QuadratureError", "RobinData", "SingularityError",
-    "StepRejectionError", "Surface", "SurfacePoint", "TrajectoryRecord",
-    "TransitionJet", "VortexState", "bracket", "build_basis", "c1_coefficient",
-    "chain_check", "circulation_energy", "circulation_form", "circulation_state",
-    "conformal_factor", "geodesic_distance", "green", "hamiltonian",
-    "hamiltonian_velocity", "integrate", "metric_connection", "robin_data",
+    "PointVortexError", "RobinData", "SingularityError", "StepRejectionError",
+    "Surface", "SurfacePoint", "TrajectoryRecord", "TransitionJet", "VortexState",
+    "bracket", "build_basis", "c1_coefficient", "chain_check", "circulation_energy",
+    "circulation_form", "circulation_state", "conformal_factor", "geodesic_distance",
+    "green", "hamiltonian", "hamiltonian_velocity", "integrate", "robin_data",
     "transition", "vortex_velocity",
 ]

@@ -4,12 +4,12 @@ Complex numbers are [re, im] pairs throughout so configs stay language-neutral
 and diff-friendly.  `parse_scenario` raises ConfigError naming the offending
 field; JSON syntax errors are reported with line/column.  It builds the
 scenario's VortexState once, and the ScenarioConfig it returns holds that
-state and the normalized input JSON, which `to_dict` (and so `--dump-config`)
-returns with the positions as given.
+state and the normalized input as JSON text, which `to_dict` (and so
+`--dump-config`) parses back with the positions as given.  A ScenarioConfig
+is an immutable, hashable value.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -28,24 +28,28 @@ class IntegratorSpec:
     record_every: int = 1
 
 
+DEFAULT_VELOCITY_TOLERANCE = 1e-6
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A parsed scenario: its initial state, integrator and output names, and
-    the normalized input JSON (positions as given, not canonicalized)."""
+    """A parsed scenario: its initial state, integrator and output names, the
+    single-scenario verify tolerance, and the normalized input as JSON text
+    (positions as given, not canonicalized)."""
 
     name: str
     integrator: IntegratorSpec
     trajectory_path: str
     diagnostics_path: str
-    tolerances: dict
+    velocity_tolerance: float
     _state: VortexState
-    _normalized: dict
+    _normalized: str
 
     def state(self) -> VortexState:
         return self._state
 
     def to_dict(self) -> dict:
-        return copy.deepcopy(self._normalized)
+        return json.loads(self._normalized)
 
 
 def _expect(mapping, key, kind, where, default=None, required=False):
@@ -161,10 +165,12 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         raise ConfigError(f"collision_threshold: must be positive, got {threshold}")
 
     tolerances = _expect(data, "tolerances", dict, "top level", default={})
+    velocity_tolerance = DEFAULT_VELOCITY_TOLERANCE
     for key in tolerances:
         if key != "velocity_equivalence":
             raise ConfigError(f"tolerances.{key}: unknown (only 'velocity_equivalence')")
-        if not _expect(tolerances, key, float, "tolerances") > 0:
+        velocity_tolerance = _expect(tolerances, key, float, "tolerances")
+        if not velocity_tolerance > 0:
             raise ConfigError(f"tolerances.{key}: must be positive, got {tolerances[key]}")
 
     base_a = tuple(float(v) for v in base_a)
@@ -184,10 +190,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         "integrator": asdict(integrator),
         "output": {"trajectory": trajectory, "diagnostics": diagnostics},
         "collision_threshold": threshold,
-        "tolerances": dict(tolerances),
+        "tolerances": tolerances,
     }
-    return ScenarioConfig(name, integrator, trajectory, diagnostics, dict(tolerances),
-                          state, normalized)
+    return ScenarioConfig(name, integrator, trajectory, diagnostics, velocity_tolerance,
+                          state, json.dumps(normalized))
 
 
 def load_scenario(path: Path) -> ScenarioConfig:

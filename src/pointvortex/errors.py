@@ -34,9 +34,5 @@ class StepRejectionError(PointVortexError):
     """The adaptive integrator rejected too many steps in a row."""
 
 
-class QuadratureError(PointVortexError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class ConfigError(PointVortexError):
     """A scenario configuration failed validation; message names the field."""

@@ -1,19 +1,20 @@
-"""Independent brute-force validators: spectral Poisson solves, quadrature,
-contour integration along closed lattice loops and finite-difference
-derivatives.
+"""Independent brute-force validators: spectral Poisson solves, quadrature
+over the torus and over the sphere, contour integration along closed lattice
+loops and finite-difference derivatives.
 
 Everything here exists to check the analytic machinery through a second
-route, so none of it shares code with the closed-form / series evaluators.
+route, so none of it shares code with the closed-form / series evaluators:
+of the package it imports only `surfaces`, for the point and surface types.
+The sphere's stereographic rule (`_stereographic`) is written out here, not
+taken from the chart code.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
 from .surfaces import SPHERE, Surface, SurfacePoint
 
 # ---------------------------------------------------------------------------
@@ -127,73 +128,51 @@ def star_gradient_form(grad_fn: Callable[[np.ndarray], np.ndarray]) -> FormFn:
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature over the sphere
+# quadrature over the sphere, centred on the integrand's pole
 
-SphereIntegrand = Callable[[int, np.ndarray], np.ndarray]
-
-
-def _cell_estimate(f, chart, r0, r1, th0, th1, nodes, weights):
-    rm, rw = 0.5 * (r1 + r0), 0.5 * (r1 - r0)
-    tm, tw = 0.5 * (th1 + th0), 0.5 * (th1 - th0)
-    r = rm + rw * nodes
-    th = tm + tw * nodes
-    rr, tt = np.meshgrid(r, th, indexing="ij")
-    z = rr * np.exp(1j * tt)
-    lam2 = (2.0 / (1.0 + rr**2)) ** 2
-    vals = f(chart, z) * lam2 * rr
-    return rw * tw * float(weights @ vals @ weights)
+SphereIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def sphere_quadrature(f: SphereIntegrand, abs_tol: float = 1e-7,
-                      max_cells: int = 60000) -> float:
-    """Integrate f against the area form over the sphere.
+def _stereographic(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(charts, coords) of the unit vectors v[m, 3]: chart 0, z = (x1 + i x2) /
+    (1 - x3), where x3 <= 0, else chart 1, w = (x1 - i x2) / (1 + x3).  The
+    parts are divided separately: numpy's complex / real multiplies by the
+    reciprocal, one rounding more."""
+    x1, x2, x3 = v.T
+    south = x3 <= 0.0
+    d = np.where(south, 1.0 - x3, 1.0 + x3)
+    coords = np.empty(x3.shape, dtype=complex)
+    coords.real = x1 / d
+    coords.imag = np.where(south, x2, -x2) / d
+    return np.where(south, 0, 1), coords
 
-    `f(chart_id, z)` must accept complex arrays and is integrated over the
-    unit disks of both charts in polar coordinates with the lambda^2 weight.
-    Cells are bisected worst-error-first until the summed error estimate
-    drops below `abs_tol`; integrable (log-type) singularities refine
-    geometrically.  Raises QuadratureError if the budget runs out first.
-    Its 4- and 8-node Gauss-Legendre rules are formed per call, not on import.
+
+def sphere_quadrature(f: SphereIntegrand, pole: SurfacePoint, n: int = 48) -> float:
+    """Integrate f against the area form of the unit sphere, for f smooth
+    except for at most a logarithmic singularity at `pole`.
+
+    One product rule about the pole's unit vector p: polar angle theta =
+    pi s^2 at n Gauss-Legendre nodes s in [0, 1] (the substitution smooths
+    the singularity) times 2n equispaced azimuths, with weights
+    2 pi s sin(theta) w_s 2 pi / 2n.  `f(charts, coords)` takes the nodes'
+    chart ids and coordinates as arrays and is called once.
     """
-    lo, hi = (np.polynomial.legendre.leggauss(m) for m in (4, 8))
-
-    def evaluate(chart, cell):
-        coarse = _cell_estimate(f, chart, *cell, *lo)
-        fine = _cell_estimate(f, chart, *cell, *hi)
-        return fine, abs(fine - coarse)
-
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    count = 0
-    for chart in (0, 1):
-        for th0 in (0.0, math.pi):
-            cell = (0.0, 1.0, th0, th0 + math.pi)
-            fine, err = evaluate(chart, cell)
-            heapq.heappush(heap, (-err, count, chart, cell, fine))
-            total += fine
-            total_err += err
-            count += 1
-    while total_err > abs_tol:
-        if count >= max_cells:
-            raise QuadratureError(
-                f"sphere quadrature exhausted {max_cells} cells with error "
-                f"estimate {total_err:.2e} > tol {abs_tol:.2e}"
-            )
-        neg_err, _, chart, (r0, r1, th0, th1), fine = heapq.heappop(heap)
-        total -= fine
-        total_err += neg_err
-        rm, tm = 0.5 * (r0 + r1), 0.5 * (th0 + th1)
-        for sub in (
-            (r0, rm, th0, tm), (r0, rm, tm, th1),
-            (rm, r1, th0, tm), (rm, r1, tm, th1),
-        ):
-            sub_fine, sub_err = evaluate(chart, sub)
-            heapq.heappush(heap, (-sub_err, count, chart, sub, sub_fine))
-            total += sub_fine
-            total_err += sub_err
-            count += 1
-    return total
+    z = pole.coord
+    r2 = abs(z) ** 2
+    sign = 1.0 - 2.0 * pole.chart_id           # chart 1 mirrors x2 and x3
+    p = np.array([2.0 * z.real, sign * 2.0 * z.imag, sign * (r2 - 1.0)]) / (1.0 + r2)
+    e1 = np.cross(p, np.eye(3)[np.argmin(np.abs(p))])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(p, e1)
+    s, w_s = np.polynomial.legendre.leggauss(n)
+    s, w_s = 0.5 * (s + 1.0), 0.5 * w_s
+    theta = math.pi * s * s
+    phi = np.arange(2 * n) * (math.pi / n)
+    ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+    v = np.cos(theta)[:, None, None] * p + np.sin(theta)[:, None, None] * ring
+    charts, coords = _stereographic(v.reshape(-1, 3))
+    weights = 2.0 * math.pi * s * np.sin(theta) * w_s * (math.pi / n)
+    return float(weights @ f(charts, coords).reshape(n, 2 * n).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +217,10 @@ def min_image_distance_grid(tau: complex, n: int, a: complex) -> np.ndarray:
 def delta_probe_points(surface: Surface, rng: np.random.Generator,
                        count: int) -> list[SurfacePoint]:
     """Uniformly distributed sample points (area measure) for randomized checks."""
-    pts: list[SurfacePoint] = []
     if surface.kind == SPHERE:
-        while len(pts) < count:
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            x, y, zc = v
-            if zc <= 0.0:
-                z = complex(x, y) / (1.0 - zc)
-                pts.append(SurfacePoint(0, z))
-            else:
-                w = complex(x, -y) / (1.0 + zc)
-                pts.append(SurfacePoint(1, w))
-        return pts
-    tau = surface.tau
-    for _ in range(count):
-        pts.append(SurfacePoint(0, rng.uniform() + rng.uniform() * tau))
-    return pts
+        # normalized one vector at a time: a batched norm rounds differently
+        # in the last bit, and every randomized check's points would move
+        units = [u / np.linalg.norm(u) for u in (rng.normal(size=3) for _ in range(count))]
+        charts, coords = _stereographic(np.reshape(units, (-1, 3)))
+        return [SurfacePoint(int(c), complex(z)) for c, z in zip(charts, coords)]
+    return [SurfacePoint(0, rng.uniform() + rng.uniform() * surface.tau) for _ in range(count)]

@@ -175,20 +175,6 @@ def lambda_at(surface: Surface, z):
     return 1.0
 
 
-def metric_connection(surface: Surface, p: SurfacePoint) -> complex:
-    """Levi-Civita affine-connection coefficient 2 d(log lambda)/dz in p's chart."""
-    surface.check_chart(p.chart_id)
-    if surface.kind == SPHERE:
-        z = p.coord
-        return -2.0 * z.conjugate() / (1.0 + abs(z) ** 2)
-    return 0.0
-
-
-def dlog_lambda_dzbar(surface: Surface, p: SurfacePoint) -> complex:
-    """d(log lambda)/dzbar at p: lambda is real, so half the conjugate connection."""
-    return 0.5 * metric_connection(surface, p).conjugate()
-
-
 def transition(surface: Surface, p: SurfacePoint,
                target_chart: int) -> tuple[SurfacePoint, TransitionJet]:
     """Re-express p in the target chart with the 3-jet of the transition map.

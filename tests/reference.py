@@ -1,9 +1,10 @@
 """Paper identities that the tests compare the package against.
 
 The inverse of a transition jet, the connection calculus of the order-0/1/2
-gluing rules, the two-point potential, the constant stream coefficient c0
-with the conjugate potential u*, and a meridian arc-length quadrature.  None of them is on a `run` or
-`verify` path, so they live here, built on the package's public calls.
+gluing rules, the metric's Levi-Civita connection, the two-point potential,
+the constant stream coefficient c0 with the conjugate potential u*, and a
+meridian arc-length quadrature.  None of them is on a `run` or `verify`
+path, so they live here, built on the package's public calls.
 """
 import cmath
 import math
@@ -16,7 +17,7 @@ from pointvortex.dynamics import VortexState
 from pointvortex.errors import SingularityError
 from pointvortex.green import green, robin_data
 from pointvortex.periods import PeriodBasis, build_basis, circulation_state
-from pointvortex.surfaces import Surface, SurfacePoint, geodesic_distance
+from pointvortex.surfaces import SPHERE, Surface, SurfacePoint, geodesic_distance
 
 _TWO_PI = 2.0 * cmath.pi
 
@@ -97,6 +98,20 @@ def lambda2_operator(phi: complex, d2phi_dz2: complex, q: ConnectionValue) -> co
     if q.order != 2:
         raise ValueError("lambda2 expects an order-2 connection value")
     return d2phi_dz2 + 0.5 * q.value * phi
+
+
+def metric_connection(surface: Surface, p: SurfacePoint) -> complex:
+    """Levi-Civita affine-connection coefficient 2 d(log lambda)/dz in p's chart."""
+    surface.check_chart(p.chart_id)
+    if surface.kind == SPHERE:
+        z = p.coord
+        return -2.0 * z.conjugate() / (1.0 + abs(z) ** 2)
+    return 0.0
+
+
+def dlog_lambda_dzbar(surface: Surface, p: SurfacePoint) -> complex:
+    """d(log lambda)/dzbar at p: lambda is real, so half the conjugate connection."""
+    return 0.5 * metric_connection(surface, p).conjugate()
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,14 @@ from pointvortex.oracles import (
     torus_poisson_oracle,
 )
 from pointvortex.periods import build_basis
-from pointvortex.surfaces import Surface, SurfacePoint, dlog_lambda_dzbar
+from pointvortex.surfaces import Surface, SurfacePoint
 from pointvortex.verify import (
     conjugate_period_residual,
     random_state,
     sphere_green_normalization,
 )
+
+from reference import dlog_lambda_dzbar
 
 SPHERE = Surface.sphere()
 

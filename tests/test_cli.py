@@ -92,6 +92,13 @@ class TestConfigParsing:
         assert again["vortices"] == given
         assert again["surface"] == surface and again["tolerances"] == {}
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_a_config_is_a_hashable_value(self, name):
+        # two parses of one scenario are equal, hash equal, and key one entry
+        first, second = resolve_scenario(name), resolve_scenario(name)
+        assert first == second and hash(first) == hash(second)
+        assert {first: name}[second] == name
+
     def test_a_scenario_builds_its_state_once(self, tmp_path, monkeypatch):
         # resolve_scenario parses; run_one and verify_scenario reuse its state
         built = []
@@ -205,7 +212,7 @@ class TestConfigParsing:
     def test_positive_velocity_tolerance_accepted(self):
         data = resolve_scenario("torus_pair_translate").to_dict()
         data["tolerances"] = {"velocity_equivalence": 1e-3}
-        assert parse_scenario(data).tolerances == {"velocity_equivalence": 1e-3}
+        assert parse_scenario(data).velocity_tolerance == 1e-3
 
 
 class TestRunCommand:

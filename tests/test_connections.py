@@ -5,7 +5,7 @@ import pytest
 
 from pointvortex.connections import TransitionJet, bracket, chain_check
 from pointvortex.oracles import wirtinger_fd
-from pointvortex.surfaces import Surface, SurfacePoint, metric_connection
+from pointvortex.surfaces import Surface, SurfacePoint
 
 from reference import (
     ConnectionValue,
@@ -13,6 +13,7 @@ from reference import (
     curvature,
     inverse_jet,
     lambda2_operator,
+    metric_connection,
     transform_connection,
 )
 

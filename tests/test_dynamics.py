@@ -16,10 +16,10 @@ from pointvortex.dynamics import (
 from pointvortex.errors import CollisionError
 from pointvortex.green import green, renormalized_robin_at, robin_data
 from pointvortex.periods import build_basis, circulation_state
-from pointvortex.surfaces import SurfacePoint, dlog_lambda_dzbar, transition
+from pointvortex.surfaces import SurfacePoint, transition
 from pointvortex.verify import random_state
 
-from reference import c0_coefficient, conjugate_potential
+from reference import c0_coefficient, conjugate_potential, dlog_lambda_dzbar
 
 
 def antipodal_pair(sphere, gamma=1.0):

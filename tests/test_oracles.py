@@ -1,4 +1,5 @@
 import ast
+import cmath
 import math
 from pathlib import Path
 
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from pointvortex import oracles
-from pointvortex.errors import QuadratureError
 from pointvortex.green import torus_pair_terms
 from pointvortex.oracles import (
     contour_integral,
@@ -18,6 +18,8 @@ from pointvortex.oracles import (
     torus_poisson_oracle,
     wirtinger_fd,
 )
+from pointvortex.surfaces import SurfacePoint
+from pointvortex.verify import sphere_green_normalization
 
 from embedding import sphere_embedding
 
@@ -128,33 +130,67 @@ class TestContourIntegral:
             assert abs(a - exact) < 1e-14
 
 
+# both chart origins, a point on |z| = 1 in each chart, one interior point of each chart
+POLES = (SurfacePoint(0, 0j), SurfacePoint(1, 0j), SurfacePoint(0, 1 + 0j),
+         SurfacePoint(1, cmath.exp(2j)), SurfacePoint(0, 0.4 + 0.3j),
+         SurfacePoint(1, -0.2 + 0.6j))
+POLE_IDS = [f"chart{p.chart_id}-{p.coord}" for p in POLES]
+
+
 class TestSphereQuadrature:
     def test_total_area(self):
-        got = sphere_quadrature(lambda chart, z: np.ones(np.shape(z)), abs_tol=1e-9)
-        assert abs(got - 4.0 * math.pi) < 1e-9
+        for pole in POLES:
+            got = sphere_quadrature(lambda charts, z: np.ones(np.shape(z)), pole)
+            assert abs(got - 4.0 * math.pi) < 1e-9
 
     def test_odd_function_integrates_to_zero(self):
-        def integrand(chart, z):
-            x, _, _ = sphere_embedding(chart, z)
+        def integrand(charts, z):
+            x, _, _ = sphere_embedding(charts, z)
             return x
 
-        assert abs(sphere_quadrature(integrand, abs_tol=1e-9)) < 1e-8
+        for pole in POLES:
+            assert abs(sphere_quadrature(integrand, pole)) < 1e-8
 
     def test_smooth_nonsymmetric_integrand(self):
         # int of x3^2 over the unit sphere = 4 pi / 3
-        def integrand(chart, z):
-            _, _, x3 = sphere_embedding(chart, z)
+        def integrand(charts, z):
+            _, _, x3 = sphere_embedding(charts, z)
             return x3**2
 
-        got = sphere_quadrature(integrand, abs_tol=1e-9)
-        assert abs(got - 4.0 * math.pi / 3.0) < 1e-8
+        for pole in POLES:
+            got = sphere_quadrature(integrand, pole)
+            assert abs(got - 4.0 * math.pi / 3.0) < 1e-8
 
-    def test_budget_exhaustion_raises(self):
-        def nasty(chart, z):
-            return np.sin(200.0 / (0.01 + np.abs(z - 0.5)))
+    def test_integrand_is_called_once_on_chart_arrays(self):
+        calls = []
 
-        with pytest.raises(QuadratureError):
-            sphere_quadrature(nasty, abs_tol=1e-14, max_cells=300)
+        def integrand(charts, z):
+            calls.append((charts, z))
+            return np.ones(np.shape(z))
+
+        sphere_quadrature(integrand, POLES[0], n=8)
+        (charts, z), = calls
+        assert charts.shape == z.shape == (8 * 16,)
+        assert set(charts.tolist()) == {0, 1}
+        assert np.abs(z).max() <= 1.0
+
+    @pytest.mark.parametrize("pole", POLES, ids=POLE_IDS)
+    def test_log_chord_closed_form(self, pole):
+        # int log |x - p|^2 dA = 4 pi (2 log 2 - 1): the rule resolves the pole
+        p = np.array(sphere_embedding(pole.chart_id, pole.coord))
+
+        def integrand(charts, z):
+            x = np.array(sphere_embedding(charts, z))
+            return np.log(((x - p[:, None]) ** 2).sum(axis=0))
+
+        exact = 4.0 * math.pi * (2.0 * math.log(2.0) - 1.0)
+        errs = [abs(sphere_quadrature(integrand, pole, n) - exact) for n in (8, 16, 32, 48)]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[3] < 1e-10
+
+    @pytest.mark.parametrize("pole", POLES, ids=POLE_IDS)
+    def test_sphere_green_normalization_at_every_pole(self, pole):
+        assert sphere_green_normalization((pole,)) < 1e-10
 
 
 def test_wirtinger_fd_on_polynomial():

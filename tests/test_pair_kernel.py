@@ -39,7 +39,6 @@ from pointvortex.surfaces import (
     SurfacePoint,
     canonical_coords,
     conformal_factor,
-    dlog_lambda_dzbar,
     geodesic_distance,
     lattice_split,
     pair_distances,
@@ -48,6 +47,7 @@ from pointvortex.surfaces import (
 )
 
 from embedding import sphere_embedding
+from reference import dlog_lambda_dzbar
 
 TAUS = (1j, 0.5 + 1j, 0.4 + 0.02j, 8j)
 SIZES = (2, 3, 4, 16)

@@ -10,13 +10,11 @@ from pointvortex.surfaces import (
     SurfacePoint,
     canonical_coords,
     conformal_factor,
-    dlog_lambda_dzbar,
     geodesic_distance,
-    metric_connection,
     transition,
 )
 
-from reference import meridian_arc_length
+from reference import dlog_lambda_dzbar, meridian_arc_length, metric_connection
 
 
 def test_surface_descriptors(sphere, torus_skew):

@@ -1,12 +1,12 @@
 """The sampling loops of the verify battery are bounded, its tolerance
-overrides name real checks, and its direct velocity route makes one all-vortex
-evaluation per state."""
+overrides name real checks, its direct velocity route makes one all-vortex
+evaluation per state, and its self-term check fails on a wrong metric."""
 import math
 
 import numpy as np
 import pytest
 
-from pointvortex import dynamics, verify
+from pointvortex import dynamics, surfaces, verify
 from pointvortex.config import resolve_scenario
 from pointvortex.surfaces import Surface
 from pointvortex.verify import (
@@ -17,6 +17,7 @@ from pointvortex.verify import (
     conjugate_period_residual,
     robin_transformation_laws,
     run_suite,
+    self_term_residual,
     velocity_equivalence,
     verify_scenario,
 )
@@ -115,3 +116,12 @@ def test_velocity_equivalence_evaluates_the_direct_law_once_per_state(surface,
                                                                       plan_evaluations):
     velocity_equivalence(surface, np.random.default_rng(3), 3)
     assert len(plan_evaluations) == 3
+
+
+def test_self_term_check_fails_on_a_wrong_metric(monkeypatch):
+    # lambda -> lambda^(1 + 1e-6) moves d(log lambda)/dzbar by about 5e-7 but
+    # leaves the closed-form Robin h1 alone; the check must see it
+    assert self_term_residual(np.random.default_rng(7)) < 1e-12
+    lambda_at = surfaces.lambda_at
+    monkeypatch.setattr(surfaces, "lambda_at", lambda s, z: lambda_at(s, z) ** (1.0 + 1e-6))
+    assert self_term_residual(np.random.default_rng(7)) > 1e-7
