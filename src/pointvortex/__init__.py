@@ -23,7 +23,6 @@ from .connections import TransitionJet, bracket, chain_check
 from .dynamics import (
     TrajectoryRecord,
     VortexState,
-    c1_coefficient,
     hamiltonian,
     hamiltonian_velocity,
     integrate,
@@ -59,8 +58,7 @@ __all__ = [
     "ChartError", "CollisionError", "ConfigError", "GreenEvaluation", "PeriodBasis",
     "PointVortexError", "RobinData", "SingularityError", "StepRejectionError",
     "Surface", "SurfacePoint", "TrajectoryRecord", "TransitionJet", "VortexState",
-    "bracket", "build_basis", "c1_coefficient", "chain_check", "circulation_energy",
-    "circulation_form", "circulation_state", "conformal_factor", "geodesic_distance",
-    "green", "hamiltonian", "hamiltonian_velocity", "integrate", "robin_data",
-    "transition", "vortex_velocity",
+    "bracket", "build_basis", "chain_check", "circulation_energy", "circulation_form",
+    "circulation_state", "conformal_factor", "geodesic_distance", "green", "hamiltonian",
+    "hamiltonian_velocity", "integrate", "robin_data", "transition", "vortex_velocity",
 ]

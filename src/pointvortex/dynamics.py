@@ -1,14 +1,14 @@
-"""Point-vortex dynamics: the c1 stream-expansion coefficient, the
-connection-based velocity law, the renormalized Hamiltonian, and time integration.
+"""Point-vortex dynamics: the connection-based velocity law, the renormalized
+Hamiltonian, and time integration.
 
 The velocity of vortex k in its chart is
 
     dz_k/dt = Gamma_k / (2 pi i lambda(z_k)^2) * (conj(c1(z_k)) + d(log lambda)/dzbar),
 
-where c1 = h1 + 4 pi (M Gamma + du*/dz)_k / Gamma_k collects the Robin
-coefficient h1, the Green gradients M_kj = dG(z_k, z_j)/dz_k of the other
-vortices and the circulation gradient du*/dz.  On the sphere and flat tori the
-self-term conj(h1) + d(log lambda)/dzbar vanishes, so dz_k/dt =
+where the stream-expansion coefficient c1 = h1 + 4 pi (M Gamma + du*/dz)_k / Gamma_k
+collects the Robin coefficient h1, the Green gradients M_kj = dG(z_k, z_j)/dz_k
+of the other vortices and the circulation gradient du*/dz.  On the sphere and
+flat tori the self-term conj(h1) + d(log lambda)/dzbar vanishes, so dz_k/dt =
 -2i conj(M Gamma + du*/dz)_k / lambda^2.  Finite differences of the
 renormalized Hamiltonian give an independent velocity route for cross-validation.
 
@@ -20,24 +20,26 @@ same flow as those coordinates (see VortexState), and each emitted record is
 that canonical state of the run at its time, so any record restarts the run.
 
 Array layout: a configuration is a chart-id array and a complex coordinate
-array, one entry per vortex; the read-only pair indices i < j are cached per n.
-Pair evaluations read charts only through the pairs' `surfaces.pair_selection`:
-a run builds it at the start and after each step that moved a vortex to the
-other chart, a one-shot call once per call.  The velocity law has one
-implementation, `_Plan`, built once per run (and per one-shot call); each
-evaluation forms only Green gradients (`green.pair_terms`' gradient entries).
-The Hamiltonian recomputes W from its coordinates, so its finite differences
-stay an independent velocity route.  The circulation terms are called on
-every surface; `periods` makes them 0 on the sphere (genus 0).  `integrate`
-has one record loop; a `METHODS` entry advances between records and ends
-every accepted step in `_Trajectory.accept`: the sphere chart rule of
-`canonical_coords`, the selection, then the collision check, which names the
-first closest pair in (i, j) order.
+array, one entry per vortex.  Its pairs i < j are one int array, a
+`surfaces.pair_selection` (row 0 i, last row j, on the sphere the chart form
+between), the only way pair evaluations read charts.  `_Plan` owns it with the
+strengths and surface constants, and holds the one velocity law, the energy
+and the separation check; `integrate` builds it once per run, a one-shot call
+once per call, and `_Plan.rechart` swaps in new pairs after a step that moved
+a vortex to the other chart.  Each velocity evaluation forms only Green
+gradients (`green.pair_terms`' gradient entries).  The energy recomputes W
+from its coordinates, so its finite differences stay an independent velocity
+route.  The circulation terms are called on every surface; `periods` makes
+them 0 on the sphere (genus 0).  `integrate` has one record loop; a `METHODS`
+entry advances between records and ends every accepted step in
+`_Trajectory.accept`: the sphere chart rule of `canonical_coords`, the
+rechart, then the collision check, which names the first closest pair in
+(i, j) order.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +47,6 @@ from .errors import CollisionError, StepRejectionError
 from .green import (
     pair_terms,
     renormalized_robin_at,
-    robin_h0_h1,
     sphere_gradient_terms,
     sphere_point_terms,
     torus_gradient_terms,
@@ -70,8 +71,6 @@ from .surfaces import (
     pair_selection,
 )
 from .theta import ThetaContext, theta_context
-
-_FOUR_PI = 4.0 * math.pi
 
 DEFAULT_COLLISION_THRESHOLD = 1e-3
 
@@ -169,13 +168,12 @@ def min_separation(surface: Surface, positions) -> float:
     if len(positions) < 2:
         return math.inf
     charts, coords = _point_arrays(positions)
-    i, j = pair_indices(len(coords))
-    return _check_separation(surface, coords, i, j, pair_selection(surface, charts, i, j),
-                             -math.inf, 0.0)
+    pairs = pair_selection(surface, charts, *pair_indices(len(coords)))
+    return float(pair_distances(surface, coords, pairs).min())
 
 
 # ---------------------------------------------------------------------------
-# raw evaluation layer: coordinate arrays and a pair selection, no reduction
+# raw evaluation layer: coordinate arrays and a plan's pairs, no reduction
 
 
 def _row_sums(i, j, upper, lower, weights: np.ndarray) -> np.ndarray:
@@ -190,70 +188,66 @@ def _row_sums(i, j, upper, lower, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A run's pairs, strengths and surface constants, and its velocity law (see
-    the module docstring).  On the torus lambda = 1 and du*/dz = conj(W) / (2 Im tau)
-    is a constant of the motion (sum Gamma v = 0), taken at the coordinates the
-    plan is built at."""
+    """A run's pairs (a `pair_selection` for the charts it was built or last
+    recharted at), strengths and surface constants, with the velocity law,
+    energy and separation check over them (see the module docstring).  On the
+    torus lambda = 1 and du*/dz = conj(W) / (2 Im tau) is a constant of the
+    motion (sum Gamma v = 0), taken at the coordinates the plan is built at."""
 
     surface: Surface
     basis: PeriodBasis
     strengths: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
+    pairs: np.ndarray
     theta: ThetaContext | None   # None on the sphere
     flow: complex                # du*/dz
 
-    def select(self, charts: np.ndarray) -> np.ndarray | None:
-        """The pairs' `pair_selection` for these charts."""
-        return pair_selection(self.surface, charts, self.i, self.j)
+    def rechart(self, charts: np.ndarray) -> _Plan:
+        """This plan with the pairs' selection for new charts."""
+        return replace(self, pairs=pair_selection(self.surface, charts,
+                                                  self.pairs[0], self.pairs[-1]))
 
-    def rows(self, coords: np.ndarray, select):
-        """(M Gamma + du*/dz, 1 / lambda^2) at every vortex, with
-        M_kj = dG(z_k, z_j)/dz_k in z_k's chart; `select` is `self.select(charts)`."""
-        i, j, g = self.i, self.j, self.strengths
+    def velocity(self, coords: np.ndarray) -> np.ndarray:
+        """-2i conj(M Gamma + du*/dz) / lambda^2 at every vortex, with
+        M_kj = dG(z_k, z_j)/dz_k in z_k's chart."""
+        pairs, g = self.pairs, self.strengths
+        i, j = pairs[0], pairs[-1]
         if self.theta is None:
             _, w, h = sphere_point_terms(coords)   # lambda = 2 / w
-            _, grad_i, grad_j = sphere_gradient_terms(coords, i, j, select, w, h)
-            return _row_sums(i, j, grad_i, grad_j, g), 0.25 * w * w
-        grad = torus_gradient_terms(self.theta, coords[i] - coords[j])[2]
-        return _row_sums(i, j, grad, -grad, g) + self.flow, 1.0
-
-    def velocity(self, coords: np.ndarray, select) -> np.ndarray:
-        rows, inv_lam2 = self.rows(coords, select)
+            _, grad_i, grad_j = sphere_gradient_terms(coords, pairs, w, h)
+            rows, inv_lam2 = _row_sums(i, j, grad_i, grad_j, g), 0.25 * w * w
+        else:
+            grad = torus_gradient_terms(self.theta, coords[i] - coords[j])[2]
+            rows, inv_lam2 = _row_sums(i, j, grad, -grad, g) + self.flow, 1.0
         return -2j * inv_lam2 * rows.conjugate()
 
+    def energy(self, coords, base_a, base_b) -> float:
+        """The energy at `coords`, with W from `coords`, not from the plan."""
+        surface, g, pairs = self.surface, self.strengths, self.pairs
+        value = pair_terms(surface, coords, pairs)[0]
+        twice_h = (g**2 * renormalized_robin_at(surface, coords)).sum()
+        twice_h += 2.0 * (g[pairs[0]] * g[pairs[-1]] * value).sum()
+        w = circulation_state(self.basis, coords, g, base_a, base_b)
+        twice_h += circulation_energy(self.basis, w)
+        return float(0.5 * twice_h)
 
-def _plan(surface: Surface, coords, strengths, base_a, base_b) -> _Plan:
+    def separation(self, coords, threshold: float, t: float) -> float:
+        """Minimum separation over the pairs; raises CollisionError below
+        `threshold`, naming the first closest pair in (i, j) order."""
+        d = pair_distances(self.surface, coords, self.pairs)
+        k = int(np.argmin(d))
+        best = float(d[k])
+        if best < threshold:
+            raise CollisionError(t, (int(self.pairs[0, k]), int(self.pairs[-1, k])), best)
+        return best
+
+
+def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
     strengths = np.asarray(strengths, dtype=float)
     basis = build_basis(surface)
-    i, j = pair_indices(len(strengths))
+    pairs = pair_selection(surface, charts, *pair_indices(len(strengths)))
     w = circulation_state(basis, coords, strengths, base_a, base_b)
     theta = None if surface.kind == SPHERE else theta_context(surface.tau)
-    return _Plan(surface, basis, strengths, i, j, theta, circulation_form(basis, w))
-
-
-def _hamiltonian_raw(plan: _Plan, coords, select, base_a, base_b) -> float:
-    """The energy at `coords`, with W from `coords`, not from the plan."""
-    surface, g, i, j = plan.surface, plan.strengths, plan.i, plan.j
-    value = pair_terms(surface, coords, i, j, select)[0]
-    twice_h = (g**2 * renormalized_robin_at(surface, coords)).sum()
-    twice_h += 2.0 * (g[i] * g[j] * value).sum()
-    w = circulation_state(plan.basis, coords, g, base_a, base_b)
-    twice_h += circulation_energy(plan.basis, w)
-    return float(0.5 * twice_h)
-
-
-def _check_separation(surface: Surface, coords, i, j, select, threshold: float,
-                      time: float) -> float:
-    """Minimum separation over the pairs (i[k], j[k]), `select` their
-    `pair_selection`; raises CollisionError below `threshold`, naming the first
-    closest pair in (i, j) order."""
-    d = pair_distances(surface, coords, i, j, select)
-    k = int(np.argmin(d))
-    best = float(d[k])
-    if best < threshold:
-        raise CollisionError(time, (int(i[k]), int(j[k])), best)
-    return best
+    return _Plan(surface, basis, strengths, pairs, theta, circulation_form(basis, w))
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +255,16 @@ def _check_separation(surface: Surface, coords, i, j, select, threshold: float,
 
 
 def _unpack(state: VortexState):
-    """(charts, coords, plan, selection) of a state: one selection per call."""
+    """(charts, coords, plan) of a state: one pair selection per call."""
     charts, coords = _point_arrays(state.positions)
-    plan = _plan(state.surface, coords, state.strengths, state.base_a, state.base_b)
-    return charts, coords, plan, plan.select(charts)
-
-
-def c1_coefficient(state: VortexState, k: int) -> complex:
-    """First stream-expansion coefficient at vortex k, in its canonical chart."""
-    _, coords, plan, select = _unpack(state)
-    rows = plan.rows(coords, select)[0]
-    return complex(robin_h0_h1(state.surface, coords[k])[1]
-                   + _FOUR_PI * rows[k] / plan.strengths[k])
+    return charts, coords, _plan(state.surface, charts, coords, state.strengths,
+                                 state.base_a, state.base_b)
 
 
 def vortex_velocities(state: VortexState) -> np.ndarray:
     """Velocities dz_k/dt of all vortices (connection-based law, canonical charts)."""
-    _, coords, plan, select = _unpack(state)
-    return plan.velocity(coords, select)
+    _, coords, plan = _unpack(state)
+    return plan.velocity(coords)
 
 
 def vortex_velocity(state: VortexState, k: int) -> complex:
@@ -288,21 +274,21 @@ def vortex_velocity(state: VortexState, k: int) -> complex:
 
 def hamiltonian(state: VortexState) -> float:
     """Renormalized energy of the configuration."""
-    _, coords, plan, select = _unpack(state)
-    return _hamiltonian_raw(plan, coords, select, state.base_a, state.base_b)
+    _, coords, plan = _unpack(state)
+    return plan.energy(coords, state.base_a, state.base_b)
 
 
 def hamiltonian_velocity(state: VortexState, k: int) -> complex:
     """Velocity of vortex k, -2i dH/dzbar_k / (Gamma_k lambda^2), with dH/dzbar_k
     from `oracles.wirtinger_fd` (step 1e-5, one Richardson level).  Every
     perturbed energy recomputes W, so this route shares no assembled terms
-    with the direct law (only the selection: vortex k keeps its chart)."""
-    _, coords, plan, select = _unpack(state)
+    with the direct law (only the pairs: vortex k keeps its chart)."""
+    _, coords, plan = _unpack(state)
 
     def energy(z: complex) -> float:
         pert = coords.copy()
         pert[k] = z
-        return _hamiltonian_raw(plan, pert, select, state.base_a, state.base_b)
+        return plan.energy(pert, state.base_a, state.base_b)
 
     lam2 = conformal_factor(state.surface, state.positions[k]) ** 2
     return -2j * wirtinger_fd(energy, coords[k], 1e-5)[1] / (state.strengths[k] * lam2)
@@ -323,20 +309,18 @@ _RKF_A = (
 _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 _RKF_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0)
 _MAX_REJECTS = 60   # consecutive rejections before StepRejectionError
+_STEP_TOL = 1e-12 + 1e-9   # largest accepted local error estimate, in any chart or cover
 
 
 @dataclass
 class _Trajectory:
-    plan: _Plan
+    plan: _Plan                  # recharted only when a chart changes
     base_a: tuple[float, ...]
     base_b: tuple[float, ...]
     charts: np.ndarray
-    select: np.ndarray | None    # plan.select(charts), rebuilt only when a chart changes
     coords: np.ndarray
     separation: float            # minimum separation at coords, for the next record
     threshold: float
-    rtol: float
-    atol: float
     trial_dt: float              # rk45: the step controller's next trial step
     rejections: int = 0
     evaluations: int = 0         # velocity evaluations, counted per step
@@ -345,25 +329,23 @@ class _Trajectory:
 
     def accept(self, coords: np.ndarray, t: float) -> None:
         """End an accepted step at time t: sphere vortices take the chart rule of
-        `canonical_coords` (torus cover coordinates stay), the selection follows
+        `canonical_coords` (torus cover coordinates stay), the plan's pairs follow
         a chart change, then the collision check runs."""
-        plan = self.plan
-        if plan.surface.kind == SPHERE:
-            charts, coords, _, _ = canonical_coords(plan.surface, self.charts, coords)
+        if self.plan.surface.kind == SPHERE:
+            charts, coords, _, _ = canonical_coords(self.plan.surface, self.charts, coords)
             changed = int((charts != self.charts).sum())
             if changed:
                 self.handovers += changed
-                self.charts, self.select = charts, plan.select(charts)
+                self.charts, self.plan = charts, self.plan.rechart(charts)
         self.coords = coords
-        self.separation = _check_separation(plan.surface, coords, plan.i, plan.j, self.select,
-                                            self.threshold, t)
+        self.separation = self.plan.separation(coords, self.threshold, t)
         self.accepted += 1
 
     def record(self, t: float) -> TrajectoryRecord:
         plan, basis, g = self.plan, self.plan.basis, self.plan.strengths
         charts, coords, a, b = _canonical(plan.surface, self.charts, self.coords, g,
                                           self.base_a, self.base_b)
-        h = _hamiltonian_raw(plan, coords, self.select, a, b)
+        h = plan.energy(coords, a, b)
         w = circulation_state(basis, coords, g, a, b)   # not the plan's: independent
         return TrajectoryRecord(t, _points(charts, coords), h, a, b, self.separation,
                                 kelvin_coefficients(basis, w))
@@ -372,11 +354,11 @@ class _Trajectory:
 def _rk4_advance(traj: _Trajectory, i0: int, i1: int, dt: float) -> None:
     """Fixed steps i0 + 1 .. i1, each ending at t = i * dt."""
     for i in range(i0 + 1, i1 + 1):
-        velocity, select, y0 = traj.plan.velocity, traj.select, traj.coords
-        k1 = velocity(y0, select)
-        k2 = velocity(y0 + 0.5 * dt * k1, select)
-        k3 = velocity(y0 + 0.5 * dt * k2, select)
-        k4 = velocity(y0 + dt * k3, select)
+        velocity, y0 = traj.plan.velocity, traj.coords
+        k1 = velocity(y0)
+        k2 = velocity(y0 + 0.5 * dt * k1)
+        k3 = velocity(y0 + 0.5 * dt * k2)
+        k4 = velocity(y0 + dt * k3)
         traj.evaluations += 4
         traj.accept(y0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, i * dt)
 
@@ -392,21 +374,20 @@ def _rkf45_advance(traj: _Trajectory, i0: int, i1: int, step: float) -> None:
         dt = min(dt, t_end - t)
         y0 = traj.coords
         if k1 is None:
-            k1 = traj.plan.velocity(y0, traj.select)
+            k1 = traj.plan.velocity(y0)
             traj.evaluations += 1
         ks = [k1]
         for i in range(1, 6):
             yi = y0.copy()
             for j, a in enumerate(_RKF_A[i]):
                 yi += dt * a * ks[j]
-            ks.append(traj.plan.velocity(yi, traj.select))
+            ks.append(traj.plan.velocity(yi))
         traj.evaluations += 5
         y1 = y0.copy()
         for i, b in enumerate(_RKF_B5):
             y1 += dt * b * ks[i]
         err = float(np.abs(sum(dt * c * k for c, k in zip(_RKF_ERR, ks))).max())
-        tol = traj.atol + traj.rtol * max(1.0, float(np.abs(y0).max()))
-        if err <= tol:
+        if err <= _STEP_TOL:
             t += dt
             traj.accept(y1, t)
             consecutive, k1 = 0, None
@@ -417,7 +398,7 @@ def _rkf45_advance(traj: _Trajectory, i0: int, i1: int, step: float) -> None:
                 raise StepRejectionError(
                     f"adaptive step rejected {consecutive} times in a row at t={t:.6g}"
                 )
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+        factor = 0.9 * (_STEP_TOL / err) ** 0.2 if err > 0 else 5.0
         dt *= min(5.0, max(0.2, factor))
     traj.trial_dt = dt
 
@@ -427,12 +408,12 @@ METHODS = {"rk4": _rk4_advance, "rk45-adaptive": _rkf45_advance}
 
 
 def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
-              record_every: int = 1, rtol: float = 1e-9, atol: float = 1e-12,
-              stats_out: dict | None = None) -> list[TrajectoryRecord]:
+              record_every: int = 1, stats_out: dict | None = None) -> list[TrajectoryRecord]:
     """Advance the state for `steps` steps of size `dt` under the velocity law.
 
     `method` names a METHODS entry: "rk4" (fixed step) or "rk45-adaptive"
-    (embedded 4(5) pair with step control between record times).  Records are
+    (embedded 4(5) pair with step control between record times, accepting a
+    step when its error estimate is at most _STEP_TOL).  Records are
     emitted at t=0, every `record_every`-th step and at the end; each is the
     canonical state at its time (positions and compensated base circulations,
     so it restarts the run) with its energy, Kelvin coefficients and minimum
@@ -452,10 +433,9 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
         raise ValueError(f"record_every: must be >= 1, got {record_every}")
     if method not in METHODS:
         raise ValueError(f"method: unknown integration method {method!r}")
-    charts, coords, plan, select = _unpack(state)
-    sep = _check_separation(state.surface, coords, plan.i, plan.j, select, -math.inf, 0.0)
-    traj = _Trajectory(plan, state.base_a, state.base_b, charts, select, coords, sep,
-                       state.collision_threshold, rtol, atol, dt)
+    charts, coords, plan = _unpack(state)
+    traj = _Trajectory(plan, state.base_a, state.base_b, charts, coords,
+                       plan.separation(coords, -math.inf, 0.0), state.collision_threshold, dt)
     records = [traj.record(0.0)]
     marks = (0, *range(record_every, steps, record_every), steps)
     stats = {} if stats_out is None else stats_out

@@ -10,9 +10,9 @@ Correctness of the torus branch is pinned by the spectral Poisson oracle, not
 by the formula itself.
 
 Every Green value and gradient comes from one pair kernel, `pair_terms`, over
-the pairs (i[k], j[k]) of a coordinate array; `green()` is its one-pair view.
-The velocity law calls its gradient entries directly.  On the sphere the pairs
-come in the homogeneous chart form of their `surfaces.pair_selection`, so one
+the pairs of a coordinate array, one `surfaces.pair_selection` array; `green()`
+is its one-pair view.  The velocity law calls its gradient entries directly.
+On the sphere that array carries the pairs' homogeneous chart form, so one
 formula serves every chart combination with one complex division per pair.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
@@ -93,13 +93,14 @@ def sphere_point_terms(coords):
     return m, w, coords.conjugate() / w
 
 
-def sphere_gradient_terms(coords, i, j, select, w, h):
-    """(|d|^2, dG/dz_i in zi's chart, dG/dz_j in zj's chart) over the pairs
-    (i[k], j[k]), `select` their `pair_selection` and (w, h) from
-    `sphere_point_terms`: d = zi b_j - a_j (zi - zj in one chart, zi zj - 1
-    across) and one reciprocal r = 1/d, with dG/dz_i = (h_i - b_j r) / 4 pi and
-    dG/dz_j = (h_j - c_i r) / 4 pi.  SingularityError if any two points coincide."""
-    zi, a, b, c = sphere_pair_points(coords, select)
+def sphere_gradient_terms(coords, pairs, w, h):
+    """(|d|^2, dG/dz_i in zi's chart, dG/dz_j in zj's chart) over `pairs`, a
+    `pair_selection`, and (w, h) from `sphere_point_terms`: d = zi b_j - a_j
+    (zi - zj in one chart, zi zj - 1 across) and one reciprocal r = 1/d, with
+    dG/dz_i = (h_i - b_j r) / 4 pi and dG/dz_j = (h_j - c_i r) / 4 pi.
+    SingularityError if any two points coincide."""
+    i, j = pairs[0], pairs[-1]
+    zi, a, b, c = sphere_pair_points(coords, pairs)
     d = zi * b - a
     num = np.abs(d) ** 2
     # squared R^3 chord 4 num / ((1+|zi|^2)(1+|zj|^2)) against the tolerance
@@ -109,15 +110,15 @@ def sphere_gradient_terms(coords, i, j, select, w, h):
     return num, (h[i] - b * r) * _INV_FOUR_PI, (h[j] - c * r) * _INV_FOUR_PI
 
 
-def pair_terms(surface: Surface, coords, i, j, select) -> tuple[np.ndarray, ...]:
+def pair_terms(surface: Surface, coords, pairs) -> tuple[np.ndarray, ...]:
     """The pair kernel: G(z_i, z_j) and both holomorphic gradients, each in its
-    own point's chart, over the pairs (i[k], j[k]), `select` their
-    `pair_selection`.  On the torus the second gradient is the first negated:
-    G depends on z_i - z_j only and is even."""
+    own point's chart, over `pairs`, a `pair_selection`.  On the torus the
+    second gradient is the first negated: G depends on z_i - z_j only and is even."""
     coords = np.asarray(coords, dtype=complex)
+    i, j = pairs[0], pairs[-1]
     if surface.kind == SPHERE:
         m, w, h = sphere_point_terms(coords)
-        num, grad_i, grad_j = sphere_gradient_terms(coords, i, j, select, w, h)
+        num, grad_i, grad_j = sphere_gradient_terms(coords, pairs, w, h)
         log_w = np.log1p(m)
         return -(np.log(num) - log_w[i] - log_w[j] + 1.0) / (4.0 * math.pi), grad_i, grad_j
     value, grad = torus_pair_terms(surface.tau, coords[i] - coords[j])
@@ -128,9 +129,8 @@ def green(surface: Surface, z: SurfacePoint, a: SurfacePoint) -> GreenEvaluation
     """Green function G(z, a) with zero mean, and dG/dz in the chart of z."""
     surface.check_chart(z.chart_id)
     surface.check_chart(a.chart_id)
-    i, j = pair_indices(2)
-    select = pair_selection(surface, (z.chart_id, a.chart_id), i, j)
-    value, grad, _ = pair_terms(surface, (z.coord, a.coord), i, j, select)
+    pairs = pair_selection(surface, (z.chart_id, a.chart_id), *pair_indices(2))
+    value, grad, _ = pair_terms(surface, (z.coord, a.coord), pairs)
     return GreenEvaluation(float(value[0]), complex(grad[0]))
 
 

@@ -205,25 +205,26 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def pair_selection(surface: Surface, charts, i, j) -> np.ndarray | None:
-    """The sphere pairs' (i[k], j[k]) chart form, the only chart input of pair
-    evaluations (None on the torus): in zi's chart zj is a_j / b_j, with
-    (a_j, b_j) = (zj, 1) in one chart and (1, zj) across (w = 1/z), and c_i = -1
-    in one chart, zi across; as index rows (i, a, b, c) into
-    concatenate((coords, [1, -1])), valid until a point changes chart."""
+def pair_selection(surface: Surface, charts, i, j) -> np.ndarray:
+    """The pairs (i[k], j[k]) of a configuration with these charts, as one int
+    array whose row 0 is i and last row j, the only pair input of pair
+    evaluations.  On the sphere rows 1-3 are the pairs' chart form: in zi's
+    chart zj is a_j / b_j, with (a_j, b_j) = (zj, 1) in one chart and (1, zj)
+    across (w = 1/z), and c_i = -1 in one chart, zi across; rows (i, a, b, c)
+    index concatenate((coords, [1, -1])), valid until a point changes chart."""
     if surface.kind != SPHERE:
-        return None
+        return np.stack((i, j))
     charts = np.asarray(charts)
     n, same = len(charts), charts[i] == charts[j]
-    return np.stack((i, np.where(same, j, n), np.where(same, n, j), np.where(same, n + 1, i)))
+    return np.stack((i, np.where(same, j, n), np.where(same, n, j), np.where(same, n + 1, i), j))
 
 
 _ONE_MINUS_ONE = np.array([1.0, -1.0], dtype=complex)
 
 
-def sphere_pair_points(coords, select):
-    """(zi, a_j, b_j, c_i) over the pairs of `select`, a `pair_selection`."""
-    return np.concatenate((coords, _ONE_MINUS_ONE))[select]
+def sphere_pair_points(coords, pairs):
+    """(zi, a_j, b_j, c_i) over sphere `pairs`, a `pair_selection`."""
+    return np.concatenate((coords, _ONE_MINUS_ONE))[pairs[:4]]
 
 
 @lru_cache(maxsize=None)
@@ -233,17 +234,17 @@ def _lattice_offsets(tau: complex) -> np.ndarray:
     return offsets
 
 
-def pair_distances(surface: Surface, coords, i, j, select) -> np.ndarray:
-    """Geodesic separations of the point pairs (i[k], j[k]), `select` their
-    `pair_selection`: on the sphere 2 atan2(|d|, |e|) with d = zi b_j - a_j and
-    e = conj(zi) a_j + b_j; on the torus (any cover coordinates) |j| times the
-    nearest of the 9 centered translates of u / j in the reduced basis."""
+def pair_distances(surface: Surface, coords, pairs) -> np.ndarray:
+    """Geodesic separations over `pairs`, a `pair_selection`: on the sphere
+    2 atan2(|d|, |e|) with d = zi b_j - a_j and e = conj(zi) a_j + b_j; on the
+    torus (any cover coordinates) |j| times the nearest of the 9 centered
+    translates of u / j in the reduced basis."""
     coords = np.asarray(coords, dtype=complex)
     if surface.kind == SPHERE:
-        zi, a, b, _ = sphere_pair_points(coords, select)
+        zi, a, b, _ = sphere_pair_points(coords, pairs)
         return 2.0 * np.arctan2(np.abs(zi * b - a), np.abs(zi.conjugate() * a + b))
     tau_r, j_tau = reduced_modulus(surface.tau)
-    u = reduce_centered(tau_r, (coords[i] - coords[j]) * (1.0 / j_tau))
+    u = reduce_centered(tau_r, (coords[pairs[0]] - coords[pairs[-1]]) * (1.0 / j_tau))
     return abs(j_tau) * np.abs(u[..., None] + _lattice_offsets(tau_r)).min(axis=-1)
 
 
@@ -252,6 +253,5 @@ def geodesic_distance(surface: Surface, p: SurfacePoint, q: SurfacePoint) -> flo
     configuration's (numpy's scalar and array complex products can differ)."""
     surface.check_chart(p.chart_id)
     surface.check_chart(q.chart_id)
-    i, j = pair_indices(2)
-    select = pair_selection(surface, (p.chart_id, q.chart_id), i, j)
-    return float(pair_distances(surface, (p.coord, q.coord), i, j, select)[0])
+    pairs = pair_selection(surface, (p.chart_id, q.chart_id), *pair_indices(2))
+    return float(pair_distances(surface, (p.coord, q.coord), pairs)[0])

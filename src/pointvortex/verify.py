@@ -150,8 +150,8 @@ def sphere_green_normalization(poles=None) -> float:
             # the m nodes and the pole as one (m+1)-point configuration
             m = coords.size
             i, j = np.arange(m), np.full(m, m)
-            select = pair_selection(_SPHERE, np.append(charts, pole.chart_id), i, j)
-            return pair_terms(_SPHERE, np.append(coords, pole.coord), i, j, select)[0]
+            pairs = pair_selection(_SPHERE, np.append(charts, pole.chart_id), i, j)
+            return pair_terms(_SPHERE, np.append(coords, pole.coord), pairs)[0]
 
         worst = max(worst, abs(sphere_quadrature(integrand, pole)))
     return worst
@@ -399,7 +399,7 @@ _CHECKS = (
     ("sphere_green_closed_form", 1e-13, lambda rng, full: sphere_green_closed_form(rng)),
     ("sphere_green_symmetry", 1e-12, lambda rng, full: green_symmetry(_SPHERE, rng, 200)),
     ("torus_green_symmetry", 1e-12, lambda rng, full: green_symmetry(_TORUS_SKEW, rng, 100)),
-    ("sphere_green_normalization", 1e-6, lambda rng, full: sphere_green_normalization()),
+    ("sphere_green_normalization", 1e-10, lambda rng, full: sphere_green_normalization()),
     ("torus_green_normalization", 1e-12, lambda rng, full: torus_green_normalization()),
     ("torus_green_vs_poisson", 1e-6, lambda rng, full: max(
         torus_green_vs_poisson(t, 256 if full else 128)

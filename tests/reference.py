@@ -2,7 +2,7 @@
 
 The inverse of a transition jet, the connection calculus of the order-0/1/2
 gluing rules, the metric's Levi-Civita connection, the two-point potential,
-the constant stream coefficient c0 with the conjugate potential u*, and a
+the stream coefficients c0 (with the conjugate potential u*) and c1, and a
 meridian arc-length quadrature.  None of them is on a `run` or `verify`
 path, so they live here, built on the package's public calls.
 """
@@ -16,7 +16,7 @@ from pointvortex.connections import TransitionJet, bracket
 from pointvortex.dynamics import VortexState
 from pointvortex.errors import SingularityError
 from pointvortex.green import green, robin_data
-from pointvortex.periods import PeriodBasis, build_basis, circulation_state
+from pointvortex.periods import PeriodBasis, build_basis, circulation_form, circulation_state
 from pointvortex.surfaces import SPHERE, Surface, SurfacePoint, geodesic_distance
 
 _TWO_PI = 2.0 * cmath.pi
@@ -154,6 +154,18 @@ def c0_coefficient(state: VortexState, k: int) -> float:
     w = circulation_state(basis, [p.coord for p in points], g, state.base_a, state.base_b)
     mutual += conjugate_potential(basis, w, points[k].coord)
     return robin_data(surface, points[k]).h0 + _TWO_PI * mutual / g[k]
+
+
+def c1_coefficient(state: VortexState, k: int) -> complex:
+    """First stream-expansion coefficient at vortex k, in its canonical chart:
+    h1(z_k) + 4 pi (sum_{j != k} Gamma_j dG(z_k, z_j)/dz_k + du*/dz) / Gamma_k."""
+    surface, points, g = state.surface, state.positions, state.strengths
+    mutual = sum(g[j] * green(surface, points[k], p).grad_z
+                 for j, p in enumerate(points) if j != k)
+    basis = build_basis(surface)
+    w = circulation_state(basis, [p.coord for p in points], g, state.base_a, state.base_b)
+    mutual += circulation_form(basis, w)
+    return robin_data(surface, points[k]).h1 + 2.0 * _TWO_PI * mutual / g[k]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from pointvortex.errors import ConfigError, StepRejectionError
 from pointvortex.surfaces import Surface
 from pointvortex.verify import random_state, verify_scenario
 
-BUNDLED = ("sphere_antipodal_pair", "torus_pair_translate", "torus_four_vortex")
+BUNDLED = ("sphere_antipodal_pair", "sphere_crossing_pair", "torus_pair_translate",
+           "torus_four_vortex")
 
 
 # The directory holding the package this test run imported. Putting it first

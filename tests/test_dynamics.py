@@ -7,19 +7,19 @@ import pytest
 
 from pointvortex.dynamics import (
     VortexState,
-    c1_coefficient,
     hamiltonian,
     hamiltonian_velocity,
+    vortex_velocities,
     vortex_velocity,
     _plan,
 )
 from pointvortex.errors import CollisionError
 from pointvortex.green import green, renormalized_robin_at, robin_data
 from pointvortex.periods import build_basis, circulation_state
-from pointvortex.surfaces import SurfacePoint, transition
+from pointvortex.surfaces import SurfacePoint, conformal_factor, transition
 from pointvortex.verify import random_state
 
-from reference import c0_coefficient, conjugate_potential, dlog_lambda_dzbar
+from reference import c0_coefficient, c1_coefficient, conjugate_potential, dlog_lambda_dzbar
 
 
 def antipodal_pair(sphere, gamma=1.0):
@@ -131,19 +131,20 @@ class TestC1:
         assert abs(c1_coefficient(st_real, 0).imag) < 1e-10
         assert abs(c1_coefficient(st_imag, 0).real) < 1e-10
 
-    def test_genus_zero_has_no_circulation_term(self, sphere, rng):
-        # manual reassembly from robin data and mutual gradients only
-        st = random_state(sphere, 4, rng)
-        for k in range(4):
-            zk = st.positions[k]
-            manual = robin_data(sphere, zk).h1
-            for j in range(4):
-                if j == k:
-                    continue
-                manual += (
-                    4.0 * math.pi * st.strengths[j] / st.strengths[k]
-                ) * green(sphere, zk, st.positions[j]).grad_z
-            assert abs(c1_coefficient(st, k) - manual) < 1e-14
+    @pytest.mark.parametrize("surface", ("sphere", "torus_skew"))
+    def test_velocity_law_from_c1(self, surface, rng, request):
+        # the paper's law Gamma_k / (2 pi i lambda^2) (conj(c1_k) + dlog lambda/dzbar),
+        # with c1 assembled from Robin h1, scalar Green gradients and du*/dz,
+        # against the velocity law's one vectorized evaluation
+        surface = request.getfixturevalue(surface)
+        for n in (2, 3, 5):
+            st = random_state(surface, n, rng, circulations=True)
+            got = vortex_velocities(st)
+            for k, p in enumerate(st.positions):
+                lam2 = conformal_factor(surface, p) ** 2
+                want = st.strengths[k] / (2j * math.pi * lam2) * (
+                    c1_coefficient(st, k).conjugate() + dlog_lambda_dzbar(surface, p))
+                assert abs(got[k] - want) <= 1e-12 * np.abs(got).max()
 
 
 class TestC0:
@@ -227,10 +228,9 @@ class TestVelocityLaw:
                 continue
             strengths = (1.7, -1.7)
             coords0, coords1 = np.array([z, a]), np.array([1.0 / z, a])
-            plan0, plan1 = (_plan(sphere, c, strengths, (), ()) for c in (coords0, coords1))
-            v0 = plan0.velocity(coords0, plan0.select(np.array([0, 0])))[0]
+            v0 = _plan(sphere, [0, 0], coords0, strengths, (), ()).velocity(coords0)[0]
             _, jet = transition(sphere, SurfacePoint(0, z), 1)
-            v1 = plan1.velocity(coords1, plan1.select(np.array([1, 0])))[0]
+            v1 = _plan(sphere, [1, 0], coords1, strengths, (), ()).velocity(coords1)[0]
             assert abs(v1 - jet.phi1 * v0) < 1e-9 * max(1.0, abs(v1))
             done += 1
 
@@ -325,7 +325,8 @@ class TestHamiltonian:
         raw = np.array([p.coord + m + n * tau for p, (m, n) in zip(
             st.positions, ((2, -1), (0, 3), (-1, 0))
         )])
-        v_raw = _plan(torus_skew, raw, st.strengths, st.base_a, st.base_b).velocity(raw, None)
+        v_raw = _plan(torus_skew, [0, 0, 0], raw, st.strengths, st.base_a,
+                      st.base_b).velocity(raw)
         reduced = VortexState(torus_skew, tuple(SurfacePoint(0, z) for z in raw),
                               st.strengths, st.base_a, st.base_b)
         for p, q in zip(reduced.positions, st.positions):
@@ -357,11 +358,10 @@ class TestVelocityEquivalence:
 def test_raw_evaluation_checks_collisions(torus_i):
     # the integrator hands evolving raw coordinates to the separation check;
     # the public constructor would already reject this configuration
-    from pointvortex.dynamics import _check_separation
-    from pointvortex.surfaces import pair_indices
-
+    coords = np.array([0.2 + 0.2j, 0.2 + 0.21j])
+    plan = _plan(torus_i, [0, 0], coords, (1.0, -1.0), (0.0,), (0.0,))
     with pytest.raises(CollisionError):
-        _check_separation(torus_i, [0.2 + 0.2j, 0.2 + 0.21j], *pair_indices(2), None, 0.05, 1.0)
+        plan.separation(coords, 0.05, 1.0)
 
 
 def test_random_state_impossible_request_raises(torus_i):

@@ -19,6 +19,8 @@ from pointvortex.periods import build_basis, circulation_form, circulation_state
 from pointvortex.surfaces import SurfacePoint, Surface, reduce_centered
 from pointvortex.verify import random_state
 
+from embedding import sphere_embedding
+
 
 def four_vortex_torus(tau=1j, threshold=1e-3):
     surface = Surface.flat_torus(tau)
@@ -67,6 +69,28 @@ class TestSpherePairDynamics:
         slope = np.polyfit(times, angles, 1)[0]
         measured_period = 2.0 * math.pi / abs(slope)
         assert abs(measured_period - period) / period < 1e-6
+
+    def test_crossing_pair_turns_rigidly(self):
+        # a (Gamma, -Gamma) pair turns rigidly at |Omega| = Gamma / (2 pi d) about
+        # (x1 - x2) / d, d the R^3 chord; the bundled pair crosses |z| = 1
+        cfg = resolve_scenario("sphere_crossing_pair")
+        st, spec, stats = cfg.state(), cfg.integrator, {}
+        recs = integrate(st, spec.dt, spec.steps, record_every=spec.record_every,
+                         stats_out=stats)
+        assert stats["chart_handovers"] >= 1, "fixture must exercise the handover"
+
+        def embed(points):
+            return np.array(sphere_embedding([p.chart_id for p in points],
+                                             [p.coord for p in points])).T
+
+        x0, x1 = embed(st.positions), embed(recs[-1].positions)
+        d = np.linalg.norm(x0[0] - x0[1])
+        axis = (x0[0] - x0[1]) / d
+        angle = -st.strengths[0] * recs[-1].time / (2.0 * math.pi * d)
+        # Rodrigues' formula: the right-handed turn by `angle` about `axis`
+        want = (x0 * math.cos(angle) + np.cross(axis, x0) * math.sin(angle)
+                + np.outer(x0 @ axis, axis) * (1.0 - math.cos(angle)))
+        assert np.abs(x1 - want).max() < 1e-7
 
     def test_antipodal_pair_is_a_fixed_point(self, sphere):
         st = VortexState(
@@ -281,14 +305,14 @@ def rk4_handover_at(st, dt, steps, every, limit):
     handing a sphere vortex over to the other chart only once |z| > limit."""
     charts = np.array([p.chart_id for p in st.positions])
     coords = np.array([p.coord for p in st.positions])
-    plan = _plan(st.surface, coords, st.strengths, st.base_a, st.base_b)
+    plan = _plan(st.surface, charts, coords, st.strengths, st.base_a, st.base_b)
     out = []
     for i in range(1, steps + 1):
-        select = plan.select(charts)
-        k1 = plan.velocity(coords, select)
-        k2 = plan.velocity(coords + 0.5 * dt * k1, select)
-        k3 = plan.velocity(coords + 0.5 * dt * k2, select)
-        k4 = plan.velocity(coords + dt * k3, select)
+        plan = plan.rechart(charts)
+        k1 = plan.velocity(coords)
+        k2 = plan.velocity(coords + 0.5 * dt * k1)
+        k3 = plan.velocity(coords + 0.5 * dt * k2)
+        k4 = plan.velocity(coords + dt * k3)
         coords = coords + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         flip = np.abs(coords) > limit
         charts[flip] = 1 - charts[flip]
@@ -349,21 +373,25 @@ class TestChartHandover:
 
 
 class TestAdaptive:
-    def test_rk45_matches_rk4(self):
+    @pytest.fixture
+    def tight(self, monkeypatch):
+        # a step tolerance 100 times below the default
+        monkeypatch.setattr(dynamics, "_STEP_TOL", 1e-13 + 1e-11)
+
+    def test_rk45_matches_rk4(self, tight):
         st = four_vortex_torus()
         a = integrate(st, 1e-3, 500, method="rk4", record_every=500)
-        b = integrate(st, 1e-3, 500, method="rk45-adaptive", record_every=500,
-                      rtol=1e-11, atol=1e-13)
+        b = integrate(st, 1e-3, 500, method="rk45-adaptive", record_every=500)
         for pa, pb in zip(a[-1].positions, b[-1].positions):
             assert abs(pa.coord - pb.coord) < 1e-8
 
-    def test_rk45_through_sphere_handover(self, sphere, rng):
+    def test_rk45_through_sphere_handover(self, sphere, rng, tight):
         # adaptive stepping must interoperate with chart flips mid-advance
         st = random_state(sphere, 4, rng, min_sep=0.5)
         a = integrate(st, 5e-3, 2000, method="rk4", record_every=2000)
         stats = {}
         b = integrate(st, 5e-3, 2000, method="rk45-adaptive", record_every=2000,
-                      rtol=1e-11, atol=1e-13, stats_out=stats)
+                      stats_out=stats)
         assert stats["chart_handovers"] > 0, "fixture must exercise the handover"
         for pa, pb in zip(a[-1].positions, b[-1].positions):
             assert pa.chart_id == pb.chart_id
@@ -374,10 +402,11 @@ class TestAdaptive:
         recs = integrate(st, 1e-3, 100, method="rk45-adaptive", record_every=25)
         assert [round(r.time, 9) for r in recs] == [0.0, 0.025, 0.05, 0.075, 0.1]
 
-    def test_step_rejection_overflow(self):
+    def test_step_rejection_overflow(self, monkeypatch):
         st = four_vortex_torus()
+        monkeypatch.setattr(dynamics, "_STEP_TOL", 0.0)
         with pytest.raises(StepRejectionError):
-            integrate(st, 1e-3, 10, method="rk45-adaptive", rtol=0.0, atol=0.0)
+            integrate(st, 1e-3, 10, method="rk45-adaptive")
 
 
 class TestCollision:
@@ -442,9 +471,10 @@ class TestRunCounters:
         # a rejected trial keeps its k1 for the next: 6 evaluations per accepted
         # step and 5 per rejection
         calls = self.counting(monkeypatch, dynamics._Plan, "velocity")
+        monkeypatch.setattr(dynamics, "_STEP_TOL", 1e-13 + 1e-11)
         stats = {}
         recs = integrate(four_vortex_torus(), 0.05, 20, method="rk45-adaptive",
-                         record_every=5, rtol=1e-11, atol=1e-13, stats_out=stats)
+                         record_every=5, stats_out=stats)
         assert stats["step_rejections"] > 0, "fixture must exercise a rejection"
         assert stats["accepted_steps"] >= len(recs) - 1
         assert stats["velocity_evaluations"] == len(calls) == (

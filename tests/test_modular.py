@@ -141,7 +141,7 @@ def test_modular_covariance(re, im, gamma, s, t):
     r, r_m = (robin_data(Surface.flat_torus(x), p0) for x in (tau, moved))
     assert close(r.h0 - math.log(abs(j)), r_m.h0)
     assert close(j**2 * r.h2, r_m.h2)
-    dist, dist_m = (pair_distances(Surface.flat_torus(x), [0j, z], 0, 1, None)
+    dist, dist_m = (pair_distances(Surface.flat_torus(x), [0j, z], np.array([[0], [1]]))[0]
                     for x, z in ((tau, u), (moved, u / j)))
     assert close(dist / abs(j), dist_m)
 

@@ -19,8 +19,6 @@ from hypothesis import strategies as st
 from pointvortex import theta
 from pointvortex.dynamics import (
     VortexState,
-    _check_separation,
-    _hamiltonian_raw,
     _plan,
     hamiltonian_velocity,
     min_separation,
@@ -252,8 +250,7 @@ SURFACE_CONFIGS.append(pytest.param(sphere_configs(), id="sphere"))
 @settings(max_examples=30)
 def test_velocity_matches_loop_reference(surface_configs, data):
     surface, charts, coords, g, a, b = data.draw(surface_configs) if data else skinny_config()
-    plan = _plan(surface, coords, g, a, b)
-    got = plan.velocity(coords, plan.select(charts))
+    got = _plan(surface, charts, coords, g, a, b).velocity(coords)
     want = ref_velocity(surface, charts, coords, g, a, b)
     assert np.abs(got - want).max() <= REL_TOL * np.abs(want).max()
 
@@ -264,8 +261,7 @@ def test_velocity_matches_loop_reference(surface_configs, data):
 @settings(max_examples=30)
 def test_hamiltonian_matches_loop_reference(surface_configs, data):
     surface, charts, coords, g, a, b = data.draw(surface_configs) if data else skinny_config()
-    plan = _plan(surface, coords, g, a, b)
-    got = _hamiltonian_raw(plan, coords, plan.select(charts), a, b)
+    got = _plan(surface, charts, coords, g, a, b).energy(coords, a, b)
     terms = ref_hamiltonian_terms(surface, charts, coords, g, a, b)
     assert type(got) is float
     assert abs(got - 0.5 * math.fsum(terms)) <= REL_TOL * 0.5 * sum(abs(t) for t in terms)
@@ -316,9 +312,8 @@ def test_circulation_closed_forms_match_cycle_potentials(tau, data):
 
 def one_pair(surface, cz, z, ca, a):
     """`pair_terms` of the one pair (z, a) as scalars."""
-    i, j = pair_indices(2)
-    select = pair_selection(surface, (cz, ca), i, j)
-    return tuple(x[0] for x in pair_terms(surface, (z, a), i, j, select))
+    pairs = pair_selection(surface, (cz, ca), *pair_indices(2))
+    return tuple(x[0] for x in pair_terms(surface, (z, a), pairs))
 
 
 @given(st.sampled_from(TAUS), unit, unit, unit, unit, wrap, wrap)
@@ -374,7 +369,7 @@ def test_sphere_chart_invariance(config):
 @given(configs)
 @example(skinny_config())
 def test_min_separation_matches_scalar_minimum(config):
-    surface, charts, coords, _, _, _ = config
+    surface, charts, coords, g, a, b = config
     pts = [SurfacePoint(int(c), complex(z)) for c, z in zip(charts, coords)]
     pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
     scalar = [geodesic_distance(surface, pts[i], pts[j]) for i, j in pairs]
@@ -383,9 +378,7 @@ def test_min_separation_matches_scalar_minimum(config):
     reference = min(ref_geodesic(surface, pts[i], pts[j]) for i, j in pairs)
     assert abs(best - reference) <= REL_TOL * reference
     with pytest.raises(CollisionError) as err:
-        i, j = pair_indices(len(coords))
-        _check_separation(surface, coords, i, j, pair_selection(surface, charts, i, j),
-                          2.0 * best, 0.5)
+        _plan(surface, charts, coords, g, a, b).separation(coords, 2.0 * best, 0.5)
     assert err.value.pair == pairs[scalar.index(best)]
     assert err.value.separation == best
     assert err.value.time == 0.5
@@ -396,7 +389,7 @@ def test_pair_distances_are_nearest_images_on_skinny_tori(tau):
     rng = np.random.default_rng(5)
     coords = rng.uniform(-2.0, 2.0, 41) + rng.uniform(-2.0, 2.0, 41) * tau
     i, k = np.arange(40), np.arange(1, 41)
-    got = pair_distances(Surface.flat_torus(tau), coords, i, k, None)
+    got = pair_distances(Surface.flat_torus(tau), coords, np.stack((i, k)))
     expected = np.array([ref_nearest_image(tau, coords[a] - coords[b]) for a, b in zip(i, k)])
     assert (np.abs(got - expected) <= REL_TOL * expected).all()
 
@@ -414,7 +407,8 @@ def test_check_separation_reports_first_closest_pair():
     torus = Surface.flat_torus(1j)
     coords = np.array([0.25 + 0.5j, 0.5 + 0.5j, 0.75 + 0.5j])
     with pytest.raises(CollisionError) as err:
-        _check_separation(torus, coords, *pair_indices(3), None, 0.3, 2.0)
+        _plan(torus, [0, 0, 0], coords, (1.0, -0.5, -0.5), (0.0,), (0.0,)).separation(
+            coords, 0.3, 2.0)
     assert err.value.pair == (0, 1)
     assert err.value.separation == 0.25
 
@@ -454,6 +448,6 @@ def test_canonical_state_round_trip(tau, data):
     w_back = circulation_state(basis, back_coords, g, back.base_a, back.base_b)
     scale = abs(a[0] * tau) + abs(b[0]) + float(np.abs(g * coords).sum())
     assert abs(w_back - w_raw) <= REL_TOL * scale
-    v_raw = _plan(surface, coords, g, a, b).velocity(coords, None)
-    v_back = _plan(surface, back_coords, g, back.base_a, back.base_b).velocity(back_coords, None)
+    v_raw = _plan(surface, charts, coords, g, a, b).velocity(coords)
+    v_back = _plan(surface, charts, back_coords, g, back.base_a, back.base_b).velocity(back_coords)
     assert np.abs(v_back - v_raw).max() <= REL_TOL * np.abs(v_raw).max()

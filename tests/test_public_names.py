@@ -14,10 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pointvortex"
 
 # name -> why it stays public without a caller
-ALLOWED = {
-    "c1_coefficient": "the paper's velocity decomposition c1 = h1 + 4 pi (M Gamma "
-                      "+ du*/dz)_k / Gamma_k, kept as public API beside the velocity law",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def definitions(tree):

@@ -2,8 +2,8 @@
 
 In vortex i's chart vortex j is the point a_j / b_j, and the pole term of
 dG/dz_j has numerator c_i.  Every sphere pair evaluation gathers (a_j, b_j, c_i)
-through index rows built from the charts (`surfaces.pair_selection`): a run
-builds them once per chart change, a one-shot call once per call.  The kernel
+through index rows built from the charts (`surfaces.pair_selection`): a run's
+plan rebuilds them once per chart change, a one-shot call once per call.  The kernel
 on them must match the pole written out, in all four chart combinations, on
 |z| = 1, near antipodes and 1e-9 apart.  The chart rule that sets the charts
 must leave its own output unchanged at |z| = 1.
@@ -83,7 +83,7 @@ def ref_gradient(cz, z, ca, a):
 @given(st.lists(sphere_pairs(), min_size=1, max_size=8))
 def test_selected_kernel_matches_reference(pairs):
     charts, coords, i, j = as_configuration(pairs)
-    _, grad_i, grad_j = pair_terms(SPHERE, coords, i, j, pair_selection(SPHERE, charts, i, j))
+    _, grad_i, grad_j = pair_terms(SPHERE, coords, pair_selection(SPHERE, charts, i, j))
     for k, (ci, zi, cj, zj, _) in enumerate(pairs):
         for got, (ref, tol) in ((grad_i[k], ref_gradient(ci, zi, cj, zj)),
                                 (grad_j[k], ref_gradient(cj, zj, ci, zi))):
@@ -93,7 +93,7 @@ def test_selected_kernel_matches_reference(pairs):
 @given(st.lists(sphere_pairs(), min_size=1, max_size=8))
 def test_selected_pair_distances_match_geodesic_distance(pairs):
     charts, coords, i, j = as_configuration(pairs)
-    got = pair_distances(SPHERE, coords, i, j, pair_selection(SPHERE, charts, i, j))
+    got = pair_distances(SPHERE, coords, pair_selection(SPHERE, charts, i, j))
     for k, (ci, zi, cj, zj, kind) in enumerate(pairs):
         assert got[k] == geodesic_distance(SPHERE, SurfacePoint(ci, zi), SurfacePoint(cj, zj))
         if kind == "antipodal":
@@ -110,7 +110,7 @@ def test_exact_antipodes_are_pi_apart(ci, cj):
         zj = in_chart(1 - ci, -z.conjugate(), cj)
         charts, coords = np.array([ci, cj]), np.array([z, zj])
         i, j = np.array([0]), np.array([1])
-        d = pair_distances(SPHERE, coords, i, j, pair_selection(SPHERE, charts, i, j))
+        d = pair_distances(SPHERE, coords, pair_selection(SPHERE, charts, i, j))
         assert abs(d[0] - math.pi) <= 1e-15 * math.pi
 
 
@@ -122,9 +122,9 @@ def test_coincident_points_raise_in_both_orientations(ci, cj):
         with pytest.raises(SingularityError):
             green(SPHERE, SurfacePoint(c1, z1), SurfacePoint(c2, z2))
         charts, coords = np.array([c1, c2]), np.array([z1, z2])
-        plan = _plan(SPHERE, coords, (1.0, -1.0), (), ())
+        plan = _plan(SPHERE, charts, coords, (1.0, -1.0), (), ())
         with pytest.raises(SingularityError):
-            plan.velocity(coords, plan.select(charts))
+            plan.velocity(coords)
 
 
 def crossing_state(rng):
@@ -134,7 +134,7 @@ def crossing_state(rng):
 
 
 def test_selection_is_rebuilt_only_when_a_chart_changes(monkeypatch, rng):
-    # every velocity evaluation of a step sees the step's selection object;
+    # every velocity evaluation of a step sees the step's pairs object;
     # a new one is built at the start and after each step whose charts
     # changed, and the records (one per step here) build none
     built, seen = [], []
@@ -144,9 +144,9 @@ def test_selection_is_rebuilt_only_when_a_chart_changes(monkeypatch, rng):
         built.append(real_selection(*args))
         return built[-1]
 
-    def velocity(self, coords, select):
-        seen.append(select)
-        return real_velocity(self, coords, select)
+    def velocity(self, coords):
+        seen.append(self.pairs)
+        return real_velocity(self, coords)
 
     state = crossing_state(rng)
     monkeypatch.setattr(dynamics, "pair_selection", selection)

@@ -1,6 +1,7 @@
 """The sampling loops of the verify battery are bounded, its tolerance
 overrides name real checks, its direct velocity route makes one all-vortex
-evaluation per state, and its self-term check fails on a wrong metric."""
+evaluation per state, its self-term check fails on a wrong metric and its
+sphere normalization check on a shifted Green function."""
 import math
 
 import numpy as np
@@ -125,3 +126,21 @@ def test_self_term_check_fails_on_a_wrong_metric(monkeypatch):
     lambda_at = surfaces.lambda_at
     monkeypatch.setattr(surfaces, "lambda_at", lambda s, z: lambda_at(s, z) ** (1.0 + 1e-6))
     assert self_term_residual(np.random.default_rng(7)) > 1e-7
+
+
+def test_sphere_normalization_check_fails_on_a_shifted_green_function(monkeypatch):
+    # G + 5e-8 integrates to 4 pi * 5e-8 = 6.3e-7 over the sphere, against a
+    # residual near 1e-12; the suite's check alone must pass, then FAIL
+    monkeypatch.setattr(verify, "_CHECKS", tuple(
+        c for c in verify._CHECKS if c[0] == "sphere_green_normalization"))
+    [clean] = run_suite("quick", 7)
+    assert clean.passed and clean.residual < 1e-11
+    pair_terms = verify.pair_terms
+
+    def shifted(*args):
+        value, *grads = pair_terms(*args)
+        return (value + 5e-8, *grads)
+
+    monkeypatch.setattr(verify, "pair_terms", shifted)
+    [result] = run_suite("quick", 7)
+    assert not result.passed and result.residual > 6e-7
