@@ -9,8 +9,12 @@ where the stream-expansion coefficient c1 = h1 + 4 pi (M Gamma + du*/dz)_k / Gam
 collects the Robin coefficient h1, the Green gradients M_kj = dG(z_k, z_j)/dz_k
 of the other vortices and the circulation gradient du*/dz.  On the sphere and
 flat tori the self-term conj(h1) + d(log lambda)/dzbar vanishes, so dz_k/dt =
--2i conj(M Gamma + du*/dz)_k / lambda^2.  Finite differences of the
-renormalized Hamiltonian give an independent velocity route for cross-validation.
+-2i conj(M Gamma + du*/dz)_k / lambda^2, and the renormalized Robin function
+R = (h0 + log lambda) / 2 pi is one constant per surface, so the renormalized
+Hamiltonian 2H = R sum Gamma_k^2 + 2 sum_{i<j} Gamma_i Gamma_j G(z_i, z_j)
++ E(W), E the circulating flow's energy (0 on the sphere), evaluates no
+per-point Robin or metric term.  Its finite differences give an independent
+velocity route for cross-validation.
 
 Torus trajectories are integrated in universal-cover coordinates so the
 multivalued circulation potentials stay on one continuous branch; doubly
@@ -46,7 +50,7 @@ import numpy as np
 from .errors import CollisionError, StepRejectionError
 from .green import (
     pair_terms,
-    renormalized_robin_at,
+    robin_data,
     sphere_gradient_terms,
     sphere_point_terms,
     torus_gradient_terms,
@@ -192,7 +196,8 @@ class _Plan:
     recharted at), strengths and surface constants, with the velocity law,
     energy and separation check over them (see the module docstring).  On the
     torus lambda = 1 and du*/dz = conj(W) / (2 Im tau) is a constant of the
-    motion (sum Gamma v = 0), taken at the coordinates the plan is built at."""
+    motion (sum Gamma v = 0), taken at the coordinates the plan is built at;
+    `robin` is the surface's constant R = (h0 + log lambda) / 2 pi."""
 
     surface: Surface
     basis: PeriodBasis
@@ -200,6 +205,7 @@ class _Plan:
     pairs: np.ndarray
     theta: ThetaContext | None   # None on the sphere
     flow: complex                # du*/dz
+    robin: float
 
     def rechart(self, charts: np.ndarray) -> _Plan:
         """This plan with the pairs' selection for new charts."""
@@ -224,7 +230,7 @@ class _Plan:
         """The energy at `coords`, with W from `coords`, not from the plan."""
         surface, g, pairs = self.surface, self.strengths, self.pairs
         value = pair_terms(surface, coords, pairs)[0]
-        twice_h = (g**2 * renormalized_robin_at(surface, coords)).sum()
+        twice_h = (g**2 * self.robin).sum()
         twice_h += 2.0 * (g[pairs[0]] * g[pairs[-1]] * value).sum()
         w = circulation_state(self.basis, coords, g, base_a, base_b)
         twice_h += circulation_energy(self.basis, w)
@@ -247,7 +253,10 @@ def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
     pairs = pair_selection(surface, charts, *pair_indices(len(strengths)))
     w = circulation_state(basis, coords, strengths, base_a, base_b)
     theta = None if surface.kind == SPHERE else theta_context(surface.tau)
-    return _Plan(surface, basis, strengths, pairs, theta, circulation_form(basis, w))
+    origin = SurfacePoint(0, 0j)
+    robin = (robin_data(surface, origin).h0
+             + math.log(conformal_factor(surface, origin))) / (2.0 * math.pi)
+    return _Plan(surface, basis, strengths, pairs, theta, circulation_form(basis, w), robin)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ formula serves every chart combination with one complex division per pair.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
-defines the chart-dependent Robin data (h0, h1, h2, h11); RobinData records
-the chart it was evaluated in, since these coefficients glue as connections,
-not functions.  The Hamiltonian uses the chart-invariant combination
-R = (h0 + log lambda) / 2 pi (`renormalized_robin_at`).
+defines the chart-dependent Robin data (h0, h1, h2, h11), written only by
+`robin_data`; RobinData records the chart, since these coefficients glue as
+connections, not functions.  On the round sphere and flat tori their invariant
+combination R = (h0 + log lambda) / 2 pi is one constant per surface, which
+the Hamiltonian takes once.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from .surfaces import (
     SPHERE,
     Surface,
     SurfacePoint,
-    lambda_at,
     pair_indices,
     pair_selection,
     reduce_centered,
@@ -134,28 +134,12 @@ def green(surface: Surface, z: SurfacePoint, a: SurfacePoint) -> GreenEvaluation
     return GreenEvaluation(float(value[0]), complex(grad[0]))
 
 
-def robin_h0_h1(surface: Surface, a):
-    """Robin h0 and h1 at chart coordinates `a` (complex or complex array)."""
-    if surface.kind == SPHERE:
-        m2 = abs(a) ** 2
-        return np.log1p(m2) - 0.5, a.conjugate() / (1.0 + m2)
-    return theta.theta_context(surface.tau).h0, 0.0j
-
-
 def robin_data(surface: Surface, a: SurfacePoint) -> RobinData:
     """Robin coefficients of G(., a) in the chart of `a` as given."""
     surface.check_chart(a.chart_id)
-    h0, h1 = robin_h0_h1(surface, a.coord)
     if surface.kind == SPHERE:
-        denom = 1.0 + abs(a.coord) ** 2
-        d2 = 2.0 * denom * denom
-        h2, h11 = -(a.coord.conjugate() ** 2) / d2, 1.0 / d2
-    else:
-        h2, h11 = theta.theta_context(surface.tau).h2, math.pi / (2.0 * surface.area)
-    return RobinData(float(h0), h1, h2, h11, a.chart_id)
-
-
-def renormalized_robin_at(surface: Surface, z):
-    """R = (h0 + log lambda) / (2 pi), chart-invariant, at chart coordinates z
-    (complex or complex array)."""
-    return (robin_h0_h1(surface, z)[0] + np.log(lambda_at(surface, z))) / (2.0 * math.pi)
+        m, w, h = sphere_point_terms(a.coord)
+        return RobinData(float(math.log1p(m) - 0.5), complex(h), complex(-0.5 * h * h),
+                         float(0.5 / (w * w)), a.chart_id)
+    ctx = theta.theta_context(surface.tau)
+    return RobinData(float(ctx.h0), 0j, ctx.h2, math.pi / (2.0 * surface.area), a.chart_id)

@@ -72,20 +72,24 @@ def torus_domain_mean(f: Callable[[np.ndarray], np.ndarray], tau: complex) -> fl
     return total
 
 
+def _centred_grid_difference(tau: complex, n: int, a: complex) -> np.ndarray:
+    """torus_grid(tau, n) - a, lattice-centred: s + t tau with |s|, |t| <= 1/2."""
+    d = torus_grid(tau, n) - a
+    t = d.imag / tau.imag
+    s = d.real - t * tau.real
+    s -= np.round(s)
+    t -= np.round(t)
+    return s + t * tau
+
+
 def mollified_delta(tau: complex, grid_n: int, a: complex,
                     sigma_cells: float = 2.0) -> np.ndarray:
     """Gaussian approximation of a unit point mass at `a`, minus its uniform
     compensating background, sampled on the torus grid.  Zero mean by
     construction; width is in units of the largest grid-cell diameter."""
     tau = complex(tau)
-    z = torus_grid(tau, grid_n)
     sigma = sigma_cells * max(1.0, abs(tau)) / grid_n
-    d = z - a
-    t = d.imag / tau.imag
-    s = d.real - t * tau.real
-    s -= np.round(s)
-    t -= np.round(t)
-    r2 = np.abs(s + t * tau) ** 2
+    r2 = np.abs(_centred_grid_difference(tau, grid_n, a)) ** 2
     g = np.exp(-r2 / (2.0 * sigma**2))
     cell_area = tau.imag / grid_n**2
     g /= g.sum() * cell_area
@@ -200,13 +204,7 @@ def wirtinger_fd(f: Callable[[complex], complex], z: complex, h: float = 1e-6,
 
 def min_image_distance_grid(tau: complex, n: int, a: complex) -> np.ndarray:
     """Lattice-minimal distance from each grid node to `a` (for masks)."""
-    z = torus_grid(tau, n)
-    d = z - a
-    t = d.imag / tau.imag
-    s = d.real - t * tau.real
-    s -= np.round(s)
-    t -= np.round(t)
-    u = s + t * tau
+    u = _centred_grid_difference(tau, n, a)
     best = np.abs(u)
     for m in (-1, 0, 1):
         for k in (-1, 0, 1):

@@ -165,14 +165,7 @@ def reduce_centered(tau: complex, z: np.ndarray) -> np.ndarray:
 def conformal_factor(surface: Surface, p: SurfacePoint) -> float:
     """Metric coefficient lambda at p, in the chart of p."""
     surface.check_chart(p.chart_id)
-    return lambda_at(surface, p.coord)
-
-
-def lambda_at(surface: Surface, z):
-    """lambda at chart coordinates z (complex or complex array, either chart)."""
-    if surface.kind == SPHERE:
-        return 2.0 / (1.0 + abs(z) ** 2)
-    return 1.0
+    return 2.0 / (1.0 + abs(p.coord) ** 2) if surface.kind == SPHERE else 1.0
 
 
 def transition(surface: Surface, p: SurfacePoint,

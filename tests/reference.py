@@ -17,7 +17,13 @@ from pointvortex.dynamics import VortexState
 from pointvortex.errors import SingularityError
 from pointvortex.green import green, robin_data
 from pointvortex.periods import PeriodBasis, build_basis, circulation_form, circulation_state
-from pointvortex.surfaces import SPHERE, Surface, SurfacePoint, geodesic_distance
+from pointvortex.surfaces import (
+    SPHERE,
+    Surface,
+    SurfacePoint,
+    conformal_factor,
+    geodesic_distance,
+)
 
 _TWO_PI = 2.0 * cmath.pi
 
@@ -112,6 +118,13 @@ def metric_connection(surface: Surface, p: SurfacePoint) -> complex:
 def dlog_lambda_dzbar(surface: Surface, p: SurfacePoint) -> complex:
     """d(log lambda)/dzbar at p: lambda is real, so half the conjugate connection."""
     return 0.5 * metric_connection(surface, p).conjugate()
+
+
+def renormalized_robin_at(surface: Surface, z: complex, chart: int = 0) -> float:
+    """R = (h0 + log lambda) / 2 pi at chart coordinate z, from the chart's Robin
+    h0 and metric; chart-invariant, since h0 glues like -log lambda."""
+    p = SurfacePoint(chart, z)
+    return (robin_data(surface, p).h0 + math.log(conformal_factor(surface, p))) / _TWO_PI
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from pointvortex.dynamics import (
     vortex_velocity,
 )
 from pointvortex.errors import CollisionError
-from pointvortex.green import pair_terms, renormalized_robin_at, robin_data
+from pointvortex.green import pair_terms, robin_data
 from pointvortex.periods import (
     build_basis,
     circulation_energy,
@@ -45,7 +45,7 @@ from pointvortex.surfaces import (
 )
 
 from embedding import sphere_embedding
-from reference import dlog_lambda_dzbar
+from reference import dlog_lambda_dzbar, renormalized_robin_at
 
 TAUS = (1j, 0.5 + 1j, 0.4 + 0.02j, 8j)
 SIZES = (2, 3, 4, 16)
@@ -159,8 +159,8 @@ def ref_velocity(surface, charts, coords, strengths, base_a, base_b):
 
 def ref_hamiltonian_terms(surface, charts, coords, strengths, base_a, base_b):
     """The terms of 2H, summed by the caller."""
-    terms = [g * g * float(renormalized_robin_at(surface, z))
-             for z, g in zip(coords, strengths)]
+    terms = [g * g * renormalized_robin_at(surface, z, c)
+             for c, z, g in zip(charts, coords, strengths)]
     n = len(coords)
     for k in range(n):
         for j in range(k + 1, n):

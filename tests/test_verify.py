@@ -1,13 +1,15 @@
 """The sampling loops of the verify battery are bounded, its tolerance
 overrides name real checks, its direct velocity route makes one all-vortex
-evaluation per state, its self-term check fails on a wrong metric and its
-sphere normalization check on a shifted Green function."""
+evaluation per state, its self-term check fails on a wrong metric, its
+sphere normalization check on a shifted Green function, its Robin checks on
+a position-dependent h0 defect and its velocity checks on a scaled velocity law."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pointvortex import dynamics, surfaces, verify
+from pointvortex import dynamics, verify
 from pointvortex.config import resolve_scenario
 from pointvortex.surfaces import Surface
 from pointvortex.verify import (
@@ -123,8 +125,9 @@ def test_self_term_check_fails_on_a_wrong_metric(monkeypatch):
     # lambda -> lambda^(1 + 1e-6) moves d(log lambda)/dzbar by about 5e-7 but
     # leaves the closed-form Robin h1 alone; the check must see it
     assert self_term_residual(np.random.default_rng(7)) < 1e-12
-    lambda_at = surfaces.lambda_at
-    monkeypatch.setattr(surfaces, "lambda_at", lambda s, z: lambda_at(s, z) ** (1.0 + 1e-6))
+    conformal_factor = verify.conformal_factor
+    monkeypatch.setattr(verify, "conformal_factor",
+                        lambda s, p: conformal_factor(s, p) ** (1.0 + 1e-6))
     assert self_term_residual(np.random.default_rng(7)) > 1e-7
 
 
@@ -144,3 +147,35 @@ def test_sphere_normalization_check_fails_on_a_shifted_green_function(monkeypatc
     monkeypatch.setattr(verify, "pair_terms", shifted)
     [result] = run_suite("quick", 7)
     assert not result.passed and result.residual > 6e-7
+
+
+def _failed(results):
+    return {r.name for r in results if not r.passed}
+
+
+def test_robin_checks_fail_on_a_position_dependent_h0(monkeypatch):
+    # h0 + 1e-6 |z|^2 leaves the energy alone (its Robin term is the surface
+    # constant R), so the closed forms and the chart-handover law must see it
+    robin_data = verify.robin_data
+
+    def shifted(surface, p):
+        d = robin_data(surface, p)
+        return replace(d, h0=d.h0 + 1e-6 * abs(p.coord) ** 2)
+
+    monkeypatch.setattr(verify, "robin_data", shifted)
+    assert _failed(run_suite("quick", 7)) == {
+        "sphere_robin_closed_forms", "robin_transformation_laws"}
+
+
+def test_velocity_checks_fail_on_a_scaled_velocity_law(monkeypatch):
+    # v -> (1 + 1e-5) v rescales time only, so energy and Kelvin drift stay
+    # put; every comparison with the Hamiltonian route must see it
+    velocity = dynamics._Plan.velocity
+    monkeypatch.setattr(dynamics._Plan, "velocity",
+                        lambda self, coords: (1.0 + 1e-5) * velocity(self, coords))
+    assert _failed(run_suite("quick", 7)) == {
+        "velocity_equivalence_sphere", "velocity_equivalence_torus"}
+    for name in ("sphere_antipodal_pair", "sphere_crossing_pair", "torus_four_vortex",
+                 "torus_pair_translate"):
+        rows = [r for r in verify_scenario(resolve_scenario(name)) if r.name != "hamiltonian_finite"]
+        assert rows and not any(r.passed for r in rows), name
