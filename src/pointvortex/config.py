@@ -2,7 +2,7 @@
 
 Complex numbers are [re, im] pairs throughout so configs stay language-neutral
 and diff-friendly.  `parse_scenario` raises ConfigError naming the offending
-field; JSON syntax errors are reported with line/column.  It builds the
+or unknown field; JSON syntax errors are reported with line/column.  It builds the
 scenario's VortexState once, and the ScenarioConfig it returns holds that
 state and the normalized input as JSON text, which `to_dict` (and so
 `--dump-config`) parses back with the positions as given.  A ScenarioConfig
@@ -70,6 +70,14 @@ def _expect(mapping, key, kind, where, default=None, required=False):
     return value
 
 
+def _known_fields(mapping: dict, fields: tuple[str, ...], where: str) -> None:
+    """ConfigError for the first key of `mapping` not in `fields`, named after
+    the `where` prefix ("" at the top level, else the mapping's path and a dot)."""
+    for key in mapping:
+        if key not in fields:
+            raise ConfigError(f"{where}{key}: unknown field")
+
+
 def _finite_numbers(values) -> bool:
     return all(isinstance(v, (int, float)) and not isinstance(v, bool)
                and math.isfinite(v) for v in values)
@@ -84,9 +92,12 @@ def _complex_pair(value, where) -> complex:
 def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
+    _known_fields(data, ("name", "surface", "vortices", "base_circulations", "integrator",
+                         "output", "collision_threshold", "tolerances"), "")
     name = _expect(data, "name", str, "top level", default=name)
 
     surf = _expect(data, "surface", dict, "top level", required=True)
+    _known_fields(surf, ("kind", "tau"), "surface.")
     kind = _expect(surf, "kind", str, "surface", required=True)
     if kind not in (SPHERE, FLAT_TORUS):
         raise ConfigError(f"surface.kind: must be '{SPHERE}' or '{FLAT_TORUS}', got {kind!r}")
@@ -108,6 +119,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         where = f"vortices[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: expected an object")
+        _known_fields(entry, ("chart", "coord", "strength"), f"{where}.")
         chart = _expect(entry, "chart", int, where, default=0)
         try:
             surface.check_chart(chart)
@@ -126,6 +138,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
 
     genus = surface.genus
     circ = _expect(data, "base_circulations", dict, "top level", default={})
+    _known_fields(circ, ("a", "b"), "base_circulations.")
     base_a = circ.get("a", [0.0] * genus)
     base_b = circ.get("b", [0.0] * genus)
     for label, vals in (("a", base_a), ("b", base_b)):
@@ -139,6 +152,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
             )
 
     integ = _expect(data, "integrator", dict, "top level", default={})
+    _known_fields(integ, ("method", "dt", "steps", "record_every"), "integrator.")
     method = _expect(integ, "method", str, "integrator", default=IntegratorSpec.method)
     if method not in METHODS:
         raise ConfigError(f"integrator.method: must be one of {tuple(METHODS)}, got {method!r}")
@@ -154,6 +168,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         raise ConfigError(f"integrator.record_every: must be >= 1, got {record_every}")
 
     output = _expect(data, "output", dict, "top level", default={})
+    _known_fields(output, ("trajectory", "diagnostics"), "output.")
     trajectory = _expect(output, "trajectory", str, "output", default=f"{name}.csv")
     diagnostics = _expect(output, "diagnostics", str, "output", default=f"{name}.jsonl")
 
@@ -165,13 +180,12 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         raise ConfigError(f"collision_threshold: must be positive, got {threshold}")
 
     tolerances = _expect(data, "tolerances", dict, "top level", default={})
-    velocity_tolerance = DEFAULT_VELOCITY_TOLERANCE
-    for key in tolerances:
-        if key != "velocity_equivalence":
-            raise ConfigError(f"tolerances.{key}: unknown (only 'velocity_equivalence')")
-        velocity_tolerance = _expect(tolerances, key, float, "tolerances")
-        if not velocity_tolerance > 0:
-            raise ConfigError(f"tolerances.{key}: must be positive, got {tolerances[key]}")
+    _known_fields(tolerances, ("velocity_equivalence",), "tolerances.")
+    velocity_tolerance = _expect(tolerances, "velocity_equivalence", float, "tolerances",
+                                 default=DEFAULT_VELOCITY_TOLERANCE)
+    if not velocity_tolerance > 0:
+        raise ConfigError(
+            f"tolerances.velocity_equivalence: must be positive, got {velocity_tolerance}")
 
     base_a = tuple(float(v) for v in base_a)
     base_b = tuple(float(v) for v in base_b)
@@ -210,17 +224,9 @@ def load_scenario(path: Path) -> ScenarioConfig:
     return parse_scenario(data, name=path.stem)
 
 
-def bundled_scenario_path(name: str) -> Path | None:
-    here = Path(__file__).parent / "scenarios" / f"{name}.json"
-    return here if here.exists() else None
-
-
 def resolve_scenario(ref: str) -> ScenarioConfig:
-    """Load a scenario from a file path or a bundled scenario name."""
-    p = Path(ref)
-    if p.exists():
-        return load_scenario(p)
-    bundled = bundled_scenario_path(ref)
-    if bundled is not None:
-        return load_scenario(bundled)
+    """Load a scenario from a file path or, failing that, a bundled scenario name."""
+    for path in (Path(ref), Path(__file__).parent / "scenarios" / f"{ref}.json"):
+        if path.exists():
+            return load_scenario(path)
     raise ConfigError(f"no such config file or bundled scenario: {ref!r}")

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import ScenarioConfig, resolve_scenario
-from .connections import TransitionJet, bracket
+from .connections import TransitionJet, bracket, chain_check
 from .dynamics import (
     VortexState,
     hamiltonian,
@@ -23,7 +24,7 @@ from .dynamics import (
     min_separation,
     vortex_velocities,
 )
-from .green import green, pair_terms, robin_data, torus_pair_terms
+from .green import pair_terms, robin_data, torus_pair_terms
 from .oracles import (
     contour_integral,
     delta_probe_points,
@@ -43,6 +44,7 @@ from .surfaces import (
     SurfacePoint,
     conformal_factor,
     lattice_split,
+    pair_distances,
     pair_selection,
     transition,
 )
@@ -112,32 +114,31 @@ def sphere_robin_closed_forms(rng: np.random.Generator, count: int = 200) -> flo
 
 
 def sphere_green_closed_form(rng: np.random.Generator, count: int = 200) -> float:
-    worst = 0.0
-    for _ in range(count):
-        z = complex(*rng.uniform(-0.95, 0.95, 2))
-        a = complex(*rng.uniform(-0.95, 0.95, 2))
-        if abs(z - a) < 1e-3:
-            continue
-        expected = -(
-            math.log(abs(z - a) ** 2 / ((1.0 + abs(z) ** 2) * (1.0 + abs(a) ** 2))) + 1.0
-        ) / (4.0 * math.pi)
-        got = green(_SPHERE, SurfacePoint(0, z), SurfacePoint(0, a)).value
-        worst = max(worst, abs(got - expected))
-    return worst
+    """G against its closed form over `count` chart-0 pairs, as one configuration."""
+    z, a = rng.uniform(-0.95, 0.95, (count, 4)).view(complex).T
+    keep = np.abs(z - a) >= 1e-3
+    z, a = z[keep], a[keep]
+    expected = -(
+        np.log(np.abs(z - a) ** 2 / ((1.0 + np.abs(z) ** 2) * (1.0 + np.abs(a) ** 2))) + 1.0
+    ) / (4.0 * math.pi)
+    n = len(z)
+    pairs = pair_selection(_SPHERE, np.zeros(2 * n, dtype=int), np.arange(n), np.arange(n, 2 * n))
+    got = pair_terms(_SPHERE, np.concatenate((z, a)), pairs)[0]
+    return float(np.abs(got - expected).max(initial=0.0))
 
 
 def green_symmetry(surface: Surface, rng: np.random.Generator,
                    count: int = 200) -> float:
-    worst = 0.0
+    """|G(p, q) - G(q, p)| over `count` probe pairs, both orders in one configuration."""
     pts = delta_probe_points(surface, rng, 2 * count)
-    for i in range(count):
-        p, q = pts[2 * i], pts[2 * i + 1]
-        if min_separation(surface, (p, q)) < 1e-3:
-            continue
-        worst = max(
-            worst, abs(green(surface, p, q).value - green(surface, q, p).value)
-        )
-    return worst
+    charts = np.array([p.chart_id for p in pts])
+    coords = np.array([p.coord for p in pts])
+    i, j = np.arange(0, 2 * count, 2), np.arange(1, 2 * count, 2)
+    keep = pair_distances(surface, coords, pair_selection(surface, charts, i, j)) >= 1e-3
+    i, j = i[keep], j[keep]
+    pairs = pair_selection(surface, charts, np.concatenate((i, j)), np.concatenate((j, i)))
+    value = pair_terms(surface, coords, pairs)[0]
+    return float(np.abs(value[:len(i)] - value[len(i):]).max(initial=0.0))
 
 
 def sphere_green_normalization(poles=None) -> float:
@@ -162,13 +163,10 @@ def torus_green_normalization(tau: complex = 0.5 + 1j) -> float:
     return abs(torus_domain_mean(lambda z: torus_pair_terms(tau, z)[0], tau))
 
 
-def torus_green_vs_poisson(tau: complex, grid_n: int = 256,
-                           pole: complex | None = None) -> float:
+def torus_green_vs_poisson(tau: complex, grid_n: int = 256) -> float:
     """Relative disagreement (mean-matched) between the spectral solve and the
     theta-series Green function, away from the mollified pole."""
-    surface = Surface.flat_torus(tau)
-    if pole is None:
-        pole = 0.31 + 0.47 * tau
+    pole = 0.31 + 0.47 * tau
     source = mollified_delta(tau, grid_n, pole, sigma_cells=2.0)
     solved = torus_poisson_oracle(tau, grid_n, source)
     z = torus_grid(tau, grid_n)
@@ -232,14 +230,6 @@ def conjugate_period_residual(surface: Surface, rng: np.random.Generator,
     """Conjugate periods of the two-point potential vs potential differences."""
     tau = surface.tau
     t2 = tau.imag
-
-    def star_dv(a, b):
-        def grad(z):
-            z = np.asarray(z)
-            return torus_pair_terms(tau, z - a)[1] - torus_pair_terms(tau, z - b)[1]
-
-        return star_gradient_form(grad)
-
     worst = 0.0
     for _ in range(pairs):
         for _ in range(_MAX_DRAWS):
@@ -251,7 +241,8 @@ def conjugate_period_residual(surface: Surface, rng: np.random.Generator,
                 break
         else:
             raise ValueError(f"no admissible pole pair in {_MAX_DRAWS} draws")
-        form = star_dv(a, b)
+        form = star_gradient_form(
+            lambda z: torus_pair_terms(tau, z - a)[1] - torus_pair_terms(tau, z - b)[1])
         # alpha-homologous loop at lattice height t0=0.7: the poles sit at
         # t in (0.05, 0.40), so neither the loop nor the straight b->a path
         # meets it
@@ -311,8 +302,6 @@ def _random_jet(rng: np.random.Generator) -> TransitionJet:
 
 
 def bracket_chain_rules(rng: np.random.Generator, count: int = 200) -> float:
-    from .connections import chain_check
-
     worst = 0.0
     for _ in range(count):
         jb = _random_jet(rng)
@@ -368,12 +357,14 @@ def velocity_equivalence(surface: Surface, rng: np.random.Generator, states: int
         surface, (2, 4)[i % 2], rng, circulations=surface.genus > 0))) for i in range(states))
 
 
-def conservation_residuals(steps: int) -> tuple[float, float]:
-    """(relative energy drift, drift of the Kelvin coefficients (A, B)) over
-    `steps` RK4 steps of the bundled torus_four_vortex scenario, whose vortices
-    wrap around the torus unevenly; each record's (A, B) comes from its own
-    canonical positions and circulations."""
+@lru_cache(maxsize=1)
+def conservation_residuals(full: bool) -> tuple[float, float]:
+    """(relative energy drift, drift of the Kelvin coefficients (A, B), each record's
+    from its own positions and circulations) over one RK4 run of the bundled
+    torus_four_vortex, whose vortices wrap unevenly: 2000 steps if `full`, else 500.
+    Both conservation checks read this run; `run_suite` clears it before its checks."""
     cfg = resolve_scenario("torus_four_vortex")
+    steps = 2000 if full else 500
     recs = integrate(cfg.state(), cfg.integrator.dt, steps, method="rk4",
                      record_every=max(1, steps // 20))
     h0 = recs[0].hamiltonian
@@ -410,9 +401,8 @@ _CHECKS = (
      lambda rng, full: velocity_equivalence(_SPHERE, rng, 50 if full else 8)),
     ("velocity_equivalence_torus", 1e-6,
      lambda rng, full: velocity_equivalence(_TORUS_SKEW, rng, 50 if full else 8)),
-    ("energy_drift_short", 1e-7,
-     lambda rng, full: conservation_residuals(2000 if full else 500)[0]),
-    ("kelvin_drift_short", 1e-8, lambda rng, full: conservation_residuals(500)[1]),
+    ("energy_drift_short", 1e-7, lambda rng, full: conservation_residuals(full)[0]),
+    ("kelvin_drift_short", 1e-8, lambda rng, full: conservation_residuals(full)[1]),
 )
 CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
@@ -428,19 +418,25 @@ def check_tolerance(name: str, tol: float | str) -> float:
     return tol
 
 
+def _check(name: str, tol: float, residual_fn) -> CheckResult:
+    """Time residual_fn() and pass it if the residual is below tol."""
+    start = time.perf_counter()
+    residual = float(residual_fn())
+    return CheckResult(name, residual, tol, residual < tol, time.perf_counter() - start)
+
+
 def run_suite(suite: str = "quick", seed: int = 7,
               overrides: dict[str, float] | None = None) -> list[CheckResult]:
-    """Run the checks in order; `overrides` maps names to `check_tolerance`s."""
+    """Run the "quick" or "full" checks in order, with `overrides` mapping names to
+    `check_tolerance`s, and one run of torus_four_vortex for both conservation
+    checks; ValueError for another suite or a bad override, before any check."""
+    if suite not in ("quick", "full"):
+        raise ValueError(f"unknown suite {suite!r} (suites: quick, full)")
     overrides = {k: check_tolerance(k, v) for k, v in (overrides or {}).items()}
+    conservation_residuals.cache_clear()
     rng = np.random.default_rng(seed)
-    results = []
-    for name, tol, fn in _CHECKS:
-        tol = overrides.get(name, tol)
-        start = time.perf_counter()
-        residual = float(fn(rng, suite == "full"))
-        elapsed = time.perf_counter() - start
-        results.append(CheckResult(name, residual, tol, residual < tol, elapsed))
-    return results
+    return [_check(name, overrides.get(name, tol), lambda: fn(rng, suite == "full"))
+            for name, tol, fn in _CHECKS]
 
 
 def verify_scenario(cfg: ScenarioConfig) -> list[CheckResult]:
@@ -453,14 +449,8 @@ def verify_scenario(cfg: ScenarioConfig) -> list[CheckResult]:
     elapsed = (time.perf_counter() - start) / state.n
     results = [CheckResult(f"velocity[{k}]", r, tol, r < tol, elapsed)
                for k, r in enumerate(residuals)]
-    start = time.perf_counter()
-    h = hamiltonian(state)
-    results.append(
-        CheckResult(
-            "hamiltonian_finite", 0.0 if math.isfinite(h) else math.inf,
-            1.0, math.isfinite(h), time.perf_counter() - start,
-        )
-    )
+    results.append(_check("hamiltonian_finite", 1.0,
+                          lambda: 0.0 if math.isfinite(hamiltonian(state)) else math.inf))
     return results
 
 

@@ -215,6 +215,34 @@ class TestConfigParsing:
         data["tolerances"] = {"velocity_equivalence": 1e-3}
         assert parse_scenario(data).velocity_tolerance == 1e-3
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("colision_threshold",), 1e-2, "colision_threshold"),
+        (("surface", "taus"), [0.0, 1.0], r"surface\.taus"),
+        (("vortices", 1, "chrt"), 1, r"vortices\[1\]\.chrt"),
+        (("base_circulations", "c"), [0.1], r"base_circulations\.c"),
+        (("integrator", "record_evry"), 5, r"integrator\.record_evry"),
+        (("output", "trajectroy"), "x.csv", r"output\.trajectroy"),
+        (("tolerances", "velocity_equivalance"), 1e-3, r"tolerances\.velocity_equivalance"),
+    ], ids=["top-level", "surface", "vortex", "base-circulations", "integrator", "output",
+            "tolerances"])
+    def test_unknown_fields_rejected(self, tmp_path, path, value, field):
+        # a misspelled field is refused by its path, not dropped for its default
+        data = resolve_scenario("torus_pair_translate").to_dict()
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ConfigError, match=f"^{field}: unknown field$"):
+            parse_scenario(data)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        for command in ("run", "verify"):
+            proc = run_cli([command, str(cfg)], cwd=tmp_path)
+            assert proc.returncode == 1
+            assert re.search(f"{field}: unknown field", proc.stderr)
+            assert "Traceback" not in proc.stderr
+
 
 class TestRunCommand:
     def test_bundled_run_and_outputs(self, tmp_path):

@@ -181,3 +181,45 @@ def test_velocity_checks_fail_on_a_scaled_velocity_law(monkeypatch):
         cfg = resolve_scenario(name)
         rows = [r for r in verify_scenario(cfg) if r.name.startswith("velocity[")]
         assert len(rows) == cfg.state().n and not any(r.passed for r in rows), name
+
+
+def test_each_suite_call_integrates_the_conservation_run_once(monkeypatch):
+    # both conservation checks read one run; a later call integrates again
+    steps = []
+    integrate = verify.integrate
+
+    def counted(state, dt, n, **kwargs):
+        steps.append(n)
+        return integrate(state, dt, n, **kwargs)
+
+    monkeypatch.setattr(verify, "integrate", counted)
+    monkeypatch.setattr(verify, "_CHECKS", tuple(
+        c for c in verify._CHECKS if c[0] in ("energy_drift_short", "kelvin_drift_short")))
+    for suite in ("quick", "quick", "full"):
+        assert all(r.passed for r in run_suite(suite, 7))
+    assert steps == [500, 500, 2000]
+
+
+def test_green_identity_checks_fail_on_a_position_dependent_pair_value(monkeypatch):
+    # G(z_i, z_j) + 1e-10 Re z_i is not symmetric and misses the closed form by
+    # about 1e-10, against tolerances of 1e-12 and 1e-13; the sphere's zero-mean
+    # quadrature reads far less than its 1e-10
+    pair_terms = verify.pair_terms
+
+    def shifted(surface, coords, pairs):
+        value, *grads = pair_terms(surface, coords, pairs)
+        return (value + 1e-10 * np.asarray(coords, dtype=complex)[pairs[0]].real, *grads)
+
+    monkeypatch.setattr(verify, "pair_terms", shifted)
+    assert _failed(run_suite("quick", 7)) == {
+        "sphere_green_closed_form", "sphere_green_symmetry", "torus_green_symmetry"}
+
+
+@pytest.mark.parametrize("suite", ["Full", "", "quick "])
+def test_run_suite_refuses_an_unknown_suite_before_running(suite, monkeypatch):
+    def must_not_run(rng, full):
+        raise AssertionError("a check ran for an unknown suite")
+
+    monkeypatch.setattr(verify, "_CHECKS", (("mobius_schwarzian", 1e-10, must_not_run),))
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite(suite, 7)
