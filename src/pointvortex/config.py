@@ -102,6 +102,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     if kind not in (SPHERE, FLAT_TORUS):
         raise ConfigError(f"surface.kind: must be '{SPHERE}' or '{FLAT_TORUS}', got {kind!r}")
     tau = 1j
+    if kind == SPHERE and "tau" in surf:
+        raise ConfigError("surface.tau: not a field of the sphere")
     if kind == FLAT_TORUS:
         if "tau" not in surf:
             raise ConfigError("surface.tau: required for the flat torus")

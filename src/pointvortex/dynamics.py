@@ -30,15 +30,16 @@ between), the only way pair evaluations read charts.  `_Plan` owns it with the
 strengths and surface constants, and holds the one velocity law, the energy
 and the separation check; `integrate` builds it once per run, a one-shot call
 once per call, and `_Plan.rechart` swaps in new pairs after a step that moved
-a vortex to the other chart.  Each velocity evaluation forms only Green
-gradients (`green.pair_terms`' gradient entries).  The energy recomputes W
-from its coordinates, so its finite differences stay an independent velocity
-route.  The circulation terms are called on every surface; `periods` makes
-them 0 on the sphere (genus 0).  `integrate` has one record loop; a `METHODS`
-entry advances between records and ends every accepted step in
-`_Trajectory.accept`: the sphere chart rule of `canonical_coords`, the
-rechart, then the collision check, which names the first closest pair in
-(i, j) order.
+a vortex to the other chart.  A velocity evaluation forms pair gradients only
+(the torus Green gradient; the sphere's pole parts, its metric term and constant
+factors applied per vortex), which `_row_sums` scatters at planned positions.
+The energy recomputes W from its coordinates, so its finite differences stay
+an independent velocity route.  The circulation terms are called on every
+surface; `periods` makes them 0 on the sphere (genus 0).  `integrate` has one
+record loop; a `METHODS` entry advances between records and ends every
+accepted step in `_Trajectory.accept`: the sphere chart rule of
+`canonical_coords`, the rechart, then the collision check, which names the
+first closest pair in (i, j) order.
 """
 from __future__ import annotations
 
@@ -180,14 +181,14 @@ def min_separation(surface: Surface, positions) -> float:
 # raw evaluation layer: coordinate arrays and a plan's pairs, no reduction
 
 
-def _row_sums(i, j, upper, lower, weights: np.ndarray) -> np.ndarray:
-    """M @ weights for the n x n matrix with `upper` at (i, j), `lower` at
-    (j, i) and zeros on the diagonal."""
+def _row_sums(flat, upper, lower, weights: np.ndarray) -> np.ndarray:
+    """M @ weights for the n x n matrix with `upper` at (i, j), `lower` at (j, i)
+    and zeros elsewhere, `flat` = (i n + j, j n + i) its pairs' flat positions."""
     n = len(weights)
-    m = np.zeros((n, n), dtype=upper.dtype)
-    m[i, j] = upper
-    m[j, i] = lower
-    return m @ weights
+    m = np.zeros(n * n, dtype=upper.dtype)
+    m[flat[0]] = upper
+    m[flat[1]] = lower
+    return m.reshape(n, n) @ weights
 
 
 @dataclass(frozen=True)
@@ -197,12 +198,14 @@ class _Plan:
     energy and separation check over them (see the module docstring).  On the
     torus lambda = 1 and du*/dz = conj(W) / (2 Im tau) is a constant of the
     motion (sum Gamma v = 0), taken at the coordinates the plan is built at;
-    `robin` is the surface's constant R = (h0 + log lambda) / 2 pi."""
+    `robin` is the surface's constant R = (h0 + log lambda) / 2 pi; `flat` the
+    pairs' positions in `_row_sums`' matrix, which a rechart keeps."""
 
     surface: Surface
     basis: PeriodBasis
     strengths: np.ndarray
     pairs: np.ndarray
+    flat: np.ndarray
     theta: ThetaContext | None   # None on the sphere
     flow: complex                # du*/dz
     robin: float
@@ -214,16 +217,17 @@ class _Plan:
 
     def velocity(self, coords: np.ndarray) -> np.ndarray:
         """-2i conj(M Gamma + du*/dz) / lambda^2 at every vortex, with
-        M_kj = dG(z_k, z_j)/dz_k in z_k's chart."""
-        pairs, g = self.pairs, self.strengths
-        i, j = pairs[0], pairs[-1]
+        M_kj = dG(z_k, z_j)/dz_k in z_k's chart.  On the sphere 4 pi M_kj = h_k - P_kj
+        (P the kernel's pole parts): 4 pi (M Gamma)_k = h_k (sum Gamma - Gamma_k) - (P Gamma)_k."""
+        pairs, flat, g = self.pairs, self.flat, self.strengths
         if self.theta is None:
             _, w, h = sphere_point_terms(coords)   # lambda = 2 / w
-            _, grad_i, grad_j = sphere_gradient_terms(coords, pairs, w, h)
-            rows, inv_lam2 = _row_sums(i, j, grad_i, grad_j, g), 0.25 * w * w
+            _, pole_i, pole_j = sphere_gradient_terms(coords, pairs, w)
+            rows = h * (g.sum() - g) - _row_sums(flat, pole_i, pole_j, g)   # 4 pi M Gamma
+            inv_lam2 = w * w / (16.0 * math.pi)   # 1 / lambda^2 with the 1 / 4 pi of rows
         else:
-            grad = torus_gradient_terms(self.theta, coords[i] - coords[j])[2]
-            rows, inv_lam2 = _row_sums(i, j, grad, -grad, g) + self.flow, 1.0
+            grad = torus_gradient_terms(self.theta, coords[pairs[0]] - coords[pairs[-1]])[2]
+            rows, inv_lam2 = _row_sums(flat, grad, -grad, g) + self.flow, 1.0
         return -2j * inv_lam2 * rows.conjugate()
 
     def energy(self, coords, base_a, base_b) -> float:
@@ -248,15 +252,16 @@ class _Plan:
 
 
 def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
-    strengths = np.asarray(strengths, dtype=float)
+    strengths, n = np.asarray(strengths, dtype=float), len(strengths)
     basis = build_basis(surface)
-    pairs = pair_selection(surface, charts, *pair_indices(len(strengths)))
+    pairs = pair_selection(surface, charts, *pair_indices(n))
     w = circulation_state(basis, coords, strengths, base_a, base_b)
     theta = None if surface.kind == SPHERE else theta_context(surface.tau)
     origin = SurfacePoint(0, 0j)
     robin = (robin_data(surface, origin).h0
              + math.log(conformal_factor(surface, origin))) / (2.0 * math.pi)
-    return _Plan(surface, basis, strengths, pairs, theta, circulation_form(basis, w), robin)
+    return _Plan(surface, basis, strengths, pairs, pairs[[0, -1]] * n + pairs[[-1, 0]],
+                 theta, circulation_form(basis, w), robin)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +357,9 @@ class _Trajectory:
 
     def record(self, t: float) -> TrajectoryRecord:
         plan, basis, g = self.plan, self.plan.basis, self.plan.strengths
-        charts, coords, a, b = _canonical(plan.surface, self.charts, self.coords, g,
-                                          self.base_a, self.base_b)
+        charts, coords, a, b = self.charts, self.coords, self.base_a, self.base_b
+        if plan.theta is not None:   # wrap the torus cover; `accept` keeps the sphere canonical
+            charts, coords, a, b = _canonical(plan.surface, charts, coords, g, a, b)
         h = plan.energy(coords, a, b)
         w = circulation_state(basis, coords, g, a, b)   # not the plan's: independent
         return TrajectoryRecord(t, _points(charts, coords), h, a, b, self.separation,

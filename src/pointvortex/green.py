@@ -11,9 +11,9 @@ by the formula itself.
 
 Every Green value and gradient comes from one pair kernel, `pair_terms`, over
 the pairs of a coordinate array, one `surfaces.pair_selection` array; `green()`
-is its one-pair view.  The velocity law calls its gradient entries directly.
-On the sphere that array carries the pairs' homogeneous chart form, so one
-formula serves every chart combination with one complex division per pair.
+is its one-pair view; the velocity law calls the torus gradient and the
+sphere's pole parts directly.  The sphere's pair array carries the homogeneous
+chart form: one formula, one complex division per pair, for every chart pair.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
@@ -93,12 +93,12 @@ def sphere_point_terms(coords):
     return m, w, coords.conjugate() / w
 
 
-def sphere_gradient_terms(coords, pairs, w, h):
-    """(|d|^2, dG/dz_i in zi's chart, dG/dz_j in zj's chart) over `pairs`, a
-    `pair_selection`, and (w, h) from `sphere_point_terms`: d = zi b_j - a_j
-    (zi - zj in one chart, zi zj - 1 across) and one reciprocal r = 1/d, with
-    dG/dz_i = (h_i - b_j r) / 4 pi and dG/dz_j = (h_j - c_i r) / 4 pi.
-    SingularityError if any two points coincide."""
+def sphere_gradient_terms(coords, pairs, w):
+    """(|d|^2, b_j r, c_i r) over `pairs`, a `pair_selection`, and w from
+    `sphere_point_terms`: d = zi b_j - a_j (zi - zj in one chart, zi zj - 1
+    across), r = 1/d.  These are the pole parts of dG/dz_i = (h_i - b_j r) / 4 pi
+    and dG/dz_j = (h_j - c_i r) / 4 pi, whose per-point metric term h and 1/4 pi
+    the caller applies.  SingularityError if any two points coincide."""
     i, j = pairs[0], pairs[-1]
     zi, a, b, c = sphere_pair_points(coords, pairs)
     d = zi * b - a
@@ -107,7 +107,7 @@ def sphere_gradient_terms(coords, pairs, w, h):
     if (4.0 * num <= _COINCIDENCE_TOL**2 * w[i] * w[j]).any():
         raise SingularityError("Green function evaluated at coincident points")
     r = 1.0 / d
-    return num, (h[i] - b * r) * _INV_FOUR_PI, (h[j] - c * r) * _INV_FOUR_PI
+    return num, b * r, c * r
 
 
 def pair_terms(surface: Surface, coords, pairs) -> tuple[np.ndarray, ...]:
@@ -118,9 +118,10 @@ def pair_terms(surface: Surface, coords, pairs) -> tuple[np.ndarray, ...]:
     i, j = pairs[0], pairs[-1]
     if surface.kind == SPHERE:
         m, w, h = sphere_point_terms(coords)
-        num, grad_i, grad_j = sphere_gradient_terms(coords, pairs, w, h)
+        num, pole_i, pole_j = sphere_gradient_terms(coords, pairs, w)
         log_w = np.log1p(m)
-        return -(np.log(num) - log_w[i] - log_w[j] + 1.0) / (4.0 * math.pi), grad_i, grad_j
+        return (-(np.log(num) - log_w[i] - log_w[j] + 1.0) / (4.0 * math.pi),
+                (h[i] - pole_i) * _INV_FOUR_PI, (h[j] - pole_j) * _INV_FOUR_PI)
     value, grad = torus_pair_terms(surface.tau, coords[i] - coords[j])
     return value, grad, -grad
 

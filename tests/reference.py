@@ -2,9 +2,10 @@
 
 The inverse of a transition jet, the connection calculus of the order-0/1/2
 gluing rules, the metric's Levi-Civita connection, the two-point potential,
-the stream coefficients c0 (with the conjugate potential u*) and c1, and a
-meridian arc-length quadrature.  None of them is on a `run` or `verify`
-path, so they live here, built on the package's public calls.
+the stream coefficients c0 (with the conjugate potential u*) and c1, the
+velocity law summed over a dense gradient matrix, and a meridian arc-length
+quadrature.  None of them is on a `run` or `verify` path, so they live here,
+built on the package's public calls.
 """
 import cmath
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from pointvortex.connections import TransitionJet, bracket
 from pointvortex.dynamics import VortexState
 from pointvortex.errors import SingularityError
-from pointvortex.green import green, robin_data
+from pointvortex.green import green, pair_terms, robin_data
 from pointvortex.periods import PeriodBasis, build_basis, circulation_form, circulation_state
 from pointvortex.surfaces import (
     SPHERE,
@@ -23,6 +24,7 @@ from pointvortex.surfaces import (
     SurfacePoint,
     conformal_factor,
     geodesic_distance,
+    pair_selection,
 )
 
 _TWO_PI = 2.0 * cmath.pi
@@ -179,6 +181,24 @@ def c1_coefficient(state: VortexState, k: int) -> complex:
     w = circulation_state(basis, [p.coord for p in points], g, state.base_a, state.base_b)
     mutual += circulation_form(basis, w)
     return robin_data(surface, points[k]).h1 + 2.0 * _TWO_PI * mutual / g[k]
+
+
+def dense_velocity(surface: Surface, charts, coords, strengths,
+                   base_a=(), base_b=()) -> np.ndarray:
+    """-2i conj(M Gamma + du*/dz) / lambda^2 with M the dense n x n matrix of
+    the `pair_terms` gradients M_kj = dG(z_k, z_j)/dz_k, which on the sphere
+    carry the metric term h_k in every pair, not once per vortex."""
+    coords, strengths = np.asarray(coords, dtype=complex), np.asarray(strengths, dtype=float)
+    n = len(coords)
+    i, j = np.triu_indices(n, 1)
+    _, grad_i, grad_j = pair_terms(surface, coords, pair_selection(surface, charts, i, j))
+    m = np.zeros((n, n), dtype=complex)
+    m[i, j], m[j, i] = grad_i, grad_j
+    basis = build_basis(surface)
+    flow = circulation_form(basis, circulation_state(basis, coords, strengths, base_a, base_b))
+    lam = np.array([conformal_factor(surface, SurfacePoint(int(c), complex(z)))
+                    for c, z in zip(charts, coords)])
+    return -2j * (m @ strengths + flow).conjugate() / lam**2
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,20 @@ class TestConfigParsing:
             assert re.search(f"{field}: unknown field", proc.stderr)
             assert "Traceback" not in proc.stderr
 
+    def test_tau_on_the_sphere_rejected(self, tmp_path):
+        # a torus field on a sphere config is refused by its path, not dropped
+        data = resolve_scenario("sphere_antipodal_pair").to_dict()
+        data["surface"]["tau"] = [0.5, 0.1]
+        with pytest.raises(ConfigError, match=r"^surface\.tau: not a field of the sphere$"):
+            parse_scenario(data)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        for command in ("run", "verify"):
+            proc = run_cli([command, str(cfg)], cwd=tmp_path)
+            assert proc.returncode == 1
+            assert "surface.tau: not a field of the sphere" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
 
 class TestRunCommand:
     def test_bundled_run_and_outputs(self, tmp_path):
@@ -486,13 +500,16 @@ class TestRunCommand:
         assert reparsed == resolve_scenario("sphere_antipodal_pair")
 
     def test_parallel_jobs(self, tmp_path):
-        code = main([
-            "run", "sphere_antipodal_pair", "torus_pair_translate",
-            "--out-dir", str(tmp_path), "--jobs", "2",
-        ])
-        assert code == 0
-        assert (tmp_path / "sphere_antipodal_pair.csv").exists()
-        assert (tmp_path / "torus_pair_translate.csv").exists()
+        # the fan-out writes the bytes a serial run writes
+        names = ("sphere_antipodal_pair", "sphere_crossing_pair", "torus_pair_translate")
+        for jobs in ("1", "2"):
+            (tmp_path / jobs).mkdir()
+            assert main(["run", *names, "--out-dir", str(tmp_path / jobs), "--jobs", jobs]) == 0
+        outputs = sorted(path.name for path in (tmp_path / "1").iterdir())
+        assert outputs == sorted(f"{name}.{ext}" for name in names for ext in ("csv", "jsonl"))
+        assert sorted(path.name for path in (tmp_path / "2").iterdir()) == outputs
+        for name in outputs:
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
     @pytest.mark.parametrize("jobs, message", [
         ("0", "must be at least 1"),

@@ -16,7 +16,7 @@ from pointvortex.dynamics import (
 from pointvortex.errors import CollisionError, StepRejectionError
 from pointvortex.oracles import contour_integral, star_gradient_form
 from pointvortex.periods import build_basis, circulation_form, circulation_state
-from pointvortex.surfaces import SurfacePoint, Surface, reduce_centered
+from pointvortex.surfaces import SurfacePoint, Surface, canonical_coords, reduce_centered
 from pointvortex.verify import random_state
 
 from embedding import sphere_embedding
@@ -272,6 +272,29 @@ class TestRestart:
             )
         assert worst <= 1e-12
 
+
+    @pytest.mark.parametrize("name, method", [
+        ("sphere_crossing_pair", "rk4"),
+        ("sphere_crossing_pair", "rk45-adaptive"),
+        ("torus_four_vortex", "rk4"),
+    ])
+    def test_records_are_their_own_canonical_coords(self, name, method):
+        # bit for bit: `accept` keeps sphere vortices canonical, so `record`
+        # only wraps torus cover coordinates; the fixtures hand over and wrap
+        cfg = resolve_scenario(name)
+        st, spec, stats = cfg.state(), cfg.integrator, {}
+        recs = integrate(st, spec.dt, spec.steps, method=method,
+                         record_every=spec.record_every, stats_out=stats)
+        if st.surface.genus:
+            assert recs[-1].circ_b != st.base_b, "fixture must wrap"
+        else:
+            assert stats["chart_handovers"] > 0, "fixture must hand over"
+        for rec in recs:
+            charts = np.array([p.chart_id for p in rec.positions])
+            coords = np.array([p.coord for p in rec.positions])
+            again, back, m, n = canonical_coords(st.surface, charts, coords)
+            assert np.array_equal(again, charts) and np.array_equal(back, coords)
+            assert not m.any() and not n.any()
 
     def test_runs_with_other_circulations_share_no_plan_data(self):
         # the same four vortices on the same torus under two base circulations
