@@ -4,7 +4,8 @@
     pointvortex verify [CONFIG] [--suite quick|full] [--seed N] [--override NAME=TOL]
 
 Each CONFIG is parsed once (`config.resolve_scenario`), into a ScenarioConfig
-holding its VortexState, so a config error can only come from that parse.
+holding its VortexState; the one other config error is an output path that two
+outputs share, which `run` refuses before anything runs.
 `run` writes one trajectory CSV (fixed column order: t, per-vortex re/im/chart,
 H, base circulations, min separation) plus a JSON-lines diagnostics file per
 scenario; `--dump-config` prints the normalized input JSON, with positions
@@ -194,7 +195,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         for cfg in configs:
             print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
-    out_dir = Path(args.out_dir)
+    out_dir, writers = Path(args.out_dir), {}
+    for cfg in configs:   # one writer per output path, or two runs overwrite each other
+        for name in (cfg.trajectory_path, cfg.diagnostics_path):
+            writers.setdefault((out_dir / name).resolve(), []).append(cfg.name)
+    for path, names in writers.items():
+        if len(names) > 1:
+            return _error(f"config error: output path {path} repeats in scenario(s) "
+                          f"{', '.join(dict.fromkeys(names))}")
     if args.jobs > 1 and len(configs) > 1:
         with multiprocessing.Pool(min(args.jobs, len(configs))) as pool:
             codes = pool.map(_run_worker, [(c, str(out_dir)) for c in configs])

@@ -101,13 +101,11 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     kind = _expect(surf, "kind", str, "surface", required=True)
     if kind not in (SPHERE, FLAT_TORUS):
         raise ConfigError(f"surface.kind: must be '{SPHERE}' or '{FLAT_TORUS}', got {kind!r}")
-    tau = 1j
     if kind == SPHERE and "tau" in surf:
         raise ConfigError("surface.tau: not a field of the sphere")
-    if kind == FLAT_TORUS:
-        if "tau" not in surf:
-            raise ConfigError("surface.tau: required for the flat torus")
-        tau = _complex_pair(surf["tau"], "surface.tau")
+    if kind == FLAT_TORUS and "tau" not in surf:
+        raise ConfigError("surface.tau: required for the flat torus")
+    tau = _complex_pair(surf["tau"], "surface.tau") if kind == FLAT_TORUS else None
     try:
         surface = Surface(kind, tau)
     except ValueError as exc:

@@ -27,10 +27,6 @@ class TransitionJet:
         if self.phi1 == 0:
             raise ValueError("transition jet must have phi' != 0")
 
-    @classmethod
-    def identity(cls) -> "TransitionJet":
-        return cls(1.0, 0.0, 0.0)
-
     def compose(self, inner: "TransitionJet") -> "TransitionJet":
         """Jet of f(g(.)) where self is the jet of f at g's image and `inner` is g's jet."""
         f1, f2, f3 = self.phi1, self.phi2, self.phi3

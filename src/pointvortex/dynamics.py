@@ -84,6 +84,8 @@ DEFAULT_COLLISION_THRESHOLD = 1e-3
 class VortexState:
     """Vortex positions, signed strengths, and the base circulations (a, b).
 
+    `periods.circulation_state` checks the circulation data: base circulations
+    of the genus's length and, on the torus only, strengths summing to zero.
     Positions are stored canonical.  Reducing a torus position z_j by
     m_j + n_j tau absorbs the wrap into a += Gamma_j n_j, b -= Gamma_j m_j,
     which leaves W = a tau - b + sum Gamma z, and so the flow, unchanged."""
@@ -108,23 +110,18 @@ class VortexState:
             raise ValueError("vortex strengths and base circulations must be finite")
         if any(g == 0.0 for g in self.strengths):
             raise ValueError("vortex strengths must all be nonzero")
-        if abs(sum(self.strengths)) > 1e-12:
-            raise ValueError(
-                f"vortex strengths must sum to zero (got {sum(self.strengths):.3e})"
-            )
-        g = self.surface.genus
-        if len(self.base_a) != g or len(self.base_b) != g:
-            raise ValueError(f"base circulations must have length {g}")
         strengths = tuple(float(g) for g in self.strengths)
+        charts, coords = _point_arrays(self.positions)
+        circulation_state(build_basis(self.surface), coords, strengths, self.base_a, self.base_b)
         charts, coords, base_a, base_b = _canonical(
-            self.surface, *_point_arrays(self.positions), np.array(strengths),
+            self.surface, charts, coords, np.array(strengths),
             tuple(self.base_a), tuple(self.base_b))
         object.__setattr__(self, "positions", _points(charts, coords))
         object.__setattr__(self, "strengths", strengths)
         object.__setattr__(self, "base_a", base_a)
         object.__setattr__(self, "base_b", base_b)
         sep = min_separation(self.surface, self.positions)
-        if sep <= self.collision_threshold:
+        if sep < self.collision_threshold:   # the run's rule (`_Plan.separation`)
             raise ValueError(
                 f"initial pairwise separation {sep:.3e} is below the collision "
                 f"threshold {self.collision_threshold:.3e}"
@@ -442,10 +439,10 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt: must be finite and positive, got {dt}")
-    if steps < 1:
-        raise ValueError(f"steps: must be >= 1, got {steps}")
-    if record_every < 1:
-        raise ValueError(f"record_every: must be >= 1, got {record_every}")
+    for name, count in (("steps", steps), ("record_every", record_every)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"{name}: must be an integer >= 1, got {count!r}")
+    steps, record_every = int(steps), int(record_every)
     if method not in METHODS:
         raise ValueError(f"method: unknown integration method {method!r}")
     charts, coords, plan = _unpack(state)

@@ -20,7 +20,10 @@ so (A, B) = (Im W, Im(W conj(tau))) / Im tau, and
                          du*/dz = conj(W) / (2 Im tau).
 
 Moving a vortex to another cover copy, z -> z - m - n tau, while a += Gamma n
-and b -= Gamma m leaves W unchanged.  Genus-0 surfaces have W = 0 and an
+and b -= Gamma m leaves W unchanged.  That needs sum_j Gamma_j = 0, a torus
+rule whose one owner is `circulation_state` (`VortexState` validates through
+it); the sphere's zero-mean Green function carries the compensating uniform
+vorticity, so it takes any strengths.  Genus-0 surfaces have W = 0 and an
 empty period matrix: there W, its flow and energy are 0 and the Kelvin
 coefficients (), so the dynamics layer calls this module on both surfaces.
 """
@@ -60,16 +63,18 @@ def circulation_state(basis: PeriodBasis, positions, strengths,
                       base_a, base_b) -> complex:
     """W = a tau - b + sum_j Gamma_j z_j at the coordinates as given (0 on genus 0).
 
-    Requires sum(strengths) = 0, so a common lattice shift of all coordinates
-    leaves W unchanged.
+    The one check of circulation data: base circulations of the genus's length
+    and, on the torus only, strengths summing to zero, so a common lattice shift
+    of all coordinates leaves W unchanged.
     """
+    if len(base_a) != basis.genus or len(base_b) != basis.genus:
+        raise ValueError(f"base circulations must have length {basis.genus}")
     if not basis.genus:
         return 0j
     strengths = np.asarray(strengths, dtype=float)
     if abs(strengths.sum()) > 1e-12:
-        raise ValueError("vortex strengths must sum to zero")
-    if len(base_a) != 1 or len(base_b) != 1:
-        raise ValueError("base circulations must have length 1")
+        raise ValueError(f"vortex strengths must sum to zero on the torus "
+                         f"(got {strengths.sum():.3e})")
     w = strengths @ np.asarray(positions, dtype=complex)
     return complex(base_a[0] * basis.tau - base_b[0] + w)
 

@@ -2,13 +2,15 @@
 
 The sphere uses a two-chart stereographic atlas with holomorphic transition
 w = 1/z and the unit-radius normalization lambda(z) = 2/(1+|z|^2) (area 4*pi),
-so every closed-form constant below matches that normalization.  Flat tori are
-C modulo the lattice spanned by 1 and tau, with lambda = 1 and area Im(tau).
+so every closed-form constant below matches that normalization; it has no
+modulus (`Surface.tau` is None) and takes any strengths.  Flat tori are C
+modulo the lattice spanned by 1 and tau, with lambda = 1 and area Im(tau), one
+chart, and the balance rule sum Gamma = 0 of `periods.circulation_state`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -64,10 +66,10 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class Surface:
-    """A closed surface: its kind and, for a torus, the modulus tau."""
+    """A closed surface: its kind and, for a torus only, the modulus tau."""
 
     kind: str
-    tau: complex = field(default=1j)
+    tau: complex | None = None
 
     @classmethod
     def sphere(cls) -> "Surface":
@@ -80,10 +82,12 @@ class Surface:
     def __post_init__(self):
         if self.kind not in (SPHERE, FLAT_TORUS):
             raise ValueError(f"unknown surface kind {self.kind!r}")
-        tau = complex(self.tau)
+        if (self.tau is None) != (self.kind == SPHERE):
+            raise ValueError(f"tau: the flat torus needs a modulus and the sphere has none, "
+                             f"got {self.tau!r} for the {self.kind}")
         if self.kind == FLAT_TORUS:
-            reduced_modulus(tau)
-        object.__setattr__(self, "tau", tau)
+            object.__setattr__(self, "tau", complex(self.tau))
+            reduced_modulus(self.tau)
 
     @property
     def genus(self) -> int:
@@ -97,11 +101,6 @@ class Surface:
         valid = (0, 1) if self.kind == SPHERE else (0,)
         if chart_id not in valid:
             raise ChartError(f"chart {chart_id} is not a chart of the {self.kind}")
-
-    def canonical_point(self, p: SurfacePoint) -> SurfacePoint:
-        """Canonical representative of one point (see `canonical_coords`)."""
-        charts, coords, _, _ = canonical_coords(self, [p.chart_id], [p.coord])
-        return SurfacePoint(int(charts[0]), complex(coords[0]))
 
 
 def lattice_split(tau: complex, z):
@@ -168,26 +167,16 @@ def conformal_factor(surface: Surface, p: SurfacePoint) -> float:
     return 2.0 / (1.0 + abs(p.coord) ** 2) if surface.kind == SPHERE else 1.0
 
 
-def transition(surface: Surface, p: SurfacePoint,
-               target_chart: int) -> tuple[SurfacePoint, TransitionJet]:
-    """Re-express p in the target chart with the 3-jet of the transition map.
-
-    Sphere cross-chart transition is w = 1/z (pole error at z = 0); within a
-    chart, and on the torus (where chart changes are the lattice translations
-    performing fundamental-domain reduction), the jet is the identity.
-    """
-    surface.check_chart(p.chart_id)
-    surface.check_chart(target_chart)
-    if surface.kind == FLAT_TORUS:
-        return surface.canonical_point(p), TransitionJet.identity()
-    if target_chart == p.chart_id:
-        return p, TransitionJet.identity()
+def transition(p: SurfacePoint) -> tuple[SurfacePoint, TransitionJet]:
+    """A sphere point in the other chart, w = 1/z, with the 3-jet of that map
+    (ChartError at z = 0, which the other chart does not cover)."""
+    Surface.sphere().check_chart(p.chart_id)
     z = p.coord
     if z == 0:
         raise ChartError("the point z=0 is not covered by the opposite sphere chart")
     z2 = z * z
     jet = TransitionJet(-1.0 / z2, 2.0 / (z2 * z), -6.0 / (z2 * z2))
-    return SurfacePoint(target_chart, 1.0 / z), jet
+    return SurfacePoint(1 - p.chart_id, 1.0 / z), jet
 
 
 @lru_cache(maxsize=None)

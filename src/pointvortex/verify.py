@@ -268,7 +268,7 @@ def robin_transformation_laws(rng: np.random.Generator, count: int = 100) -> flo
         else:
             raise ValueError(f"no point with 0.5 < |a| < 2 in {_MAX_DRAWS} draws")
         p = SurfacePoint(0, a)
-        q, jet = transition(_SPHERE, p, 1)
+        q, jet = transition(p)
         d0 = robin_data(_SPHERE, p)
         d1 = robin_data(_SPHERE, q)
         worst = max(

@@ -21,8 +21,8 @@ from pointvortex.errors import ConfigError, StepRejectionError
 from pointvortex.surfaces import Surface
 from pointvortex.verify import random_state, verify_scenario
 
-BUNDLED = ("sphere_antipodal_pair", "sphere_crossing_pair", "torus_pair_translate",
-           "torus_four_vortex")
+BUNDLED = ("sphere_antipodal_pair", "sphere_crossing_pair", "sphere_latitude_ring",
+           "torus_pair_translate", "torus_four_vortex")
 
 
 # The directory holding the package this test run imported. Putting it first
@@ -135,6 +135,7 @@ class TestConfigParsing:
             ],
         }
         bad = json.loads(json.dumps(base))
+        bad["surface"] = {"kind": "flat_torus", "tau": [0.0, 1.0]}
         bad["vortices"][1]["strength"] = 1.0
         with pytest.raises(ConfigError, match="sum to zero"):
             parse_scenario(bad)
@@ -259,6 +260,28 @@ class TestConfigParsing:
 
 
 class TestRunCommand:
+    def test_two_outputs_on_one_path_exit_one(self, tmp_path, capsys):
+        data = resolve_scenario("sphere_antipodal_pair").to_dict()
+        data["output"] = {"trajectory": "same.txt", "diagnostics": "same.txt"}
+        (tmp_path / "same.json").write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(tmp_path / "same.json"), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str((out / "same.txt").resolve()) in err and "sphere_antipodal_pair" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ("1", "2"))
+    def test_one_scenario_twice_exits_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        code = main(["run", "torus_pair_translate", "torus_pair_translate",
+                     "--jobs", jobs, "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "torus_pair_translate.csv" in err
+        assert not out.exists()
+
     def test_bundled_run_and_outputs(self, tmp_path):
         code = main(["run", "torus_pair_translate", "--out-dir", str(tmp_path)])
         assert code == 0
@@ -381,15 +404,31 @@ class TestRunCommand:
     def test_invalid_config_exits_one(self, tmp_path):
         cfg = tmp_path / "unbalanced.json"
         cfg.write_text(json.dumps({
-            "surface": {"kind": "sphere"},
+            "surface": {"kind": "flat_torus", "tau": [0.0, 1.0]},
             "vortices": [
                 {"chart": 0, "coord": [0.5, 0.0], "strength": 1.0},
-                {"chart": 0, "coord": [-0.5, 0.0], "strength": 1.0},
+                {"chart": 0, "coord": [0.0, 0.5], "strength": 1.0},
             ],
         }))
         proc = run_cli(["run", str(cfg)], cwd=tmp_path)
         assert proc.returncode == 1
         assert "sum to zero" in proc.stderr
+
+    def test_unbalanced_sphere_config_runs(self, tmp_path):
+        # sum Gamma = 0 is a torus rule: the sphere takes any strengths
+        cfg = tmp_path / "unbalanced.json"
+        cfg.write_text(json.dumps({
+            "surface": {"kind": "sphere"},
+            "vortices": [
+                {"chart": 0, "coord": [0.5, 0.0], "strength": 1.0},
+                {"chart": 0, "coord": [-0.5, 0.0], "strength": 1.0},
+            ],
+            "integrator": {"steps": 20},
+        }))
+        assert parse_scenario(json.loads(cfg.read_text())).state().surface == Surface.sphere()
+        proc = run_cli(["run", str(cfg)], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "unbalanced.csv").read_text().splitlines()) == 22
 
     def test_collision_exits_two(self, tmp_path):
         cfg = tmp_path / "collide.json"

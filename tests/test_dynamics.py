@@ -9,6 +9,8 @@ from pointvortex.dynamics import (
     VortexState,
     hamiltonian,
     hamiltonian_velocity,
+    integrate,
+    min_separation,
     vortex_velocities,
     vortex_velocity,
     _plan,
@@ -45,10 +47,10 @@ def diametral_pair(sphere, r=0.5, gamma=2.0 * math.pi):
 
 
 class TestStateValidation:
-    def test_strengths_must_balance(self, sphere):
+    def test_strengths_must_balance(self, torus_i):
         with pytest.raises(ValueError, match="sum to zero"):
-            VortexState(sphere, (SurfacePoint(0, 0j), SurfacePoint(0, 0.5 + 0j)),
-                        (1.0, 1.0))
+            VortexState(torus_i, (SurfacePoint(0, 0j), SurfacePoint(0, 0.5 + 0j)),
+                        (1.0, 1.0), (0.0,), (0.0,))
 
     @pytest.mark.parametrize("threshold", (math.nan, -1.0, -math.inf, 0.0, math.inf))
     def test_collision_threshold_must_be_finite_and_positive(self, sphere, threshold):
@@ -71,6 +73,19 @@ class TestStateValidation:
             VortexState(sphere, (SurfacePoint(0, 0j), SurfacePoint(0, 1e-5 + 0j)),
                         (1.0, -1.0))
 
+    def test_collision_rule_is_the_runs(self, sphere):
+        # a run collides only below its threshold, so a state (a record) whose
+        # separation equals its threshold is admissible and runs
+        points = tuple(SurfacePoint(0, z) for z in (0j, 0.3 + 0j, 0.15 + 0.1j))
+        sep = min_separation(sphere, points)
+        st = VortexState(sphere, points, (1.0, 1.0, -1.0), collision_threshold=sep)
+        records = integrate(st, 1e-3, 20, record_every=10)
+        assert records[0].min_separation == sep
+        assert min(r.min_separation for r in records) >= sep
+        with pytest.raises(ValueError, match="separation"):
+            VortexState(sphere, points, (1.0, 1.0, -1.0),
+                        collision_threshold=float(np.nextafter(sep, math.inf)))
+
     def test_positions_canonicalized(self, torus_i):
         st = VortexState(torus_i, (SurfacePoint(0, 1.2 + 0.3j), SurfacePoint(0, 0.5 + 0.5j)),
                          (1.0, -1.0), (0.0,), (0.0,))
@@ -78,10 +93,13 @@ class TestStateValidation:
         # the wrap by m = 1 of the unit-strength vortex moves into b
         assert st.base_a == (0.0,) and st.base_b == (-1.0,)
 
-    def test_circulation_lengths_checked(self, torus_i):
-        with pytest.raises(ValueError, match="length"):
+    def test_circulation_lengths_checked(self, torus_i, sphere):
+        with pytest.raises(ValueError, match="length 1"):
             VortexState(torus_i, (SurfacePoint(0, 0.2 + 0.3j), SurfacePoint(0, 0.5 + 0.5j)),
                         (1.0, -1.0))
+        with pytest.raises(ValueError, match="length 0"):
+            VortexState(sphere, (SurfacePoint(0, 0.2 + 0.3j), SurfacePoint(0, 0.5 + 0.5j)),
+                        (1.0, -1.0), (0.0,), (0.0,))
 
     @pytest.mark.parametrize("strengths, a, b", [
         ((math.nan, -1.0), (0.0,), (0.0,)),
@@ -235,7 +253,7 @@ class TestVelocityLaw:
             strengths = (1.7, -1.7)
             coords0, coords1 = np.array([z, a]), np.array([1.0 / z, a])
             v0 = _plan(sphere, [0, 0], coords0, strengths, (), ()).velocity(coords0)[0]
-            _, jet = transition(sphere, SurfacePoint(0, z), 1)
+            _, jet = transition(SurfacePoint(0, z))
             v1 = _plan(sphere, [1, 0], coords1, strengths, (), ()).velocity(coords1)[0]
             assert abs(v1 - jet.phi1 * v0) < 1e-9 * max(1.0, abs(v1))
             done += 1

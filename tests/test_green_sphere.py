@@ -149,7 +149,7 @@ class TestRobinData:
             if not 0.5 < abs(a) < 2.0:
                 continue
             p = SurfacePoint(0, a)
-            q, jet = transition(sphere, p, 1)
+            q, jet = transition(p)
             d0 = robin_data(sphere, p)
             d1 = robin_data(sphere, q)
             assert abs(d1.h0 - d0.h0 - math.log(abs(jet.phi1))) < 1e-8

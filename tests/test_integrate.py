@@ -390,9 +390,9 @@ class TestChartHandover:
                           tuple(-g for g in st.strengths))
         back = integrate(end, 5e-3, 200, record_every=200)
         for p, q in zip(back[-1].positions, st.positions):
-            canon = sphere.canonical_point(p)
-            assert abs(canon.coord - q.coord) < 1e-8
-            assert canon.chart_id == q.chart_id
+            charts, coords, _, _ = canonical_coords(sphere, [p.chart_id], [p.coord])
+            assert abs(coords[0] - q.coord) < 1e-8
+            assert charts[0] == q.chart_id
 
 
 class TestAdaptive:
@@ -527,9 +527,19 @@ def test_invalid_integrate_arguments():
 @pytest.mark.parametrize("name, value", [
     ("dt", math.nan), ("dt", math.inf), ("dt", -math.inf),
     ("record_every", 0), ("record_every", -1),
+    ("steps", True), ("steps", 10.5), ("steps", 10.0), ("steps", np.float64(10)),
+    ("record_every", True), ("record_every", 2.5),
 ])
 def test_integrate_names_the_bad_argument(method, name, value):
     args = {"dt": 0.01, "steps": 10, "record_every": 1, name: value}
     with pytest.raises(ValueError, match=f"^{name}: must be"):
         integrate(four_vortex_torus(), args["dt"], args["steps"], method=method,
                   record_every=args["record_every"])
+
+
+def test_integrate_takes_numpy_integer_counts():
+    st = four_vortex_torus()
+    got = integrate(st, 0.01, np.int64(10), record_every=np.int32(5))
+    want = integrate(st, 0.01, 10, record_every=5)
+    assert got == want
+    assert all(type(r.time) is float for r in got)

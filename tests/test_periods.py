@@ -163,6 +163,10 @@ class TestCirculationState:
     def test_genus_zero_is_empty(self, sphere):
         basis = build_basis(sphere)
         assert circulation_state(basis, [], [], (), ()) == 0j
+        # no balance rule on the sphere, but no base circulations either
+        assert circulation_state(basis, [0.1j, 0.5], [1.0, 2.0], (), ()) == 0j
+        with pytest.raises(ValueError, match="length 0"):
+            circulation_state(basis, [0.1j, 0.5], [1.0, -1.0], (0.0,), (0.0,))
 
     def test_invariant_reconstruction(self, torus_skew, rng):
         basis = build_basis(torus_skew)
@@ -186,7 +190,7 @@ class TestCirculationState:
 
     def test_strength_sum_enforced(self, torus_i):
         basis = build_basis(torus_i)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to zero"):
             circulation_state(basis, [0.1 + 0.1j, 0.5 + 0.5j], [1.0, 1.0], (0.0,), (0.0,))
 
     def test_base_length_enforced(self, torus_i):

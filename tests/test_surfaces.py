@@ -31,6 +31,14 @@ def test_directly_built_torus_derives_genus_and_area():
     assert torus == Surface.flat_torus(0.3 + 2j)
 
 
+def test_only_the_torus_has_a_modulus():
+    assert Surface("sphere") == Surface.sphere() and Surface.sphere().tau is None
+    with pytest.raises(ValueError, match="the sphere has none"):
+        Surface("sphere", 2j)
+    with pytest.raises(ValueError, match="needs a modulus"):
+        Surface(FLAT_TORUS)
+
+
 def test_torus_requires_upper_half_plane_modulus():
     with pytest.raises(ValueError):
         Surface.flat_torus(1.0 - 0.5j)
@@ -85,22 +93,19 @@ def test_metric_connection_is_wirtinger_derivative_of_log_lambda(sphere, rng):
 
 
 def test_sphere_transition_examples(sphere):
-    p, jet = transition(sphere, SurfacePoint(0, 2.0 + 0j), 1)
+    p, jet = transition(SurfacePoint(0, 2.0 + 0j))
     assert p.chart_id == 1
     assert p.coord == pytest.approx(0.5 + 0j)
     assert jet.phi1 == pytest.approx(-0.25)
 
-    p, jet = transition(sphere, SurfacePoint(0, 1.0 + 0j), 1)
+    p, jet = transition(SurfacePoint(1, 1.0 + 0j))
+    assert p.chart_id == 0
     assert (jet.phi1, jet.phi2, jet.phi3) == (-1.0, 2.0, -6.0)
 
     with pytest.raises(ChartError):
-        transition(sphere, SurfacePoint(0, 0j), 1)
-
-
-def test_torus_transition_is_reduction(torus_i):
-    p, jet = transition(torus_i, SurfacePoint(0, 1.25 + 0.5j), 0)
-    assert p.coord == pytest.approx(0.25 + 0.5j)
-    assert jet.phi1 == 1.0 and jet.phi2 == 0.0 and jet.phi3 == 0.0
+        transition(SurfacePoint(0, 0j))
+    with pytest.raises(ChartError):
+        transition(SurfacePoint(2, 0.5 + 0j))
 
 
 def test_torus_reduction_idempotent(torus_skew, rng):
@@ -112,13 +117,12 @@ def test_torus_reduction_idempotent(torus_skew, rng):
 
 
 def test_canonical_point(sphere, torus_i):
-    inside = sphere.canonical_point(SurfacePoint(0, 0.5 + 0.5j))
-    assert inside.chart_id == 0
-    outside = sphere.canonical_point(SurfacePoint(0, 2.0 + 0j))
-    assert outside.chart_id == 1
-    assert outside.coord == pytest.approx(0.5 + 0j)
-    wrapped = torus_i.canonical_point(SurfacePoint(0, -0.25 + 1.5j))
-    assert wrapped.coord == pytest.approx(0.75 + 0.5j)
+    charts, coords, _, _ = canonical_coords(sphere, [0, 0], [0.5 + 0.5j, 2.0 + 0j])
+    assert charts.tolist() == [0, 1]
+    assert coords[1] == pytest.approx(0.5 + 0j)
+    _, wrapped, m, n = canonical_coords(torus_i, [0], [-0.25 + 1.5j])
+    assert wrapped[0] == pytest.approx(0.75 + 0.5j)
+    assert (m[0], n[0]) == (-1, 1)
 
 
 def test_geodesic_distance_examples(sphere, torus_i):
@@ -137,7 +141,8 @@ def test_geodesic_distance_examples(sphere, torus_i):
 @pytest.mark.parametrize("z", (0.3 + 0.4j, 0.9 + 0.1j, 0.01, 0.7 - 0.7j))
 def test_antipodal_separation_is_pi(sphere, z):
     # an arcsin of a clamped R^3 chord misses pi here by up to 3e-8
-    antipode = sphere.canonical_point(SurfacePoint(0, -1.0 / complex(z).conjugate()))
+    charts, coords, _, _ = canonical_coords(sphere, [0], [-1.0 / complex(z).conjugate()])
+    antipode = SurfacePoint(int(charts[0]), complex(coords[0]))
     assert antipode.chart_id == 1
     assert abs(geodesic_distance(sphere, SurfacePoint(0, z), antipode) - math.pi) <= 1e-15
 
@@ -164,7 +169,7 @@ def test_chart_consistency_of_metric(sphere, rng):
         if not 0.5 < abs(z) < 2.0:
             continue
         lam0 = conformal_factor(sphere, SurfacePoint(0, z))
-        w, jet = transition(sphere, SurfacePoint(0, z), 1)
+        w, jet = transition(SurfacePoint(0, z))
         lam1 = conformal_factor(sphere, w)
         assert abs(lam1 * abs(jet.phi1) - lam0) < 1e-12 * lam0
         count += 1
@@ -178,7 +183,7 @@ def test_metric_connection_transforms_as_affine_connection(sphere, rng):
         if not 0.3 < abs(z) < 3.0:
             continue
         r0 = metric_connection(sphere, SurfacePoint(0, z))
-        w, jet = transition(sphere, SurfacePoint(0, z), 1)
+        w, jet = transition(SurfacePoint(0, z))
         r1 = metric_connection(sphere, w)
         assert abs(r1 * jet.phi1 - (r0 - jet.phi2 / jet.phi1)) < 1e-10
         count += 1

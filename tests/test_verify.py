@@ -176,8 +176,8 @@ def test_velocity_checks_fail_on_a_scaled_velocity_law(monkeypatch):
                         lambda self, coords: (1.0 + 1e-5) * velocity(self, coords))
     assert _failed(run_suite("quick", 7)) == {
         "velocity_equivalence_sphere", "velocity_equivalence_torus"}
-    for name in ("sphere_antipodal_pair", "sphere_crossing_pair", "torus_four_vortex",
-                 "torus_pair_translate"):
+    for name in ("sphere_antipodal_pair", "sphere_crossing_pair", "sphere_latitude_ring",
+                 "torus_four_vortex", "torus_pair_translate"):
         cfg = resolve_scenario(name)
         rows = [r for r in verify_scenario(cfg) if r.name.startswith("velocity[")]
         assert len(rows) == cfg.state().n and not any(r.passed for r in rows), name
