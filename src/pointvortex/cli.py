@@ -133,6 +133,13 @@ def write_diagnostics(path: Path, records: list[TrajectoryRecord],
     path.write_text("\n".join(lines) + "\n")
 
 
+def _print(text: str) -> None:
+    try:   # a reader that closed stdout (`| head`) ends the output, not the command
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _error(text: str) -> int:
     # one write call keeps --jobs workers' lines whole; EXIT_CONFIG for callers exiting on it
     sys.stderr.write(text + "\n")
@@ -175,7 +182,7 @@ def run_one(cfg: ScenarioConfig, out_dir: Path) -> int:
     except OSError as exc:
         return _error(f"cannot write {exc.filename}: {exc.strerror}")
     if code == EXIT_OK:
-        print(f"{cfg.name}: wrote {traj_path} ({len(records)} records)")
+        _print(f"{cfg.name}: wrote {traj_path} ({len(records)} records)")
     return code
 
 
@@ -193,7 +200,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return _error(f"config error: {exc}")
     if args.dump_config:
         for cfg in configs:
-            print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
+            _print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
     out_dir, writers = Path(args.out_dir), {}
     for cfg in configs:   # one writer per output path, or two runs overwrite each other
@@ -220,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = verify_scenario(cfg)
     else:
         results = run_suite(args.suite, args.seed, dict(args.override or ()))
-    print(format_report(results))
+    _print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 

@@ -171,7 +171,7 @@ def min_separation(surface: Surface, positions) -> float:
         return math.inf
     charts, coords = _point_arrays(positions)
     pairs = pair_selection(surface, charts, *pair_indices(len(coords)))
-    return float(pair_distances(surface, coords, pairs).min())
+    return float(pair_distances(surface, coords, pairs, min_only=True).min())
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,8 @@ class _Plan:
     def separation(self, coords, threshold: float, t: float) -> float:
         """Minimum separation over the pairs; raises CollisionError below
         `threshold`, naming the first closest pair in (i, j) order."""
-        d = pair_distances(self.surface, coords, self.pairs)
-        k = int(np.argmin(d))
+        d = pair_distances(self.surface, coords, self.pairs, min_only=True)
+        k = int(d.argmin())
         best = float(d[k])
         if best < threshold:
             raise CollisionError(t, (int(self.pairs[0, k]), int(self.pairs[-1, k])), best)

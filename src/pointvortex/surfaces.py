@@ -216,18 +216,26 @@ def _lattice_offsets(tau: complex) -> np.ndarray:
     return offsets
 
 
-def pair_distances(surface: Surface, coords, pairs) -> np.ndarray:
+def pair_distances(surface: Surface, coords, pairs, min_only: bool = False) -> np.ndarray:
     """Geodesic separations over `pairs`, a `pair_selection`: on the sphere
     2 atan2(|d|, |e|) with d = zi b_j - a_j and e = conj(zi) a_j + b_j; on the
-    torus (any cover coordinates) |j| times the nearest of the 9 centered
-    translates of u / j in the reduced basis."""
+    torus (any cover coordinates) |j| |u|, u the difference / j centered in the
+    reduced basis, or where |u| >= 1/2 the nearest of its 9 centered translates.
+    `min_only`: translates only where |u| >= 1 - min |u|, which keeps the min and
+    first argmin exact; a pair that cannot be the closest may read above its value."""
     coords = np.asarray(coords, dtype=complex)
     if surface.kind == SPHERE:
         zi, a, b, _ = sphere_pair_points(coords, pairs)
         return 2.0 * np.arctan2(np.abs(zi * b - a), np.abs(zi.conjugate() * a + b))
     tau_r, j_tau = reduced_modulus(surface.tau)
     u = reduce_centered(tau_r, (coords[pairs[0]] - coords[pairs[-1]]) * (1.0 / j_tau))
-    return abs(j_tau) * np.abs(u[..., None] + _lattice_offsets(tau_r)).min(axis=-1)
+    # every reduced lattice vector o != 0 is >= 1 - 1e-12 long: |u + o| >= |o| - |u|
+    d = np.abs(u)
+    bound = (1.0 - d.min() if min_only else 0.5) - 1e-9   # 1e-9 for rounding
+    if d.max(initial=0.0) >= bound:   # initial: an empty pair set stays empty
+        near = d >= bound
+        d[near] = np.abs(u[near][:, None] + _lattice_offsets(tau_r)).min(axis=-1)
+    return abs(j_tau) * d
 
 
 def geodesic_distance(surface: Surface, p: SurfacePoint, q: SurfacePoint) -> float:

@@ -538,6 +538,30 @@ class TestRunCommand:
         reparsed = parse_scenario(json.loads(proc.stdout))
         assert reparsed == resolve_scenario("sphere_antipodal_pair")
 
+    @pytest.mark.parametrize("args, code, unbuffered", [
+        (["run", "torus_four_vortex", "sphere_antipodal_pair", "--dump-config"], 0, "1"),
+        (["run", "torus_four_vortex", "sphere_antipodal_pair", "--dump-config"], 0, ""),
+        (["run", "torus_pair_translate", "sphere_antipodal_pair", "--out-dir", "{tmp}"], 0, "1"),
+        (["verify", "torus_pair_translate"], 0, ""),
+        (["verify", "--override", "sphere_green_normalization=1e-15"], 4, "1"),
+    ], ids=["dump-unbuffered", "dump-buffered", "run", "verify-pass", "verify-fail"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, args, code, unbuffered):
+        # the reader has gone before the first write (`| head` that exited):
+        # no traceback, the command's own exit code, and every output written
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pointvortex", *(a.format(tmp=tmp_path) for a in args)],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env=cli_env({"PYTHONUNBUFFERED": unbuffered}),
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        if args[0] == "run" and "--dump-config" not in args:
+            assert len(list(tmp_path.iterdir())) == 4
+
     def test_parallel_jobs(self, tmp_path):
         # the fan-out writes the bytes a serial run writes
         names = ("sphere_antipodal_pair", "sphere_crossing_pair", "torus_pair_translate")
