@@ -6,8 +6,8 @@ Library layout:
 - ``connections``  transition jets and their coordinate-change brackets
 - ``green``        the pair kernel behind every Green value and gradient,
                    Robin data
-- ``periods``      circulation state W of a torus, period matrix, circulation
-                   energy and flow
+- ``periods``      circulation state W of a torus (from the surface's tau),
+                   Kelvin coefficients, circulation energy and flow
 - ``dynamics``     velocity law, Hamiltonian, time integration
 - ``oracles``      independent validators (spectral Poisson solve, torus and
                    pole-centred sphere quadrature, loop contour integrals,
@@ -15,8 +15,8 @@ Library layout:
 - ``cli``          the ``pointvortex`` command-line front door
 
 The package holds what ``run``, ``verify`` and the benchmark call; the
-connection calculus and the other paper identities that only the tests
-compare against live in ``tests/reference.py``.
+connection calculus, the torus period matrix and the other paper identities
+that only the tests compare against live in ``tests/reference.py``.
 """
 
 from .connections import TransitionJet, bracket, chain_check
@@ -37,13 +37,7 @@ from .errors import (
     StepRejectionError,
 )
 from .green import GreenEvaluation, RobinData, green, robin_data
-from .periods import (
-    PeriodBasis,
-    build_basis,
-    circulation_energy,
-    circulation_form,
-    circulation_state,
-)
+from .periods import build_basis, circulation_energy, circulation_form, circulation_state
 from .surfaces import (
     Surface,
     SurfacePoint,
@@ -55,7 +49,7 @@ from .surfaces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChartError", "CollisionError", "ConfigError", "GreenEvaluation", "PeriodBasis",
+    "ChartError", "CollisionError", "ConfigError", "GreenEvaluation",
     "PointVortexError", "RobinData", "SingularityError", "StepRejectionError",
     "Surface", "SurfacePoint", "TrajectoryRecord", "TransitionJet", "VortexState",
     "bracket", "build_basis", "chain_check", "circulation_energy", "circulation_form",

@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .dynamics import DEFAULT_COLLISION_THRESHOLD, METHODS, VortexState
+from .dynamics import DEFAULT_COLLISION_THRESHOLD, METHODS, MIN_COLLISION_THRESHOLD, VortexState
 from .errors import ChartError, ConfigError
 from .surfaces import FLAT_TORUS, SPHERE, Surface, SurfacePoint
 
@@ -176,8 +176,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         data, "collision_threshold", float, "top level",
         default=DEFAULT_COLLISION_THRESHOLD,
     )
-    if not threshold > 0:
-        raise ConfigError(f"collision_threshold: must be positive, got {threshold}")
+    if not MIN_COLLISION_THRESHOLD <= threshold < math.inf:   # `VortexState`'s rule
+        raise ConfigError(f"collision_threshold: must be finite and >= "
+                          f"{MIN_COLLISION_THRESHOLD:g}, got {threshold}")
 
     tolerances = _expect(data, "tolerances", dict, "top level", default={})
     _known_fields(tolerances, ("velocity_equivalence",), "tolerances.")

@@ -58,8 +58,6 @@ from .green import (
 )
 from .oracles import wirtinger_fd
 from .periods import (
-    PeriodBasis,
-    build_basis,
     circulation_energy,
     circulation_form,
     circulation_state,
@@ -78,6 +76,9 @@ from .surfaces import (
 from .theta import ThetaContext, theta_context
 
 DEFAULT_COLLISION_THRESHOLD = 1e-3
+# the least threshold: above the kernel's 1e-12 coincidence tolerance, with room
+# for the sphere's arc against its chord, so the collision check fires first
+MIN_COLLISION_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,9 @@ class VortexState:
     collision_threshold: float = DEFAULT_COLLISION_THRESHOLD
 
     def __post_init__(self):
-        if not 0.0 < self.collision_threshold < math.inf:   # NaN fails too
-            raise ValueError("collision_threshold: must be finite and positive, "
-                             f"got {self.collision_threshold}")
+        if not MIN_COLLISION_THRESHOLD <= self.collision_threshold < math.inf:   # NaN fails too
+            raise ValueError(f"collision_threshold: must be finite and >= "
+                             f"{MIN_COLLISION_THRESHOLD:g}, got {self.collision_threshold}")
         n = len(self.positions)
         if n < 2:
             raise ValueError("a vortex state needs at least two vortices")
@@ -112,7 +113,7 @@ class VortexState:
             raise ValueError("vortex strengths must all be nonzero")
         strengths = tuple(float(g) for g in self.strengths)
         charts, coords = _point_arrays(self.positions)
-        circulation_state(build_basis(self.surface), coords, strengths, self.base_a, self.base_b)
+        circulation_state(self.surface, coords, strengths, self.base_a, self.base_b)
         charts, coords, base_a, base_b = _canonical(
             self.surface, charts, coords, np.array(strengths),
             tuple(self.base_a), tuple(self.base_b))
@@ -199,7 +200,6 @@ class _Plan:
     pairs' positions in `_row_sums`' matrix, which a rechart keeps."""
 
     surface: Surface
-    basis: PeriodBasis
     strengths: np.ndarray
     pairs: np.ndarray
     flat: np.ndarray
@@ -233,8 +233,8 @@ class _Plan:
         value = pair_terms(surface, coords, pairs)[0]
         twice_h = (g**2 * self.robin).sum()
         twice_h += 2.0 * (g[pairs[0]] * g[pairs[-1]] * value).sum()
-        w = circulation_state(self.basis, coords, g, base_a, base_b)
-        twice_h += circulation_energy(self.basis, w)
+        w = circulation_state(surface, coords, g, base_a, base_b)
+        twice_h += circulation_energy(surface, w)
         return float(0.5 * twice_h)
 
     def separation(self, coords, threshold: float, t: float) -> float:
@@ -250,15 +250,14 @@ class _Plan:
 
 def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
     strengths, n = np.asarray(strengths, dtype=float), len(strengths)
-    basis = build_basis(surface)
     pairs = pair_selection(surface, charts, *pair_indices(n))
-    w = circulation_state(basis, coords, strengths, base_a, base_b)
+    w = circulation_state(surface, coords, strengths, base_a, base_b)
     theta = None if surface.kind == SPHERE else theta_context(surface.tau)
     origin = SurfacePoint(0, 0j)
     robin = (robin_data(surface, origin).h0
              + math.log(conformal_factor(surface, origin))) / (2.0 * math.pi)
-    return _Plan(surface, basis, strengths, pairs, pairs[[0, -1]] * n + pairs[[-1, 0]],
-                 theta, circulation_form(basis, w), robin)
+    return _Plan(surface, strengths, pairs, pairs[[0, -1]] * n + pairs[[-1, 0]],
+                 theta, circulation_form(surface, w), robin)
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +352,14 @@ class _Trajectory:
         self.accepted += 1
 
     def record(self, t: float) -> TrajectoryRecord:
-        plan, basis, g = self.plan, self.plan.basis, self.plan.strengths
+        plan, g = self.plan, self.plan.strengths
         charts, coords, a, b = self.charts, self.coords, self.base_a, self.base_b
         if plan.theta is not None:   # wrap the torus cover; `accept` keeps the sphere canonical
             charts, coords, a, b = _canonical(plan.surface, charts, coords, g, a, b)
         h = plan.energy(coords, a, b)
-        w = circulation_state(basis, coords, g, a, b)   # not the plan's: independent
+        w = circulation_state(plan.surface, coords, g, a, b)   # not the plan's: independent
         return TrajectoryRecord(t, _points(charts, coords), h, a, b, self.separation,
-                                kelvin_coefficients(basis, w))
+                                kelvin_coefficients(plan.surface, w))
 
 
 def _rk4_advance(traj: _Trajectory, i0: int, i1: int, dt: float) -> None:

@@ -23,43 +23,26 @@ Moving a vortex to another cover copy, z -> z - m - n tau, while a += Gamma n
 and b -= Gamma m leaves W unchanged.  That needs sum_j Gamma_j = 0, a torus
 rule whose one owner is `circulation_state` (`VortexState` validates through
 it); the sphere's zero-mean Green function carries the compensating uniform
-vorticity, so it takes any strengths.  Genus-0 surfaces have W = 0 and an
-empty period matrix: there W, its flow and energy are 0 and the Kelvin
-coefficients (), so the dynamics layer calls this module on both surfaces.
+vorticity, so it takes any strengths.  Each function takes the `Surface`, whose
+tau and genus are all the period data: P is only a test reference, against
+which `verify`'s period_matrix_spd checks the energy through contour periods.
+On genus 0, W, its flow and energy are 0 and the Kelvin coefficients (), so
+the dynamics layer calls this module on both surfaces.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .surfaces import Surface
 
 
-@dataclass(frozen=True)
-class PeriodBasis:
-    """Modulus (None on genus 0) and period matrix P of a surface."""
-
-    tau: complex | None
-    period_matrix: np.ndarray
-
-    @property
-    def genus(self) -> int:
-        return len(self.period_matrix) // 2
+def build_basis(surface: Surface) -> Surface:
+    """The surface itself, which carries tau and the genus.  Kept only because
+    the benchmark (`perfbench/layers.py`) calls it."""
+    return surface
 
 
-@lru_cache(maxsize=None)
-def build_basis(surface: Surface) -> PeriodBasis:
-    if surface.genus == 0:
-        return PeriodBasis(None, np.zeros((0, 0)))
-    tau = surface.tau
-    matrix = np.array([[abs(tau) ** 2, -tau.real], [-tau.real, 1.0]]) / tau.imag
-    matrix.flags.writeable = False
-    return PeriodBasis(tau, matrix)
-
-
-def circulation_state(basis: PeriodBasis, positions, strengths,
+def circulation_state(surface: Surface, positions, strengths,
                       base_a, base_b) -> complex:
     """W = a tau - b + sum_j Gamma_j z_j at the coordinates as given (0 on genus 0).
 
@@ -67,29 +50,29 @@ def circulation_state(basis: PeriodBasis, positions, strengths,
     and, on the torus only, strengths summing to zero, so a common lattice shift
     of all coordinates leaves W unchanged.
     """
-    if len(base_a) != basis.genus or len(base_b) != basis.genus:
-        raise ValueError(f"base circulations must have length {basis.genus}")
-    if not basis.genus:
+    if len(base_a) != surface.genus or len(base_b) != surface.genus:
+        raise ValueError(f"base circulations must have length {surface.genus}")
+    if not surface.genus:
         return 0j
     strengths = np.asarray(strengths, dtype=float)
     if abs(strengths.sum()) > 1e-12:
         raise ValueError(f"vortex strengths must sum to zero on the torus "
                          f"(got {strengths.sum():.3e})")
     w = strengths @ np.asarray(positions, dtype=complex)
-    return complex(base_a[0] * basis.tau - base_b[0] + w)
+    return complex(base_a[0] * surface.tau - base_b[0] + w)
 
 
-def kelvin_coefficients(basis: PeriodBasis, w: complex) -> tuple[float, ...]:
+def kelvin_coefficients(surface: Surface, w: complex) -> tuple[float, ...]:
     """(A, B) = (Im W, Im(W conj(tau))) / Im tau, so W = A tau - B; () on genus 0."""
-    tau = basis.tau
-    return (w.imag / tau.imag, (w * tau.conjugate()).imag / tau.imag) if basis.genus else ()
+    tau = surface.tau
+    return (w.imag / tau.imag, (w * tau.conjugate()).imag / tau.imag) if surface.genus else ()
 
 
-def circulation_form(basis: PeriodBasis, w: complex) -> complex:
+def circulation_form(surface: Surface, w: complex) -> complex:
     """du*/dz = conj(W) / (2 Im tau), the conjugate potential's constant gradient."""
-    return w.conjugate() / (2.0 * basis.tau.imag) if basis.genus else 0j
+    return w.conjugate() / (2.0 * surface.tau.imag) if surface.genus else 0j
 
 
-def circulation_energy(basis: PeriodBasis, w: complex) -> float:
-    """Energy of the circulating flow, |W|^2 / Im tau."""
-    return abs(w) ** 2 / basis.tau.imag if basis.genus else 0.0
+def circulation_energy(surface: Surface, w: complex) -> float:
+    """Energy of the circulating flow, |W|^2 / Im tau = (A, B) P (A, B)^T."""
+    return abs(w) ** 2 / surface.tau.imag if surface.genus else 0.0

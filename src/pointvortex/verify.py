@@ -38,7 +38,7 @@ from .oracles import (
     torus_poisson_oracle,
     wirtinger_fd,
 )
-from .periods import build_basis, circulation_form, circulation_state
+from .periods import circulation_energy, circulation_form, circulation_state
 from .surfaces import (
     Surface,
     SurfacePoint,
@@ -67,8 +67,9 @@ _MAX_DRAWS = 1000
 
 def random_state(surface: Surface, n: int, rng: np.random.Generator,
                  circulations: bool = False, min_sep: float = 0.15) -> VortexState:
-    """Random admissible vortex state: uniform positions, balanced strengths.
-    Each is redrawn at most _MAX_DRAWS times, then ValueError is raised."""
+    """Random admissible vortex state: uniform positions, and strengths of size
+    0.25 or more that sum to zero on the torus only (the sphere's net strength is
+    free).  Each is redrawn at most _MAX_DRAWS times, then ValueError is raised."""
     for _ in range(_MAX_DRAWS):
         pts = delta_probe_points(surface, rng, n)
         if min_separation(surface, pts) > min_sep:
@@ -78,11 +79,12 @@ def random_state(surface: Surface, n: int, rng: np.random.Generator,
                          f"min_sep={min_sep} in {_MAX_DRAWS} draws")
     for _ in range(_MAX_DRAWS):
         g = rng.uniform(0.4, 1.6, n) * rng.choice([-1.0, 1.0], n)
-        g -= g.mean()
+        if surface.genus:
+            g -= g.mean()
         if np.abs(g).min() > 0.25:
             break
     else:
-        raise ValueError(f"no balanced strengths for n={n} in {_MAX_DRAWS} draws")
+        raise ValueError(f"no strengths above 0.25 for n={n} in {_MAX_DRAWS} draws")
     genus = surface.genus
     if circulations and genus:
         a = tuple(rng.uniform(-1.0, 1.0, genus))
@@ -200,29 +202,30 @@ def period_relation_residual(tau: complex) -> float:
     a, b = 0.3, -0.2
     big_a = a + sum(g * z.imag / t2 for z, g in zip(zs, gs))
     big_b = b + sum(g * (-z.real + t1 * z.imag / t2) for z, g in zip(zs, gs))
-    basis = build_basis(Surface.flat_torus(tau))
-    grad = circulation_form(basis, circulation_state(basis, zs, gs, (a,), (b,)))
+    surface = Surface.flat_torus(tau)
+    grad = circulation_form(surface, circulation_state(surface, zs, gs, (a,), (b,)))
     got_a, got_b = _flow_periods(tau, grad, star=True)
     return max(abs(got_a + big_a), abs(got_b + big_b))
 
 
 def period_matrix_residual(tau: complex) -> float:
-    """Period matrix P against the Riemann bilinear relation: the flow with
-    Kelvin coefficients (A, B) has energy E(A, B) = per_alpha(du*) per_beta(*du*)
-    - per_beta(du*) per_alpha(*du*), and E(1, 0), E(0, 1), E(1, 1) give P by
-    polarization.  E is a Dirichlet energy, so agreement also makes P positive
-    definite."""
-    basis = build_basis(Surface.flat_torus(tau))
-
-    def energy(a: float, b: float) -> float:
-        grad = circulation_form(basis, circulation_state(basis, (), (), (a,), (b,)))
+    """`circulation_energy`, the energy H adds for the circulating flow, against
+    the Riemann bilinear relation: the flow with Kelvin coefficients (A, B),
+    W = A tau - B, has energy E(A, B) = per_alpha(du*) per_beta(*du*)
+    - per_beta(du*) per_alpha(*du*), by contour integration of its form
+    `circulation_form`.  E(1, 0), E(0, 1) and E(1, 1) fix the quadratic form,
+    the period matrix P, by polarization; E is a Dirichlet energy, so agreement
+    also makes P positive definite."""
+    surface = Surface.flat_torus(tau)
+    worst = 0.0
+    for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+        w = a * tau - b
+        grad = circulation_form(surface, w)
         (d_alpha, d_beta), (s_alpha, s_beta) = (
             _flow_periods(tau, grad, star) for star in (False, True))
-        return d_alpha * s_beta - d_beta * s_alpha
-
-    e10, e01 = energy(1.0, 0.0), energy(0.0, 1.0)
-    mixed = 0.5 * (energy(1.0, 1.0) - e10 - e01)
-    return float(np.abs(basis.period_matrix - np.array([[e10, mixed], [mixed, e01]])).max())
+        worst = max(worst, abs(circulation_energy(surface, w)
+                               - (d_alpha * s_beta - d_beta * s_alpha)))
+    return worst
 
 
 def conjugate_period_residual(surface: Surface, rng: np.random.Generator,

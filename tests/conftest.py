@@ -5,7 +5,7 @@ from pointvortex.surfaces import Surface
 
 try:
     from hypothesis import settings
-except ImportError:  # only tests/test_pair_kernel.py needs hypothesis
+except ImportError:  # only the property-test modules need hypothesis
     settings = None
 
 if settings is not None:

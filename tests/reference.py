@@ -2,10 +2,10 @@
 
 The inverse of a transition jet, the connection calculus of the order-0/1/2
 gluing rules, the metric's Levi-Civita connection, the two-point potential,
-the stream coefficients c0 (with the conjugate potential u*) and c1, the
-velocity law summed over a dense gradient matrix, and a meridian arc-length
-quadrature.  None of them is on a `run` or `verify` path, so they live here,
-built on the package's public calls.
+the torus period matrix P, the stream coefficients c0 (with the conjugate
+potential u*) and c1, the velocity law summed over a dense gradient matrix,
+and a meridian arc-length quadrature.  None of them is on a `run` or `verify`
+path, so they live here, built on the package's public calls.
 """
 import cmath
 import math
@@ -17,7 +17,7 @@ from pointvortex.connections import TransitionJet, bracket
 from pointvortex.dynamics import VortexState
 from pointvortex.errors import SingularityError
 from pointvortex.green import green, pair_terms, robin_data
-from pointvortex.periods import PeriodBasis, build_basis, circulation_form, circulation_state
+from pointvortex.periods import circulation_form, circulation_state
 from pointvortex.surfaces import (
     SPHERE,
     Surface,
@@ -154,9 +154,15 @@ def fundamental_potential(surface: Surface, z: SurfacePoint, w: SurfacePoint,
     )
 
 
-def conjugate_potential(basis: PeriodBasis, w: complex, z: complex) -> float:
+def period_matrix(tau: complex) -> np.ndarray:
+    """P = [[|tau|^2, -Re tau], [-Re tau, 1]] / Im tau: the circulating flow with
+    Kelvin coefficients (A, B) has energy (A, B) P (A, B)^T."""
+    return np.array([[abs(tau) ** 2, -tau.real], [-tau.real, 1.0]]) / tau.imag
+
+
+def conjugate_potential(surface: Surface, w: complex, z: complex) -> float:
     """u*(z) = Re(conj(W) z) / Im tau, on the branch of the coordinate as given."""
-    return (w.conjugate() * z).real / basis.tau.imag if basis.genus else 0.0
+    return (w.conjugate() * z).real / surface.tau.imag if surface.genus else 0.0
 
 
 def c0_coefficient(state: VortexState, k: int) -> float:
@@ -165,9 +171,8 @@ def c0_coefficient(state: VortexState, k: int) -> float:
     surface, points, g = state.surface, state.positions, state.strengths
     mutual = sum(g[j] * green(surface, points[k], p).value
                  for j, p in enumerate(points) if j != k)
-    basis = build_basis(surface)
-    w = circulation_state(basis, [p.coord for p in points], g, state.base_a, state.base_b)
-    mutual += conjugate_potential(basis, w, points[k].coord)
+    w = circulation_state(surface, [p.coord for p in points], g, state.base_a, state.base_b)
+    mutual += conjugate_potential(surface, w, points[k].coord)
     return robin_data(surface, points[k]).h0 + _TWO_PI * mutual / g[k]
 
 
@@ -177,9 +182,8 @@ def c1_coefficient(state: VortexState, k: int) -> complex:
     surface, points, g = state.surface, state.positions, state.strengths
     mutual = sum(g[j] * green(surface, points[k], p).grad_z
                  for j, p in enumerate(points) if j != k)
-    basis = build_basis(surface)
-    w = circulation_state(basis, [p.coord for p in points], g, state.base_a, state.base_b)
-    mutual += circulation_form(basis, w)
+    w = circulation_state(surface, [p.coord for p in points], g, state.base_a, state.base_b)
+    mutual += circulation_form(surface, w)
     return robin_data(surface, points[k]).h1 + 2.0 * _TWO_PI * mutual / g[k]
 
 
@@ -194,8 +198,8 @@ def dense_velocity(surface: Surface, charts, coords, strengths,
     _, grad_i, grad_j = pair_terms(surface, coords, pair_selection(surface, charts, i, j))
     m = np.zeros((n, n), dtype=complex)
     m[i, j], m[j, i] = grad_i, grad_j
-    basis = build_basis(surface)
-    flow = circulation_form(basis, circulation_state(basis, coords, strengths, base_a, base_b))
+    flow = circulation_form(surface, circulation_state(surface, coords, strengths,
+                                                       base_a, base_b))
     lam = np.array([conformal_factor(surface, SurfacePoint(int(c), complex(z)))
                     for c, z in zip(charts, coords)])
     return -2j * (m @ strengths + flow).conjugate() / lam**2

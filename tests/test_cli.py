@@ -244,6 +244,25 @@ class TestConfigParsing:
             assert re.search(f"{field}: unknown field", proc.stderr)
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("name", ["torus_pair_translate", "sphere_antipodal_pair"])
+    def test_threshold_below_the_kernel_resolution_rejected(self, tmp_path, name):
+        # two vortices 5e-16 apart under a 1e-16 threshold would reach the Green
+        # kernel's coincidence check (1e-12) before the collision check
+        data = resolve_scenario(name).to_dict()
+        data["collision_threshold"] = 1e-16
+        first = data["vortices"][0]
+        data["vortices"][1].update(chart=first["chart"],
+                                   coord=[first["coord"][0] + 5e-16, first["coord"][1]])
+        with pytest.raises(ConfigError, match="^collision_threshold: must be finite"):
+            parse_scenario(data)
+        cfg = tmp_path / "close.json"
+        cfg.write_text(json.dumps(data))
+        for command in ("run", "verify"):
+            proc = run_cli([command, str(cfg)], cwd=tmp_path)
+            assert proc.returncode == 1
+            assert "collision_threshold" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
     def test_tau_on_the_sphere_rejected(self, tmp_path):
         # a torus field on a sphere config is refused by its path, not dropped
         data = resolve_scenario("sphere_antipodal_pair").to_dict()

@@ -17,7 +17,7 @@ from pointvortex.dynamics import (
 )
 from pointvortex.errors import CollisionError
 from pointvortex.green import green, robin_data
-from pointvortex.periods import build_basis, circulation_state
+from pointvortex.periods import circulation_state
 from pointvortex.surfaces import SurfacePoint, conformal_factor, transition
 from pointvortex.verify import random_state
 
@@ -52,9 +52,10 @@ class TestStateValidation:
             VortexState(torus_i, (SurfacePoint(0, 0j), SurfacePoint(0, 0.5 + 0j)),
                         (1.0, 1.0), (0.0,), (0.0,))
 
-    @pytest.mark.parametrize("threshold", (math.nan, -1.0, -math.inf, 0.0, math.inf))
+    @pytest.mark.parametrize("threshold", (math.nan, -1.0, -math.inf, 0.0, math.inf, 1e-16))
     def test_collision_threshold_must_be_finite_and_positive(self, sphere, threshold):
-        # with NaN no collision could ever be raised: `sep < nan` is always false
+        # with NaN no collision could ever be raised: `sep < nan` is always false;
+        # below MIN_COLLISION_THRESHOLD the kernel would see coincident points first
         with pytest.raises(ValueError, match="^collision_threshold: must be finite"):
             VortexState(sphere, (SurfacePoint(0, 0j), SurfacePoint(0, 0.5 + 0j)),
                         (1.0, -1.0), collision_threshold=threshold)
@@ -189,12 +190,11 @@ class TestC0:
         # ring-average oracle: psi + (Gamma_k / 2 pi) log eps at radius eps
         # around the vortex recovers (Gamma_k / 2 pi) c0
         st = random_state(torus_skew, 3, rng, circulations=True, min_sep=0.25)
-        basis = build_basis(torus_skew)
-        w = circulation_state(basis, [p.coord for p in st.positions],
+        w = circulation_state(torus_skew, [p.coord for p in st.positions],
                               st.strengths, st.base_a, st.base_b)
 
         def stream(z):
-            total = conjugate_potential(basis, w, z)
+            total = conjugate_potential(torus_skew, w, z)
             for p, g in zip(st.positions, st.strengths):
                 total += g * green(torus_skew, SurfacePoint(0, z), p).value
             return total

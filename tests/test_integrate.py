@@ -15,7 +15,7 @@ from pointvortex.dynamics import (
 )
 from pointvortex.errors import CollisionError, StepRejectionError
 from pointvortex.oracles import contour_integral, star_gradient_form
-from pointvortex.periods import build_basis, circulation_form, circulation_state
+from pointvortex.periods import circulation_form, circulation_state
 from pointvortex.surfaces import SurfacePoint, Surface, canonical_coords, reduce_centered
 from pointvortex.verify import random_state
 
@@ -184,7 +184,6 @@ class TestConservation:
         st = four_vortex_torus()
         surface = st.surface
         tau = surface.tau
-        basis = build_basis(surface)
         recs = integrate(st, 2e-3, 200, record_every=5)
 
         cover = [[p.coord for p in recs[0].positions]]
@@ -213,9 +212,9 @@ class TestConservation:
         lb = (complex(s0, 0.0), tau)
 
         def periods(coords):
-            w = circulation_state(basis, coords, st.strengths, st.base_a, st.base_b)
+            w = circulation_state(surface, coords, st.strengths, st.base_a, st.base_b)
             # the circulating flow's 1-form eta = -*du*, from du*/dz
-            ex, ey = star_gradient_form(lambda z: -circulation_form(basis, w))(0j)
+            ex, ey = star_gradient_form(lambda z: -circulation_form(surface, w))(0j)
 
             def nu(z):
                 # velocity 1-form: -*dG_total + eta

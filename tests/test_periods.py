@@ -1,17 +1,25 @@
+"""The circulation state W of a torus, its Kelvin coefficients, flow and
+energy, against the cycle potentials, contour periods and the paper's period
+matrix P (`reference.period_matrix`)."""
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pointvortex.oracles import contour_integral
 from pointvortex.periods import (
-    build_basis,
     circulation_energy,
     circulation_form,
     circulation_state,
+    kelvin_coefficients,
 )
 from pointvortex.surfaces import Surface
 from pointvortex.verify import conjugate_period_residual
 
-from reference import conjugate_potential
+from reference import conjugate_potential, period_matrix
 
 
 def const_form(cx, cy):
@@ -36,9 +44,9 @@ def coefficients(tau, w):
     return w.imag / tau.imag, (w * tau.conjugate()).imag / tau.imag
 
 
-def flow_form(basis, w):
+def flow_form(surface, w):
     """(cx, cy) of the circulating flow's 1-form -*du*, from du*/dz."""
-    g = circulation_form(basis, w)
+    g = circulation_form(surface, w)
     return -2.0 * g.imag, -2.0 * g.real
 
 
@@ -49,30 +57,32 @@ def loop_periods(tau, cx, cy):
 
 
 class TestBasis:
+    """The cycle basis alpha, beta: its forms, periods and period matrix."""
+
     def test_sphere_basis_is_empty(self, sphere):
-        basis = build_basis(sphere)
-        assert basis.genus == 0
-        assert basis.period_matrix.shape == (0, 0)
+        assert sphere.genus == 0
+        assert kelvin_coefficients(sphere, 0j) == ()
+        assert circulation_form(sphere, 0j) == 0j
+        assert circulation_energy(sphere, 0j) == 0.0
 
     def test_square_torus_forms(self, torus_i):
-        basis = build_basis(torus_i)
-        assert basis.genus == 1 and basis.tau == 1j
+        assert torus_i.genus == 1 and torus_i.tau == 1j
         # A = 1, B = 0 is W = tau; A = 0, B = 1 is W = -1
-        assert flow_form(basis, 1j) == (1.0, 0.0)
-        assert flow_form(basis, -1.0 + 0j) == (0.0, 1.0)
-        np.testing.assert_allclose(basis.period_matrix, np.eye(2), atol=1e-14)
+        assert flow_form(torus_i, 1j) == (1.0, 0.0)
+        assert flow_form(torus_i, -1.0 + 0j) == (0.0, 1.0)
+        np.testing.assert_allclose(period_matrix(1j), np.eye(2), atol=1e-14)
 
     def test_skew_torus_beta_form(self, torus_skew):
         # A = 1 carries -dU_beta = dx - (tau1/tau2) dy
-        assert flow_form(build_basis(torus_skew), torus_skew.tau) == (1.0, -0.5)
+        assert flow_form(torus_skew, torus_skew.tau) == (1.0, -0.5)
 
     @pytest.mark.parametrize("tau", (1j, 0.5 + 1j, 2j))
     def test_period_normalization_by_contour_integration(self, tau):
-        basis = build_basis(Surface.flat_torus(tau))
-        pa, pb = loop_periods(tau, *flow_form(basis, tau))  # A = 1, B = 0
+        surface = Surface.flat_torus(tau)
+        pa, pb = loop_periods(tau, *flow_form(surface, tau))  # A = 1, B = 0
         assert abs(pa - 1.0) < 1e-10
         assert abs(pb) < 1e-10
-        pa, pb = loop_periods(tau, *flow_form(basis, -1.0 + 0j))  # A = 0, B = 1
+        pa, pb = loop_periods(tau, *flow_form(surface, -1.0 + 0j))  # A = 0, B = 1
         assert abs(pa) < 1e-10
         assert abs(pb - 1.0) < 1e-10
 
@@ -97,30 +107,27 @@ class TestBasis:
             [-periods_of(*sb)[1], periods_of(*sa)[1]],
             [periods_of(*sb)[0], -periods_of(*sa)[0]],
         ])
-        basis = build_basis(Surface.flat_torus(tau))
-        np.testing.assert_allclose(basis.period_matrix, expected, atol=1e-10)
+        np.testing.assert_allclose(period_matrix(tau), expected, atol=1e-10)
 
     @pytest.mark.parametrize("tau", (1j, 0.5 + 1j, 2j, 0.3 + 0.7j))
     def test_period_matrix_symmetric_positive_definite(self, tau):
-        m = build_basis(Surface.flat_torus(tau)).period_matrix
+        m = period_matrix(tau)
         assert np.abs(m - m.T).max() < 1e-12
         assert np.linalg.eigvalsh(m).min() > 0
 
 
 class TestCyclePotential:
     def test_alpha_value_is_scaled_height(self, torus_i):
-        basis = build_basis(torus_i)
-        w = circulation_state(basis, [0.3 + 0.7j, 0j], [1.0, -1.0], (0.0,), (0.0,))
+        w = circulation_state(torus_i, [0.3 + 0.7j, 0j], [1.0, -1.0], (0.0,), (0.0,))
         assert coefficients(torus_i.tau, w)[0] == pytest.approx(0.7)
 
     def test_unit_jumps(self, torus_skew):
         # moving a vortex across a period steps A or B by its strength
-        basis = build_basis(torus_skew)
         tau = torus_skew.tau
         zs, gs = [0.21 + 0.37j, 0.6 + 0.1j], [1.5, -1.5]
 
         def coeffs(z0):
-            w = circulation_state(basis, [z0, zs[1]], gs, (0.0,), (0.0,))
+            w = circulation_state(torus_skew, [z0, zs[1]], gs, (0.0,), (0.0,))
             return np.array(coefficients(tau, w))
 
         base = coeffs(zs[0])
@@ -128,23 +135,21 @@ class TestCyclePotential:
         np.testing.assert_allclose(coeffs(zs[0] + 1) - base, [0.0, -1.5], atol=1e-12)
 
     def test_gradients_match_finite_differences(self, torus_skew, rng):
-        basis = build_basis(torus_skew)
         h = 1e-6
         for _ in range(2):
             w = complex(*rng.normal(size=2))
             z = complex(*rng.uniform(0.1, 0.9, 2))
 
             def val(c, w=w):
-                return conjugate_potential(basis, w, c)
+                return conjugate_potential(torus_skew, w, c)
 
             fx = (val(z + h) - val(z - h)) / (2 * h)
             fy = (val(z + 1j * h) - val(z - 1j * h)) / (2 * h)
             fd = 0.5 * (fx - 1j * fy)
-            assert abs(circulation_form(basis, w) - fd) < 1e-10
+            assert abs(circulation_form(torus_skew, w) - fd) < 1e-10
 
     def test_conjugate_gradient_is_rotated_gradient(self, torus_skew, rng):
         # u* is the harmonic conjugate of u = B U_alpha - A U_beta: du*/dz = -i du/dz
-        basis = build_basis(torus_skew)
         tau = torus_skew.tau
         h = 1e-6
         w = complex(*rng.normal(size=2))
@@ -156,58 +161,52 @@ class TestCyclePotential:
         z = 0.4 + 0.2j
         fx = (u(z + h) - u(z - h)) / (2 * h)
         fy = (u(z + 1j * h) - u(z - 1j * h)) / (2 * h)
-        assert circulation_form(basis, w) == pytest.approx(-0.5j * (fx - 1j * fy))
+        assert circulation_form(torus_skew, w) == pytest.approx(-0.5j * (fx - 1j * fy))
 
 
 class TestCirculationState:
     def test_genus_zero_is_empty(self, sphere):
-        basis = build_basis(sphere)
-        assert circulation_state(basis, [], [], (), ()) == 0j
+        assert circulation_state(sphere, [], [], (), ()) == 0j
         # no balance rule on the sphere, but no base circulations either
-        assert circulation_state(basis, [0.1j, 0.5], [1.0, 2.0], (), ()) == 0j
+        assert circulation_state(sphere, [0.1j, 0.5], [1.0, 2.0], (), ()) == 0j
         with pytest.raises(ValueError, match="length 0"):
-            circulation_state(basis, [0.1j, 0.5], [1.0, -1.0], (0.0,), (0.0,))
+            circulation_state(sphere, [0.1j, 0.5], [1.0, -1.0], (0.0,), (0.0,))
 
     def test_invariant_reconstruction(self, torus_skew, rng):
-        basis = build_basis(torus_skew)
         tau = torus_skew.tau
         zs = [complex(rng.uniform() + rng.uniform() * tau) for _ in range(4)]
         gs = [1.0, -0.5, 0.25, -0.75]
-        big_a, big_b = coefficients(tau, circulation_state(basis, zs, gs, (0.3,), (-0.2,)))
+        big_a, big_b = coefficients(tau, circulation_state(torus_skew, zs, gs, (0.3,), (-0.2,)))
         back_a = big_a - sum(g * u_alpha(tau, z) for z, g in zip(zs, gs))
         back_b = big_b - sum(g * u_beta(tau, z) for z, g in zip(zs, gs))
         assert abs(back_a - 0.3) < 1e-10
         assert abs(back_b + 0.2) < 1e-10
 
     def test_common_lattice_shift_invariance(self, torus_skew):
-        basis = build_basis(torus_skew)
         tau = torus_skew.tau
         zs = [0.2 + 0.3j, 0.6 + 0.1j]
         gs = [1.5, -1.5]
-        base = circulation_state(basis, zs, gs, (0.0,), (0.0,))
-        shifted = circulation_state(basis, [z + 2 - tau for z in zs], gs, (0.0,), (0.0,))
+        base = circulation_state(torus_skew, zs, gs, (0.0,), (0.0,))
+        shifted = circulation_state(torus_skew, [z + 2 - tau for z in zs], gs, (0.0,), (0.0,))
         assert base == pytest.approx(shifted)
 
     def test_strength_sum_enforced(self, torus_i):
-        basis = build_basis(torus_i)
         with pytest.raises(ValueError, match="sum to zero"):
-            circulation_state(basis, [0.1 + 0.1j, 0.5 + 0.5j], [1.0, 1.0], (0.0,), (0.0,))
+            circulation_state(torus_i, [0.1 + 0.1j, 0.5 + 0.5j], [1.0, 1.0], (0.0,), (0.0,))
 
     def test_base_length_enforced(self, torus_i):
-        basis = build_basis(torus_i)
         with pytest.raises(ValueError, match="length 1"):
-            circulation_state(basis, [0.1 + 0.1j, 0.5 + 0.5j], [1.0, -1.0], (), ())
+            circulation_state(torus_i, [0.1 + 0.1j, 0.5 + 0.5j], [1.0, -1.0], (), ())
 
     def test_position_derivative(self, torus_skew):
         # dA/dz1 = Gamma_1 dU_alpha/dz1, by finite differences of the state
-        basis = build_basis(torus_skew)
         tau = torus_skew.tau
         zs = [0.2 + 0.3j, 0.6 + 0.1j]
         gs = [1.25, -1.25]
         h = 1e-6
 
         def A_at(z1):
-            w = circulation_state(basis, [z1, zs[1]], gs, (0.0,), (0.0,))
+            w = circulation_state(torus_skew, [z1, zs[1]], gs, (0.0,), (0.0,))
             return coefficients(tau, w)[0]
 
         fx = (A_at(zs[0] + h) - A_at(zs[0] - h)) / (2 * h)
@@ -219,46 +218,66 @@ class TestCirculationState:
 
 class TestCirculationForm:
     def test_zero_coefficients_zero_form(self, torus_i):
-        assert circulation_form(build_basis(torus_i), 0j) == 0j
+        assert circulation_form(torus_i, 0j) == 0j
 
     def test_unit_alpha_coefficient_on_square_torus(self, torus_i):
-        basis = build_basis(torus_i)
-        got_a, got_b = loop_periods(torus_i.tau, *flow_form(basis, torus_i.tau))
+        got_a, got_b = loop_periods(torus_i.tau, *flow_form(torus_i, torus_i.tau))
         assert abs(got_a - 1.0) < 1e-10
         assert abs(got_b) < 1e-10
 
     def test_periods_reproduce_coefficients(self, torus_skew, rng):
-        basis = build_basis(torus_skew)
         tau = torus_skew.tau
         for _ in range(20):
             A, B = rng.normal(size=2)
-            got_a, got_b = loop_periods(tau, *flow_form(basis, A * tau - B))
+            got_a, got_b = loop_periods(tau, *flow_form(torus_skew, A * tau - B))
             assert abs(got_a - A) < 1e-10
             assert abs(got_b - B) < 1e-10
 
 
 class TestCirculationEnergy:
     def test_zero(self, torus_i):
-        assert circulation_energy(build_basis(torus_i), 0j) == 0.0
+        assert circulation_energy(torus_i, 0j) == 0.0
 
     @pytest.mark.parametrize("tau", (1j, 0.5 + 1j))
     def test_matches_grid_quadrature(self, tau, rng):
-        basis = build_basis(Surface.flat_torus(tau))
+        surface = Surface.flat_torus(tau)
         for _ in range(10):
             A, B = rng.normal(size=2)
             w = A * tau - B
-            cx, cy = flow_form(basis, w)
+            cx, cy = flow_form(surface, w)
             # direct quadrature of the squared pointwise norm over the domain
             quad = (cx**2 + cy**2) * tau.imag
-            assert abs(circulation_energy(basis, w) - quad) < 1e-10 * max(1.0, quad)
+            assert abs(circulation_energy(surface, w) - quad) < 1e-10 * max(1.0, quad)
 
     def test_positive_for_nonzero_coefficients(self, torus_skew, rng):
-        basis = build_basis(torus_skew)
         for _ in range(500):
             A, B = rng.normal(size=2)
             if abs(A) + abs(B) < 1e-6:
                 continue
-            assert circulation_energy(basis, A * torus_skew.tau - B) > 0
+            assert circulation_energy(torus_skew, A * torus_skew.tau - B) > 0
+
+
+# reduced by an inversion (|j| != 1), hexagonal, skinny, and random moduli
+MODULI = st.one_of(
+    st.sampled_from((0.3 + 0.001j, 0.4 + 0.02j, 0.02j, cmath.exp(1j * math.pi / 3))),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(0.05, 3.0)))
+# no subnormal squares
+COEFFICIENTS = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@given(MODULI, COEFFICIENTS, COEFFICIENTS)
+@example(0.3 + 0.001j, 1.0, 0.3)   # W = tau - 0.3 = 0.001i: P's terms cancel
+@settings(max_examples=200)
+def test_energy_is_the_period_matrix_form(tau, big_a, big_b):
+    # the energy H adds is (A, B) P (A, B)^T, and (A, B) come back from W;
+    # both to 1e-12 of the size of the summands, (|A| |tau| + |B|) per factor
+    surface, ab = Surface.flat_torus(tau), np.array([big_a, big_b])
+    w = big_a * tau - big_b
+    size = abs(big_a) * abs(tau) + abs(big_b)
+    quad = float(ab @ period_matrix(tau) @ ab)
+    assert abs(circulation_energy(surface, w) - quad) <= 1e-12 * size**2 / tau.imag
+    got = np.array(kelvin_coefficients(surface, w))
+    assert np.abs(got - ab).max() <= 1e-12 * size * max(1.0, abs(tau)) / tau.imag
 
 
 @pytest.mark.parametrize("tau", (1j, 0.5 + 1j))

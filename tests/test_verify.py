@@ -2,15 +2,19 @@
 overrides name real checks, its direct velocity route makes one all-vortex
 evaluation per state, its self-term check fails on a wrong metric, its
 sphere normalization check on a shifted Green function, its Robin checks on
-a position-dependent h0 defect and its velocity checks on a scaled velocity law."""
+a position-dependent h0 defect, its velocity checks on a scaled velocity law,
+its period matrix check on a scaled circulation energy and its sphere velocity
+check on a velocity law without the net-strength metric term."""
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pointvortex import dynamics, verify
+from pointvortex import dynamics, periods, verify
 from pointvortex.config import resolve_scenario
+from pointvortex.green import sphere_point_terms
 from pointvortex.surfaces import Surface
 from pointvortex.verify import (
     _MAX_DRAWS,
@@ -223,3 +227,39 @@ def test_run_suite_refuses_an_unknown_suite_before_running(suite, monkeypatch):
     monkeypatch.setattr(verify, "_CHECKS", (("mobius_schwarzian", 1e-10, must_not_run),))
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(suite, 7)
+
+
+def _patch_everywhere(monkeypatch, name, replacement):
+    """Replace the package's function `name` in every module that holds it."""
+    original = getattr(periods, name)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("pointvortex") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def test_period_check_fails_on_a_scaled_circulation_energy(monkeypatch):
+    # (1 + 1e-7) |W|^2 / Im tau: W is a constant of the motion, so the energy
+    # drift stays put, and the energy's gradient moves by far less than the
+    # velocity tolerance; the period matrix check compares this energy with
+    # the contour periods' and must see it (about 2.5e-7 against 1e-12)
+    energy = periods.circulation_energy
+    _patch_everywhere(monkeypatch, "circulation_energy",
+                      lambda surface, w: (1.0 + 1e-7) * energy(surface, w))
+    assert _failed(run_suite("quick", 7)) == {"period_matrix_spd"}
+
+
+def test_sphere_velocity_check_fails_without_the_net_strength_term(monkeypatch):
+    # 4 pi (M Gamma)_k = h_k (sum Gamma - Gamma_k) - (P Gamma)_k with the
+    # h_k sum Gamma part dropped: invisible at sum Gamma = 0, so the check's
+    # random sphere states must carry net strength
+    velocity = dynamics._Plan.velocity
+
+    def without_net_term(self, coords):
+        v = velocity(self, coords)
+        if self.theta is not None:
+            return v
+        _, w, h = sphere_point_terms(coords)
+        return v + 2j * w * w / (16.0 * math.pi) * (h * self.strengths.sum()).conjugate()
+
+    monkeypatch.setattr(dynamics._Plan, "velocity", without_net_term)
+    assert _failed(run_suite("quick", 7)) == {"velocity_equivalence_sphere"}
