@@ -14,7 +14,10 @@ R = (h0 + log lambda) / 2 pi is one constant per surface, so the renormalized
 Hamiltonian 2H = R sum Gamma_k^2 + 2 sum_{i<j} Gamma_i Gamma_j G(z_i, z_j)
 + E(W), E the circulating flow's energy (0 on the sphere), evaluates no
 per-point Robin or metric term.  Its finite differences give an independent
-velocity route for cross-validation.
+velocity route for cross-validation, `hamiltonian_velocities`: moving z_k
+changes only the pairs (k, j) and W, so each of the 8 stencil copies of each
+vortex differences just Gamma_k sum_j Gamma_j G(z_k, z_j) + E(W), with W
+recomputed from the copy's coordinates, all copies in one batch.
 
 Torus trajectories are integrated in universal-cover coordinates so the
 multivalued circulation potentials stay on one continuous branch; doubly
@@ -33,13 +36,14 @@ once per call, and `_Plan.rechart` swaps in new pairs after a step that moved
 a vortex to the other chart.  A velocity evaluation forms pair gradients only
 (the torus Green gradient; the sphere's pole parts, its metric term and constant
 factors applied per vortex), which `_row_sums` scatters at planned positions.
-The energy recomputes W from its coordinates, so its finite differences stay
-an independent velocity route.  The circulation terms are called on every
-surface; `periods` makes them 0 on the sphere (genus 0).  `integrate` has one
-record loop; a `METHODS` entry advances between records and ends every
-accepted step in `_Trajectory.accept`: the sphere chart rule of
-`canonical_coords`, the rechart, then the collision check, which names the
-first closest pair in (i, j) order.
+The energy and the Hamiltonian route share one assembly, `_Plan.assemble_energy`,
+and recompute W from their coordinates, so the route stays independent of the
+plan's flow and differences the energy the records report.  The circulation
+terms are called on every surface; `periods` makes them 0 on the sphere
+(genus 0).  `integrate` has one record loop; a `METHODS` entry advances
+between records and ends every accepted step in `_Trajectory.accept`: the
+sphere chart rule of `canonical_coords`, the rechart, then the collision
+check, which names the first closest pair in (i, j) order.
 """
 from __future__ import annotations
 
@@ -56,7 +60,7 @@ from .green import (
     sphere_point_terms,
     torus_gradient_terms,
 )
-from .oracles import wirtinger_fd
+from .oracles import wirtinger_combine, wirtinger_stencil
 from .periods import (
     circulation_energy,
     circulation_form,
@@ -79,6 +83,8 @@ DEFAULT_COLLISION_THRESHOLD = 1e-3
 # the least threshold: above the kernel's 1e-12 coincidence tolerance, with room
 # for the sphere's arc against its chord, so the collision check fires first
 MIN_COLLISION_THRESHOLD = 1e-10
+_FD_STEP = 1e-5   # the Hamiltonian route's finite-difference step
+_STENCIL_PAIRS = 1 << 11   # pairs per pair_terms call in hamiltonian_velocities
 
 
 @dataclass(frozen=True)
@@ -231,11 +237,16 @@ class _Plan:
         """The energy at `coords`, with W from `coords`, not from the plan."""
         surface, g, pairs = self.surface, self.strengths, self.pairs
         value = pair_terms(surface, coords, pairs)[0]
-        twice_h = (g**2 * self.robin).sum()
-        twice_h += 2.0 * (g[pairs[0]] * g[pairs[-1]] * value).sum()
         w = circulation_state(surface, coords, g, base_a, base_b)
-        twice_h += circulation_energy(surface, w)
-        return float(0.5 * twice_h)
+        return float(self.assemble_energy(value, g[pairs[0]] * g[pairs[-1]], w))
+
+    def assemble_energy(self, value, weights, w):
+        """H = (R sum Gamma^2 + 2 sum weights * value + E(W)) / 2, the pair sum
+        over the last axis of pair values and weights (Gamma_i Gamma_j), one
+        energy per W: the one assembly of the energy and of its differences."""
+        robin = (self.strengths**2 * self.robin).sum()
+        pair_sum = (weights * value).sum(axis=-1)
+        return 0.5 * (robin + 2.0 * pair_sum + circulation_energy(self.surface, w))
 
     def separation(self, coords, threshold: float, t: float) -> float:
         """Minimum separation over the pairs; raises CollisionError below
@@ -288,20 +299,44 @@ def hamiltonian(state: VortexState) -> float:
     return plan.energy(coords, state.base_a, state.base_b)
 
 
+def hamiltonian_velocities(state: VortexState) -> np.ndarray:
+    """Velocities -2i dH/dzbar_k / (Gamma_k lambda_k^2) of all vortices, dH/dzbar_k
+    by finite differences over the `oracles.wirtinger_stencil` (step _FD_STEP,
+    one Richardson level).  Stencil copy (s, k) moves z_k by the s-th offset in
+    z_k's chart and takes `_Plan.assemble_energy` of its pairs (k, j), j != k,
+    and of W recomputed from its coordinates (see the module docstring).  The
+    copies go to `pair_terms` in chunks of whole copies, at most _STENCIL_PAIRS
+    pairs each past one copy, which bounds the memory."""
+    charts, coords, plan = _unpack(state)
+    g, n = plan.strengths, state.n
+    moved = np.array(wirtinger_stencil(coords, _FD_STEP)).ravel()   # copy c = s n + k
+    ext_coords = np.concatenate((coords, moved))
+    ext_charts = np.tile(charts, len(ext_coords) // n)
+    cols = np.arange(n - 1)
+    others = cols + (cols >= np.arange(n)[:, None])   # row k: every j != k
+    weights = g[:, None] * g[others]
+    energies = np.empty(len(moved))
+    step = max(1, _STENCIL_PAIRS // (n - 1))
+    for c0 in range(0, len(moved), step):
+        copies = np.arange(c0, min(c0 + step, len(moved)))
+        k = copies % n
+        pairs = pair_selection(state.surface, ext_charts,
+                               np.repeat(n + copies, n - 1), others[k].ravel())
+        value = pair_terms(state.surface, ext_coords, pairs)[0].reshape(len(copies), n - 1)
+        configs = np.repeat(coords[None], len(copies), axis=0)
+        configs[np.arange(len(copies)), k] = moved[copies]
+        w = circulation_state(state.surface, configs, g, state.base_a, state.base_b)
+        energies[copies] = plan.assemble_energy(value, weights[k], w)
+    lam2 = np.array([conformal_factor(state.surface, p) ** 2 for p in state.positions])
+    dzbar = wirtinger_combine(energies.reshape(-1, n), _FD_STEP)[1]
+    return -2j * dzbar / (g * lam2)
+
+
 def hamiltonian_velocity(state: VortexState, k: int) -> complex:
-    """Velocity of vortex k, -2i dH/dzbar_k / (Gamma_k lambda^2), with dH/dzbar_k
-    from `oracles.wirtinger_fd` (step 1e-5, one Richardson level).  Every
-    perturbed energy recomputes W, so this route shares no assembled terms
-    with the direct law (only the pairs: vortex k keeps its chart)."""
-    _, coords, plan = _unpack(state)
-
-    def energy(z: complex) -> float:
-        pert = coords.copy()
-        pert[k] = z
-        return plan.energy(pert, state.base_a, state.base_b)
-
-    lam2 = conformal_factor(state.surface, state.positions[k]) ** 2
-    return -2j * wirtinger_fd(energy, coords[k], 1e-5)[1] / (state.strengths[k] * lam2)
+    """Velocity of vortex k through the Hamiltonian, `hamiltonian_velocities`'s
+    k-th: the differences of its pairs (k, j) and of the circulation energy of
+    W, still recomputed from each stencil copy's coordinates."""
+    return complex(hamiltonian_velocities(state)[k])
 
 
 # ---------------------------------------------------------------------------

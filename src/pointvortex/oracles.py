@@ -183,23 +183,39 @@ def sphere_quadrature(f: SphereIntegrand, pole: SurfacePoint, n: int = 48) -> fl
 # finite-difference derivatives (central, optionally Richardson-extrapolated)
 
 
-def wirtinger_fd(f: Callable[[complex], complex], z: complex, h: float = 1e-6,
-                 richardson: bool = True) -> tuple[complex, complex]:
-    """(df/dz, df/dzbar) of a smooth function of (z, zbar) at z."""
+def wirtinger_stencil(z, h: float, richardson: bool = True) -> list:
+    """The points z + hh, z - hh, z + i hh, z - i hh for hh = h and, with
+    `richardson`, h / 2, in the order `wirtinger_combine` takes f at them; z
+    a complex number or an array of them (then each point is an array)."""
+    steps = (h, h / 2.0) if richardson else (h,)
+    return [p for hh in steps for p in (z + hh, z - hh, z + 1j * hh, z - 1j * hh)]
 
-    def once(hh: float) -> tuple[complex, complex]:
-        fx = (f(z + hh) - f(z - hh)) / (2.0 * hh)
-        fy = (f(z + 1j * hh) - f(z - 1j * hh)) / (2.0 * hh)
+
+def wirtinger_combine(values, h: float, richardson: bool = True) -> tuple[complex, complex]:
+    """(df/dz, df/dzbar) from `values`, f at the `wirtinger_stencil` points in
+    order: central differences, with `richardson` extrapolated from h and h / 2
+    to (4 d(h / 2) - d(h)) / 3.  Values may be numbers or arrays of them."""
+
+    def once(v, hh: float) -> tuple[complex, complex]:
+        fx = (v[0] - v[1]) / (2.0 * hh)
+        fy = (v[2] - v[3]) / (2.0 * hh)
         return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
-    d1 = once(h)
+    d1 = once(values[:4], h)
     if not richardson:
         return d1
-    d2 = once(h / 2.0)
+    d2 = once(values[4:], h / 2.0)
     return (
         (4.0 * d2[0] - d1[0]) / 3.0,
         (4.0 * d2[1] - d1[1]) / 3.0,
     )
+
+
+def wirtinger_fd(f: Callable[[complex], complex], z: complex, h: float = 1e-6,
+                 richardson: bool = True) -> tuple[complex, complex]:
+    """(df/dz, df/dzbar) of a smooth function of (z, zbar) at z."""
+    values = [f(p) for p in wirtinger_stencil(z, h, richardson)]
+    return wirtinger_combine(values, h, richardson)
 
 
 def min_image_distance_grid(tau: complex, n: int, a: complex) -> np.ndarray:

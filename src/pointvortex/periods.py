@@ -43,8 +43,10 @@ def build_basis(surface: Surface) -> Surface:
 
 
 def circulation_state(surface: Surface, positions, strengths,
-                      base_a, base_b) -> complex:
-    """W = a tau - b + sum_j Gamma_j z_j at the coordinates as given (0 on genus 0).
+                      base_a, base_b):
+    """W = a tau - b + sum_j Gamma_j z_j at the coordinates as given (0 on genus 0):
+    a complex for positions of shape (n,), an array of one W per configuration
+    for shape (..., n).
 
     The one check of circulation data: base circulations of the genus's length
     and, on the torus only, strengths summing to zero, so a common lattice shift
@@ -52,14 +54,20 @@ def circulation_state(surface: Surface, positions, strengths,
     """
     if len(base_a) != surface.genus or len(base_b) != surface.genus:
         raise ValueError(f"base circulations must have length {surface.genus}")
-    if not surface.genus:
-        return 0j
-    strengths = np.asarray(strengths, dtype=float)
-    if abs(strengths.sum()) > 1e-12:
-        raise ValueError(f"vortex strengths must sum to zero on the torus "
-                         f"(got {strengths.sum():.3e})")
-    w = strengths @ np.asarray(positions, dtype=complex)
-    return complex(base_a[0] * surface.tau - base_b[0] + w)
+    positions = np.asarray(positions, dtype=complex)
+    w = np.zeros(positions.shape[:-1], dtype=complex)
+    if surface.genus:
+        strengths = np.asarray(strengths, dtype=float)
+        if abs(strengths.sum()) > 1e-12:
+            raise ValueError(f"vortex strengths must sum to zero on the torus "
+                             f"(got {strengths.sum():.3e})")
+        # one configuration keeps its @; a batch sums by einsum, each row alike
+        # whatever the batch size: BLAS (@, np.dot) rounds a one-row batch
+        # differently, and starts threads over a large one
+        sums = (strengths @ positions if positions.ndim == 1
+                else np.einsum("...j,j->...", positions, strengths))
+        w = base_a[0] * surface.tau - base_b[0] + sums
+    return complex(w) if positions.ndim == 1 else w
 
 
 def kelvin_coefficients(surface: Surface, w: complex) -> tuple[float, ...]:

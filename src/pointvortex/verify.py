@@ -19,7 +19,7 @@ from .connections import TransitionJet, bracket, chain_check
 from .dynamics import (
     VortexState,
     hamiltonian,
-    hamiltonian_velocity,
+    hamiltonian_velocities,
     integrate,
     min_separation,
     vortex_velocities,
@@ -349,9 +349,9 @@ def self_term_residual(rng: np.random.Generator, count: int = 200) -> float:
 def velocity_residuals(state: VortexState) -> list[float]:
     """|v_k - v_k^H| / max(max_k |v_k|, 1e-4) for each vortex k: the direct law
     against the Hamiltonian route, on the configuration's speed scale."""
-    direct = vortex_velocities(state).tolist()
-    scale = max(max(map(abs, direct)), 1e-4)
-    return [abs(v - hamiltonian_velocity(state, k)) / scale for k, v in enumerate(direct)]
+    direct = vortex_velocities(state)
+    scale = max(float(np.abs(direct).max()), 1e-4)
+    return (np.abs(direct - hamiltonian_velocities(state)) / scale).tolist()
 
 
 def velocity_equivalence(surface: Surface, rng: np.random.Generator, states: int) -> float:

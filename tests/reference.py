@@ -4,19 +4,21 @@ The inverse of a transition jet, the connection calculus of the order-0/1/2
 gluing rules, the metric's Levi-Civita connection, the two-point potential,
 the torus period matrix P, the stream coefficients c0 (with the conjugate
 potential u*) and c1, the velocity law summed over a dense gradient matrix,
-and a meridian arc-length quadrature.  None of them is on a `run` or `verify`
+the Hamiltonian route one vortex at a time through the whole energy, and a
+meridian arc-length quadrature.  None of them is on a `run` or `verify`
 path, so they live here, built on the package's public calls.
 """
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from pointvortex.connections import TransitionJet, bracket
-from pointvortex.dynamics import VortexState
+from pointvortex.dynamics import VortexState, hamiltonian
 from pointvortex.errors import SingularityError
 from pointvortex.green import green, pair_terms, robin_data
+from pointvortex.oracles import wirtinger_fd
 from pointvortex.periods import circulation_form, circulation_state
 from pointvortex.surfaces import (
     SPHERE,
@@ -203,6 +205,22 @@ def dense_velocity(surface: Surface, charts, coords, strengths,
     lam = np.array([conformal_factor(surface, SurfacePoint(int(c), complex(z)))
                     for c, z in zip(charts, coords)])
     return -2j * (m @ strengths + flow).conjugate() / lam**2
+
+
+def fd_velocity(state: VortexState, k: int) -> complex:
+    """Velocity of vortex k through the whole energy, one vortex at a time:
+    -2i dH/dzbar_k / (Gamma_k lambda_k^2), dH/dzbar_k by `wirtinger_fd` (step
+    1e-5, one Richardson level) of `hamiltonian` of the state with z_k moved
+    in its chart."""
+    p = state.positions[k]
+
+    def energy(z: complex) -> float:
+        points = list(state.positions)
+        points[k] = SurfacePoint(p.chart_id, z)
+        return hamiltonian(replace(state, positions=tuple(points)))
+
+    lam2 = conformal_factor(state.surface, p) ** 2
+    return -2j * wirtinger_fd(energy, p.coord, 1e-5)[1] / (state.strengths[k] * lam2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from pointvortex.oracles import (
     sphere_quadrature,
     torus_grid,
     torus_poisson_oracle,
+    wirtinger_combine,
     wirtinger_fd,
+    wirtinger_stencil,
 )
 from pointvortex.surfaces import SurfacePoint
 from pointvortex.verify import sphere_green_normalization
@@ -201,6 +203,22 @@ def test_wirtinger_fd_on_polynomial():
     dz, dzbar = wirtinger_fd(f, z0, h=1e-5)
     assert abs(dz - (3 * z0**2 + 2 * z0.conjugate())) < 1e-9
     assert abs(dzbar - 2 * z0) < 1e-9
+
+
+@pytest.mark.parametrize("richardson", (True, False))
+def test_stencil_over_an_array_is_the_scalar_rule_pointwise(richardson):
+    # one stencil and one combination: over an array of points a real f (an
+    # energy) gives, bit for bit, what wirtinger_fd gives at each point alone
+    def f(z):
+        x, y = z.real, z.imag
+        return x**3 * y - 2.0 * x * y * y + 1.0 / (1.0 + x * x + y * y)
+
+    zs = np.array([0.3 - 0.7j, -1.2 + 0.1j, 0.0j, 2.5 + 2.5j])
+    values = [f(p) for p in wirtinger_stencil(zs, 1e-5, richardson)]
+    assert len(values) == (8 if richardson else 4)
+    dz, dzbar = wirtinger_combine(values, 1e-5, richardson)
+    for k, z in enumerate(zs):
+        assert (dz[k], dzbar[k]) == wirtinger_fd(f, z, 1e-5, richardson)
 
 
 def test_oracles_import_only_errors_and_surfaces_from_the_package():

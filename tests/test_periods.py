@@ -190,6 +190,28 @@ class TestCirculationState:
         shifted = circulation_state(torus_skew, [z + 2 - tau for z in zs], gs, (0.0,), (0.0,))
         assert base == pytest.approx(shifted)
 
+    def test_one_configuration_gives_the_complex_w(self, torus_skew, rng):
+        # (n,) positions: a complex, bit for bit a tau - b + Gamma @ z
+        zs = rng.normal(size=5) * 3 + 1j * rng.normal(size=5) * 3
+        gs = rng.normal(size=5)
+        gs -= gs.mean()
+        w = circulation_state(torus_skew, zs, gs, (0.3,), (-0.2,))
+        assert type(w) is complex
+        assert w == complex(0.3 * torus_skew.tau + 0.2 + gs @ zs)
+
+    def test_batch_gives_one_w_per_configuration(self, sphere, torus_skew, rng):
+        # (..., n) positions: an array of W over the leading axes, each its
+        # configuration's one-configuration W to rounding
+        zs = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+        gs = np.array([1.0, -0.5, 0.25, -0.75])
+        w = circulation_state(torus_skew, zs, gs, (0.3,), (-0.2,))
+        assert w.shape == (2, 3) and w.dtype == complex
+        for idx in np.ndindex(2, 3):
+            one = circulation_state(torus_skew, zs[idx], gs, (0.3,), (-0.2,))
+            assert abs(w[idx] - one) <= 1e-15 * (1.0 + np.abs(gs * zs[idx]).sum())
+        zero = circulation_state(sphere, zs, [1.0, 2.0, 3.0, 4.0], (), ())
+        assert zero.shape == (2, 3) and not zero.any()
+
     def test_strength_sum_enforced(self, torus_i):
         with pytest.raises(ValueError, match="sum to zero"):
             circulation_state(torus_i, [0.1 + 0.1j, 0.5 + 0.5j], [1.0, 1.0], (0.0,), (0.0,))

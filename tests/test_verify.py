@@ -3,8 +3,9 @@ overrides name real checks, its direct velocity route makes one all-vortex
 evaluation per state, its self-term check fails on a wrong metric, its
 sphere normalization check on a shifted Green function, its Robin checks on
 a position-dependent h0 defect, its velocity checks on a scaled velocity law,
-its period matrix check on a scaled circulation energy and its sphere velocity
-check on a velocity law without the net-strength metric term."""
+its period matrix check on a scaled circulation energy, its sphere velocity
+check on a velocity law without the net-strength metric term and both velocity
+checks on a scaled pair sum in the energy."""
 import math
 import sys
 from dataclasses import replace
@@ -263,3 +264,17 @@ def test_sphere_velocity_check_fails_without_the_net_strength_term(monkeypatch):
 
     monkeypatch.setattr(dynamics._Plan, "velocity", without_net_term)
     assert _failed(run_suite("quick", 7)) == {"velocity_equivalence_sphere"}
+
+
+def test_velocity_checks_fail_on_a_scaled_pair_sum_in_the_energy(monkeypatch):
+    # the pair sum x (1 + 1e-4) in the one energy assembly: the records'
+    # energy and the Hamiltonian route's differences both move, and the
+    # direct law does not (the residuals read 1.0e-4 and 5.3e-5 at seed 7)
+    assemble = dynamics._Plan.assemble_energy
+
+    def scaled(self, value, weights, w):
+        return assemble(self, value, (1.0 + 1e-4) * weights, w)
+
+    monkeypatch.setattr(dynamics._Plan, "assemble_energy", scaled)
+    assert _failed(run_suite("quick", 7)) == {"velocity_equivalence_sphere",
+                                              "velocity_equivalence_torus"}
