@@ -35,7 +35,9 @@ and the separation check; `integrate` builds it once per run, a one-shot call
 once per call, and `_Plan.rechart` swaps in new pairs after a step that moved
 a vortex to the other chart.  A velocity evaluation forms pair gradients only
 (the torus Green gradient; the sphere's pole parts, its metric term and constant
-factors applied per vortex), which `_row_sums` scatters at planned positions.
+factors applied per vortex) at planned positions of an n x n matrix: the torus
+pass `green.torus_gradient_matrix` writes them block by block into the plan's
+own matrix, `_row_sums` scatters the sphere's, and `_matvec` sums the rows.
 The energy and the Hamiltonian route share one assembly, `_Plan.assemble_energy`,
 and recompute W from their coordinates, so the route stays independent of the
 plan's flow and differences the energy the records report.  The circulation
@@ -58,7 +60,7 @@ from .green import (
     robin_data,
     sphere_gradient_terms,
     sphere_point_terms,
-    torus_gradient_terms,
+    torus_gradient_matrix,
 )
 from .oracles import wirtinger_combine, wirtinger_stencil
 from .periods import (
@@ -67,6 +69,7 @@ from .periods import (
     circulation_state,
     kelvin_coefficients,
 )
+from . import surfaces
 from .surfaces import (
     SPHERE,
     Surface,
@@ -77,14 +80,13 @@ from .surfaces import (
     pair_indices,
     pair_selection,
 )
-from .theta import ThetaContext, theta_context
+from .theta import ThetaContext, series_buffer, theta_context
 
 DEFAULT_COLLISION_THRESHOLD = 1e-3
 # the least threshold: above the kernel's 1e-12 coincidence tolerance, with room
 # for the sphere's arc against its chord, so the collision check fires first
 MIN_COLLISION_THRESHOLD = 1e-10
 _FD_STEP = 1e-5   # the Hamiltonian route's finite-difference step
-_STENCIL_PAIRS = 1 << 11   # pairs per pair_terms call in hamiltonian_velocities
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,17 @@ def min_separation(surface: Surface, positions) -> float:
 def _row_sums(flat, upper, lower, weights: np.ndarray) -> np.ndarray:
     """M @ weights for the n x n matrix with `upper` at (i, j), `lower` at (j, i)
     and zeros elsewhere, `flat` = (i n + j, j n + i) its pairs' flat positions."""
-    n = len(weights)
-    m = np.zeros(n * n, dtype=upper.dtype)
+    m = np.zeros(len(weights) ** 2, dtype=upper.dtype)
     m[flat[0]] = upper
     m[flat[1]] = lower
-    return m.reshape(n, n) @ weights
+    return _matvec(m, weights)
+
+
+def _matvec(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The flat n x n matrix m times weights, by einsum: a BLAS product would
+    wake a thread pool from about n = 64 on, which costs more than the product."""
+    n = len(weights)
+    return np.einsum("ij,j->i", m.reshape(n, n), weights)
 
 
 @dataclass(frozen=True)
@@ -203,13 +211,16 @@ class _Plan:
     torus lambda = 1 and du*/dz = conj(W) / (2 Im tau) is a constant of the
     motion (sum Gamma v = 0), taken at the coordinates the plan is built at;
     `robin` is the surface's constant R = (h0 + log lambda) / 2 pi; `flat` the
-    pairs' positions in `_row_sums`' matrix, which a rechart keeps."""
+    pairs' positions in the row sums' n x n matrix, which a rechart keeps;
+    on the torus `work` holds that matrix and the series buffer, which every
+    evaluation reuses in place of allocating its own."""
 
     surface: Surface
     strengths: np.ndarray
     pairs: np.ndarray
     flat: np.ndarray
     theta: ThetaContext | None   # None on the sphere
+    work: tuple[np.ndarray, np.ndarray] | None   # None on the sphere
     flow: complex                # du*/dz
     robin: float
 
@@ -229,8 +240,9 @@ class _Plan:
             rows = h * (g.sum() - g) - _row_sums(flat, pole_i, pole_j, g)   # 4 pi M Gamma
             inv_lam2 = w * w / (16.0 * math.pi)   # 1 / lambda^2 with the 1 / 4 pi of rows
         else:
-            grad = torus_gradient_terms(self.theta, coords[pairs[0]] - coords[pairs[-1]])[2]
-            rows, inv_lam2 = _row_sums(flat, grad, -grad, g) + self.flow, 1.0
+            rows = _matvec(torus_gradient_matrix(self.theta, coords, pairs, flat, *self.work), g)
+            rows += self.flow
+            inv_lam2 = 1.0
         return -2j * inv_lam2 * rows.conjugate()
 
     def energy(self, coords, base_a, base_b) -> float:
@@ -263,12 +275,16 @@ def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
     strengths, n = np.asarray(strengths, dtype=float), len(strengths)
     pairs = pair_selection(surface, charts, *pair_indices(n))
     w = circulation_state(surface, coords, strengths, base_a, base_b)
-    theta = None if surface.kind == SPHERE else theta_context(surface.tau)
+    ctx = work = None
+    if surface.kind != SPHERE:
+        ctx = theta_context(surface.tau)
+        work = (np.zeros(n * n, dtype=complex),   # the diagonal stays 0
+                series_buffer(min(n * (n - 1) // 2, surfaces.BLOCK)))
     origin = SurfacePoint(0, 0j)
     robin = (robin_data(surface, origin).h0
              + math.log(conformal_factor(surface, origin))) / (2.0 * math.pi)
     return _Plan(surface, strengths, pairs, pairs[[0, -1]] * n + pairs[[-1, 0]],
-                 theta, circulation_form(surface, w), robin)
+                 ctx, work, circulation_form(surface, w), robin)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +321,7 @@ def hamiltonian_velocities(state: VortexState) -> np.ndarray:
     one Richardson level).  Stencil copy (s, k) moves z_k by the s-th offset in
     z_k's chart and takes `_Plan.assemble_energy` of its pairs (k, j), j != k,
     and of W recomputed from its coordinates (see the module docstring).  The
-    copies go to `pair_terms` in chunks of whole copies, at most _STENCIL_PAIRS
+    copies go to `pair_terms` in chunks of whole copies, at most `surfaces.BLOCK`
     pairs each past one copy, which bounds the memory."""
     charts, coords, plan = _unpack(state)
     g, n = plan.strengths, state.n
@@ -316,7 +332,7 @@ def hamiltonian_velocities(state: VortexState) -> np.ndarray:
     others = cols + (cols >= np.arange(n)[:, None])   # row k: every j != k
     weights = g[:, None] * g[others]
     energies = np.empty(len(moved))
-    step = max(1, _STENCIL_PAIRS // (n - 1))
+    step = max(1, surfaces.BLOCK // (n - 1))
     for c0 in range(0, len(moved), step):
         copies = np.arange(c0, min(c0 + step, len(moved)))
         k = copies % n
@@ -398,7 +414,8 @@ class _Trajectory:
 
 
 def _rk4_advance(traj: _Trajectory, i0: int, i1: int, dt: float) -> None:
-    """Fixed steps i0 + 1 .. i1, each ending at t = i * dt."""
+    """Fixed steps i0 + 1 .. i1, each ending at t = i * dt; the stages are
+    combined in place, as y0 + dt ((k1 + 2 k2) + 2 k3 + k4) / 6 in that order."""
     for i in range(i0 + 1, i1 + 1):
         velocity, y0 = traj.plan.velocity, traj.coords
         k1 = velocity(y0)
@@ -406,7 +423,15 @@ def _rk4_advance(traj: _Trajectory, i0: int, i1: int, dt: float) -> None:
         k3 = velocity(y0 + 0.5 * dt * k2)
         k4 = velocity(y0 + dt * k3)
         traj.evaluations += 4
-        traj.accept(y0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, i * dt)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= dt
+        k2 /= 6.0
+        k2 += y0
+        traj.accept(k2, i * dt)
 
 
 def _rkf45_advance(traj: _Trajectory, i0: int, i1: int, step: float) -> None:

@@ -11,9 +11,12 @@ by the formula itself.
 
 Every Green value and gradient comes from one pair kernel, `pair_terms`, over
 the pairs of a coordinate array, one `surfaces.pair_selection` array; `green()`
-is its one-pair view; the velocity law calls the torus gradient and the
-sphere's pole parts directly.  The sphere's pair array carries the homogeneous
-chart form: one formula, one complex division per pair, for every chart pair.
+is its one-pair view; the velocity law calls the torus gradient pass
+`torus_gradient_matrix` and the sphere's pole parts directly.  The torus pairs
+go `surfaces.BLOCK` at a time through the whole per-pair pipeline
+(`_torus_block`: reduction, coincidence check, series, gradient).  The
+sphere's pair array carries the homogeneous chart form: one formula, one
+complex division per pair, for every chart pair.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
@@ -30,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import theta
+from . import surfaces, theta
 from .errors import SingularityError
 from .surfaces import (
+    COINCIDENCE_TOL,
     SPHERE,
     Surface,
     SurfacePoint,
@@ -42,7 +46,6 @@ from .surfaces import (
     sphere_pair_points,
 )
 
-_COINCIDENCE_TOL = 1e-12
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
 
 
@@ -65,23 +68,52 @@ class RobinData:
     chart_id: int
 
 
-def torus_gradient_terms(ctx: theta.ThetaContext, u):
-    """(u', theta1(u' | tau'), dG/dz) over differences u = z - a (any branch),
-    u' = u / j centered in the reduced basis; SingularityError on a lattice point."""
-    ur = reduce_centered(ctx.tau, np.asarray(u, dtype=complex) * ctx.inv_j)
-    if (np.abs(ur) <= _COINCIDENCE_TOL * abs(ctx.inv_j)).any():
+def _torus_block(ctx: theta.ThetaContext, u: np.ndarray, work: np.ndarray):
+    """(u', theta1(u'), dG/dz) over one block of at most BLOCK differences
+    u = z - a (any branch): u' = u / j centred in the reduced basis, theta1
+    and dG/dz in views of work (`theta.theta1_block`).  SingularityError on a
+    lattice point.  No complex product here runs in place on the block: numpy
+    multiplies a one-element array in place by another loop than a longer one,
+    and a pair's result must not depend on its block."""
+    ur = reduce_centered(ctx.tau, u * ctx.inv_j)
+    if np.abs(ur).min() <= ctx.coincidence:
         raise SingularityError("Green function evaluated at coincident points")
-    th, dth = theta.theta1_series(ctx, ur)
-    # dG/dz = -(theta1'/theta1 / 2 + i pi Im u' / Im tau') / (2 pi j), folded into two scalars
-    a, b = -ctx.inv_j / (4.0 * math.pi), -0.5j * ctx.inv_j / ctx.tau.imag
-    return ur, th, a * (dth / th) + b * ur.imag
+    th = theta.theta1_block(ctx, ur, work)
+    # dG/dz = -(theta1'/theta1 / 2 + i pi Im u' / Im tau') / (2 pi j): one ratio
+    # times ctx.log_coeff plus ctx.im_coeff Im u'
+    grad = np.multiply(th[1] / th[0], ctx.log_coeff, out=th[1])
+    grad += ctx.im_coeff * ur.imag
+    return ur, th[0], grad
+
+
+def torus_gradient_matrix(ctx: theta.ThetaContext, coords, pairs, flat, out, work):
+    """out, the flat n x n matrix, with dG/dz at z_i - z_j in place flat[0] and
+    its negation in place flat[1] of each of the `pairs` (i, j); other entries
+    keep their value.  The pairs go BLOCK at a time through the whole pass
+    (gather, reduction, coincidence check, series, gradient, scatter), with
+    the series in work (`theta.theta1_block`), which bounds its memory."""
+    i, j = pairs[0], pairs[-1]
+    for start in range(0, len(i), surfaces.BLOCK):
+        block = slice(start, start + surfaces.BLOCK)
+        grad = _torus_block(ctx, coords[i[block]] - coords[j[block]], work)[2]
+        out[flat[0, block]] = grad
+        out[flat[1, block]] = np.negative(grad, out=grad)
+    return out
 
 
 def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
-    """G and dG/dz over differences u = z - a (any branch): G(u; tau) = G(u'; tau')."""
+    """G and dG/dz over differences u = z - a (any branch and shape), a block
+    at a time: G(u; tau) = G(u'; tau')."""
     ctx = theta.theta_context(complex(tau))
-    ur, th, grad = torus_gradient_terms(ctx, u)
-    value = -(np.log(np.abs(th)) - math.pi * ur.imag**2 / ctx.tau.imag) / (2.0 * math.pi)
+    u = np.asarray(u, dtype=complex)
+    value, grad = np.empty(u.shape), np.empty(u.shape, dtype=complex)
+    flat_u, flat_value, flat_grad = u.reshape(-1), value.reshape(-1), grad.reshape(-1)
+    work = theta.series_buffer(min(u.size, surfaces.BLOCK))
+    for start in range(0, u.size, surfaces.BLOCK):
+        block = slice(start, start + surfaces.BLOCK)
+        ur, th1, flat_grad[block] = _torus_block(ctx, flat_u[block], work)
+        log_abs = np.log(np.abs(th1)) - math.pi * ur.imag**2 / ctx.tau.imag
+        flat_value[block] = -log_abs / (2.0 * math.pi)
     return value + ctx.green_const, grad
 
 
@@ -104,7 +136,7 @@ def sphere_gradient_terms(coords, pairs, w):
     d = zi * b - a
     num = np.abs(d) ** 2
     # squared R^3 chord 4 num / ((1+|zi|^2)(1+|zj|^2)) against the tolerance
-    if (4.0 * num <= _COINCIDENCE_TOL**2 * w[i] * w[j]).any():
+    if (4.0 * num <= COINCIDENCE_TOL**2 * w[i] * w[j]).any():
         raise SingularityError("Green function evaluated at coincident points")
     r = 1.0 / d
     return num, b * r, c * r

@@ -23,6 +23,10 @@ SPHERE = "sphere"
 FLAT_TORUS = "flat_torus"
 
 MAX_REDUCED_IM_TAU = 200.0   # past about 226 the theta series' cos 2 pi z overflows
+COINCIDENCE_TOL = 1e-12      # the pair kernel's: two points this close coincide
+# pairs per pass of the torus pair evaluations (points per theta series pass),
+# bounding their temporaries; n = 64 (2016 pairs) is one block
+BLOCK = 2048
 
 
 @lru_cache(maxsize=None)
@@ -153,12 +157,12 @@ def canonical_coords(surface: Surface, charts, coords):
     return charts, out, m.astype(int), n.astype(int)
 
 
-def reduce_centered(tau: complex, z: np.ndarray) -> np.ndarray:
-    """Lattice-reduce (elementwise) to coordinates in [-1/2, 1/2); |Im| <= Im(tau)/2."""
-    s, t = lattice_split(tau, z)
-    s = s - np.floor(s + 0.5)
-    t = t - np.floor(t + 0.5)
-    return s + t * tau
+def reduce_centered(tau: complex, z):
+    """z less the lattice vector that centres it (elementwise): first
+    floor(Im z / Im tau + 1/2) tau, then floor(Re + 1/2), so Im / Im tau and
+    then Re lie in [-1/2, 1/2); |Re| <= 1/2 and |Im| <= Im(tau)/2."""
+    u = z - np.floor(z.imag / tau.imag + 0.5) * tau
+    return u - np.floor(u.real + 0.5)
 
 
 def conformal_factor(surface: Surface, p: SurfacePoint) -> float:
@@ -221,20 +225,27 @@ def pair_distances(surface: Surface, coords, pairs, min_only: bool = False) -> n
     2 atan2(|d|, |e|) with d = zi b_j - a_j and e = conj(zi) a_j + b_j; on the
     torus (any cover coordinates) |j| |u|, u the difference / j centered in the
     reduced basis, or where |u| >= 1/2 the nearest of its 9 centered translates.
-    `min_only`: translates only where |u| >= 1 - min |u|, which keeps the min and
-    first argmin exact; a pair that cannot be the closest may read above its value."""
+    `min_only`: translates only where |u| >= 1 - min |u| (the min over this and
+    earlier blocks of BLOCK pairs), which keeps the min and first argmin exact;
+    a pair that cannot be the closest may read above its value."""
     coords = np.asarray(coords, dtype=complex)
     if surface.kind == SPHERE:
         zi, a, b, _ = sphere_pair_points(coords, pairs)
         return 2.0 * np.arctan2(np.abs(zi * b - a), np.abs(zi.conjugate() * a + b))
     tau_r, j_tau = reduced_modulus(surface.tau)
-    u = reduce_centered(tau_r, (coords[pairs[0]] - coords[pairs[-1]]) * (1.0 / j_tau))
-    # every reduced lattice vector o != 0 is >= 1 - 1e-12 long: |u + o| >= |o| - |u|
-    d = np.abs(u)
-    bound = (1.0 - d.min() if min_only else 0.5) - 1e-9   # 1e-9 for rounding
-    if d.max(initial=0.0) >= bound:   # initial: an empty pair set stays empty
-        near = d >= bound
-        d[near] = np.abs(u[near][:, None] + _lattice_offsets(tau_r)).min(axis=-1)
+    i, j = pairs[0], pairs[-1]
+    d, least = np.empty(len(i)), math.inf
+    for start in range(0, len(i), BLOCK):   # blocks bound the temporaries
+        block = slice(start, start + BLOCK)
+        u = reduce_centered(tau_r, (coords[i[block]] - coords[j[block]]) * (1.0 / j_tau))
+        du = np.abs(u)
+        # every reduced lattice vector o != 0 is >= 1 - 1e-12 long: |u + o| >= |o| - |u|;
+        # the least |u| so far only lowers the bound, so the min stays exact
+        least = min(least, du.min())
+        near = du >= (1.0 - least if min_only else 0.5) - 1e-9   # 1e-9 for rounding
+        if near.any():
+            du[near] = np.abs(u[near][:, None] + _lattice_offsets(tau_r)).min(axis=-1)
+        d[block] = du
     return abs(j_tau) * d
 
 

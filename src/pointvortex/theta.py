@@ -8,6 +8,10 @@ one over |Im z| <= 1.05 Im tau' (term n is below exp(-pi Im tau' ((n + 1/2)^2 - 
 - 2.1 n)) of it there), and the eta sum's _ETA_TERMS = 8 a tail below 1e-21.
 By modular covariance G(u; tau) = G(u / j; tau'), h0(tau) = h0(tau') + log|j|
 and h2(tau) = h2(tau') / j^2.
+
+The series runs on at most `surfaces.BLOCK` points at a time, the one pass
+length of the torus pair evaluations, and the context keeps its coefficient
+rows laid out at that length.
 """
 from __future__ import annotations
 
@@ -18,11 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .surfaces import reduced_modulus
+from .surfaces import BLOCK, COINCIDENCE_TOL, reduced_modulus
 
 _TERMS = 6
 _ETA_TERMS = 8
-_BLOCK = 4096    # points per series pass in theta1_series
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,14 @@ class ThetaContext:
     green_const: float               # C(tau') = log|eta(tau')| / 2 pi
     h0: float                        # Robin h0 of the user's tau
     h2: complex                      # Robin h2 of the user's tau
-    # read-only (n_terms, 2, 1): the c^m coefficients of theta1 / sin x and theta1' / cos x
-    weights: np.ndarray = field(compare=False, repr=False)
+    # dG/dz = log_coeff theta1'(u')/theta1(u') + im_coeff Im u' at u' = u / j centred
+    log_coeff: complex               # -1 / (4 pi j)
+    im_coeff: complex                # -i / (2 j Im tau')
+    coincidence: float               # |u'| at or below which u is a lattice point
+    # read-only (n_terms, 2 BLOCK): row k is the c^k coefficient of theta1 / sin x
+    # BLOCK times, then that of theta1' / cos x BLOCK times, so that its columns
+    # BLOCK - m .. BLOCK + m are one contiguous (2, m) block for any m <= BLOCK
+    rows: np.ndarray = field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -57,46 +66,74 @@ def theta_context(tau: complex) -> ThetaContext:
     h2 = (-d3 / (6.0 * d1) - math.pi / (2.0 * tau_r.imag)) / j**2
     # theta1 / sin x = sum_n 2 c_n D_n(c) and theta1' / cos x = sum_n 2 c_n f_n (-1)^n D_n(-c)
     # in c = cos 2x, x = pi z, with D_n = 1 + 2 (T_1 + ... + T_n) in monomials of c
-    weights = np.zeros((_TERMS, 2, 1), dtype=complex)
+    weights = np.zeros((_TERMS, 2), dtype=complex)
     zeros = [0] * (_TERMS - 1)
     t_prev, t, kernel = [0, 1] + zeros[1:], [1] + zeros, [-1] + zeros
     for n, (c, f) in enumerate(zip(coeffs, freqs)):
         kernel = [d + 2 * a for d, a in zip(kernel, t)]              # D_n, from D_-1 = -1
-        weights[:, 0, 0] += [2 * c * d for d in kernel]
-        weights[:, 1, 0] += [2 * (-1) ** (n + m) * c * f * d for m, d in enumerate(kernel)]
+        weights[:, 0] += [2 * c * d for d in kernel]
+        weights[:, 1] += [2 * (-1) ** (n + m) * c * f * d for m, d in enumerate(kernel)]
         t_prev, t = t, [2 * a - b for a, b in zip([0] + t, t_prev)]   # T_{n+1}, from T_-1 = T_1
-    weights.flags.writeable = False
-    return ThetaContext(tau_r, j, 1.0 / j, _TERMS, green_const, h0, h2, weights)
+    rows = np.repeat(weights, BLOCK, axis=1)
+    rows.flags.writeable = False
+    inv_j = 1.0 / j
+    return ThetaContext(tau_r, j, inv_j, _TERMS, green_const, h0, h2,
+                        -inv_j / (4.0 * math.pi), -0.5j * inv_j / tau_r.imag,
+                        COINCIDENCE_TOL * abs(inv_j), rows)
 
 
 def theta1_series(ctx: ThetaContext, z):
-    """(theta1(z | ctx.tau), theta1'(z | ctx.tau)) from one series pass.
+    """(theta1(z | ctx.tau), theta1'(z | ctx.tau)) at z of any shape with at
+    most BLOCK points, from `theta1_block`."""
+    z = np.asarray(z, dtype=complex)
+    th = theta1_block(ctx, z.reshape(-1), series_buffer(z.size))
+    return th[0].reshape(z.shape), th[1].reshape(z.shape)
+
+
+def series_buffer(m: int) -> np.ndarray:
+    """A work buffer for `theta1_block` on up to m points."""
+    return np.empty(6 * m, dtype=complex)
+
+
+def theta1_block(ctx: ThetaContext, z: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """theta1 and theta1' at the m <= BLOCK points of the 1-d z, as a (2, m)
+    view of work, a `series_buffer` for at least m points that the pass
+    overwrites and takes all its temporaries from.
 
     With x = pi z, theta1 / sin x and theta1' / cos x are degree n_terms - 1
-    polynomials in c = cos 2x (`ThetaContext.weights`); one Horner pass over a
-    (2, m) array times sin x and cos x keeps theta1 at full relative precision
-    near z = 0.  Points go in blocks of _BLOCK, bounding the temporaries' memory.
-    """
-    n = ctx.n_terms
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((2,) + z.shape, dtype=complex)
-    flat_z, flat_out = z.reshape(-1), out.reshape(2, -1)
-    for start in range(0, flat_z.size, _BLOCK):
-        x = math.pi * flat_z[start:start + _BLOCK]
-        # complex sin x and cos x from real parts: numpy's complex sin is slower
-        sin_a, cos_a = np.sin(x.real), np.cos(x.real)
-        sinh_b, cosh_b = np.sinh(x.imag), np.cosh(x.imag)
-        sin_x = sin_a * cosh_b + 1j * (cos_a * sinh_b)
-        cos_x = cos_a * cosh_b - 1j * (sin_a * sinh_b)
-        c = 1.0 - 2.0 * sin_x * sin_x
-        p = ctx.weights[n - 1] * c
-        for k in range(n - 2, 0, -1):
-            p += ctx.weights[k]
-            p *= c
-        p += ctx.weights[0]
-        np.multiply(sin_x, p[0], out=flat_out[0, start:start + _BLOCK])
-        np.multiply(cos_x, p[1], out=flat_out[1, start:start + _BLOCK])
-    return out[0], out[1]
+    polynomials in c = cos 2x (`ThetaContext.rows`): one Horner pass over a
+    (2, m) array, then times sin x and cos x, which the result holds
+    meanwhile; the factors keep theta1 at full relative precision near z = 0."""
+    m, width = len(z), ctx.rows.shape[1] // 2
+    rows = ctx.rows[:, width - m:width + m].reshape(-1, 2, m)
+    out, c, p = work[:6 * m].reshape(3, 2, m)
+    # complex sin x and cos x from real parts (numpy's complex sin is slower),
+    # the parts in the space c and p take later
+    a, b, sin_a, cos_a, sinh_b, cosh_b, _, _ = work[2 * m:6 * m].view(float).reshape(8, m)
+    np.multiply(z.real, math.pi, out=a)
+    np.multiply(z.imag, math.pi, out=b)
+    np.sin(a, out=sin_a)
+    np.cos(a, out=cos_a)
+    np.sinh(b, out=sinh_b)
+    np.cosh(b, out=cosh_b)
+    np.multiply(sin_a, cosh_b, out=out[0].real)
+    np.multiply(cos_a, sinh_b, out=out[0].imag)
+    np.multiply(cos_a, cosh_b, out=out[1].real)
+    np.multiply(sin_a, sinh_b, out=out[1].imag)
+    np.negative(out[1].imag, out=out[1].imag)
+    # c = 1 - 2 sin^2 x in both rows, 2 sin x in c[1] first: a one-element
+    # complex product in place would round differently (`green._torus_block`)
+    np.multiply(out[0], 2.0, out=c[1])
+    np.multiply(c[1], out[0], out=c[0])
+    np.subtract(1.0, c[0], out=c[0])
+    c[1] = c[0]
+    np.multiply(rows[-1], c, out=p)
+    for k in range(len(rows) - 2, 0, -1):
+        p += rows[k]
+        p *= c
+    p += rows[0]
+    out *= p
+    return out
 
 
 def theta1(ctx: ThetaContext, z):

@@ -12,7 +12,7 @@ eps |W|^2 / Im tau) the step 1e-5 and 1 / Gamma_k amplify, and on these states
 each route reads up to about 2e-9 against the direct law and 4e-9 against
 the other.  The batch evaluates
 each of the 8 n stencil copies' n - 1 pairs once, in one `pair_terms` call per
-chunk of at most `_STENCIL_PAIRS` pairs.
+chunk of at most `surfaces.BLOCK` pairs.
 """
 import cmath
 import math
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pointvortex import dynamics
+from pointvortex import dynamics, surfaces
 from pointvortex.dynamics import (
     VortexState,
     hamiltonian_velocities,
@@ -94,7 +94,7 @@ def test_batched_route_matches_the_whole_energy_route(states, data):
     assert hamiltonian_velocity(state, state.n - 1) == got[-1]
 
 
-@pytest.mark.parametrize("chunk", (dynamics._STENCIL_PAIRS, 50, 1))
+@pytest.mark.parametrize("chunk", (surfaces.BLOCK, 50, 1))
 @pytest.mark.parametrize("surface", (Surface.sphere(), Surface.flat_torus(0.5 + 1j)),
                          ids=("sphere", "torus"))
 def test_each_copy_pair_goes_to_the_kernel_once(surface, chunk, monkeypatch):
@@ -114,7 +114,7 @@ def test_each_copy_pair_goes_to_the_kernel_once(surface, chunk, monkeypatch):
         return real(surface, coords, pairs)
 
     monkeypatch.setattr(dynamics, "pair_terms", counted)
-    monkeypatch.setattr(dynamics, "_STENCIL_PAIRS", chunk)
+    monkeypatch.setattr(surfaces, "BLOCK", chunk)
     got = hamiltonian_velocities(state)
     per_call = max(1, chunk // (n - 1)) * (n - 1)
     assert sum(calls) == 8 * n * (n - 1)

@@ -147,6 +147,29 @@ class TestTorusPairTranslation:
         assert abs(vortex_velocity(st, 0) - vortex_velocity(st, 1)) < 1e-9
 
 
+def test_rk4_step_is_the_textbook_combination_bit_for_bit():
+    # the step combines its stages in place, in the order of the expression
+    # below; the torus cover coordinates it ends in are not wrapped, and a
+    # step as long as the motion keeps the stages' last bits in the result
+    rng = np.random.default_rng(4)
+    tau = 0.5 + 1j
+    s, t = rng.uniform(0.0, 1.0, (2, 12))
+    g = rng.uniform(0.5, 1.5, 12) * rng.choice((-1.0, 1.0), 12)
+    state = VortexState(Surface.flat_torus(tau), tuple(SurfacePoint(0, z) for z in s + t * tau),
+                        tuple(g - g.mean()), (0.3,), (-0.2,))
+    charts, coords, plan = dynamics._unpack(state)
+    dt = 0.05
+    k1 = plan.velocity(coords)
+    k2 = plan.velocity(coords + 0.5 * dt * k1)
+    k3 = plan.velocity(coords + 0.5 * dt * k2)
+    k4 = plan.velocity(coords + dt * k3)
+    want = coords + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    traj = dynamics._Trajectory(plan, state.base_a, state.base_b, charts, coords,
+                                0.0, -math.inf, dt)
+    dynamics._rk4_advance(traj, 0, 1, dt)
+    assert np.array_equal(traj.coords, want)
+
+
 class TestConservation:
     def test_energy_and_kelvin_on_four_vortices(self):
         st = four_vortex_torus()

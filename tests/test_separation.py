@@ -30,11 +30,18 @@ from pointvortex.surfaces import (
     reduced_modulus,
 )
 
-from test_pair_kernel import TAUS, ref_centered, ref_nearest_image
+from test_pair_kernel import TAUS, ref_nearest_image
 
 # e^{i pi/3}: |tau'| = 1 to rounding, the edge of the bound; 0.3+0.001i: |j| != 1
 MODULI = (*TAUS, cmath.exp(1j * math.pi / 3), 0.3 + 0.001j)
 HEX = MODULI[-2]
+
+
+def ref_centered(tau, u):
+    """u less floor(Im u / Im tau + 1/2) tau, then less floor(Re + 1/2): the
+    kernel's centring, in its order of operations."""
+    w = u - math.floor(u.imag / tau.imag + 0.5) * tau
+    return w - math.floor(w.real + 0.5)
 
 
 def ref_image_distance(tau, u):

@@ -74,12 +74,14 @@ def test_velocity_matches_dense_reference(case, n):
 
 
 def row_sums_2d(i, j, upper, lower, weights):
-    """The n x n matrix filled by 2-D indexing: (i, j) upper, (j, i) lower."""
+    """The n x n matrix filled by 2-D indexing: (i, j) upper, (j, i) lower,
+    times weights by the einsum `_row_sums` forms, so the scatter is compared
+    bit for bit."""
     n = len(weights)
     m = np.zeros((n, n), dtype=upper.dtype)
     m[i, j] = upper
     m[j, i] = lower
-    return m @ weights
+    return np.einsum("ij,j->i", m, weights)
 
 
 @pytest.mark.parametrize("n", SIZES)
