@@ -38,6 +38,11 @@ a vortex to the other chart.  A velocity evaluation forms pair gradients only
 factors applied per vortex) at planned positions of an n x n matrix: the torus
 pass `green.torus_gradient_matrix` writes them block by block into the plan's
 own matrix, `_row_sums` scatters the sphere's, and `_matvec` sums the rows.
+On the torus the plan builds that pass once (`green.TorusPass`: the matrix,
+the pair values, and every block's pair rows, buffers and views), so a
+velocity or energy evaluation only runs its ufuncs; the energy runs the
+series for values only.  A velocity is always a fresh array: RK4 holds its
+four stages at once and RK45 keeps k1 across rejected trials.
 The energy and the Hamiltonian route share one assembly, `_Plan.assemble_energy`,
 and recompute W from their coordinates, so the route stays independent of the
 plan's flow and differences the energy the records report.  The circulation
@@ -45,7 +50,8 @@ terms are called on every surface; `periods` makes them 0 on the sphere
 (genus 0).  `integrate` has one record loop; a `METHODS` entry advances
 between records and ends every accepted step in `_Trajectory.accept`: the
 sphere chart rule of `canonical_coords`, the rechart, then the collision
-check, which names the first closest pair in (i, j) order.
+check, which names the first closest pair in (i, j) order and hands back the
+least separation and its pair, from which the run keeps its nearest approach.
 """
 from __future__ import annotations
 
@@ -56,11 +62,13 @@ import numpy as np
 
 from .errors import CollisionError, StepRejectionError
 from .green import (
+    TorusPass,
     pair_terms,
     robin_data,
     sphere_gradient_terms,
     sphere_point_terms,
     torus_gradient_matrix,
+    torus_pair_values,
 )
 from .oracles import wirtinger_combine, wirtinger_stencil
 from .periods import (
@@ -80,7 +88,7 @@ from .surfaces import (
     pair_indices,
     pair_selection,
 )
-from .theta import ThetaContext, series_buffer, theta_context
+from .theta import ThetaContext, theta_context
 
 DEFAULT_COLLISION_THRESHOLD = 1e-3
 # the least threshold: above the kernel's 1e-12 coincidence tolerance, with room
@@ -212,15 +220,16 @@ class _Plan:
     motion (sum Gamma v = 0), taken at the coordinates the plan is built at;
     `robin` is the surface's constant R = (h0 + log lambda) / 2 pi; `flat` the
     pairs' positions in the row sums' n x n matrix, which a rechart keeps;
-    on the torus `work` holds that matrix and the series buffer, which every
-    evaluation reuses in place of allocating its own."""
+    on the torus `work` is the pair pass (`green.TorusPass`), built once with
+    the plan: that matrix, the pair values and every block's buffers and
+    views, which each evaluation reuses in place of allocating its own."""
 
     surface: Surface
     strengths: np.ndarray
     pairs: np.ndarray
     flat: np.ndarray
     theta: ThetaContext | None   # None on the sphere
-    work: tuple[np.ndarray, np.ndarray] | None   # None on the sphere
+    work: TorusPass | None       # None on the sphere
     flow: complex                # du*/dz
     robin: float
 
@@ -240,17 +249,21 @@ class _Plan:
             rows = h * (g.sum() - g) - _row_sums(flat, pole_i, pole_j, g)   # 4 pi M Gamma
             inv_lam2 = w * w / (16.0 * math.pi)   # 1 / lambda^2 with the 1 / 4 pi of rows
         else:
-            rows = _matvec(torus_gradient_matrix(self.theta, coords, pairs, flat, *self.work), g)
+            rows = _matvec(torus_gradient_matrix(coords, self.work), self.work.weights)
             rows += self.flow
             inv_lam2 = 1.0
         return -2j * inv_lam2 * rows.conjugate()
 
     def energy(self, coords, base_a, base_b) -> float:
-        """The energy at `coords`, with W from `coords`, not from the plan."""
+        """The energy at `coords`, with W from `coords`, not from the plan; on
+        the torus the pair values come from the plan's pass."""
         surface, g, pairs = self.surface, self.strengths, self.pairs
-        value = pair_terms(surface, coords, pairs)[0]
+        if self.work is None:
+            value, weights = pair_terms(surface, coords, pairs)[0], g[pairs[0]] * g[pairs[-1]]
+        else:
+            value, weights = torus_pair_values(coords, self.work), self.work.pair_weights
         w = circulation_state(surface, coords, g, base_a, base_b)
-        return float(self.assemble_energy(value, g[pairs[0]] * g[pairs[-1]], w))
+        return float(self.assemble_energy(value, weights, w))
 
     def assemble_energy(self, value, weights, w):
         """H = (R sum Gamma^2 + 2 sum weights * value + E(W)) / 2, the pair sum
@@ -260,31 +273,30 @@ class _Plan:
         pair_sum = (weights * value).sum(axis=-1)
         return 0.5 * (robin + 2.0 * pair_sum + circulation_energy(self.surface, w))
 
-    def separation(self, coords, threshold: float, t: float) -> float:
-        """Minimum separation over the pairs; raises CollisionError below
-        `threshold`, naming the first closest pair in (i, j) order."""
+    def separation(self, coords, threshold: float, t: float) -> tuple[float, tuple[int, int]]:
+        """Minimum separation over the pairs and the first closest pair in
+        (i, j) order; raises CollisionError below `threshold`, naming that pair."""
         d = pair_distances(self.surface, coords, self.pairs, min_only=True)
         k = int(d.argmin())
-        best = float(d[k])
+        best, pair = float(d[k]), (int(self.pairs[0, k]), int(self.pairs[-1, k]))
         if best < threshold:
-            raise CollisionError(t, (int(self.pairs[0, k]), int(self.pairs[-1, k])), best)
-        return best
+            raise CollisionError(t, pair, best)
+        return best, pair
 
 
 def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
     strengths, n = np.asarray(strengths, dtype=float), len(strengths)
     pairs = pair_selection(surface, charts, *pair_indices(n))
     w = circulation_state(surface, coords, strengths, base_a, base_b)
+    flat = pairs[[0, -1]] * n + pairs[[-1, 0]]
     ctx = work = None
     if surface.kind != SPHERE:
         ctx = theta_context(surface.tau)
-        work = (np.zeros(n * n, dtype=complex),   # the diagonal stays 0
-                series_buffer(min(n * (n - 1) // 2, surfaces.BLOCK)))
+        work = TorusPass(ctx, pairs, flat, strengths)
     origin = SurfacePoint(0, 0j)
     robin = (robin_data(surface, origin).h0
              + math.log(conformal_factor(surface, origin))) / (2.0 * math.pi)
-    return _Plan(surface, strengths, pairs, pairs[[0, -1]] * n + pairs[[-1, 0]],
-                 ctx, work, circulation_form(surface, w), robin)
+    return _Plan(surface, strengths, pairs, flat, ctx, work, circulation_form(surface, w), robin)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +399,7 @@ class _Trajectory:
     evaluations: int = 0         # velocity evaluations, counted per step
     accepted: int = 0
     handovers: int = 0           # vortices that changed chart, summed over steps
+    nearest: tuple = (0.0, None, math.inf)   # (t, pair, separation) of the least so far
 
     def accept(self, coords: np.ndarray, t: float) -> None:
         """End an accepted step at time t: sphere vortices take the chart rule of
@@ -399,7 +412,9 @@ class _Trajectory:
                 self.handovers += changed
                 self.charts, self.plan = charts, self.plan.rechart(charts)
         self.coords = coords
-        self.separation = self.plan.separation(coords, self.threshold, t)
+        self.separation, pair = self.plan.separation(coords, self.threshold, t)
+        if self.separation < self.nearest[2]:
+            self.nearest = (t, pair, self.separation)
         self.accepted += 1
 
     def record(self, t: float) -> TrajectoryRecord:
@@ -494,7 +509,9 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     StepRejectionError if adaptive control stalls.
     `stats_out`, when given, receives the counts "step_rejections", "accepted_steps",
     "velocity_evaluations" and "chart_handovers" (sphere chart changes; 0 on the
-    torus) and, on either abort, the records made so far under "partial_records".
+    torus), the run's "nearest_approach" {"t", "pair", "separation"} (the first
+    least separation over t = 0 and the accepted steps, from their collision
+    checks) and, on either abort, the records made so far under "partial_records".
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt: must be finite and positive, got {dt}")
@@ -505,8 +522,9 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
     if method not in METHODS:
         raise ValueError(f"method: unknown integration method {method!r}")
     charts, coords, plan = _unpack(state)
-    traj = _Trajectory(plan, state.base_a, state.base_b, charts, coords,
-                       plan.separation(coords, -math.inf, 0.0), state.collision_threshold, dt)
+    sep, pair = plan.separation(coords, -math.inf, 0.0)
+    traj = _Trajectory(plan, state.base_a, state.base_b, charts, coords, sep,
+                       state.collision_threshold, dt, nearest=(0.0, pair, sep))
     records = [traj.record(0.0)]
     marks = (0, *range(record_every, steps, record_every), steps)
     stats = {} if stats_out is None else stats_out
@@ -518,6 +536,8 @@ def integrate(state: VortexState, dt: float, steps: int, method: str = "rk4",
         stats["partial_records"] = records
         raise
     finally:
+        t, pair, sep = traj.nearest
         stats.update(step_rejections=traj.rejections, accepted_steps=traj.accepted,
-                     velocity_evaluations=traj.evaluations, chart_handovers=traj.handovers)
+                     velocity_evaluations=traj.evaluations, chart_handovers=traj.handovers,
+                     nearest_approach={"t": t, "pair": list(pair), "separation": sep})
     return records

@@ -14,9 +14,13 @@ the pairs of a coordinate array, one `surfaces.pair_selection` array; `green()`
 is its one-pair view; the velocity law calls the torus gradient pass
 `torus_gradient_matrix` and the sphere's pole parts directly.  The torus pairs
 go `surfaces.BLOCK` at a time through the whole per-pair pipeline
-(`_torus_block`: reduction, coincidence check, series, gradient).  The
-sphere's pair array carries the homogeneous chart form: one formula, one
-complex division per pair, for every chart pair.
+(`_torus_block`: reduction, coincidence check, series; then the gradient or
+the value).  Its buffers and views are prepared once per block length, at
+most two per pass (`TorusBlock`): a plan builds its `TorusPass` once per run,
+with every block's pair rows, matrix positions and value view, and
+`torus_pair_terms` builds its blocks once per call, so an evaluation only
+runs ufuncs into them.  The sphere's pair array carries the homogeneous chart
+form: one formula, one complex division per pair, for every chart pair.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
@@ -68,52 +72,141 @@ class RobinData:
     chart_id: int
 
 
-def _torus_block(ctx: theta.ThetaContext, u: np.ndarray, work: np.ndarray):
-    """(u', theta1(u'), dG/dz) over one block of at most BLOCK differences
-    u = z - a (any branch): u' = u / j centred in the reduced basis, theta1
-    and dG/dz in views of work (`theta.theta1_block`).  SingularityError on a
-    lattice point.  No complex product here runs in place on the block: numpy
-    multiplies a one-element array in place by another loop than a longer one,
-    and a pair's result must not depend on its block."""
-    ur = reduce_centered(ctx.tau, u * ctx.inv_j)
-    if np.abs(ur).min() <= ctx.coincidence:
+class TorusBlock:
+    """The pair pipeline's buffers and views on m <= BLOCK differences, made
+    once for every block of that length: gathered points, u, u / j, the
+    series (`theta.SeriesBlock`, whose z is u'), |u'| and then log|theta1|,
+    and the gradient's and value's terms.  shift and im_u keep imaginary
+    part 0, so float terms meet complex ones without numpy's per-call cast
+    buffer."""
+
+    __slots__ = ("ctx", "series", "zi", "zj", "u", "scaled", "ratio", "im_term",
+                 "shift", "im_u", "dist", "im_square")
+
+    def __init__(self, ctx: theta.ThetaContext, m: int):
+        self.ctx = ctx
+        self.series = theta.SeriesBlock(ctx, m)
+        self.zi, self.zj, self.u, self.scaled, self.ratio, self.im_term = (
+            np.empty((6, m), dtype=complex))
+        self.shift, self.im_u = np.zeros((2, m), dtype=complex)
+        self.dist, self.im_square = np.empty((2, m))
+
+
+def torus_blocks(ctx: theta.ThetaContext, count: int) -> tuple:
+    """(slice, TorusBlock) per block of `surfaces.BLOCK` of count pairs; the
+    blocks of one length share a TorusBlock: BLOCK and the last one's length."""
+    made, blocks = {}, []
+    for start in range(0, count, surfaces.BLOCK):
+        block = slice(start, min(start + surfaces.BLOCK, count))
+        m = block.stop - start
+        if m not in made:
+            made[m] = TorusBlock(ctx, m)
+        blocks.append((block, made[m]))
+    return tuple(blocks)
+
+
+class TorusPass:
+    """A plan's torus pair pass, built once: per block of `torus_blocks` its
+    pair-index rows, its `flat` positions (i n + j, j n + i) in the n x n
+    gradient matrix, its view of the pair values and its TorusBlock; with the
+    matrix (diagonal 0), the values, the energy's weights Gamma_i Gamma_j and
+    the strengths as complex row-sum `weights` (a float operand would be cast
+    over the whole matrix), so an evaluation allocates no pair-length array."""
+
+    __slots__ = ("green_const", "weights", "pair_weights", "matrix", "values", "blocks")
+
+    def __init__(self, ctx: theta.ThetaContext, pairs, flat, strengths: np.ndarray):
+        n = len(strengths)
+        self.green_const = ctx.green_const
+        self.weights = strengths.astype(complex)
+        self.pair_weights = strengths[pairs[0]] * strengths[pairs[-1]]
+        self.matrix = np.zeros(n * n, dtype=complex)
+        self.values = np.empty(pairs.shape[1])
+        self.blocks = tuple((pairs[0, b], pairs[-1, b], flat[0, b], flat[1, b],
+                             self.values[b], blk)
+                            for b, blk in torus_blocks(ctx, pairs.shape[1]))
+
+
+def _torus_block(blk: TorusBlock, u: np.ndarray) -> None:
+    """theta1 and theta1' at u' over one block of differences u = z - a (any
+    branch), u' = u / j centred in the reduced basis: u' in blk.series.z and
+    the series in blk.series.out.  SingularityError on a lattice point.  No
+    complex product here runs in place on the block: numpy multiplies a
+    one-element array in place by another loop than a longer one, and a
+    pair's result must not depend on its block."""
+    ctx, series = blk.ctx, blk.series
+    np.multiply(u, ctx.inv_j, out=blk.scaled)
+    reduce_centered(ctx.tau, blk.scaled, series.z, blk.shift)
+    if np.abs(series.z, out=blk.dist).min() <= ctx.coincidence:
         raise SingularityError("Green function evaluated at coincident points")
-    th = theta.theta1_block(ctx, ur, work)
-    # dG/dz = -(theta1'/theta1 / 2 + i pi Im u' / Im tau') / (2 pi j): one ratio
-    # times ctx.log_coeff plus ctx.im_coeff Im u'
-    grad = np.multiply(th[1] / th[0], ctx.log_coeff, out=th[1])
-    grad += ctx.im_coeff * ur.imag
-    return ur, th[0], grad
+    theta.theta1_block(series)
 
 
-def torus_gradient_matrix(ctx: theta.ThetaContext, coords, pairs, flat, out, work):
-    """out, the flat n x n matrix, with dG/dz at z_i - z_j in place flat[0] and
-    its negation in place flat[1] of each of the `pairs` (i, j); other entries
-    keep their value.  The pairs go BLOCK at a time through the whole pass
-    (gather, reduction, coincidence check, series, gradient, scatter), with
-    the series in work (`theta.theta1_block`), which bounds its memory."""
-    i, j = pairs[0], pairs[-1]
-    for start in range(0, len(i), surfaces.BLOCK):
-        block = slice(start, start + surfaces.BLOCK)
-        grad = _torus_block(ctx, coords[i[block]] - coords[j[block]], work)[2]
-        out[flat[0, block]] = grad
-        out[flat[1, block]] = np.negative(grad, out=grad)
+def _gathered_block(coords, i, j, blk: TorusBlock) -> None:
+    """`_torus_block` at the differences coords[i] - coords[j]."""
+    np.take(coords, i, out=blk.zi, mode="clip")   # "raise" would buffer out
+    np.take(coords, j, out=blk.zj, mode="clip")
+    _torus_block(blk, np.subtract(blk.zi, blk.zj, out=blk.u))
+
+
+def _torus_gradient(blk: TorusBlock) -> np.ndarray:
+    """dG/dz after `_torus_block`, in blk.series.dth: -(theta1'/theta1 / 2
+    + i pi Im u' / Im tau') / (2 pi j), one ratio times ctx.log_coeff plus
+    ctx.im_coeff Im u'."""
+    ctx, series = blk.ctx, blk.series
+    np.divide(series.dth, series.th, out=blk.ratio)
+    grad = np.multiply(blk.ratio, ctx.log_coeff, out=series.dth)
+    np.copyto(blk.im_u.real, series.z_im)
+    grad += np.multiply(ctx.im_coeff, blk.im_u, out=blk.im_term)
+    return grad
+
+
+def _torus_values(blk: TorusBlock, out: np.ndarray) -> None:
+    """G - C(tau') after `_torus_block`, into out: -(log|theta1(u')|
+    - pi Im(u')^2 / Im tau') / 2 pi."""
+    series, log_abs, im_square = blk.series, blk.dist, blk.im_square
+    np.log(np.abs(series.th, out=log_abs), out=log_abs)
+    np.multiply(math.pi, np.square(series.z_im, out=im_square), out=im_square)
+    np.divide(im_square, blk.ctx.tau.imag, out=im_square)
+    np.negative(np.subtract(log_abs, im_square, out=log_abs), out=log_abs)
+    np.divide(log_abs, 2.0 * math.pi, out=out)
+
+
+def torus_gradient_matrix(coords, tpass: TorusPass) -> np.ndarray:
+    """tpass.matrix, the flat n x n matrix, with dG/dz at z_i - z_j in place
+    flat[0] and its negation in place flat[1] of each of the pass's pairs
+    (i, j); other entries keep their value.  The pairs go a block at a time
+    through the whole pass (gather, reduction, coincidence check, series,
+    gradient, scatter) in the pass's buffers, which bounds its memory."""
+    out = tpass.matrix
+    for i, j, flat0, flat1, _, blk in tpass.blocks:
+        _gathered_block(coords, i, j, blk)
+        grad = _torus_gradient(blk)
+        out[flat0] = grad
+        out[flat1] = np.negative(grad, out=grad)
     return out
+
+
+def torus_pair_values(coords, tpass: TorusPass) -> np.ndarray:
+    """tpass.values, with G(z_i, z_j) at each of the pass's pairs, block by
+    block as in `torus_gradient_matrix` but values only."""
+    for i, j, _, _, values, blk in tpass.blocks:
+        _gathered_block(coords, i, j, blk)
+        _torus_values(blk, values)
+    return np.add(tpass.values, tpass.green_const, out=tpass.values)
 
 
 def torus_pair_terms(tau: complex, u) -> tuple[np.ndarray, np.ndarray]:
     """G and dG/dz over differences u = z - a (any branch and shape), a block
-    at a time: G(u; tau) = G(u'; tau')."""
+    at a time (`torus_blocks`, built for this call): G(u; tau) = G(u'; tau')."""
     ctx = theta.theta_context(complex(tau))
     u = np.asarray(u, dtype=complex)
     value, grad = np.empty(u.shape), np.empty(u.shape, dtype=complex)
     flat_u, flat_value, flat_grad = u.reshape(-1), value.reshape(-1), grad.reshape(-1)
-    work = theta.series_buffer(min(u.size, surfaces.BLOCK))
-    for start in range(0, u.size, surfaces.BLOCK):
-        block = slice(start, start + surfaces.BLOCK)
-        ur, th1, flat_grad[block] = _torus_block(ctx, flat_u[block], work)
-        log_abs = np.log(np.abs(th1)) - math.pi * ur.imag**2 / ctx.tau.imag
-        flat_value[block] = -log_abs / (2.0 * math.pi)
+    for block, blk in torus_blocks(ctx, u.size):
+        _torus_block(blk, flat_u[block])
+        flat_grad[block] = _torus_gradient(blk)
+        _torus_values(blk, flat_value[block])
     return value + ctx.green_const, grad
 
 

@@ -157,12 +157,25 @@ def canonical_coords(surface: Surface, charts, coords):
     return charts, out, m.astype(int), n.astype(int)
 
 
-def reduce_centered(tau: complex, z):
+def reduce_centered(tau: complex, z, out=None, shift=None):
     """z less the lattice vector that centres it (elementwise): first
     floor(Im z / Im tau + 1/2) tau, then floor(Re + 1/2), so Im / Im tau and
-    then Re lie in [-1/2, 1/2); |Re| <= 1/2 and |Im| <= Im(tau)/2."""
-    u = z - np.floor(z.imag / tau.imag + 0.5) * tau
-    return u - np.floor(u.real + 0.5)
+    then Re lie in [-1/2, 1/2); |Re| <= 1/2 and |Im| <= Im(tau)/2.  Written
+    into out (complex, z's shape, not z) with shift, complex of z's shape
+    with imaginary part 0, as scratch when given, else into new arrays; a
+    scalar z gives a scalar.  The floors go into shift.real, so the lattice
+    shifts meet z as complex numbers without a cast, and shift.imag stays 0."""
+    z = np.asarray(z)
+    if out is None:
+        out, shift = np.empty(z.shape, dtype=complex), np.zeros(z.shape, dtype=complex)
+    floors = shift.real
+    np.divide(z.imag, tau.imag, out=floors)
+    np.add(floors, 0.5, out=floors)
+    np.floor(floors, out=floors)
+    np.subtract(z, np.multiply(shift, tau, out=out), out=out)
+    np.add(out.real, 0.5, out=floors)
+    np.floor(floors, out=floors)
+    return np.subtract(out, shift, out=out)[()]
 
 
 def conformal_factor(surface: Surface, p: SurfacePoint) -> float:

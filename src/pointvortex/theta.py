@@ -11,7 +11,10 @@ and h2(tau) = h2(tau') / j^2.
 
 The series runs on at most `surfaces.BLOCK` points at a time, the one pass
 length of the torus pair evaluations, and the context keeps its coefficient
-rows laid out at that length.
+rows laid out at that length.  A `SeriesBlock` holds the buffers and views of
+one series length; the torus pass builds one per block length once per run
+(`green.TorusBlock`), a one-shot `theta1_series` one per call, and a run,
+`theta1_block`, then only calls its ufuncs.
 """
 from __future__ import annotations
 
@@ -84,54 +87,72 @@ def theta_context(tau: complex) -> ThetaContext:
 
 def theta1_series(ctx: ThetaContext, z):
     """(theta1(z | ctx.tau), theta1'(z | ctx.tau)) at z of any shape with at
-    most BLOCK points, from `theta1_block`."""
+    most BLOCK points, from `theta1_block` on a `SeriesBlock` built for them."""
     z = np.asarray(z, dtype=complex)
-    th = theta1_block(ctx, z.reshape(-1), series_buffer(z.size))
+    block = SeriesBlock(ctx, z.size)
+    block.z[:] = z.reshape(-1)
+    th = theta1_block(block)
     return th[0].reshape(z.shape), th[1].reshape(z.shape)
 
 
-def series_buffer(m: int) -> np.ndarray:
-    """A work buffer for `theta1_block` on up to m points."""
-    return np.empty(6 * m, dtype=complex)
+class SeriesBlock:
+    """`theta1_block`'s buffers and views on m <= BLOCK points, laid out once
+    for every run: the caller writes the points into z, and a run leaves
+    theta1 and theta1' in out's rows th and dth.  rows are the (2, m)
+    coefficient rows cut from `ThetaContext.rows`; out, c and p share one work
+    buffer with the real parts of sin x and cos x, which sit where c and p go."""
+
+    __slots__ = ("z", "z_re", "z_im", "rows", "inner", "out", "th", "dth", "c", "c0", "c1",
+                 "p", "a", "b", "sin_a", "cos_a", "sinh_b", "cosh_b", "parts")
+
+    def __init__(self, ctx: ThetaContext, m: int):
+        width = ctx.rows.shape[1] // 2
+        self.rows = tuple(ctx.rows[:, width - m:width + m].reshape(ctx.n_terms, 2, m))
+        self.inner = self.rows[-2:0:-1]            # the Horner steps between the ends
+        self.z = np.empty(m, dtype=complex)
+        self.z_re, self.z_im = self.z.real, self.z.imag
+        work = np.empty(6 * m, dtype=complex)
+        self.out, self.c, self.p = work.reshape(3, 2, m)
+        self.th, self.dth = self.out
+        self.c0, self.c1 = self.c
+        self.a, self.b, self.sin_a, self.cos_a, self.sinh_b, self.cosh_b, _, _ = (
+            work[2 * m:].view(float).reshape(8, m))
+        self.parts = (self.th.real, self.th.imag, self.dth.real, self.dth.imag)
 
 
-def theta1_block(ctx: ThetaContext, z: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """theta1 and theta1' at the m <= BLOCK points of the 1-d z, as a (2, m)
-    view of work, a `series_buffer` for at least m points that the pass
-    overwrites and takes all its temporaries from.
+def theta1_block(s: SeriesBlock) -> np.ndarray:
+    """theta1 and theta1' at the points s.z, as s.out, (2, m).
 
     With x = pi z, theta1 / sin x and theta1' / cos x are degree n_terms - 1
     polynomials in c = cos 2x (`ThetaContext.rows`): one Horner pass over a
     (2, m) array, then times sin x and cos x, which the result holds
     meanwhile; the factors keep theta1 at full relative precision near z = 0."""
-    m, width = len(z), ctx.rows.shape[1] // 2
-    rows = ctx.rows[:, width - m:width + m].reshape(-1, 2, m)
-    out, c, p = work[:6 * m].reshape(3, 2, m)
-    # complex sin x and cos x from real parts (numpy's complex sin is slower),
-    # the parts in the space c and p take later
-    a, b, sin_a, cos_a, sinh_b, cosh_b, _, _ = work[2 * m:6 * m].view(float).reshape(8, m)
-    np.multiply(z.real, math.pi, out=a)
-    np.multiply(z.imag, math.pi, out=b)
+    a, b, sin_a, cos_a, sinh_b, cosh_b = s.a, s.b, s.sin_a, s.cos_a, s.sinh_b, s.cosh_b
+    out, c, c0, c1, p = s.out, s.c, s.c0, s.c1, s.p
+    sin_re, sin_im, cos_re, cos_im = s.parts
+    # complex sin x and cos x from real parts (numpy's complex sin is slower)
+    np.multiply(s.z_re, math.pi, out=a)
+    np.multiply(s.z_im, math.pi, out=b)
     np.sin(a, out=sin_a)
     np.cos(a, out=cos_a)
     np.sinh(b, out=sinh_b)
     np.cosh(b, out=cosh_b)
-    np.multiply(sin_a, cosh_b, out=out[0].real)
-    np.multiply(cos_a, sinh_b, out=out[0].imag)
-    np.multiply(cos_a, cosh_b, out=out[1].real)
-    np.multiply(sin_a, sinh_b, out=out[1].imag)
-    np.negative(out[1].imag, out=out[1].imag)
+    np.multiply(sin_a, cosh_b, out=sin_re)
+    np.multiply(cos_a, sinh_b, out=sin_im)
+    np.multiply(cos_a, cosh_b, out=cos_re)
+    np.multiply(sin_a, sinh_b, out=cos_im)
+    np.negative(cos_im, out=cos_im)
     # c = 1 - 2 sin^2 x in both rows, 2 sin x in c[1] first: a one-element
     # complex product in place would round differently (`green._torus_block`)
-    np.multiply(out[0], 2.0, out=c[1])
-    np.multiply(c[1], out[0], out=c[0])
-    np.subtract(1.0, c[0], out=c[0])
-    c[1] = c[0]
-    np.multiply(rows[-1], c, out=p)
-    for k in range(len(rows) - 2, 0, -1):
-        p += rows[k]
+    np.multiply(s.th, 2.0, out=c1)
+    np.multiply(c1, s.th, out=c0)
+    np.subtract(1.0, c0, out=c0)
+    np.copyto(c1, c0)
+    np.multiply(s.rows[-1], c, out=p)
+    for row in s.inner:
+        p += row
         p *= c
-    p += rows[0]
+    p += s.rows[0]
     out *= p
     return out
 

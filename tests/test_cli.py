@@ -322,8 +322,13 @@ class TestRunCommand:
         assert summary["accepted_steps"] == 1000
         assert summary["velocity_evaluations"] == 4000
         assert summary["step_rejections"] == 0
-        header = (tmp_path / "torus_pair_translate.csv").read_text().splitlines()[0]
+        header, *rows = (tmp_path / "torus_pair_translate.csv").read_text().splitlines()
         assert "evaluations" not in header and "accepted" not in header
+        # the nearest approach over every accepted step, at or below every record's
+        nearest = summary["nearest_approach"]
+        assert set(nearest) == {"t", "pair", "separation"} and nearest["pair"] == [0, 1]
+        assert 0.0 <= nearest["t"] <= 10.0 + 1e-9   # 1000 steps of 0.01
+        assert 0.0 < nearest["separation"] <= min(float(r.split(",")[-1]) for r in rows)
 
     def test_summary_counts_chart_handovers(self, tmp_path, rng):
         # a sphere run recorded at every step: the summary's chart_handovers

@@ -90,7 +90,7 @@ def test_torus_minimum_is_the_exhaustive_nearest_image(config):
     g = np.ones(n)
     g[-1] = 1.0 - n
     plan = _plan(surface, np.zeros(n, dtype=int), coords, g, (0.0,), (0.0,))
-    assert plan.separation(coords, -math.inf, 0.0) == best
+    assert plan.separation(coords, -math.inf, 0.0) == (best, (i[k], j[k]))
     with pytest.raises(CollisionError) as err:
         plan.separation(coords, np.nextafter(best, math.inf), 0.25)
     assert (err.value.pair, err.value.separation) == ((i[k], j[k]), best)
