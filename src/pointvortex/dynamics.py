@@ -35,14 +35,15 @@ and the separation check; `integrate` builds it once per run, a one-shot call
 once per call, and `_Plan.rechart` swaps in new pairs after a step that moved
 a vortex to the other chart.  A velocity evaluation forms pair gradients only
 (the torus Green gradient; the sphere's pole parts, its metric term and constant
-factors applied per vortex) at planned positions of an n x n matrix: the torus
-pass `green.torus_gradient_matrix` writes them block by block into the plan's
-own matrix, `_row_sums` scatters the sphere's, and `_matvec` sums the rows.
-On the torus the plan builds that pass once (`green.TorusPass`: the matrix,
-the pair values, and every block's pair rows, buffers and views), so a
-velocity or energy evaluation only runs its ufuncs; the energy runs the
-series for values only.  A velocity is always a fresh array: RK4 holds its
-four stages at once and RK45 keeps k1 across rejected trials.
+factors applied per vortex), writes them at planned positions of the plan's
+n x n matrix, and `_matvec` sums its rows against the plan's complex
+strengths, one assembly for both surfaces.  On the torus the plan also builds
+its pair pass once (`green.TorusPass`: the pair values and every block's pair
+rows, buffers and views), which `green.torus_gradient_matrix` runs block by
+block into the matrix, so a velocity or energy evaluation only runs its
+ufuncs; the energy runs the series for values only.  A velocity is always a
+fresh array: RK4 holds its four stages at once and RK45 keeps k1 across
+rejected trials.
 The energy and the Hamiltonian route share one assembly, `_Plan.assemble_energy`,
 and recompute W from their coordinates, so the route stays independent of the
 plan's flow and differences the energy the records report.  The circulation
@@ -88,7 +89,7 @@ from .surfaces import (
     pair_indices,
     pair_selection,
 )
-from .theta import ThetaContext, theta_context
+from .theta import theta_context
 
 DEFAULT_COLLISION_THRESHOLD = 1e-3
 # the least threshold: above the kernel's 1e-12 coincidence tolerance, with room
@@ -195,15 +196,6 @@ def min_separation(surface: Surface, positions) -> float:
 # raw evaluation layer: coordinate arrays and a plan's pairs, no reduction
 
 
-def _row_sums(flat, upper, lower, weights: np.ndarray) -> np.ndarray:
-    """M @ weights for the n x n matrix with `upper` at (i, j), `lower` at (j, i)
-    and zeros elsewhere, `flat` = (i n + j, j n + i) its pairs' flat positions."""
-    m = np.zeros(len(weights) ** 2, dtype=upper.dtype)
-    m[flat[0]] = upper
-    m[flat[1]] = lower
-    return _matvec(m, weights)
-
-
 def _matvec(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The flat n x n matrix m times weights, by einsum: a BLAS product would
     wake a thread pool from about n = 64 on, which costs more than the product."""
@@ -218,17 +210,22 @@ class _Plan:
     energy and separation check over them (see the module docstring).  On the
     torus lambda = 1 and du*/dz = conj(W) / (2 Im tau) is a constant of the
     motion (sum Gamma v = 0), taken at the coordinates the plan is built at;
-    `robin` is the surface's constant R = (h0 + log lambda) / 2 pi; `flat` the
-    pairs' positions in the row sums' n x n matrix, which a rechart keeps;
-    on the torus `work` is the pair pass (`green.TorusPass`), built once with
-    the plan: that matrix, the pair values and every block's buffers and
-    views, which each evaluation reuses in place of allocating its own."""
+    `robin` is the surface's constant R = (h0 + log lambda) / 2 pi.  Built
+    once with the plan: `weights`, the strengths as complex (a float operand
+    would be cast over the whole matrix); `pair_weights`, the energy's
+    Gamma_i Gamma_j; `matrix`, the flat n x n gradient matrix (diagonal 0)
+    with `flat` its pairs' positions; and on the torus `work`, the pair pass
+    (`green.TorusPass`), whose buffers each evaluation reuses in place of
+    allocating its own.  A rechart keeps all of these: the matrix it shares
+    with its parent has every off-diagonal entry written before each read."""
 
     surface: Surface
     strengths: np.ndarray
+    weights: np.ndarray
+    pair_weights: np.ndarray
     pairs: np.ndarray
     flat: np.ndarray
-    theta: ThetaContext | None   # None on the sphere
+    matrix: np.ndarray
     work: TorusPass | None       # None on the sphere
     flow: complex                # du*/dz
     robin: float
@@ -242,14 +239,15 @@ class _Plan:
         """-2i conj(M Gamma + du*/dz) / lambda^2 at every vortex, with
         M_kj = dG(z_k, z_j)/dz_k in z_k's chart.  On the sphere 4 pi M_kj = h_k - P_kj
         (P the kernel's pole parts): 4 pi (M Gamma)_k = h_k (sum Gamma - Gamma_k) - (P Gamma)_k."""
-        pairs, flat, g = self.pairs, self.flat, self.strengths
-        if self.theta is None:
+        m = self.matrix
+        if self.work is None:
+            g = self.strengths
             _, w, h = sphere_point_terms(coords)   # lambda = 2 / w
-            _, pole_i, pole_j = sphere_gradient_terms(coords, pairs, w)
-            rows = h * (g.sum() - g) - _row_sums(flat, pole_i, pole_j, g)   # 4 pi M Gamma
+            _, m[self.flat[0]], m[self.flat[1]] = sphere_gradient_terms(coords, self.pairs, w)
+            rows = h * (g.sum() - g) - _matvec(m, self.weights)   # 4 pi M Gamma
             inv_lam2 = w * w / (16.0 * math.pi)   # 1 / lambda^2 with the 1 / 4 pi of rows
         else:
-            rows = _matvec(torus_gradient_matrix(coords, self.work), self.work.weights)
+            rows = _matvec(torus_gradient_matrix(coords, self.work, m), self.weights)
             rows += self.flow
             inv_lam2 = 1.0
         return -2j * inv_lam2 * rows.conjugate()
@@ -257,20 +255,20 @@ class _Plan:
     def energy(self, coords, base_a, base_b) -> float:
         """The energy at `coords`, with W from `coords`, not from the plan; on
         the torus the pair values come from the plan's pass."""
-        surface, g, pairs = self.surface, self.strengths, self.pairs
         if self.work is None:
-            value, weights = pair_terms(surface, coords, pairs)[0], g[pairs[0]] * g[pairs[-1]]
+            value = pair_terms(self.surface, coords, self.pairs)[0]
         else:
-            value, weights = torus_pair_values(coords, self.work), self.work.pair_weights
-        w = circulation_state(surface, coords, g, base_a, base_b)
-        return float(self.assemble_energy(value, weights, w))
+            value = torus_pair_values(coords, self.work)
+        w = circulation_state(self.surface, coords, self.strengths, base_a, base_b)
+        return float(self.assemble_energy(value, self.pair_weights, w))
 
     def assemble_energy(self, value, weights, w):
         """H = (R sum Gamma^2 + 2 sum weights * value + E(W)) / 2, the pair sum
         over the last axis of pair values and weights (Gamma_i Gamma_j), one
-        energy per W: the one assembly of the energy and of its differences."""
+        energy per W: the one assembly of the energy and of its differences.
+        `value` is overwritten with the products."""
         robin = (self.strengths**2 * self.robin).sum()
-        pair_sum = (weights * value).sum(axis=-1)
+        pair_sum = np.multiply(weights, value, out=value).sum(axis=-1)
         return 0.5 * (robin + 2.0 * pair_sum + circulation_energy(self.surface, w))
 
     def separation(self, coords, threshold: float, t: float) -> tuple[float, tuple[int, int]]:
@@ -289,14 +287,15 @@ def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
     pairs = pair_selection(surface, charts, *pair_indices(n))
     w = circulation_state(surface, coords, strengths, base_a, base_b)
     flat = pairs[[0, -1]] * n + pairs[[-1, 0]]
-    ctx = work = None
+    work = None
     if surface.kind != SPHERE:
-        ctx = theta_context(surface.tau)
-        work = TorusPass(ctx, pairs, flat, strengths)
+        work = TorusPass(theta_context(surface.tau), pairs, flat)
     origin = SurfacePoint(0, 0j)
     robin = (robin_data(surface, origin).h0
              + math.log(conformal_factor(surface, origin))) / (2.0 * math.pi)
-    return _Plan(surface, strengths, pairs, flat, ctx, work, circulation_form(surface, w), robin)
+    return _Plan(surface, strengths, strengths.astype(complex),
+                 strengths[pairs[0]] * strengths[pairs[-1]], pairs, flat,
+                 np.zeros(n * n, dtype=complex), work, circulation_form(surface, w), robin)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +419,7 @@ class _Trajectory:
     def record(self, t: float) -> TrajectoryRecord:
         plan, g = self.plan, self.plan.strengths
         charts, coords, a, b = self.charts, self.coords, self.base_a, self.base_b
-        if plan.theta is not None:   # wrap the torus cover; `accept` keeps the sphere canonical
+        if plan.work is not None:   # wrap the torus cover; `accept` keeps the sphere canonical
             charts, coords, a, b = _canonical(plan.surface, charts, coords, g, a, b)
         h = plan.energy(coords, a, b)
         w = circulation_state(plan.surface, coords, g, a, b)   # not the plan's: independent

@@ -17,10 +17,11 @@ go `surfaces.BLOCK` at a time through the whole per-pair pipeline
 (`_torus_block`: reduction, coincidence check, series; then the gradient or
 the value).  Its buffers and views are prepared once per block length, at
 most two per pass (`TorusBlock`): a plan builds its `TorusPass` once per run,
-with every block's pair rows, matrix positions and value view, and
-`torus_pair_terms` builds its blocks once per call, so an evaluation only
-runs ufuncs into them.  The sphere's pair array carries the homogeneous chart
-form: one formula, one complex division per pair, for every chart pair.
+with every block's pair rows, value view and positions in the plan's
+gradient matrix, and `torus_pair_terms` builds its blocks once per call, so
+an evaluation only runs ufuncs into them.  The sphere's pair array carries
+the homogeneous chart form: one formula, one complex division per pair, for
+every chart pair.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
@@ -107,20 +108,15 @@ def torus_blocks(ctx: theta.ThetaContext, count: int) -> tuple:
 
 class TorusPass:
     """A plan's torus pair pass, built once: per block of `torus_blocks` its
-    pair-index rows, its `flat` positions (i n + j, j n + i) in the n x n
-    gradient matrix, its view of the pair values and its TorusBlock; with the
-    matrix (diagonal 0), the values, the energy's weights Gamma_i Gamma_j and
-    the strengths as complex row-sum `weights` (a float operand would be cast
-    over the whole matrix), so an evaluation allocates no pair-length array."""
+    pair-index rows, its `flat` positions (i n + j, j n + i) in the plan's
+    n x n gradient matrix, its view of the pair values and its TorusBlock;
+    with the values and the Green constant C(tau), so an evaluation
+    allocates no pair-length array."""
 
-    __slots__ = ("green_const", "weights", "pair_weights", "matrix", "values", "blocks")
+    __slots__ = ("green_const", "values", "blocks")
 
-    def __init__(self, ctx: theta.ThetaContext, pairs, flat, strengths: np.ndarray):
-        n = len(strengths)
+    def __init__(self, ctx: theta.ThetaContext, pairs, flat):
         self.green_const = ctx.green_const
-        self.weights = strengths.astype(complex)
-        self.pair_weights = strengths[pairs[0]] * strengths[pairs[-1]]
-        self.matrix = np.zeros(n * n, dtype=complex)
         self.values = np.empty(pairs.shape[1])
         self.blocks = tuple((pairs[0, b], pairs[-1, b], flat[0, b], flat[1, b],
                              self.values[b], blk)
@@ -172,13 +168,12 @@ def _torus_values(blk: TorusBlock, out: np.ndarray) -> None:
     np.divide(log_abs, 2.0 * math.pi, out=out)
 
 
-def torus_gradient_matrix(coords, tpass: TorusPass) -> np.ndarray:
-    """tpass.matrix, the flat n x n matrix, with dG/dz at z_i - z_j in place
-    flat[0] and its negation in place flat[1] of each of the pass's pairs
-    (i, j); other entries keep their value.  The pairs go a block at a time
-    through the whole pass (gather, reduction, coincidence check, series,
-    gradient, scatter) in the pass's buffers, which bounds its memory."""
-    out = tpass.matrix
+def torus_gradient_matrix(coords, tpass: TorusPass, out: np.ndarray) -> np.ndarray:
+    """out, a flat n x n matrix, with dG/dz at z_i - z_j in place flat[0] and
+    its negation in place flat[1] of each of the pass's pairs (i, j); other
+    entries keep their value.  The pairs go a block at a time through the
+    whole pass (gather, reduction, coincidence check, series, gradient,
+    scatter) in the pass's buffers, which bounds its memory."""
     for i, j, flat0, flat1, _, blk in tpass.blocks:
         _gathered_block(coords, i, j, blk)
         grad = _torus_gradient(blk)

@@ -4,8 +4,9 @@ The inverse of a transition jet, the connection calculus of the order-0/1/2
 gluing rules, the metric's Levi-Civita connection, the two-point potential,
 the torus period matrix P, the stream coefficients c0 (with the conjugate
 potential u*) and c1, the velocity law summed over a dense gradient matrix,
-the Hamiltonian route one vortex at a time through the whole energy, and a
-meridian arc-length quadrature.  None of them is on a `run` or `verify`
+row sums over a matrix filled by 2-D indexing, the Hamiltonian route one
+vortex at a time through the whole energy, and a meridian arc-length
+quadrature.  None of them is on a `run` or `verify`
 path, so they live here, built on the package's public calls.
 """
 import cmath
@@ -205,6 +206,17 @@ def dense_velocity(surface: Surface, charts, coords, strengths,
     lam = np.array([conformal_factor(surface, SurfacePoint(int(c), complex(z)))
                     for c, z in zip(charts, coords)])
     return -2j * (m @ strengths + flow).conjugate() / lam**2
+
+
+def row_sums_2d(i, j, upper, lower, weights) -> np.ndarray:
+    """The n x n matrix filled by 2-D indexing, `upper` at (i, j), `lower` at
+    (j, i) and 0 elsewhere, times weights by the einsum `dynamics._matvec`
+    forms, so a plan's flat scatter compares with it bit for bit."""
+    n = len(weights)
+    m = np.zeros((n, n), dtype=upper.dtype)
+    m[i, j] = upper
+    m[j, i] = lower
+    return np.einsum("ij,j->i", m, weights)
 
 
 def fd_velocity(state: VortexState, k: int) -> complex:

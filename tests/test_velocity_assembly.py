@@ -7,14 +7,19 @@ as h_k (sum Gamma - Gamma_k).  `reference.dense_velocity` sums the full
 two must agree to 1e-13 of the largest speed on both surfaces, over mixed
 sphere charts, torus cover coordinates and plan-level strengths whose sum is
 not zero (which only the h_k (sum Gamma - Gamma_k) term can get right).
+On the sphere the plan's scatter into its own matrix must also equal, bit
+for bit, the same pole parts scattered by 2-D indexing (`reference.row_sums_2d`).
 """
+import math
+
 import numpy as np
 import pytest
 
-from pointvortex.dynamics import _plan, _row_sums
+from pointvortex.dynamics import _plan
+from pointvortex.green import sphere_gradient_terms, sphere_point_terms
 from pointvortex.surfaces import Surface, pair_distances, pair_indices, pair_selection
 
-from reference import dense_velocity
+from reference import dense_velocity, row_sums_2d
 
 SIZES = (2, 3, 17, 64)
 SPHERE = Surface.sphere()
@@ -73,29 +78,18 @@ def test_velocity_matches_dense_reference(case, n):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def row_sums_2d(i, j, upper, lower, weights):
-    """The n x n matrix filled by 2-D indexing: (i, j) upper, (j, i) lower,
-    times weights by the einsum `_row_sums` forms, so the scatter is compared
-    bit for bit."""
-    n = len(weights)
-    m = np.zeros((n, n), dtype=upper.dtype)
-    m[i, j] = upper
-    m[j, i] = lower
-    return np.einsum("ij,j->i", m, weights)
-
-
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("dtype", (float, complex))
-def test_row_sums_equal_the_2d_index_version(n, dtype):
-    rng = np.random.default_rng(n)
-    i, j = pair_indices(n)
-    upper = rng.normal(size=len(i)).astype(dtype)
-    lower = rng.normal(size=len(i)).astype(dtype)
-    if dtype is complex:
-        upper += 1j * rng.normal(size=len(i))
-        lower += 1j * rng.normal(size=len(i))
-    weights = rng.normal(size=n)
-    flat = _plan(SPHERE, np.zeros(n, dtype=int), np.arange(n, dtype=complex), weights,
-                 (), ()).flat
-    assert np.array_equal(_row_sums(flat, upper, lower, weights),
-                          row_sums_2d(i, j, upper, lower, weights))
+@pytest.mark.parametrize("case", ("sphere-unbalanced", "sphere-balanced"))
+def test_sphere_velocity_equals_the_2d_index_assembly(case, n):
+    # the plan's own matrix written at flat positions, against the pole parts
+    # scattered by 2-D indexing into a fresh one, bit for bit
+    rng = np.random.default_rng(1000 * n + len(case))
+    surface, charts, coords, g, a, b = CASES[case](n, rng)
+    if n > 2:
+        assert 0 < charts.sum() < n, "fixture must mix the sphere charts"
+    pairs = pair_selection(surface, charts, *pair_indices(n))
+    _, w, h = sphere_point_terms(coords)
+    _, pole_i, pole_j = sphere_gradient_terms(coords, pairs, w)
+    rows = h * (g.sum() - g) - row_sums_2d(pairs[0], pairs[-1], pole_i, pole_j, g)
+    want = -2j * (w * w / (16.0 * math.pi)) * rows.conjugate()
+    assert np.array_equal(_plan(surface, charts, coords, g, a, b).velocity(coords), want)

@@ -257,7 +257,7 @@ def test_sphere_velocity_check_fails_without_the_net_strength_term(monkeypatch):
 
     def without_net_term(self, coords):
         v = velocity(self, coords)
-        if self.theta is not None:
+        if self.work is not None:
             return v
         _, w, h = sphere_point_terms(coords)
         return v + 2j * w * w / (16.0 * math.pi) * (h * self.strengths.sum()).conjugate()
