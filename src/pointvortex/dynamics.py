@@ -37,16 +37,20 @@ a vortex to the other chart.  A velocity evaluation forms pair gradients only
 (the torus Green gradient; the sphere's pole parts, its metric term and constant
 factors applied per vortex), writes them at planned positions of the plan's
 n x n matrix, and `_matvec` sums its rows against the plan's complex
-strengths, one assembly for both surfaces.  On the torus the plan also builds
-its pair pass once (`green.TorusPass`: the pair values and every block's pair
-rows, buffers and views), which `green.torus_gradient_matrix` runs block by
-block into the matrix, so a velocity or energy evaluation only runs its
-ufuncs; the energy runs the series for values only.  A velocity is always a
-fresh array: RK4 holds its four stages at once and RK45 keeps k1 across
-rejected trials.
-The energy and the Hamiltonian route share one assembly, `_Plan.assemble_energy`,
-and recompute W from their coordinates, so the route stays independent of the
-plan's flow and differences the energy the records report.  The circulation
+strengths, one assembly for both surfaces.  The plan also builds its
+surface's pair pass once: on the torus `green.TorusPass` (the pair values and
+every block's pair rows, buffers and views), which `green.torus_gradient_matrix`
+runs block by block into the matrix; on the sphere `surfaces.SpherePass` (the
+coordinate buffer with the chart form's 1 and -1, the gather and every
+pair-length buffer), which the velocity, energy and separation all run in.
+So a velocity, energy or separation evaluation only runs its ufuncs, and the
+energy forms the pair values only, never the gradients.  A velocity is
+always a fresh array: RK4 holds its four stages at once and RK45 keeps k1
+across rejected trials.
+The energy and the Hamiltonian route share one assembly, `_assemble_energy`,
+which needs no plan, and recompute W from their coordinates, so the route
+stays independent of the plan's flow and differences the energy the records
+report; it builds no plan and no pass of its own.  The circulation
 terms are called on every surface; `periods` makes them 0 on the sphere
 (genus 0).  `integrate` has one record loop; a `METHODS` entry advances
 between records and ends every accepted step in `_Trajectory.accept`: the
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,7 +71,9 @@ from .green import (
     TorusPass,
     pair_terms,
     robin_data,
+    sphere_chords,
     sphere_gradient_terms,
+    sphere_pair_values,
     sphere_point_terms,
     torus_gradient_matrix,
     torus_pair_values,
@@ -81,6 +88,7 @@ from .periods import (
 from . import surfaces
 from .surfaces import (
     SPHERE,
+    SpherePass,
     Surface,
     SurfacePoint,
     canonical_coords,
@@ -88,6 +96,7 @@ from .surfaces import (
     pair_distances,
     pair_indices,
     pair_selection,
+    sphere_separations,
 )
 from .theta import theta_context
 
@@ -203,21 +212,39 @@ def _matvec(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", m.reshape(n, n), weights)
 
 
+@lru_cache(maxsize=None)
+def _robin(surface: Surface) -> float:
+    """The surface's constant R = (h0 + log lambda) / 2 pi, taken at the origin."""
+    origin = SurfacePoint(0, 0j)
+    return (robin_data(surface, origin).h0
+            + math.log(conformal_factor(surface, origin))) / (2.0 * math.pi)
+
+
+def _assemble_energy(surface: Surface, strengths, value, weights, w):
+    """H = (R sum Gamma^2 + 2 sum weights * value + E(W)) / 2, the pair sum
+    over the last axis of pair values and weights (Gamma_i Gamma_j), one
+    energy per W: the one assembly of the energy and of its differences.
+    `value` is overwritten with the products."""
+    robin = (strengths**2 * _robin(surface)).sum()
+    pair_sum = np.multiply(weights, value, out=value).sum(axis=-1)
+    return 0.5 * (robin + 2.0 * pair_sum + circulation_energy(surface, w))
+
+
 @dataclass(frozen=True)
 class _Plan:
     """A run's pairs (a `pair_selection` for the charts it was built or last
     recharted at), strengths and surface constants, with the velocity law,
     energy and separation check over them (see the module docstring).  On the
     torus lambda = 1 and du*/dz = conj(W) / (2 Im tau) is a constant of the
-    motion (sum Gamma v = 0), taken at the coordinates the plan is built at;
-    `robin` is the surface's constant R = (h0 + log lambda) / 2 pi.  Built
-    once with the plan: `weights`, the strengths as complex (a float operand
-    would be cast over the whole matrix); `pair_weights`, the energy's
-    Gamma_i Gamma_j; `matrix`, the flat n x n gradient matrix (diagonal 0)
-    with `flat` its pairs' positions; and on the torus `work`, the pair pass
-    (`green.TorusPass`), whose buffers each evaluation reuses in place of
-    allocating its own.  A rechart keeps all of these: the matrix it shares
-    with its parent has every off-diagonal entry written before each read."""
+    motion (sum Gamma v = 0), taken at the coordinates the plan is built at.
+    Built once with the plan: `weights`, the strengths as complex (a float
+    operand would be cast over the whole matrix); `pair_weights`, the
+    energy's Gamma_i Gamma_j; `matrix`, the flat n x n gradient matrix
+    (diagonal 0) with `flat` its pairs' positions; and `work`, the surface's
+    pair pass (`green.TorusPass` or `surfaces.SpherePass`), whose buffers each
+    evaluation reuses in place of allocating its own.  A rechart keeps all of
+    these: the matrix and pass it shares with its parent have every entry an
+    evaluation reads written first."""
 
     surface: Surface
     strengths: np.ndarray
@@ -226,9 +253,8 @@ class _Plan:
     pairs: np.ndarray
     flat: np.ndarray
     matrix: np.ndarray
-    work: TorusPass | None       # None on the sphere
+    work: TorusPass | SpherePass
     flow: complex                # du*/dz
-    robin: float
 
     def rechart(self, charts: np.ndarray) -> _Plan:
         """This plan with the pairs' selection for new charts."""
@@ -240,10 +266,11 @@ class _Plan:
         M_kj = dG(z_k, z_j)/dz_k in z_k's chart.  On the sphere 4 pi M_kj = h_k - P_kj
         (P the kernel's pole parts): 4 pi (M Gamma)_k = h_k (sum Gamma - Gamma_k) - (P Gamma)_k."""
         m = self.matrix
-        if self.work is None:
+        if self.surface.kind == SPHERE:
             g = self.strengths
             _, w, h = sphere_point_terms(coords)   # lambda = 2 / w
-            _, m[self.flat[0]], m[self.flat[1]] = sphere_gradient_terms(coords, self.pairs, w)
+            _, m[self.flat[0]], m[self.flat[1]] = sphere_gradient_terms(
+                coords, self.pairs, w, self.work)
             rows = h * (g.sum() - g) - _matvec(m, self.weights)   # 4 pi M Gamma
             inv_lam2 = w * w / (16.0 * math.pi)   # 1 / lambda^2 with the 1 / 4 pi of rows
         else:
@@ -253,28 +280,25 @@ class _Plan:
         return -2j * inv_lam2 * rows.conjugate()
 
     def energy(self, coords, base_a, base_b) -> float:
-        """The energy at `coords`, with W from `coords`, not from the plan; on
-        the torus the pair values come from the plan's pass."""
-        if self.work is None:
-            value = pair_terms(self.surface, coords, self.pairs)[0]
+        """The energy at `coords`, with W from `coords`, not from the plan; the
+        pair values, and nothing of the gradients, come from the plan's pass."""
+        if self.surface.kind == SPHERE:
+            m, w, _ = sphere_point_terms(coords)
+            num = sphere_chords(coords, self.pairs, w, self.work)
+            value = sphere_pair_values(num, self.pairs, m, self.work)
         else:
             value = torus_pair_values(coords, self.work)
         w = circulation_state(self.surface, coords, self.strengths, base_a, base_b)
-        return float(self.assemble_energy(value, self.pair_weights, w))
-
-    def assemble_energy(self, value, weights, w):
-        """H = (R sum Gamma^2 + 2 sum weights * value + E(W)) / 2, the pair sum
-        over the last axis of pair values and weights (Gamma_i Gamma_j), one
-        energy per W: the one assembly of the energy and of its differences.
-        `value` is overwritten with the products."""
-        robin = (self.strengths**2 * self.robin).sum()
-        pair_sum = np.multiply(weights, value, out=value).sum(axis=-1)
-        return 0.5 * (robin + 2.0 * pair_sum + circulation_energy(self.surface, w))
+        return float(_assemble_energy(self.surface, self.strengths, value,
+                                      self.pair_weights, w))
 
     def separation(self, coords, threshold: float, t: float) -> tuple[float, tuple[int, int]]:
         """Minimum separation over the pairs and the first closest pair in
         (i, j) order; raises CollisionError below `threshold`, naming that pair."""
-        d = pair_distances(self.surface, coords, self.pairs, min_only=True)
+        if self.surface.kind == SPHERE:
+            d = sphere_separations(coords, self.pairs, self.work)
+        else:
+            d = pair_distances(self.surface, coords, self.pairs, min_only=True)
         k = int(d.argmin())
         best, pair = float(d[k]), (int(self.pairs[0, k]), int(self.pairs[-1, k]))
         if best < threshold:
@@ -287,15 +311,13 @@ def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
     pairs = pair_selection(surface, charts, *pair_indices(n))
     w = circulation_state(surface, coords, strengths, base_a, base_b)
     flat = pairs[[0, -1]] * n + pairs[[-1, 0]]
-    work = None
-    if surface.kind != SPHERE:
+    if surface.kind == SPHERE:
+        work = SpherePass(n, pairs.shape[1])
+    else:
         work = TorusPass(theta_context(surface.tau), pairs, flat)
-    origin = SurfacePoint(0, 0j)
-    robin = (robin_data(surface, origin).h0
-             + math.log(conformal_factor(surface, origin))) / (2.0 * math.pi)
     return _Plan(surface, strengths, strengths.astype(complex),
                  strengths[pairs[0]] * strengths[pairs[-1]], pairs, flat,
-                 np.zeros(n * n, dtype=complex), work, circulation_form(surface, w), robin)
+                 np.zeros(n * n, dtype=complex), work, circulation_form(surface, w))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +352,12 @@ def hamiltonian_velocities(state: VortexState) -> np.ndarray:
     """Velocities -2i dH/dzbar_k / (Gamma_k lambda_k^2) of all vortices, dH/dzbar_k
     by finite differences over the `oracles.wirtinger_stencil` (step _FD_STEP,
     one Richardson level).  Stencil copy (s, k) moves z_k by the s-th offset in
-    z_k's chart and takes `_Plan.assemble_energy` of its pairs (k, j), j != k,
+    z_k's chart and takes `_assemble_energy` of its pairs (k, j), j != k,
     and of W recomputed from its coordinates (see the module docstring).  The
     copies go to `pair_terms` in chunks of whole copies, at most `surfaces.BLOCK`
-    pairs each past one copy, which bounds the memory."""
-    charts, coords, plan = _unpack(state)
-    g, n = plan.strengths, state.n
+    pairs each past one copy, which bounds the memory; no plan is built."""
+    charts, coords = _point_arrays(state.positions)
+    g, n = np.array(state.strengths), state.n
     moved = np.array(wirtinger_stencil(coords, _FD_STEP)).ravel()   # copy c = s n + k
     ext_coords = np.concatenate((coords, moved))
     ext_charts = np.tile(charts, len(ext_coords) // n)
@@ -353,7 +375,7 @@ def hamiltonian_velocities(state: VortexState) -> np.ndarray:
         configs = np.repeat(coords[None], len(copies), axis=0)
         configs[np.arange(len(copies)), k] = moved[copies]
         w = circulation_state(state.surface, configs, g, state.base_a, state.base_b)
-        energies[copies] = plan.assemble_energy(value, weights[k], w)
+        energies[copies] = _assemble_energy(state.surface, g, value, weights[k], w)
     lam2 = np.array([conformal_factor(state.surface, p) ** 2 for p in state.positions])
     dzbar = wirtinger_combine(energies.reshape(-1, n), _FD_STEP)[1]
     return -2j * dzbar / (g * lam2)
@@ -419,7 +441,7 @@ class _Trajectory:
     def record(self, t: float) -> TrajectoryRecord:
         plan, g = self.plan, self.plan.strengths
         charts, coords, a, b = self.charts, self.coords, self.base_a, self.base_b
-        if plan.work is not None:   # wrap the torus cover; `accept` keeps the sphere canonical
+        if plan.surface.kind != SPHERE:   # wrap the torus cover; `accept` keeps the sphere canonical
             charts, coords, a, b = _canonical(plan.surface, charts, coords, g, a, b)
         h = plan.energy(coords, a, b)
         w = circulation_state(plan.surface, coords, g, a, b)   # not the plan's: independent

@@ -11,8 +11,8 @@ by the formula itself.
 
 Every Green value and gradient comes from one pair kernel, `pair_terms`, over
 the pairs of a coordinate array, one `surfaces.pair_selection` array; `green()`
-is its one-pair view; the velocity law calls the torus gradient pass
-`torus_gradient_matrix` and the sphere's pole parts directly.  The torus pairs
+is its one-pair view; a plan calls the torus passes
+(`torus_gradient_matrix`, `torus_pair_values`) and the sphere's directly.  The torus pairs
 go `surfaces.BLOCK` at a time through the whole per-pair pipeline
 (`_torus_block`: reduction, coincidence check, series; then the gradient or
 the value).  Its buffers and views are prepared once per block length, at
@@ -21,7 +21,11 @@ with every block's pair rows, value view and positions in the plan's
 gradient matrix, and `torus_pair_terms` builds its blocks once per call, so
 an evaluation only runs ufuncs into them.  The sphere's pair array carries
 the homogeneous chart form: one formula, one complex division per pair, for
-every chart pair.
+every chart pair.  Its pass (`surfaces.SpherePass`) holds every pair-length
+buffer: `sphere_chords` forms |d|^2 and the coincidence test,
+`sphere_gradient_terms` the pole parts and `sphere_pair_values` the values,
+each into the pass, which a plan builds once per run and `pair_terms` once
+per call.
 
 The expansion of the regular part H(z,a) = 2 pi G + log|z-a| around the pole,
     H = h0 + Re(h1 (z-a)) + Re(h2 (z-a)^2) + h11 |z-a|^2 + O(|z-a|^3),
@@ -43,12 +47,13 @@ from .errors import SingularityError
 from .surfaces import (
     COINCIDENCE_TOL,
     SPHERE,
+    SpherePass,
     Surface,
     SurfacePoint,
     pair_indices,
     pair_selection,
     reduce_centered,
-    sphere_pair_points,
+    sphere_differences,
 )
 
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
@@ -213,21 +218,42 @@ def sphere_point_terms(coords):
     return m, w, coords.conjugate() / w
 
 
-def sphere_gradient_terms(coords, pairs, w):
-    """(|d|^2, b_j r, c_i r) over `pairs`, a `pair_selection`, and w from
-    `sphere_point_terms`: d = zi b_j - a_j (zi - zj in one chart, zi zj - 1
-    across), r = 1/d.  These are the pole parts of dG/dz_i = (h_i - b_j r) / 4 pi
-    and dG/dz_j = (h_j - c_i r) / 4 pi, whose per-point metric term h and 1/4 pi
-    the caller applies.  SingularityError if any two points coincide."""
-    i, j = pairs[0], pairs[-1]
-    zi, a, b, c = sphere_pair_points(coords, pairs)
-    d = zi * b - a
-    num = np.abs(d) ** 2
-    # squared R^3 chord 4 num / ((1+|zi|^2)(1+|zj|^2)) against the tolerance
-    if (4.0 * num <= COINCIDENCE_TOL**2 * w[i] * w[j]).any():
-        raise SingularityError("Green function evaluated at coincident points")
-    r = 1.0 / d
-    return num, b * r, c * r
+def sphere_chords(coords, pairs, w, spass: SpherePass) -> np.ndarray:
+    """spass.num = |d|^2 over `pairs`, a `pair_selection`, with d of
+    `surfaces.sphere_differences` and w from `sphere_point_terms`.
+    SingularityError if two points coincide: the squared R^3 chord
+    4 |d|^2 / ((1+|zi|^2)(1+|zj|^2)) at most the tolerance's square, tested
+    pair by pair unless the least |d|^2 against the greatest w rules it out."""
+    num = np.square(np.abs(sphere_differences(coords, pairs, spass), out=spass.scratch),
+                    out=spass.num)
+    w_max = w.max()
+    if not 4.0 * num.min(initial=math.inf) > COINCIDENCE_TOL**2 * w_max * w_max:
+        if (4.0 * num <= COINCIDENCE_TOL**2 * w[pairs[0]] * w[pairs[-1]]).any():
+            raise SingularityError("Green function evaluated at coincident points")
+    return num
+
+
+def sphere_gradient_terms(coords, pairs, w, spass: SpherePass):
+    """(|d|^2, b_j r, c_i r) over `pairs` in spass's buffers, after
+    `sphere_chords`: r = 1/d.  These are the pole parts of dG/dz_i =
+    (h_i - b_j r) / 4 pi and dG/dz_j = (h_j - c_i r) / 4 pi, whose per-point
+    metric term h and 1/4 pi the caller applies."""
+    num = sphere_chords(coords, pairs, w, spass)
+    r = np.divide(1.0, spass.d, out=spass.r)
+    return (num, np.multiply(spass.b, r, out=spass.pole_i),
+            np.multiply(spass.c, r, out=spass.pole_j))
+
+
+def sphere_pair_values(num, pairs, m, spass: SpherePass) -> np.ndarray:
+    """spass.values = G(z_i, z_j) = -(log|d|^2 - log1p|z_i|^2 - log1p|z_j|^2
+    + 1) / 4 pi over `pairs`, with num = |d|^2 from `sphere_chords` and m
+    from `sphere_point_terms`."""
+    log_w, value, term = np.log1p(m), spass.values, spass.scratch
+    np.log(num, out=value)
+    np.subtract(value, log_w.take(pairs[0], out=term, mode="clip"), out=value)
+    np.subtract(value, log_w.take(pairs[-1], out=term, mode="clip"), out=value)
+    np.add(value, 1.0, out=value)
+    return np.divide(np.negative(value, out=value), 4.0 * math.pi, out=value)
 
 
 def pair_terms(surface: Surface, coords, pairs) -> tuple[np.ndarray, ...]:
@@ -237,10 +263,10 @@ def pair_terms(surface: Surface, coords, pairs) -> tuple[np.ndarray, ...]:
     coords = np.asarray(coords, dtype=complex)
     i, j = pairs[0], pairs[-1]
     if surface.kind == SPHERE:
+        spass = SpherePass(len(coords), pairs.shape[1])
         m, w, h = sphere_point_terms(coords)
-        num, pole_i, pole_j = sphere_gradient_terms(coords, pairs, w)
-        log_w = np.log1p(m)
-        return (-(np.log(num) - log_w[i] - log_w[j] + 1.0) / (4.0 * math.pi),
+        num, pole_i, pole_j = sphere_gradient_terms(coords, pairs, w, spass)
+        return (sphere_pair_values(num, pairs, m, spass),
                 (h[i] - pole_i) * _INV_FOUR_PI, (h[j] - pole_j) * _INV_FOUR_PI)
     value, grad = torus_pair_terms(surface.tau, coords[i] - coords[j])
     return value, grad, -grad

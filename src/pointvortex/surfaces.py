@@ -118,9 +118,10 @@ def canonical_coords(surface: Surface, charts, coords):
     """Canonical (charts, coords) of a configuration and the lattice counts
     (m, n) removed: on the sphere a point moves to the other chart where
     |z| > 1 and |1/z| <= 1 as computed, so the chart with |coord| <= 1 up to
-    a rounding at |z| = 1 (m = n = 0); on the torus z - (m + n*tau) in
-    {s + t*tau : s, t in [0, 1)}, equal to z up to rounding.  Idempotent
-    bit for bit on both; raises ChartError for a foreign chart id."""
+    a rounding at |z| = 1 (m = n = 0), the given arrays themselves when no
+    point moves; on the torus z - (m + n*tau) in {s + t*tau : s, t in
+    [0, 1)}, equal to z up to rounding.  Idempotent bit for bit on both;
+    raises ChartError for a foreign chart id."""
     charts = np.asarray(charts, dtype=int)
     coords = np.asarray(coords, dtype=complex)
     bad = (charts < 0) | (charts > (1 if surface.kind == SPHERE else 0))
@@ -128,11 +129,12 @@ def canonical_coords(surface: Surface, charts, coords):
         surface.check_chart(int(charts[bad][0]))
     if surface.kind == SPHERE:
         flip = np.abs(coords) > 1.0
-        # |z| and |1/z| can both read above 1 at |z| = 1: such a point stays
-        flip[flip] = np.abs(1.0 / coords[flip]) <= 1.0
-        charts, coords = charts.copy(), coords.copy()
-        charts[flip] = 1 - charts[flip]
-        coords[flip] = 1.0 / coords[flip]
+        if flip.any():
+            # |z| and |1/z| can both read above 1 at |z| = 1: such a point stays
+            flip[flip] = np.abs(1.0 / coords[flip]) <= 1.0
+            charts, coords = charts.copy(), coords.copy()
+            charts[flip] = 1 - charts[flip]
+            coords[flip] = 1.0 / coords[flip]
         zero = np.zeros(coords.shape, dtype=int)
         return charts, coords, zero, zero
     tau = surface.tau
@@ -218,12 +220,48 @@ def pair_selection(surface: Surface, charts, i, j) -> np.ndarray:
     return np.stack((i, np.where(same, j, n), np.where(same, n, j), np.where(same, n + 1, i), j))
 
 
-_ONE_MINUS_ONE = np.array([1.0, -1.0], dtype=complex)
+class SpherePass:
+    """The buffers of a sphere pair pass over `count` pairs of n points, made
+    once per plan and per one-shot call: `ext`, the coordinates (its view
+    `coords`) then the chart form's 1 and -1, written once, which rows 0-3 of
+    a `pair_selection` index; `points`, (zi, a_j, b_j, c_i) gathered from it,
+    with a view of each row; d = zi b_j - a_j; and the complex (r, pole_i,
+    pole_j) and real (num, values, scratch) pair-length buffers of the Green
+    kernel and the separation.  The pairs are each evaluation's argument, so
+    a recharted plan shares its parent's pass: every evaluation writes all
+    it reads.  The velocity's and separation's steps write no output onto
+    an input: numpy takes a slower loop for that at length 1 (n = 2)."""
+
+    __slots__ = ("ext", "coords", "points", "zi", "a", "b", "c", "d", "r", "pole_i",
+                 "pole_j", "num", "values", "scratch")
+
+    def __init__(self, n: int, count: int):
+        self.ext = np.empty(n + 2, dtype=complex)
+        self.ext[n:] = 1.0, -1.0
+        self.coords = self.ext[:n]
+        self.points = np.empty((4, count), dtype=complex)
+        self.zi, self.a, self.b, self.c = self.points
+        self.d, self.r, self.pole_i, self.pole_j = np.empty((4, count), dtype=complex)
+        self.num, self.values, self.scratch = np.empty((3, count))
 
 
-def sphere_pair_points(coords, pairs):
-    """(zi, a_j, b_j, c_i) over sphere `pairs`, a `pair_selection`."""
-    return np.concatenate((coords, _ONE_MINUS_ONE))[pairs[:4]]
+def sphere_differences(coords, pairs, spass: SpherePass) -> np.ndarray:
+    """spass.d = zi b_j - a_j over sphere `pairs`, a `pair_selection` (zi - zj
+    in one chart, zi zj - 1 across), with (zi, a_j, b_j, c_i) in spass.points."""
+    np.copyto(spass.coords, coords)
+    spass.ext.take(pairs[:4], out=spass.points, mode="clip")   # "raise" would buffer out
+    product = np.multiply(spass.zi, spass.b, out=spass.r)
+    return np.subtract(product, spass.a, out=spass.d)
+
+
+def sphere_separations(coords, pairs, spass: SpherePass) -> np.ndarray:
+    """Geodesic separations 2 atan2(|d|, |e|) over sphere `pairs`, with
+    e = conj(zi) a_j + b_j, in spass.values."""
+    d = sphere_differences(coords, pairs, spass)
+    product = np.multiply(np.conjugate(spass.zi, out=spass.r), spass.a, out=spass.pole_i)
+    e = np.add(product, spass.b, out=spass.pole_j)
+    angle = np.arctan2(np.abs(d, out=spass.num), np.abs(e, out=spass.values), out=spass.scratch)
+    return np.multiply(2.0, angle, out=spass.values)
 
 
 @lru_cache(maxsize=None)
@@ -235,16 +273,15 @@ def _lattice_offsets(tau: complex) -> np.ndarray:
 
 def pair_distances(surface: Surface, coords, pairs, min_only: bool = False) -> np.ndarray:
     """Geodesic separations over `pairs`, a `pair_selection`: on the sphere
-    2 atan2(|d|, |e|) with d = zi b_j - a_j and e = conj(zi) a_j + b_j; on the
-    torus (any cover coordinates) |j| |u|, u the difference / j centered in the
-    reduced basis, or where |u| >= 1/2 the nearest of its 9 centered translates.
+    `sphere_separations` in a pass built for this call; on the torus (any
+    cover coordinates) |j| |u|, u the difference / j centered in the reduced
+    basis, or where |u| >= 1/2 the nearest of its 9 centered translates.
     `min_only`: translates only where |u| >= 1 - min |u| (the min over this and
     earlier blocks of BLOCK pairs), which keeps the min and first argmin exact;
     a pair that cannot be the closest may read above its value."""
     coords = np.asarray(coords, dtype=complex)
     if surface.kind == SPHERE:
-        zi, a, b, _ = sphere_pair_points(coords, pairs)
-        return 2.0 * np.arctan2(np.abs(zi * b - a), np.abs(zi.conjugate() * a + b))
+        return sphere_separations(coords, pairs, SpherePass(len(coords), pairs.shape[1]))
     tau_r, j_tau = reduced_modulus(surface.tau)
     i, j = pairs[0], pairs[-1]
     d, least = np.empty(len(i)), math.inf

@@ -495,7 +495,7 @@ class TestRunCounters:
         # that step; only the t = 0 record computes its own
         cfg = resolve_scenario(name)
         state, spec = cfg.state(), cfg.integrator
-        calls = self.counting(monkeypatch, dynamics, "pair_distances")
+        calls = self.counting(monkeypatch, dynamics._Plan, "separation")
         recs = integrate(state, spec.dt, spec.steps, record_every=spec.record_every)
         assert len(calls) == spec.steps + 1
         assert len(calls) == {"sphere_antipodal_pair": 1601, "torus_four_vortex": 2001}[name]

@@ -8,7 +8,8 @@ two must agree to 1e-13 of the largest speed on both surfaces, over mixed
 sphere charts, torus cover coordinates and plan-level strengths whose sum is
 not zero (which only the h_k (sum Gamma - Gamma_k) term can get right).
 On the sphere the plan's scatter into its own matrix must also equal, bit
-for bit, the same pole parts scattered by 2-D indexing (`reference.row_sums_2d`).
+for bit, the same pole parts, from a pass of their own, scattered by 2-D
+indexing (`reference.row_sums_2d`).
 """
 import math
 
@@ -17,7 +18,13 @@ import pytest
 
 from pointvortex.dynamics import _plan
 from pointvortex.green import sphere_gradient_terms, sphere_point_terms
-from pointvortex.surfaces import Surface, pair_distances, pair_indices, pair_selection
+from pointvortex.surfaces import (
+    Surface,
+    SpherePass,
+    pair_distances,
+    pair_indices,
+    pair_selection,
+)
 
 from reference import dense_velocity, row_sums_2d
 
@@ -89,7 +96,7 @@ def test_sphere_velocity_equals_the_2d_index_assembly(case, n):
         assert 0 < charts.sum() < n, "fixture must mix the sphere charts"
     pairs = pair_selection(surface, charts, *pair_indices(n))
     _, w, h = sphere_point_terms(coords)
-    _, pole_i, pole_j = sphere_gradient_terms(coords, pairs, w)
+    _, pole_i, pole_j = sphere_gradient_terms(coords, pairs, w, SpherePass(n, pairs.shape[1]))
     rows = h * (g.sum() - g) - row_sums_2d(pairs[0], pairs[-1], pole_i, pole_j, g)
     want = -2j * (w * w / (16.0 * math.pi)) * rows.conjugate()
     assert np.array_equal(_plan(surface, charts, coords, g, a, b).velocity(coords), want)

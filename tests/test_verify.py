@@ -257,7 +257,7 @@ def test_sphere_velocity_check_fails_without_the_net_strength_term(monkeypatch):
 
     def without_net_term(self, coords):
         v = velocity(self, coords)
-        if self.work is not None:
+        if self.surface.genus:
             return v
         _, w, h = sphere_point_terms(coords)
         return v + 2j * w * w / (16.0 * math.pi) * (h * self.strengths.sum()).conjugate()
@@ -270,11 +270,11 @@ def test_velocity_checks_fail_on_a_scaled_pair_sum_in_the_energy(monkeypatch):
     # the pair sum x (1 + 1e-4) in the one energy assembly: the records'
     # energy and the Hamiltonian route's differences both move, and the
     # direct law does not (the residuals read 1.0e-4 and 5.3e-5 at seed 7)
-    assemble = dynamics._Plan.assemble_energy
+    assemble = dynamics._assemble_energy
 
-    def scaled(self, value, weights, w):
-        return assemble(self, value, (1.0 + 1e-4) * weights, w)
+    def scaled(surface, strengths, value, weights, w):
+        return assemble(surface, strengths, value, (1.0 + 1e-4) * weights, w)
 
-    monkeypatch.setattr(dynamics._Plan, "assemble_energy", scaled)
+    monkeypatch.setattr(dynamics, "_assemble_energy", scaled)
     assert _failed(run_suite("quick", 7)) == {"velocity_equivalence_sphere",
                                               "velocity_equivalence_torus"}
