@@ -238,17 +238,19 @@ class _Plan:
     torus lambda = 1 and du*/dz = conj(W) / (2 Im tau) is a constant of the
     motion (sum Gamma v = 0), taken at the coordinates the plan is built at.
     Built once with the plan: `weights`, the strengths as complex (a float
-    operand would be cast over the whole matrix); `pair_weights`, the
-    energy's Gamma_i Gamma_j; `matrix`, the flat n x n gradient matrix
-    (diagonal 0) with `flat` its pairs' positions; and `work`, the surface's
-    pair pass (`green.TorusPass` or `surfaces.SpherePass`), whose buffers each
-    evaluation reuses in place of allocating its own.  A rechart keeps all of
-    these: the matrix and pass it shares with its parent have every entry an
-    evaluation reads written first."""
+    operand would be cast over the whole matrix); `rest`, the sphere metric
+    term's sum Gamma - Gamma_k; `pair_weights`, the energy's Gamma_i Gamma_j;
+    `matrix`, the flat n x n gradient matrix (diagonal 0) with `flat` its
+    pairs' positions; and `work`, the surface's pair pass (`green.TorusPass`
+    or `surfaces.SpherePass`), whose buffers each evaluation reuses in place
+    of allocating its own.  A rechart keeps all of these: the matrix and pass
+    it shares with its parent have every entry an evaluation reads written
+    first."""
 
     surface: Surface
     strengths: np.ndarray
     weights: np.ndarray
+    rest: np.ndarray
     pair_weights: np.ndarray
     pairs: np.ndarray
     flat: np.ndarray
@@ -267,17 +269,16 @@ class _Plan:
         (P the kernel's pole parts): 4 pi (M Gamma)_k = h_k (sum Gamma - Gamma_k) - (P Gamma)_k."""
         m = self.matrix
         if self.surface.kind == SPHERE:
-            g = self.strengths
             _, w, h = sphere_point_terms(coords)   # lambda = 2 / w
             _, m[self.flat[0]], m[self.flat[1]] = sphere_gradient_terms(
                 coords, self.pairs, w, self.work)
-            rows = h * (g.sum() - g) - _matvec(m, self.weights)   # 4 pi M Gamma
-            inv_lam2 = w * w / (16.0 * math.pi)   # 1 / lambda^2 with the 1 / 4 pi of rows
+            rows = h * self.rest - _matvec(m, self.weights)   # 4 pi M Gamma
+            scale = -2j * (w * w / (16.0 * math.pi))   # 1 / lambda^2 with the 1 / 4 pi of rows
         else:
             rows = _matvec(torus_gradient_matrix(coords, self.work, m), self.weights)
             rows += self.flow
-            inv_lam2 = 1.0
-        return -2j * inv_lam2 * rows.conjugate()
+            scale = -2j
+        return np.multiply(scale, np.conjugate(rows, out=rows), out=rows)
 
     def energy(self, coords, base_a, base_b) -> float:
         """The energy at `coords`, with W from `coords`, not from the plan; the
@@ -315,7 +316,7 @@ def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
         work = SpherePass(n, pairs.shape[1])
     else:
         work = TorusPass(theta_context(surface.tau), pairs, flat)
-    return _Plan(surface, strengths, strengths.astype(complex),
+    return _Plan(surface, strengths, strengths.astype(complex), strengths.sum() - strengths,
                  strengths[pairs[0]] * strengths[pairs[-1]], pairs, flat,
                  np.zeros(n * n, dtype=complex), work, circulation_form(surface, w))
 
@@ -428,7 +429,7 @@ class _Trajectory:
         a chart change, then the collision check runs."""
         if self.plan.surface.kind == SPHERE:
             charts, coords, _, _ = canonical_coords(self.plan.surface, self.charts, coords)
-            changed = int((charts != self.charts).sum())
+            changed = charts is not self.charts and int((charts != self.charts).sum())
             if changed:
                 self.handovers += changed
                 self.charts, self.plan = charts, self.plan.rechart(charts)

@@ -82,19 +82,19 @@ class TorusBlock:
     """The pair pipeline's buffers and views on m <= BLOCK differences, made
     once for every block of that length: gathered points, u, u / j, the
     series (`theta.SeriesBlock`, whose z is u'), |u'| and then log|theta1|,
-    and the gradient's and value's terms.  shift and im_u keep imaginary
-    part 0, so float terms meet complex ones without numpy's per-call cast
-    buffer."""
+    the gradient's ratio and the value's Im term.  shift keeps imaginary
+    part 0, so the lattice shifts meet complex numbers without numpy's
+    per-call cast buffer."""
 
-    __slots__ = ("ctx", "series", "zi", "zj", "u", "scaled", "ratio", "im_term",
-                 "shift", "im_u", "dist", "im_square")
+    __slots__ = ("ctx", "series", "zi", "zj", "u", "scaled", "ratio", "ratio_im",
+                 "shift", "dist", "im_square")
 
     def __init__(self, ctx: theta.ThetaContext, m: int):
         self.ctx = ctx
         self.series = theta.SeriesBlock(ctx, m)
-        self.zi, self.zj, self.u, self.scaled, self.ratio, self.im_term = (
-            np.empty((6, m), dtype=complex))
-        self.shift, self.im_u = np.zeros((2, m), dtype=complex)
+        self.zi, self.zj, self.u, self.scaled, self.ratio = np.empty((5, m), dtype=complex)
+        self.ratio_im = self.ratio.imag
+        self.shift = np.zeros(m, dtype=complex)
         self.dist, self.im_square = np.empty((2, m))
 
 
@@ -138,28 +138,29 @@ def _torus_block(blk: TorusBlock, u: np.ndarray) -> None:
     ctx, series = blk.ctx, blk.series
     np.multiply(u, ctx.inv_j, out=blk.scaled)
     reduce_centered(ctx.tau, blk.scaled, series.z, blk.shift)
-    if np.abs(series.z, out=blk.dist).min() <= ctx.coincidence:
+    dist = np.abs(series.z, out=blk.dist)
+    if dist[dist.argmin()] <= ctx.coincidence:   # argmin: no Python wrapper, NaN alike
         raise SingularityError("Green function evaluated at coincident points")
     theta.theta1_block(series)
 
 
 def _gathered_block(coords, i, j, blk: TorusBlock) -> None:
     """`_torus_block` at the differences coords[i] - coords[j]."""
-    np.take(coords, i, out=blk.zi, mode="clip")   # "raise" would buffer out
-    np.take(coords, j, out=blk.zj, mode="clip")
+    coords.take(i, out=blk.zi, mode="clip")   # "raise" would buffer out
+    coords.take(j, out=blk.zj, mode="clip")
     _torus_block(blk, np.subtract(blk.zi, blk.zj, out=blk.u))
 
 
 def _torus_gradient(blk: TorusBlock) -> np.ndarray:
-    """dG/dz after `_torus_block`, in blk.series.dth: -(theta1'/theta1 / 2
-    + i pi Im u' / Im tau') / (2 pi j), one ratio times ctx.log_coeff plus
-    ctx.im_coeff Im u'."""
+    """dG/dz after `_torus_block`, in blk.series.dth: -(theta1'/theta1 / 2 + i pi Im u'
+    / Im tau') / (2 pi j) = ctx.log_coeff (theta1'/theta1 + i ctx.im_slope Im u'), the
+    Im term added to the ratio's imaginary part in real arithmetic (in blk.dist, free
+    after the coincidence check), then one complex product."""
     ctx, series = blk.ctx, blk.series
     np.divide(series.dth, series.th, out=blk.ratio)
-    grad = np.multiply(blk.ratio, ctx.log_coeff, out=series.dth)
-    np.copyto(blk.im_u.real, series.z_im)
-    grad += np.multiply(ctx.im_coeff, blk.im_u, out=blk.im_term)
-    return grad
+    im_term = np.multiply(series.z_im, ctx.im_slope, out=blk.dist)
+    np.add(blk.ratio_im, im_term, out=blk.ratio_im)
+    return np.multiply(blk.ratio, ctx.log_coeff, out=series.dth)
 
 
 def _torus_values(blk: TorusBlock, out: np.ndarray) -> None:
@@ -226,8 +227,8 @@ def sphere_chords(coords, pairs, w, spass: SpherePass) -> np.ndarray:
     pair by pair unless the least |d|^2 against the greatest w rules it out."""
     num = np.square(np.abs(sphere_differences(coords, pairs, spass), out=spass.scratch),
                     out=spass.num)
-    w_max = w.max()
-    if not 4.0 * num.min(initial=math.inf) > COINCIDENCE_TOL**2 * w_max * w_max:
+    w_max = w[w.argmax()]   # argmin, argmax: no Python wrapper, NaN alike
+    if num.size and not 4.0 * num[num.argmin()] > COINCIDENCE_TOL**2 * w_max * w_max:
         if (4.0 * num <= COINCIDENCE_TOL**2 * w[pairs[0]] * w[pairs[-1]]).any():
             raise SingularityError("Green function evaluated at coincident points")
     return num

@@ -125,11 +125,11 @@ def canonical_coords(surface: Surface, charts, coords):
     charts = np.asarray(charts, dtype=int)
     coords = np.asarray(coords, dtype=complex)
     bad = (charts < 0) | (charts > (1 if surface.kind == SPHERE else 0))
-    if bad.any():
+    if bad.size and bad[bad.argmax()]:   # any(), without its Python wrapper
         surface.check_chart(int(charts[bad][0]))
     if surface.kind == SPHERE:
         flip = np.abs(coords) > 1.0
-        if flip.any():
+        if flip.size and flip[flip.argmax()]:
             # |z| and |1/z| can both read above 1 at |z| = 1: such a point stays
             flip[flip] = np.abs(1.0 / coords[flip]) <= 1.0
             charts, coords = charts.copy(), coords.copy()
@@ -160,23 +160,19 @@ def canonical_coords(surface: Surface, charts, coords):
 
 
 def reduce_centered(tau: complex, z, out=None, shift=None):
-    """z less the lattice vector that centres it (elementwise): first
-    floor(Im z / Im tau + 1/2) tau, then floor(Re + 1/2), so Im / Im tau and
-    then Re lie in [-1/2, 1/2); |Re| <= 1/2 and |Im| <= Im(tau)/2.  Written
-    into out (complex, z's shape, not z) with shift, complex of z's shape
-    with imaginary part 0, as scratch when given, else into new arrays; a
-    scalar z gives a scalar.  The floors go into shift.real, so the lattice
-    shifts meet z as complex numbers without a cast, and shift.imag stays 0."""
+    """z less the lattice vector that centres it (elementwise): rint(Im z / Im tau)
+    tau, then rint(Re), ties to even, which leaves it in the centred cell |Re| <= 1/2,
+    |Im| <= Im(tau)/2 (up to one rounding), the theta series' domain.  Written into
+    out (complex, z's shape, not z) with shift (complex, z's shape, imaginary part 0,
+    which the integers go into, so the shifts meet z without a cast) as scratch when
+    given, else into new arrays; a scalar z gives a scalar."""
     z = np.asarray(z)
     if out is None:
         out, shift = np.empty(z.shape, dtype=complex), np.zeros(z.shape, dtype=complex)
-    floors = shift.real
-    np.divide(z.imag, tau.imag, out=floors)
-    np.add(floors, 0.5, out=floors)
-    np.floor(floors, out=floors)
+    counts = shift.real
+    np.rint(np.divide(z.imag, tau.imag, out=counts), out=counts)
     np.subtract(z, np.multiply(shift, tau, out=out), out=out)
-    np.add(out.real, 0.5, out=floors)
-    np.floor(floors, out=floors)
+    np.rint(out.real, out=counts)
     return np.subtract(out, shift, out=out)[()]
 
 
@@ -291,9 +287,9 @@ def pair_distances(surface: Surface, coords, pairs, min_only: bool = False) -> n
         du = np.abs(u)
         # every reduced lattice vector o != 0 is >= 1 - 1e-12 long: |u + o| >= |o| - |u|;
         # the least |u| so far only lowers the bound, so the min stays exact
-        least = min(least, du.min())
+        least = min(least, du[du.argmin()])   # argmin, argmax: no Python wrapper
         near = du >= (1.0 - least if min_only else 0.5) - 1e-9   # 1e-9 for rounding
-        if near.any():
+        if near[near.argmax()]:
             du[near] = np.abs(u[near][:, None] + _lattice_offsets(tau_r)).min(axis=-1)
         d[block] = du
     return abs(j_tau) * d

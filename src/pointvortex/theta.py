@@ -2,10 +2,12 @@
 
 The series theta1(z | tau') = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) pi z),
 q = exp(i pi tau'), runs on the reduced modulus tau' = (a tau + b) / j of
-`surfaces.reduced_modulus`, where Im tau' >= sqrt(3)/2: there its _TERMS = 6 terms
-leave a first dropped term below exp(-29.4 pi Im tau') < exp(-79.9) of the leading
-one over |Im z| <= 1.05 Im tau' (term n is below exp(-pi Im tau' ((n + 1/2)^2 - 1/4
-- 2.1 n)) of it there), and the eta sum's _ETA_TERMS = 8 a tail below 1e-21.
+`surfaces.reduced_modulus`, Im tau' >= sqrt(3)/2, and on its centred cell |Re z| <= 1/2,
+|Im z| <= Im tau' / 2 (`surfaces.reduce_centered`), the domain of `theta1_series`,
+`theta1` and `theta1_dz`.  There term n is below exp(-pi Im tau' ((n + 1/2)^2 - 1/4)
++ 2 pi n |Im z|) <= exp(-pi Im tau' n^2) of the leading one, so the _TERMS = 4 terms
+leave a first dropped one below exp(-8 sqrt(3) pi) < 1.3e-19 of it (9 times that in
+theta1'), and the eta sum's _ETA_TERMS = 8 a tail below 1e-21.
 By modular covariance G(u; tau) = G(u / j; tau'), h0(tau) = h0(tau') + log|j|
 and h2(tau) = h2(tau') / j^2.
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .surfaces import BLOCK, COINCIDENCE_TOL, reduced_modulus
 
-_TERMS = 6
+_TERMS = 4
 _ETA_TERMS = 8
 
 
@@ -42,9 +44,9 @@ class ThetaContext:
     green_const: float               # C(tau') = log|eta(tau')| / 2 pi
     h0: float                        # Robin h0 of the user's tau
     h2: complex                      # Robin h2 of the user's tau
-    # dG/dz = log_coeff theta1'(u')/theta1(u') + im_coeff Im u' at u' = u / j centred
+    # dG/dz = log_coeff (theta1'(u')/theta1(u') + i im_slope Im u') at u' = u / j centred
     log_coeff: complex               # -1 / (4 pi j)
-    im_coeff: complex                # -i / (2 j Im tau')
+    im_slope: float                  # 2 pi / Im tau'
     coincidence: float               # |u'| at or below which u is a lattice point
     # read-only (n_terms, 2 BLOCK): row k is the c^k coefficient of theta1 / sin x
     # BLOCK times, then that of theta1' / cos x BLOCK times, so that its columns
@@ -81,7 +83,7 @@ def theta_context(tau: complex) -> ThetaContext:
     rows.flags.writeable = False
     inv_j = 1.0 / j
     return ThetaContext(tau_r, j, inv_j, _TERMS, green_const, h0, h2,
-                        -inv_j / (4.0 * math.pi), -0.5j * inv_j / tau_r.imag,
+                        -inv_j / (4.0 * math.pi), 2.0 * math.pi / tau_r.imag,
                         COINCIDENCE_TOL * abs(inv_j), rows)
 
 

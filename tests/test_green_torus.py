@@ -76,25 +76,43 @@ def test_theta_truncation_self_consistency():
             assert abs(theta.theta1_dz(ctx, u) - dth) <= 1e-12 * max(1.0, abs(dth))
 
 
-def test_theta_truncation_at_least_conditioned_modulus():
-    # tau' = exp(i pi / 3) has the smallest Im tau' of the reduced domain, and
-    # |Im z| <= 1.05 Im tau' is the strip the series is run on: there theta1
-    # and theta1' agree with a 20-term sum to 1e-14 of the sum of the terms'
-    # moduli.  Four terms read 3.7e-14 in theta1', five or more 1.3e-15.
-    ctx = theta.theta_context(cmath.exp(1j * math.pi / 3.0))
+def centred_cell_truncation(ctx) -> float:
+    """The worst of |series - 20-term sum| / (sum of the terms' moduli), for
+    theta1 and theta1', over a 21 x 21 grid of the centred cell |Re z| <= 1/2,
+    |Im z| <= Im tau' / 2 that reduce_centered leaves, edges included (at the
+    zero z = 0, where theta1's terms all vanish, the plain difference)."""
     tau_r = ctx.tau
-    assert abs(abs(tau_r) - 1.0) < 1e-15 and abs(abs(tau_r.real) - 0.5) < 1e-15
-    xs = np.linspace(-0.5, 0.5, 21) + 0.0123   # off the zeros of theta1
-    ys = np.linspace(-1.05, 1.05, 43) * tau_r.imag
+    xs = np.linspace(-0.5, 0.5, 21)
+    ys = np.linspace(-0.5, 0.5, 21) * tau_r.imag
     z = (xs[None, :] + 1j * ys[:, None]).ravel()
     th, dth = theta.theta1_series(ctx, z)
     coeffs = [(-1) ** k * cmath.exp(1j * math.pi * tau_r * (k + 0.5) ** 2) for k in range(20)]
+    worst = 0.0
     for u, got_th, got_dth in zip(z, th, dth):
         th_terms = [2.0 * c * cmath.sin((2 * k + 1) * math.pi * u) for k, c in enumerate(coeffs)]
         dth_terms = [2.0 * c * (2 * k + 1) * math.pi * cmath.cos((2 * k + 1) * math.pi * u)
                      for k, c in enumerate(coeffs)]
         for got, terms in ((got_th, th_terms), (got_dth, dth_terms)):
-            assert abs(got - sum(terms)) <= 1e-14 * sum(map(abs, terms))
+            worst = max(worst, abs(got - sum(terms)) / (sum(map(abs, terms)) or 1.0))
+    return worst
+
+
+def test_theta_truncation_at_least_conditioned_modulus():
+    # tau' = exp(i pi / 3) has the smallest Im tau' of the reduced domain, and
+    # the centred cell is where the series is run: there theta1 and theta1'
+    # agree with a 20-term sum to 1e-14 of the sum of the terms' moduli.  The
+    # working four terms read 4.1e-16, three 1.4e-10.
+    ctx = theta.theta_context(cmath.exp(1j * math.pi / 3.0))
+    assert abs(abs(ctx.tau) - 1.0) < 1e-15 and abs(abs(ctx.tau.real) - 0.5) < 1e-15
+    assert centred_cell_truncation(ctx) <= 1e-14
+
+
+def test_three_theta_terms_fail_the_centred_cell_bound(monkeypatch):
+    # the bound above can fail: one term fewer misses it by four orders
+    monkeypatch.setattr(theta, "_TERMS", 3)
+    ctx = theta.theta_context.__wrapped__(cmath.exp(1j * math.pi / 3.0))   # bypass the cache
+    assert ctx.n_terms == 3
+    assert centred_cell_truncation(ctx) > 1e-12
 
 
 @pytest.mark.parametrize("tau", (1j, 0.5 + 1j, cmath.exp(1j * math.pi / 3.0), 0.4 + 0.02j, 8j))
@@ -110,6 +128,26 @@ def test_theta_near_its_zero_keeps_relative_precision(tau):
         th, dth = d1 * z + d3 * z**3 / 6.0, d1 + d3 * z**2 / 2.0
         assert abs(theta.theta1(ctx, z) - th) <= 2e-15 * abs(th)
         assert abs(theta.theta1_dz(ctx, z) - dth) <= 2e-15 * abs(dth)
+
+
+@pytest.mark.parametrize("tau", (0.5 + 1j, cmath.exp(1j * math.pi / 3.0), 0.4 + 0.02j,
+                                 0.3 + 0.001j))
+def test_green_gradient_near_a_collision(tau):
+    # at |u| = 1e-10, dG/dz = -(theta1'/theta1(u') + 2 pi i Im u' / Im tau') / (4 pi j)
+    # with u' = u / j, and theta1 = d1 u' + d3 u'^3 / 6 + O(u'^5) there, d1 and d3
+    # the first and third derivatives at 0 from 12-term sums: the Im term
+    # folded into the ratio's imaginary part loses nothing next to the pole
+    ctx = theta.theta_context(tau)
+    tau_r, j = ctx.tau, ctx.j
+    coeffs = [(-1) ** k * cmath.exp(1j * math.pi * tau_r * (k + 0.5) ** 2) for k in range(12)]
+    d1 = 2.0 * sum(c * (2 * k + 1) * math.pi for k, c in enumerate(coeffs))
+    d3 = -2.0 * sum(c * ((2 * k + 1) * math.pi) ** 3 for k, c in enumerate(coeffs))
+    u = 1e-10 * np.exp(1j * (np.arange(12) * math.pi / 6.0 + 0.1))
+    ur = u / j
+    ratio = (d1 + d3 * ur**2 / 2.0) / (d1 * ur + d3 * ur**3 / 6.0)
+    want = -(ratio + 2j * math.pi * ur.imag / tau_r.imag) / (4.0 * math.pi * j)
+    got = torus_pair_terms(tau, u)[1]
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
 
 
 @pytest.mark.parametrize("tau", (100j, 199j, 0.5 + 199j))

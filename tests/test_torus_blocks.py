@@ -7,13 +7,16 @@ The velocity pass (`green.torus_gradient_matrix`), `green.torus_pair_terms`
 and the collision check split the pairs into blocks; the block size must not
 change a velocity or a separation by one bit, the pass must agree with the
 dense reference across blocks, and a coincidence in the last block must be
-caught like one in the first.
+caught like one in the first.  The series, four terms, is exact only on the
+centred cell, which the pass must put every difference in, from any cover.
 """
 import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pointvortex import SingularityError, Surface, SurfacePoint, surfaces, theta
 from pointvortex.dynamics import VortexState, _plan, min_separation, vortex_velocities
@@ -62,14 +65,14 @@ def test_contiguous_rows_equal_the_broadcast_rows(tau, m):
 @pytest.mark.parametrize("tau", MODULI)
 def test_a_block_and_one_point_equal_the_broadcast_rows(tau):
     # BLOCK + 1 differences: two blocks of the pass, the second of one point;
-    # the gradient is a (theta1' / theta1) + b Im u' in the kernel's order
+    # the gradient is a (theta1' / theta1 + i b Im u') in the kernel's order
     ctx = theta.theta_context(tau)
     u = centred_points(ctx, BLOCK + 1, 7) * ctx.j
     ur = reduce_centered(ctx.tau, u * ctx.inv_j)
     th, dth = broadcast_series(ctx, ur)
     want = dth / th
+    want.imag += ctx.im_slope * ur.imag
     want *= ctx.log_coeff
-    want += ctx.im_coeff * ur.imag
     assert np.array_equal(torus_pair_terms(tau, u)[1], want)
 
 
@@ -121,3 +124,30 @@ def test_coincidence_in_the_last_block_raises(block, monkeypatch):
     torus_pair_terms(surface.tau, coords[i[:-1]] - coords[j[:-1]])   # the rest is clear
     with pytest.raises(SingularityError):
         torus_pair_terms(surface.tau, coords[i] - coords[j])
+
+
+@given(data=st.data())
+@settings(max_examples=40)
+@pytest.mark.parametrize("tau", (0.5 + 1j, cmath.exp(1j * math.pi / 3.0), 0.4 + 0.02j,
+                                 0.3 + 0.001j))
+def test_the_pass_runs_the_series_on_the_centred_cell(tau, data):
+    # the four-term bound of `theta` needs |Re u'| <= 1/2 and |Im u'| <= Im tau' / 2
+    # (up to the rounding of u / j and its lattice shift) for cover points up
+    # to 50 cells out on the user's lattice, skinny ones included
+    n = data.draw(st.integers(2, 8))
+    cell = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)
+    cells = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+    s, t = np.array(data.draw(cell)), np.array(data.draw(cell))
+    coords = s + np.array(data.draw(cells)) + (t + np.array(data.draw(cells))) * tau
+    g = np.ones(n)
+    g[0] = 1.0 - n
+    plan = _plan(Surface.flat_torus(tau), np.zeros(n, dtype=int), coords, g, (0.0,), (0.0,))
+    try:
+        plan.velocity(coords)
+    except SingularityError:   # two points of one lattice orbit: no series is run
+        assume(False)
+    (*_, blk), = plan.work.blocks   # n <= 8: one block
+    ur, tau_r = blk.series.z, blk.ctx.tau
+    slack = 4.0 * np.finfo(float).eps * (1.0 + np.abs(blk.scaled))
+    assert np.all(np.abs(ur.real) <= 0.5 + slack)
+    assert np.all(np.abs(ur.imag) <= 0.5 * tau_r.imag + slack)
