@@ -38,15 +38,20 @@ a vortex to the other chart.  A velocity evaluation forms pair gradients only
 factors applied per vortex), writes them at planned positions of the plan's
 n x n matrix, and `_matvec` sums its rows against the plan's complex
 strengths, one assembly for both surfaces.  The plan also builds its
-surface's pair pass once: on the torus `green.TorusPass` (the pair values and
-every block's pair rows, buffers and views), which `green.torus_gradient_matrix`
-runs block by block into the matrix; on the sphere `surfaces.SpherePass` (the
-coordinate buffer with the chart form's 1 and -1, the gather and every
-pair-length buffer), which the velocity, energy and separation all run in.
-So a velocity, energy or separation evaluation only runs its ufuncs, and the
-energy forms the pair values only, never the gradients.  A velocity is
-always a fresh array: RK4 holds its four stages at once and RK45 keeps k1
-across rejected trials.
+surface's pair pass once: on the torus `green.TorusPass` (the pair values,
+u' and |u'|, and every block's pair rows, buffers and views), which
+`green.torus_gradient_matrix` runs block by block into the matrix; on the
+sphere `surfaces.SpherePass` (the coordinate buffer with the chart form's 1
+and -1, the gather and every pair-length buffer).  The velocity, energy and
+separation all run in it, so an evaluation only runs its ufuncs, and the
+energy forms the pair values only, never the gradients.  Each pass begins
+with a reduction stage, the pair differences (on the torus the gather, u / j,
+its centring and |u'|; on the sphere the gather and d), and skips it when
+given the read-only array its buffers hold: an accepted state is made
+read-only, so the collision check's stage serves the next step's first
+velocity, and an RK4 step forms its pair differences 4 times, not 5.  A
+velocity is always a fresh array: RK4 holds its four stages at once and RK45
+keeps k1 across rejected trials.
 The energy and the Hamiltonian route share one assembly, `_assemble_energy`,
 which needs no plan, and recompute W from their coordinates, so the route
 stays independent of the plan's flow and differences the energy the records
@@ -56,7 +61,9 @@ terms are called on every surface; `periods` makes them 0 on the sphere
 between records and ends every accepted step in `_Trajectory.accept`: the
 sphere chart rule of `canonical_coords`, the rechart, then the collision
 check, which names the first closest pair in (i, j) order and hands back the
-least separation and its pair, from which the run keeps its nearest approach.
+least separation and its pair, from which the run keeps its nearest approach;
+on the torus it reads the pass's u' and |u'|, with the translate rule of
+`surfaces.pair_distances`.
 """
 from __future__ import annotations
 
@@ -69,7 +76,7 @@ import numpy as np
 from .errors import CollisionError, StepRejectionError
 from .green import (
     TorusPass,
-    pair_terms,
+    pair_values,
     robin_data,
     sphere_chords,
     sphere_gradient_terms,
@@ -77,6 +84,7 @@ from .green import (
     sphere_point_terms,
     torus_gradient_matrix,
     torus_pair_values,
+    torus_separations,
 )
 from .oracles import wirtinger_combine, wirtinger_stencil
 from .periods import (
@@ -93,6 +101,7 @@ from .surfaces import (
     SurfacePoint,
     canonical_coords,
     conformal_factor,
+    operand,
     pair_distances,
     pair_indices,
     pair_selection,
@@ -105,6 +114,7 @@ DEFAULT_COLLISION_THRESHOLD = 1e-3
 # for the sphere's arc against its chord, so the collision check fires first
 MIN_COLLISION_THRESHOLD = 1e-10
 _FD_STEP = 1e-5   # the Hamiltonian route's finite-difference step
+_MINUS_2I, _SIXTEEN_PI = operand(-2j), operand(16.0 * math.pi)   # the velocity's scalars
 
 
 @dataclass(frozen=True)
@@ -256,7 +266,7 @@ class _Plan:
     flat: np.ndarray
     matrix: np.ndarray
     work: TorusPass | SpherePass
-    flow: complex                # du*/dz
+    flow: np.ndarray             # du*/dz, a prepared operand (`surfaces.operand`)
 
     def rechart(self, charts: np.ndarray) -> _Plan:
         """This plan with the pairs' selection for new charts."""
@@ -273,11 +283,12 @@ class _Plan:
             _, m[self.flat[0]], m[self.flat[1]] = sphere_gradient_terms(
                 coords, self.pairs, w, self.work)
             rows = h * self.rest - _matvec(m, self.weights)   # 4 pi M Gamma
-            scale = -2j * (w * w / (16.0 * math.pi))   # 1 / lambda^2 with the 1 / 4 pi of rows
+            # 1 / lambda^2 with the 1 / 4 pi of rows
+            scale = np.multiply(_MINUS_2I, np.divide(w * w, _SIXTEEN_PI))
         else:
             rows = _matvec(torus_gradient_matrix(coords, self.work, m), self.weights)
             rows += self.flow
-            scale = -2j
+            scale = _MINUS_2I
         return np.multiply(scale, np.conjugate(rows, out=rows), out=rows)
 
     def energy(self, coords, base_a, base_b) -> float:
@@ -299,7 +310,7 @@ class _Plan:
         if self.surface.kind == SPHERE:
             d = sphere_separations(coords, self.pairs, self.work)
         else:
-            d = pair_distances(self.surface, coords, self.pairs, min_only=True)
+            d = torus_separations(coords, self.work)
         k = int(d.argmin())
         best, pair = float(d[k]), (int(self.pairs[0, k]), int(self.pairs[-1, k]))
         if best < threshold:
@@ -318,7 +329,7 @@ def _plan(surface: Surface, charts, coords, strengths, base_a, base_b) -> _Plan:
         work = TorusPass(theta_context(surface.tau), pairs, flat)
     return _Plan(surface, strengths, strengths.astype(complex), strengths.sum() - strengths,
                  strengths[pairs[0]] * strengths[pairs[-1]], pairs, flat,
-                 np.zeros(n * n, dtype=complex), work, circulation_form(surface, w))
+                 np.zeros(n * n, dtype=complex), work, operand(circulation_form(surface, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +366,7 @@ def hamiltonian_velocities(state: VortexState) -> np.ndarray:
     one Richardson level).  Stencil copy (s, k) moves z_k by the s-th offset in
     z_k's chart and takes `_assemble_energy` of its pairs (k, j), j != k,
     and of W recomputed from its coordinates (see the module docstring).  The
-    copies go to `pair_terms` in chunks of whole copies, at most `surfaces.BLOCK`
+    copies go to `pair_values` in chunks of whole copies, at most `surfaces.BLOCK`
     pairs each past one copy, which bounds the memory; no plan is built."""
     charts, coords = _point_arrays(state.positions)
     g, n = np.array(state.strengths), state.n
@@ -372,7 +383,7 @@ def hamiltonian_velocities(state: VortexState) -> np.ndarray:
         k = copies % n
         pairs = pair_selection(state.surface, ext_charts,
                                np.repeat(n + copies, n - 1), others[k].ravel())
-        value = pair_terms(state.surface, ext_coords, pairs)[0].reshape(len(copies), n - 1)
+        value = pair_values(state.surface, ext_coords, pairs).reshape(len(copies), n - 1)
         configs = np.repeat(coords[None], len(copies), axis=0)
         configs[np.arange(len(copies)), k] = moved[copies]
         w = circulation_state(state.surface, configs, g, state.base_a, state.base_b)
@@ -426,13 +437,16 @@ class _Trajectory:
     def accept(self, coords: np.ndarray, t: float) -> None:
         """End an accepted step at time t: sphere vortices take the chart rule of
         `canonical_coords` (torus cover coordinates stay), the plan's pairs follow
-        a chart change, then the collision check runs."""
+        a chart change, then the collision check runs.  The accepted array is
+        made read-only, so the check's pair stage is the next step's first
+        velocity's too (`green.TorusPass`, `surfaces.SpherePass`)."""
         if self.plan.surface.kind == SPHERE:
             charts, coords, _, _ = canonical_coords(self.plan.surface, self.charts, coords)
             changed = charts is not self.charts and int((charts != self.charts).sum())
             if changed:
                 self.handovers += changed
                 self.charts, self.plan = charts, self.plan.rechart(charts)
+        coords.flags.writeable = False
         self.coords = coords
         self.separation, pair = self.plan.separation(coords, self.threshold, t)
         if self.separation < self.nearest[2]:

@@ -29,6 +29,18 @@ COINCIDENCE_TOL = 1e-12      # the pair kernel's: two points this close coincide
 BLOCK = 2048
 
 
+def operand(x) -> np.ndarray:
+    """x as a read-only 0-d array, a ufunc operand prepared once (numpy converts
+    a Python scalar on every call); in the dtype numpy casts the scalar to,
+    complex beside complex arrays, results stay bit for bit the scalar's."""
+    a = np.array(x)
+    a.flags.writeable = False
+    return a
+
+
+_TWO = operand(2.0)
+
+
 @lru_cache(maxsize=None)
 def reduced_modulus(tau: complex) -> tuple[complex, complex]:
     """(tau', j) with tau' = (a tau + b) / j, j = c tau + d, (a b; c d) in SL2(Z),
@@ -159,21 +171,26 @@ def canonical_coords(surface: Surface, charts, coords):
     return charts, out, m.astype(int), n.astype(int)
 
 
-def reduce_centered(tau: complex, z, out=None, shift=None):
+def reduce_centered(tau: complex, z):
     """z less the lattice vector that centres it (elementwise): rint(Im z / Im tau)
     tau, then rint(Re), ties to even, which leaves it in the centred cell |Re| <= 1/2,
-    |Im| <= Im(tau)/2 (up to one rounding), the theta series' domain.  Written into
-    out (complex, z's shape, not z) with shift (complex, z's shape, imaginary part 0,
-    which the integers go into, so the shifts meet z without a cast) as scratch when
-    given, else into new arrays; a scalar z gives a scalar."""
+    |Im| <= Im(tau)/2 (up to one rounding), the theta series' domain, in new
+    arrays (`centre_into`); a scalar z gives a scalar."""
     z = np.asarray(z)
-    if out is None:
-        out, shift = np.empty(z.shape, dtype=complex), np.zeros(z.shape, dtype=complex)
-    counts = shift.real
-    np.rint(np.divide(z.imag, tau.imag, out=counts), out=counts)
+    out, shift = np.empty(z.shape, dtype=complex), np.zeros(z.shape, dtype=complex)
+    return centre_into(np.asarray(complex(tau)), np.asarray(tau.imag), z, z.imag,
+                       shift, shift.real, out, out.real)[()]
+
+
+def centre_into(tau, im_tau, z, z_im, shift, counts, out, out_re):
+    """`reduce_centered` on prepared operands, into out: tau and Im tau as 0-d
+    arrays, z_im = z.imag, out_re = out.real and counts = shift.real, shift a
+    complex scratch of z's shape with imaginary part 0, which the integers go
+    into, so the shifts meet z without a cast; out is not z."""
+    np.rint(np.divide(z_im, im_tau, out=counts), out=counts)
     np.subtract(z, np.multiply(shift, tau, out=out), out=out)
-    np.rint(out.real, out=counts)
-    return np.subtract(out, shift, out=out)[()]
+    np.rint(out_re, out=counts)
+    return np.subtract(out, shift, out=out)
 
 
 def conformal_factor(surface: Surface, p: SurfacePoint) -> float:
@@ -226,10 +243,13 @@ class SpherePass:
     kernel and the separation.  The pairs are each evaluation's argument, so
     a recharted plan shares its parent's pass: every evaluation writes all
     it reads.  The velocity's and separation's steps write no output onto
-    an input: numpy takes a slower loop for that at length 1 (n = 2)."""
+    an input: numpy takes a slower loop for that at length 1 (n = 2).
+    Only the pass's stage (`sphere_differences`) writes ext, points and d,
+    and `held`, `held_pairs` key what they hold as `green.TorusPass` keys its
+    stage, on the pairs as well."""
 
     __slots__ = ("ext", "coords", "points", "zi", "a", "b", "c", "d", "r", "pole_i",
-                 "pole_j", "num", "values", "scratch")
+                 "pole_j", "num", "values", "scratch", "held", "held_pairs")
 
     def __init__(self, n: int, count: int):
         self.ext = np.empty(n + 2, dtype=complex)
@@ -239,15 +259,26 @@ class SpherePass:
         self.zi, self.a, self.b, self.c = self.points
         self.d, self.r, self.pole_i, self.pole_j = np.empty((4, count), dtype=complex)
         self.num, self.values, self.scratch = np.empty((3, count))
+        self.held = self.held_pairs = None
 
 
 def sphere_differences(coords, pairs, spass: SpherePass) -> np.ndarray:
     """spass.d = zi b_j - a_j over sphere `pairs`, a `pair_selection` (zi - zj
-    in one chart, zi zj - 1 across), with (zi, a_j, b_j, c_i) in spass.points."""
+    in one chart, zi zj - 1 across), with (zi, a_j, b_j, c_i) in spass.points;
+    the stage runs unless spass holds these coordinates and pairs (SpherePass)."""
+    if coords is not spass.held or pairs is not spass.held_pairs or coords.flags.writeable:
+        _difference_stage(coords, pairs, spass)
+    return spass.d
+
+
+def _difference_stage(coords, pairs, spass: SpherePass) -> None:
+    spass.held = None
     np.copyto(spass.coords, coords)
     spass.ext.take(pairs[:4], out=spass.points, mode="clip")   # "raise" would buffer out
     product = np.multiply(spass.zi, spass.b, out=spass.r)
-    return np.subtract(product, spass.a, out=spass.d)
+    np.subtract(product, spass.a, out=spass.d)
+    if not coords.flags.writeable:
+        spass.held, spass.held_pairs = coords, pairs
 
 
 def sphere_separations(coords, pairs, spass: SpherePass) -> np.ndarray:
@@ -257,7 +288,7 @@ def sphere_separations(coords, pairs, spass: SpherePass) -> np.ndarray:
     product = np.multiply(np.conjugate(spass.zi, out=spass.r), spass.a, out=spass.pole_i)
     e = np.add(product, spass.b, out=spass.pole_j)
     angle = np.arctan2(np.abs(d, out=spass.num), np.abs(e, out=spass.values), out=spass.scratch)
-    return np.multiply(2.0, angle, out=spass.values)
+    return np.multiply(_TWO, angle, out=spass.values)
 
 
 @lru_cache(maxsize=None)
@@ -267,14 +298,33 @@ def _lattice_offsets(tau: complex) -> np.ndarray:
     return offsets
 
 
+def nearest_translates(tau_r: complex, u, du, bound, out, near=None) -> np.ndarray:
+    """The torus separation rule on centred reduced differences u, du = |u|:
+    du itself, or where du >= bound - 1e-9 (1e-9 for rounding) the least
+    |u + o| over the 9 lattice vectors o of tau_r with entries in -1, 0, 1,
+    then written into out (out may be du), with near (bool, u's shape) as
+    scratch when given.  Every reduced lattice vector o != 0 is >= 1 - 1e-12
+    long, so |u + o| >= |o| - |u|: with bound 1/2 every entry is the nearest
+    image's, with bound 1 - min |u| the min and its first argmin are."""
+    near = np.greater_equal(du, bound - 1e-9, out=near)
+    if not near[near.argmax()]:   # argmax: no Python wrapper
+        return du
+    if out is not du:
+        np.copyto(out, du)
+    out[near] = np.abs(u[near][:, None] + _lattice_offsets(tau_r)).min(axis=-1)
+    return out
+
+
 def pair_distances(surface: Surface, coords, pairs, min_only: bool = False) -> np.ndarray:
     """Geodesic separations over `pairs`, a `pair_selection`: on the sphere
     `sphere_separations` in a pass built for this call; on the torus (any
     cover coordinates) |j| |u|, u the difference / j centered in the reduced
-    basis, or where |u| >= 1/2 the nearest of its 9 centered translates.
-    `min_only`: translates only where |u| >= 1 - min |u| (the min over this and
-    earlier blocks of BLOCK pairs), which keeps the min and first argmin exact;
-    a pair that cannot be the closest may read above its value."""
+    basis, or where `nearest_translates` asks the nearest of its 9 centered
+    translates: where |u| >= 1/2, or with `min_only` where |u| >= 1 - min |u|
+    (the min over this and earlier blocks of BLOCK pairs), which keeps the
+    min and first argmin exact; a pair that cannot be the closest may read
+    above its value.  A plan's collision check (`green.torus_separations`)
+    follows the same rule in its own pass."""
     coords = np.asarray(coords, dtype=complex)
     if surface.kind == SPHERE:
         return sphere_separations(coords, pairs, SpherePass(len(coords), pairs.shape[1]))
@@ -285,13 +335,8 @@ def pair_distances(surface: Surface, coords, pairs, min_only: bool = False) -> n
         block = slice(start, start + BLOCK)
         u = reduce_centered(tau_r, (coords[i[block]] - coords[j[block]]) * (1.0 / j_tau))
         du = np.abs(u)
-        # every reduced lattice vector o != 0 is >= 1 - 1e-12 long: |u + o| >= |o| - |u|;
-        # the least |u| so far only lowers the bound, so the min stays exact
-        least = min(least, du[du.argmin()])   # argmin, argmax: no Python wrapper
-        near = du >= (1.0 - least if min_only else 0.5) - 1e-9   # 1e-9 for rounding
-        if near[near.argmax()]:
-            du[near] = np.abs(u[near][:, None] + _lattice_offsets(tau_r)).min(axis=-1)
-        d[block] = du
+        least = min(least, du[du.argmin()])
+        d[block] = nearest_translates(tau_r, u, du, 1.0 - least if min_only else 0.5, du)
     return abs(j_tau) * d
 
 

@@ -27,10 +27,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .surfaces import BLOCK, COINCIDENCE_TOL, reduced_modulus
+from .surfaces import BLOCK, COINCIDENCE_TOL, operand, reduced_modulus
 
 _TERMS = 4
 _ETA_TERMS = 8
+# `theta1_block`'s scalars, beside real and complex rows
+_PI, _TWO, _ONE = operand(math.pi), operand(2.0 + 0j), operand(1.0 + 0j)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,8 @@ def theta1_series(ctx: ThetaContext, z):
 
 class SeriesBlock:
     """`theta1_block`'s buffers and views on m <= BLOCK points, laid out once
-    for every run: the caller writes the points into z, and a run leaves
+    for every run: the caller writes the points into z, or points z and its
+    views z_re and z_im at a row of its own (`green._series_block`), and a run leaves
     theta1 and theta1' in out's rows th and dth.  rows are the (2, m)
     coefficient rows cut from `ThetaContext.rows`; out, c and p share one work
     buffer with the real parts of sin x and cos x, which sit where c and p go."""
@@ -133,8 +136,8 @@ def theta1_block(s: SeriesBlock) -> np.ndarray:
     out, c, c0, c1, p = s.out, s.c, s.c0, s.c1, s.p
     sin_re, sin_im, cos_re, cos_im = s.parts
     # complex sin x and cos x from real parts (numpy's complex sin is slower)
-    np.multiply(s.z_re, math.pi, out=a)
-    np.multiply(s.z_im, math.pi, out=b)
+    np.multiply(s.z_re, _PI, out=a)
+    np.multiply(s.z_im, _PI, out=b)
     np.sin(a, out=sin_a)
     np.cos(a, out=cos_a)
     np.sinh(b, out=sinh_b)
@@ -145,10 +148,10 @@ def theta1_block(s: SeriesBlock) -> np.ndarray:
     np.multiply(sin_a, sinh_b, out=cos_im)
     np.negative(cos_im, out=cos_im)
     # c = 1 - 2 sin^2 x in both rows, 2 sin x in c[1] first: a one-element
-    # complex product in place would round differently (`green._torus_block`)
-    np.multiply(s.th, 2.0, out=c1)
+    # complex product in place would round differently (`green._reduce_block`)
+    np.multiply(s.th, _TWO, out=c1)
     np.multiply(c1, s.th, out=c0)
-    np.subtract(1.0, c0, out=c0)
+    np.subtract(_ONE, c0, out=c0)
     np.copyto(c1, c0)
     np.multiply(s.rows[-1], c, out=p)
     for row in s.inner:

@@ -11,7 +11,7 @@ by rounding, not by the routes: each differences a circulation energy
 eps |W|^2 / Im tau) the step 1e-5 and 1 / Gamma_k amplify, and on these states
 each route reads up to about 2e-9 against the direct law and 4e-9 against
 the other.  The batch evaluates
-each of the 8 n stencil copies' n - 1 pairs once, in one `pair_terms` call per
+each of the 8 n stencil copies' n - 1 pairs once, in one `pair_values` call per
 chunk of at most `surfaces.BLOCK` pairs.
 """
 import cmath
@@ -107,13 +107,13 @@ def test_each_copy_pair_goes_to_the_kernel_once(surface, chunk, monkeypatch):
     n = state.n
     want = hamiltonian_velocities(state)
     calls = []
-    real = dynamics.pair_terms
+    real = dynamics.pair_values
 
     def counted(surface, coords, pairs):
         calls.append(pairs.shape[1])
         return real(surface, coords, pairs)
 
-    monkeypatch.setattr(dynamics, "pair_terms", counted)
+    monkeypatch.setattr(dynamics, "pair_values", counted)
     monkeypatch.setattr(surfaces, "BLOCK", chunk)
     got = hamiltonian_velocities(state)
     per_call = max(1, chunk // (n - 1)) * (n - 1)
